@@ -31,6 +31,7 @@ from .model import (
     DEFAULT_MAX_ATOMS,
     RunningLogSumExp,
     _guard,
+    _single_type,
     _table,
     bit_codes,
     dense_log_weights,
@@ -49,12 +50,6 @@ from .worlds import (
 
 DEFAULT_TOL = 1e-9
 EXTREMAL_MAX_ATOMS = 27
-
-
-def _single_type(model: MlnModel) -> str:
-    if len(model.signature.types) != 1:
-        raise ValueError("bound computations require a single-type signature")
-    return model.signature.types[0][0]
 
 
 def _normalized(model: MlnModel) -> MlnModel:

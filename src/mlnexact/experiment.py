@@ -5,6 +5,11 @@ The pipeline is fully seeded: training sets come from generated populations
 subsampled to the training size, target sets are generated fresh per size and
 replicate, and every derived seed is an arithmetic function of the base seed.
 Rerunning a config reproduces every numeric cell byte for byte.
+
+Target worlds are scored with ``learning.target_log_likelihoods``. Every run
+and method at one target size shares that size's cached count histogram
+(``model.count_histogram``), so the 2^G enumeration happens once per size and
+each further weight vector costs one small logsumexp.
 """
 
 from __future__ import annotations
@@ -33,16 +38,10 @@ from .learning import (
     LearnConfig,
     lambda_sweep,
     learn,
+    target_log_likelihoods,
 )
 from .logic import MlnModel, normalize_distinct, parse_mln, serialize_mln
-from .model import (
-    DEFAULT_CHUNK,
-    RunningLogSumExp,
-    _guard,
-    _table,
-    da_scale_factors,
-    world_chunks,
-)
+from .model import count_histogram, da_scale_factors
 from .worlds import AtomIndex, DomainSpec, World
 
 SCHEMA = "mlnexact-experiment schema=1"
@@ -214,78 +213,6 @@ def seed_target(base: int, size_index: int, replicate: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Target-size evaluation cache
-# ---------------------------------------------------------------------------
-
-
-class SizeEvaluator:
-    """Reusable per-size evaluation: caches the per-world count matrix when it fits.
-
-    One target size is evaluated for many weight vectors (every run and method),
-    so the count statistics are computed once and each log partition becomes a
-    chunked dot product.
-    """
-
-    def __init__(
-        self,
-        model: MlnModel,
-        spec: DomainSpec,
-        *,
-        max_atoms: int = 28,
-        budget_bytes: int = 256 << 20,
-        chunk: int = DEFAULT_CHUNK,
-    ):
-        self.model = model
-        self.spec = spec
-        self.index = AtomIndex(model.signature, spec)
-        _guard(self.index.n_atoms, max_atoms)
-        self.chunk = chunk
-        structure = model.with_weights([0.0] * len(model.clauses))
-        self._gt = _table(structure, self.index)
-        n_worlds = 1 << self.index.n_atoms
-        n_clauses = len(model.clauses)
-        bound = max(
-            (e.const_count + sum(g.cols.shape[0] for g in e.groups) for e in self._gt.entries),
-            default=0,
-        )
-        dtype = np.int8 if bound < 2**7 else np.int16 if bound < 2**15 else np.int32
-        self._counts: np.ndarray | None = None
-        if n_worlds * n_clauses * np.dtype(dtype).itemsize <= budget_bytes:
-            counts = np.empty((n_worlds, n_clauses), dtype=dtype)
-            for worlds in world_chunks(self.index.n_atoms, chunk):
-                start = int(worlds[0])
-                counts[start : start + worlds.shape[0]] = self._gt.counts_matrix(worlds)
-            self._counts = counts
-
-    def log_partition(self, weights: Sequence[float]) -> float:
-        w = np.asarray(weights, dtype=np.float64)
-        lse = RunningLogSumExp()
-        if self._counts is not None:
-            n_worlds = self._counts.shape[0]
-            for start in range(0, n_worlds, self.chunk):
-                block = self._counts[start : start + self.chunk]
-                logw = np.zeros(block.shape[0])
-                for ci in range(block.shape[1]):
-                    if w[ci] != 0.0:
-                        logw += w[ci] * block[:, ci]
-                lse.update(logw)
-        else:
-            for worlds in world_chunks(self.index.n_atoms, self.chunk):
-                lse.update(self._gt.log_weights(worlds, weights=w))
-        return lse.value
-
-    def log_likelihoods(self, weights: Sequence[float], worlds: Sequence[World]) -> list[float]:
-        w = np.asarray(weights, dtype=np.float64)
-        log_z = self.log_partition(w)
-        out = []
-        for world in worlds:
-            if world.index != self.index:
-                raise ValueError("world is not over this evaluator's domain spec")
-            out.append(float(self._gt.counts_world(world) @ w) - log_z)
-        return out
-
-
-# ---------------------------------------------------------------------------
 # Pipeline
 # ---------------------------------------------------------------------------
 
@@ -380,16 +307,16 @@ def _run_batch(args: tuple[ExperimentConfig, list[int]]) -> tuple[list[Row], dic
     model = load_experiment_model(cfg)
     tau = _sample_type(model)
     targets = target_worlds(cfg, model)
-    evaluators = {
-        size: SizeEvaluator(model, worlds[0].index.spec, max_atoms=cfg.max_atoms)
-        for size, worlds in targets.items()
-    }
+    # Built ahead of the runs: a target size over the enumeration guard fails
+    # the whole experiment instead of turning every run into error rows.
+    for worlds in targets.values():
+        count_histogram(model, worlds[0].index, max_atoms=cfg.max_atoms)
     smallest = min(cfg.target_sizes)
     rows: list[Row] = []
     models: dict[tuple[int, str], MlnModel] = {}
     for run in run_ids:
         try:
-            rows_r, models_r = _run_one(cfg, model, tau, run, targets, evaluators, smallest)
+            rows_r, models_r = _run_one(cfg, model, tau, run, targets, smallest)
             rows.extend(rows_r)
             models.update(models_r)
         except Exception as exc:  # per-run isolation: one bad run must not sink the batch
@@ -413,7 +340,7 @@ def _run_batch(args: tuple[ExperimentConfig, list[int]]) -> tuple[list[Row], dic
     return rows, models
 
 
-def _run_one(cfg, model, tau, run, targets, evaluators, smallest):
+def _run_one(cfg, model, tau, run, targets, smallest):
     data = training_world(cfg, model, run)
     train_spec = data.index.spec
     train_n = train_spec.size(tau)
@@ -459,9 +386,12 @@ def _run_one(cfg, model, tau, run, targets, evaluators, smallest):
             if method == "da":
                 da_sizes = {t: size if t == tau else s for t, s in model.signature.types}
             eff = _effective_weights(res.model, np.array(res.weights), da_sizes)
+            scored = res.model.with_weights(eff)
             if method == "da":
-                models[(run, f"da_eff{size}")] = res.model.with_weights(eff)
-            lls = evaluators[size].log_likelihoods(eff, targets[size])
+                models[(run, f"da_eff{size}")] = scored
+            lls = target_log_likelihoods(
+                scored, targets[size][0].index.spec, targets[size], max_atoms=cfg.max_atoms
+            )
             spread = _spread_at(model, eff, train_n, size - train_n)
             for j, ll in enumerate(lls):
                 if method == "none":

@@ -8,6 +8,7 @@ grounds only to k pairwise-distinct constants of each type.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, replace
 from itertools import combinations, product
@@ -244,6 +245,10 @@ class Clause:
     formula: Formula
     weight: float
     origin: int | None = field(default=None, compare=False)
+
+    def __post_init__(self):
+        if not math.isfinite(self.weight):
+            raise ValueError(f"clause weight must be finite, got {self.weight}")
 
 
 @dataclass(frozen=True)

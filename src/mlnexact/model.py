@@ -3,11 +3,18 @@
 Clauses are compiled once per (formula, atom index) into grounding tables:
 for every grounding, the positions of the ground atoms it touches plus a
 truth table over their joint assignments. World enumeration is then integer
-counting, and weights, partition functions, and restriction marginals are
-evaluated with vectorized bit arithmetic in log space. Groundings are grouped
-by the variable-identification pattern of the assignment, so raw clauses
-(repeated constants allowed) and distinct-constant normalized clauses share
-one code path.
+counting, and one counts kernel turns a block of worlds into true-grounding
+counts; log weights are counts @ w. Groundings are grouped by the
+variable-identification pattern of the assignment, so raw clauses (repeated
+constants allowed) and distinct-constant normalized clauses share one code
+path.
+
+The partition function has one path: a world's weight depends on it only
+through its count vector, so one enumeration per (clause structure, atom
+index) collapses all 2^G worlds into a cached histogram of distinct count
+vectors with multiplicities, and log Z for any weight vector is a logsumexp
+over that histogram. Restriction marginals and the factorization checks still
+stream over every world in log space.
 """
 
 from __future__ import annotations
@@ -170,6 +177,24 @@ def _grounded_formula(formula: Formula, index: AtomIndex) -> _GroundedFormula:
     return _GroundedFormula(const_count, groups, total)
 
 
+def _count_kernel(entries: Sequence[_GroundedFormula], worlds: np.ndarray) -> np.ndarray:
+    """(n_worlds, n_entries) int32 true-grounding counts: the one counts kernel."""
+    used = sorted({int(p) for e in entries for g in e.groups for p in g.cols.flat})
+    one = np.uint64(1)
+    bits = {p: ((worlds >> np.uint64(p)) & one).astype(np.int32) for p in used}
+    out = np.empty((worlds.shape[0], len(entries)), dtype=np.int32)
+    for ci, entry in enumerate(entries):
+        acc = np.full(worlds.shape[0], entry.const_count, dtype=np.int32)
+        for g in entry.groups:
+            for row in g.cols:
+                code = bits[int(row[0])].copy()
+                for j in range(1, row.shape[0]):
+                    code += bits[int(row[j])] << j
+                acc += g.table[code]
+        out[:, ci] = acc
+    return out
+
+
 class GroundingTable:
     """Per-clause compiled groundings for one model over one atom index."""
 
@@ -181,56 +206,16 @@ class GroundingTable:
 
     def counts_world(self, world: World) -> np.ndarray:
         """True-grounding count of every clause in a single world."""
-        bits = world.bits
-        out = np.zeros(len(self.entries), dtype=np.int64)
-        for ci, entry in enumerate(self.entries):
-            n = entry.const_count
-            for g in entry.groups:
-                for row in g.cols:
-                    code = 0
-                    for j, p in enumerate(row):
-                        code |= (bits >> int(p) & 1) << j
-                    n += int(g.table[code])
-            out[ci] = n
-        return out
-
-    def _bit_columns(self, worlds: np.ndarray) -> dict[int, np.ndarray]:
-        used = sorted({int(p) for e in self.entries for g in e.groups for p in g.cols.flat})
-        one = np.uint64(1)
-        return {p: ((worlds >> np.uint64(p)) & one).astype(np.int32) for p in used}
+        return _count_kernel(self.entries, np.array([world.bits], dtype=np.uint64))[0]
 
     def counts_matrix(self, worlds: np.ndarray) -> np.ndarray:
         """(n_worlds, n_clauses) true-grounding counts, vectorized over worlds."""
-        bits = self._bit_columns(worlds)
-        out = np.empty((worlds.shape[0], len(self.entries)), dtype=np.int32)
-        for ci, entry in enumerate(self.entries):
-            acc = np.full(worlds.shape[0], entry.const_count, dtype=np.int32)
-            for g in entry.groups:
-                for row in g.cols:
-                    code = bits[int(row[0])].copy()
-                    for j in range(1, row.shape[0]):
-                        code += bits[int(row[j])] << j
-                    acc += g.table[code]
-            out[:, ci] = acc
-        return out
+        return _count_kernel(self.entries, worlds)
 
     def log_weights(self, worlds: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
         """Per-world log weight: the weighted sum of true-grounding counts."""
         w = self._weights if weights is None else np.asarray(weights, dtype=np.float64)
-        bits = self._bit_columns(worlds)
-        out = np.zeros(worlds.shape[0], dtype=np.float64)
-        for ci, entry in enumerate(self.entries):
-            if w[ci] == 0.0:
-                continue
-            acc = np.full(worlds.shape[0], entry.const_count, dtype=np.int32)
-            for g in entry.groups:
-                for row in g.cols:
-                    code = bits[int(row[0])].copy()
-                    for j in range(1, row.shape[0]):
-                        code += bits[int(row[j])] << j
-                    acc += g.table[code]
-            out += w[ci] * acc
-        return out
+        return _count_kernel(self.entries, worlds) @ w
 
 
 @lru_cache(maxsize=256)
@@ -250,15 +235,7 @@ def count_true_groundings(clause: Clause, world: World) -> int:
     distinct-constants form are counted over injective assignments only.
     """
     entry = _grounded_formula(clause.formula, world.index)
-    bits = world.bits
-    n = entry.const_count
-    for g in entry.groups:
-        for row in g.cols:
-            code = 0
-            for j, p in enumerate(row):
-                code |= (bits >> int(p) & 1) << j
-            n += int(g.table[code])
-    return n
+    return int(_count_kernel([entry], np.array([world.bits], dtype=np.uint64))[0, 0])
 
 
 def log_weight(model: MlnModel, world: World) -> float:
@@ -297,6 +274,67 @@ def dense_log_weights(
     return out
 
 
+# ---------------------------------------------------------------------------
+# Count histogram and the partition function
+# ---------------------------------------------------------------------------
+
+
+def _distinct_rows(
+    rows: np.ndarray, mult: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a non-negative integer matrix, with summed multiplicities.
+
+    Each row gets a mixed-radix int64 key (radix = column max + 1). Before the
+    radix product could pass 2^62 the key is re-compacted to dense ranks, so
+    the dedupe is exact for any number of columns. ``mult`` weights each input
+    row (default 1); the result's multiplicities are int64.
+    """
+    key = np.zeros(rows.shape[0], dtype=np.int64)
+    span = 1
+    for col in rows.T:
+        radix = int(col.max(initial=0)) + 1
+        if span * radix > 1 << 62:
+            _, key = np.unique(key, return_inverse=True)
+            span = int(key.max(initial=0)) + 1
+        key = key * radix + col
+        span *= radix
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    # Float bincount sums are exact: multiplicities stay below 2^53.
+    return rows[first], np.bincount(inverse, weights=mult).astype(np.int64)
+
+
+@dataclass(frozen=True)
+class CountHistogram:
+    """Distinct true-grounding count vectors over all worlds of one atom index."""
+
+    counts: np.ndarray  # (n_distinct, n_clauses) float64
+    mult: np.ndarray  # (n_distinct,) int64 worlds per count vector; sums to 2^G
+    log_mult: np.ndarray  # (n_distinct,) float64
+
+
+def count_histogram(
+    model: MlnModel, index: AtomIndex, *, max_atoms: int = DEFAULT_MAX_ATOMS
+) -> CountHistogram:
+    """The model's count histogram over the index: one enumeration per clause
+    structure and index, cached and shared by every weight vector."""
+    _guard(index.n_atoms, max_atoms)
+    return _histogram(tuple(c.formula for c in model.clauses), index)
+
+
+@lru_cache(maxsize=64)
+def _histogram(formulas: tuple[Formula, ...], index: AtomIndex) -> CountHistogram:
+    probe = MlnModel(index.signature, tuple(Clause(f, 0.0) for f in formulas))
+    gt = GroundingTable(probe, index)
+    parts = [_distinct_rows(gt.counts_matrix(w)) for w in world_chunks(index.n_atoms)]
+    rows, mult = _distinct_rows(
+        np.concatenate([r for r, _ in parts]), np.concatenate([m for _, m in parts])
+    )
+    out = CountHistogram(rows.astype(np.float64), mult, np.log(mult))
+    for a in (out.counts, out.mult, out.log_mult):
+        a.setflags(write=False)
+    return out
+
+
 def log_partition(
     model: MlnModel,
     spec: DomainSpec | None = None,
@@ -305,17 +343,17 @@ def log_partition(
     max_atoms: int = DEFAULT_MAX_ATOMS,
     chunk: int = DEFAULT_CHUNK,
 ) -> float:
-    """Log of the normalization constant, by streaming enumeration."""
+    """Log of the normalization constant: logsumexp(U @ w + log mult) over the
+    cached count histogram. ``chunk`` is accepted for compatibility; the
+    histogram pass uses ``DEFAULT_CHUNK`` and the result does not depend on it."""
     if index is None:
         if spec is None:
             raise ValueError("provide a domain spec or an atom index")
         index = AtomIndex(model.signature, spec)
-    _guard(index.n_atoms, max_atoms)
-    gt = _table(model, index)
-    lse = RunningLogSumExp()
-    for worlds in world_chunks(index.n_atoms, chunk):
-        lse.update(gt.log_weights(worlds))
-    return lse.value
+    hist = count_histogram(model, index, max_atoms=max_atoms)
+    x = hist.counts @ np.array(model.weights(), dtype=np.float64) + hist.log_mult
+    shift = float(x.max())
+    return shift + math.log(float(np.exp(x - shift).sum()))
 
 
 def log_probability(

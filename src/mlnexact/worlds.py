@@ -153,9 +153,6 @@ class World:
     def true_atoms(self) -> list[GroundAtom]:
         return [a for i, a in enumerate(self.index.atoms) if self.bits >> i & 1]
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.bits >> i & 1 for i in range(self.index.n_atoms)], dtype=bool)
-
     @classmethod
     def all_false(cls, index: AtomIndex) -> "World":
         return cls(index, 0)

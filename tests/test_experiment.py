@@ -1,12 +1,12 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from mlnexact.cli import main
 from mlnexact.experiment import (
     ExperimentConfig,
-    SizeEvaluator,
     rows_to_csv,
     run_experiment,
     seed_target,
@@ -14,8 +14,9 @@ from mlnexact.experiment import (
     target_worlds,
     load_experiment_model,
 )
-from mlnexact.learning import evaluate_target
-from mlnexact.worlds import DomainSpec
+from mlnexact.learning import evaluate_target, target_log_likelihoods
+from mlnexact.model import dense_log_weights
+from mlnexact.worlds import DomainSpec, DomainTooLargeError
 
 TINY = dict(train_sets=2, target_sizes=(3,), target_replicates=2, seed=13, out="unused")
 
@@ -83,17 +84,24 @@ class TestPipeline:
 
 class TestSizeEvaluator:
     def test_cached_and_streaming_paths_agree(self):
+        """Target scoring through the cached count histogram matches the
+        per-world log weights normalized by direct summation."""
         model = load_experiment_model(ExperimentConfig())
         spec = DomainSpec({"person": 3})
-        cached = SizeEvaluator(model, spec)
-        streaming = SizeEvaluator(model, spec, budget_bytes=0)
-        assert cached._counts is not None
-        assert streaming._counts is None
         weights = [0.4, -0.3, 0.7, 0.0, 1.2]
         worlds = target_worlds(ExperimentConfig(**TINY), model)[3]
-        assert cached.log_likelihoods(weights, worlds) == pytest.approx(
-            streaming.log_likelihoods(weights, worlds), abs=1e-12
-        )
         scored = model.with_weights(weights)
+        per_world = dense_log_weights(scored, worlds[0].index)
+        shift = per_world.max()
+        log_z = shift + math.log(np.exp(per_world - shift).sum())
+        expected = [per_world[w.bits] - log_z for w in worlds]
+        cached = target_log_likelihoods(scored, spec, worlds)
+        assert cached == pytest.approx(expected, abs=1e-12)
         direct = [evaluate_target(scored, spec, w) for w in worlds]
-        assert cached.log_likelihoods(weights, worlds) == pytest.approx(direct, abs=1e-12)
+        assert cached == pytest.approx(direct, abs=1e-12)
+
+    def test_target_over_the_guard_fails_before_any_run(self):
+        # Smokers at n=5 has 35 ground atoms, over the default guard of 28.
+        cfg = ExperimentConfig(**{**TINY, "train_sets": 1, "target_sizes": (5,)})
+        with pytest.raises(DomainTooLargeError):
+            run_experiment(cfg)

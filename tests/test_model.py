@@ -3,11 +3,16 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mlnexact.datagen import FRIENDS_SMOKERS_MLN
 from mlnexact.logic import MlnModel, normalize_distinct, parse_mln
 from mlnexact.model import (
     DaScaling,
+    GroundingTable,
     apply_da_scaling,
+    count_histogram,
     count_true_groundings,
     da_scale_factors,
     dense_log_weights,
@@ -19,7 +24,10 @@ from mlnexact.model import (
     marginal_log_probs,
     max_split_factorization_error,
     max_tuple_factorization_error,
+    _distinct_rows,
     _grounded_formula,
+    _histogram,
+    world_chunks,
 )
 from mlnexact.worlds import (
     AtomIndex,
@@ -219,6 +227,105 @@ class TestPartition:
         model = model_from("type p = 8\npredicate R(p,p)\n0.5 R(x,y)")
         with pytest.raises(DomainTooLargeError):
             log_partition(model, DomainSpec({"p": 8}), max_atoms=28)
+
+
+def _logsumexp(x: np.ndarray) -> float:
+    shift = float(x.max())
+    return shift + math.log(float(np.exp(x - shift).sum()))
+
+
+class TestCountKernel:
+    def test_log_weights_are_counts_times_weights(self):
+        rng = np.random.default_rng(3)
+        model = normalize_distinct(random_raw_model(rng, include_ternary_clause=True))
+        index = index_for(model, 3)
+        gt = GroundingTable(model, index)
+        worlds = next(world_chunks(index.n_atoms))
+        counts = gt.counts_matrix(worlds)
+        assert np.abs(gt.log_weights(worlds) - counts @ np.array(model.weights())).max() <= 1e-12
+        for bits in (0, 5, int(worlds[-1])):
+            world = World(index, bits)
+            assert gt.counts_world(world).tolist() == counts[bits].tolist()
+            per_clause = [count_true_groundings(c, world) for c in model.clauses]
+            assert per_clause == counts[bits].tolist()
+
+
+class TestDistinctRows:
+    def test_matches_tuple_counting(self):
+        rng = np.random.default_rng(11)
+        rows = rng.integers(0, 3, size=(500, 4)).astype(np.int32)
+        got_rows, got_mult = _distinct_rows(rows)
+        expected = {}
+        for r in map(tuple, rows.tolist()):
+            expected[r] = expected.get(r, 0) + 1
+        assert dict(zip(map(tuple, got_rows.tolist()), got_mult.tolist())) == expected
+
+    def test_radix_overflow_recompacts_exactly(self):
+        # Ten columns of values below 2^20: the radix product is about 2^200,
+        # far past 2^62, so the key must be re-compacted on the way.
+        rng = np.random.default_rng(12)
+        base = rng.integers(0, 1 << 20, size=(40, 10)).astype(np.int32)
+        rows = base[rng.integers(0, 40, size=300)]
+        span = math.prod(int(c.max()) + 1 for c in rows.T)
+        assert span > 1 << 62
+        mult = rng.integers(1, 5, size=300)
+        got_rows, got_mult = _distinct_rows(rows, mult)
+        expected = {}
+        for r, k in zip(map(tuple, rows.tolist()), mult.tolist()):
+            expected[r] = expected.get(r, 0) + k
+        assert got_mult.dtype == np.int64
+        assert dict(zip(map(tuple, got_rows.tolist()), got_mult.tolist())) == expected
+
+
+class TestCountHistogram:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 4),
+        normalized=st.booleans(),
+        ternary=st.booleans(),
+    )
+    def test_matches_per_world_oracles(self, seed, n, normalized, ternary):
+        rng = np.random.default_rng(seed)
+        model = random_raw_model(rng, include_ternary_clause=ternary)
+        if normalized:
+            model = normalize_distinct(model)
+        index = index_for(model, n)
+        hist = count_histogram(model, index)
+        assert int(hist.mult.sum()) == 1 << index.n_atoms
+        log_z = log_partition(model, index=index)
+        assert abs(log_z - _logsumexp(dense_log_weights(model, index))) <= 1e-9
+        if index.n_atoms <= 12:
+            oracle = np.array(raw_log_probs(model, index))
+            worlds = [World(index, b) for b in range(1 << index.n_atoms)]
+            direct = np.array([raw_log_weight(model, w) for w in worlds])
+            assert np.abs((direct - oracle) - log_z).max() <= 1e-9
+
+        other = model.with_weights(rng.uniform(-1.5, 1.5, len(model.clauses)))
+        hits = _histogram.cache_info().hits
+        assert count_histogram(other, index) is hist
+        assert _histogram.cache_info().hits == hits + 1
+        assert abs(
+            log_partition(other, index=index) - _logsumexp(dense_log_weights(other, index))
+        ) <= 1e-9
+
+    def test_smokers_n3_collapses(self):
+        model = normalize_distinct(parse_mln(FRIENDS_SMOKERS_MLN))
+        hist = count_histogram(model, index_for(model, 3))
+        assert hist.counts.shape == (44, 5)
+        assert int(hist.mult.sum()) == 1 << 15
+
+
+class TestNonFiniteWeights:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejected_before_any_pass(self, bad):
+        model = normalize_distinct(parse_mln(FRIENDS_SMOKERS_MLN))
+        with pytest.raises(ValueError, match="finite"):
+            log_partition(model.with_weights([bad, 0, 0, 0, 0]), DomainSpec({"person": 2}))
+
+    def test_rejected_by_the_parser(self):
+        with pytest.raises(ValueError, match="finite"):
+            parse_mln("type p = 2\npredicate S(p)\n1e999 S(x)")
 
 
 class TestProbability:
