@@ -63,12 +63,10 @@ from .logic import (
     serialize_mln,
 )
 from .model import (
-    CountHistogram,
     DaScaling,
     GroundingTable,
     apply_da_scaling,
     atom_index,
-    count_histogram,
     count_true_groundings,
     da_scale_factors,
     log_k_weight,

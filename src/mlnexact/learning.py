@@ -348,11 +348,10 @@ def evaluate_target(
     *,
     da_sizes: dict[str, int] | None = None,
     max_atoms: int = DEFAULT_MAX_ATOMS,
-    chunk: int = DEFAULT_CHUNK,
 ) -> float:
     """Log likelihood at the target size, with optional target-size weight scaling."""
     return target_log_likelihoods(
-        model, target_spec, [target_data], da_sizes=da_sizes, max_atoms=max_atoms, chunk=chunk
+        model, target_spec, [target_data], da_sizes=da_sizes, max_atoms=max_atoms
     )[0]
 
 
@@ -363,7 +362,6 @@ def target_log_likelihoods(
     *,
     da_sizes: dict[str, int] | None = None,
     max_atoms: int = DEFAULT_MAX_ATOMS,
-    chunk: int = DEFAULT_CHUNK,
 ) -> list[float]:
     """Log likelihoods of several worlds at one target size, sharing one partition pass."""
     scaled = model
@@ -373,7 +371,7 @@ def target_log_likelihoods(
     for w in target_worlds:
         if w.index != index:
             raise ValueError("target world is not over the target domain spec")
-    log_z = log_partition(scaled, index=index, max_atoms=max_atoms, chunk=chunk)
+    log_z = log_partition(scaled, index=index, max_atoms=max_atoms)
     return [log_weight(scaled, w) - log_z for w in target_worlds]
 
 

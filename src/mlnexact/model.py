@@ -20,6 +20,7 @@ stream over every world in log space.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
@@ -181,16 +182,18 @@ def _count_kernel(entries: Sequence[_GroundedFormula], worlds: np.ndarray) -> np
     """(n_worlds, n_entries) int32 true-grounding counts: the one counts kernel."""
     used = sorted({int(p) for e in entries for g in e.groups for p in g.cols.flat})
     one = np.uint64(1)
-    bits = {p: ((worlds >> np.uint64(p)) & one).astype(np.int32) for p in used}
+    bits = {p: ((worlds >> np.uint64(p)) & one).astype(np.uint8) for p in used}
     out = np.empty((worlds.shape[0], len(entries)), dtype=np.int32)
     for ci, entry in enumerate(entries):
         acc = np.full(worlds.shape[0], entry.const_count, dtype=np.int32)
         for g in entry.groups:
+            # Byte-wide truth-table codes while a grounding touches at most 8 atoms.
+            code_dtype = np.uint8 if g.cols.shape[1] <= 8 else np.int64
             for row in g.cols:
-                code = bits[int(row[0])].copy()
+                code = bits[int(row[0])].astype(code_dtype)
                 for j in range(1, row.shape[0]):
-                    code += bits[int(row[j])] << j
-                acc += g.table[code]
+                    code |= bits[int(row[j])].astype(code_dtype, copy=False) << j
+                acc += np.take(g.table, code)
         out[:, ci] = acc
     return out
 
@@ -279,6 +282,14 @@ def dense_log_weights(
 # ---------------------------------------------------------------------------
 
 
+def _dense_ranks(key: np.ndarray) -> np.ndarray:
+    """Rank of every key among the sorted distinct keys."""
+    s = np.sort(key)
+    first = np.ones(s.shape[0], dtype=bool)
+    first[1:] = s[1:] != s[:-1]
+    return np.searchsorted(s[first], key)
+
+
 def _distinct_rows(
     rows: np.ndarray, mult: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -294,11 +305,13 @@ def _distinct_rows(
     for col in rows.T:
         radix = int(col.max(initial=0)) + 1
         if span * radix > 1 << 62:
-            _, key = np.unique(key, return_inverse=True)
+            key = _dense_ranks(key)
             span = int(key.max(initial=0)) + 1
         key = key * radix + col
         span *= radix
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    inverse = _dense_ranks(key)
+    first = np.empty(int(inverse.max(initial=-1)) + 1, dtype=np.intp)
+    first[inverse] = np.arange(rows.shape[0])  # any occurrence: the rows are equal
     # Float bincount sums are exact: multiplicities stay below 2^53.
     return rows[first], np.bincount(inverse, weights=mult).astype(np.int64)
 
@@ -325,10 +338,11 @@ def count_histogram(
 def _histogram(formulas: tuple[Formula, ...], index: AtomIndex) -> CountHistogram:
     probe = MlnModel(index.signature, tuple(Clause(f, 0.0) for f in formulas))
     gt = GroundingTable(probe, index)
-    parts = [_distinct_rows(gt.counts_matrix(w)) for w in world_chunks(index.n_atoms)]
-    rows, mult = _distinct_rows(
-        np.concatenate([r for r, _ in parts]), np.concatenate([m for _, m in parts])
-    )
+    rows = np.zeros((0, len(formulas)), dtype=np.int32)
+    mult = np.zeros(0, dtype=np.int64)
+    for worlds in world_chunks(index.n_atoms):
+        r, m = _distinct_rows(gt.counts_matrix(worlds))
+        rows, mult = _distinct_rows(np.concatenate([rows, r]), np.concatenate([mult, m]))
     out = CountHistogram(rows.astype(np.float64), mult, np.log(mult))
     for a in (out.counts, out.mult, out.log_mult):
         a.setflags(write=False)
@@ -344,8 +358,15 @@ def log_partition(
     chunk: int = DEFAULT_CHUNK,
 ) -> float:
     """Log of the normalization constant: logsumexp(U @ w + log mult) over the
-    cached count histogram. ``chunk`` is accepted for compatibility; the
-    histogram pass uses ``DEFAULT_CHUNK`` and the result does not depend on it."""
+    cached count histogram.
+
+    ``chunk`` is deprecated and ignored: the histogram pass always uses
+    ``DEFAULT_CHUNK``, and passing another value warns.
+    """
+    if chunk != DEFAULT_CHUNK:
+        warnings.warn(
+            "log_partition's chunk is deprecated and ignored", DeprecationWarning, stacklevel=2
+        )
     if index is None:
         if spec is None:
             raise ValueError("provide a domain spec or an atom index")
@@ -361,11 +382,8 @@ def log_probability(
     world: World,
     *,
     max_atoms: int = DEFAULT_MAX_ATOMS,
-    chunk: int = DEFAULT_CHUNK,
 ) -> float:
-    return log_weight(model, world) - log_partition(
-        model, index=world.index, max_atoms=max_atoms, chunk=chunk
-    )
+    return log_weight(model, world) - log_partition(model, index=world.index, max_atoms=max_atoms)
 
 
 def marginal_log_probs(

@@ -249,6 +249,20 @@ class TestCountKernel:
             per_clause = [count_true_groundings(c, world) for c in model.clauses]
             assert per_clause == counts[bits].tolist()
 
+    def test_groundings_over_more_than_eight_atoms(self):
+        # Each x != y grounding touches 9 ground atoms, past byte-wide codes.
+        model = parse_mln(
+            "type p = 2\npredicate R(p,p)\npredicate S(p)\npredicate T(p)\n"
+            "predicate U(p)\n"
+            "1 R(x,y) v R(y,x) v !R(x,x) v R(y,y) v S(x) v !S(y) v T(x) v T(y) v U(x)"
+        )
+        index = index_for(model, 2)
+        gt = GroundingTable(model, index)
+        assert max(g.cols.shape[1] for e in gt.entries for g in e.groups) == 9
+        counts = gt.counts_matrix(next(world_chunks(index.n_atoms)))
+        direct = [raw_log_weight(model, World(index, b)) for b in range(1 << index.n_atoms)]
+        assert counts[:, 0].tolist() == direct
+
 
 class TestDistinctRows:
     def test_matches_tuple_counting(self):
@@ -308,6 +322,26 @@ class TestCountHistogram:
         assert abs(
             log_partition(other, index=index) - _logsumexp(dense_log_weights(other, index))
         ) <= 1e-9
+
+    def test_several_world_chunks_fold_into_one_histogram(self):
+        # 2^20 worlds: four chunks of DEFAULT_CHUNK merged into the running result.
+        model = parse_mln(
+            "type p = 4\npredicate R(p,p)\npredicate S(p)\n"
+            "0.7 R(x,y) ^ S(x) => S(y)\n-0.4 S(x)\n0.3 R(x,x)"
+        )
+        index = index_for(model, 4)
+        assert index.n_atoms == 20
+        hist = count_histogram(model, index)
+        assert int(hist.mult.sum()) == 1 << 20
+        assert len({tuple(r) for r in hist.counts.tolist()}) == hist.counts.shape[0]
+        log_z = log_partition(model, index=index)
+        assert abs(log_z - _logsumexp(dense_log_weights(model, index))) <= 1e-9
+
+    def test_chunk_is_deprecated_and_ignored(self):
+        model = model_from("type p = 3\npredicate R(p,p)\n0.8 R(x,y) => R(y,x)")
+        log_z = log_partition(model, DomainSpec({"p": 3}))
+        with pytest.warns(DeprecationWarning, match="chunk"):
+            assert log_partition(model, DomainSpec({"p": 3}), chunk=7) == log_z
 
     def test_smokers_n3_collapses(self):
         model = normalize_distinct(parse_mln(FRIENDS_SMOKERS_MLN))
