@@ -14,6 +14,14 @@ the *log spread*), and verifies by full enumeration that:
   most the log spread (``kl_bound``),
 - the negative log likelihood transfers across sizes with at most ``log_spread``
   slack (``loglik_bound``).
+
+All five checks share one exhaustive pass over the (n+m)-worlds. It runs on a
+relaid copy of the grounding table: front-half atoms in the low F bits,
+back-half atoms in the next B bits, straddling atoms above. A world's two
+restriction codes are then the bit fields ``world & (2^F - 1)`` and
+``(world >> F) & (2^B - 1)``; the front marginal folds through the same bucket
+accumulator as ``model.marginal_log_probs``, log Z is the logsumexp of its
+buckets, and the sandwich witnesses are reported in ``AtomIndex`` order.
 """
 
 from __future__ import annotations
@@ -27,13 +35,12 @@ import numpy as np
 
 from .logic import MlnModel, arity_partition, normalize_distinct
 from .model import (
-    DEFAULT_CHUNK,
     DEFAULT_MAX_ATOMS,
-    RunningLogSumExp,
+    _fold_front_buckets,
     _guard,
+    _logsumexp,
     _single_type,
     _table,
-    bit_codes,
     dense_log_weights,
     log_weight,
     world_chunks,
@@ -207,8 +214,6 @@ class _SplitContext:
     cross: CrossBounds
     lw_n: np.ndarray
     lw_m: np.ndarray
-    pos_n: np.ndarray
-    pos_m: np.ndarray
     log_z_nm: float
     log_z_n: float
     log_z_m: float
@@ -220,14 +225,10 @@ class _SplitContext:
 
 
 def _split_context(
-    model: MlnModel,
-    n: int,
-    m: int,
-    *,
-    max_atoms: int = DEFAULT_MAX_ATOMS,
-    chunk: int = DEFAULT_CHUNK,
+    model: MlnModel, n: int, m: int, *, max_atoms: int = DEFAULT_MAX_ATOMS
 ) -> _SplitContext:
-    """One streaming pass over all (n+m)-worlds collecting everything the checks need."""
+    """One exhaustive pass over all (n+m)-worlds, in the relaid bit layout the
+    module docstring describes, collecting everything the checks need."""
     model = _normalized(model)
     tau = _single_type(model)
     spec = DomainSpec({tau: n + m}, split_type=tau, split_at=n)
@@ -240,21 +241,19 @@ def _split_context(
     lw_m = dense_log_weights(model, sub_m)
     cross = cross_weight_bounds(model, n, m)
 
-    gt = _table(model, index)
-    lse = RunningLogSumExp()
-    n_buckets = lw_n.shape[0]
-    bmax = np.full(n_buckets, -np.inf)
-    bsum = np.zeros(n_buckets)
+    gt, order = _table(model, index).relaid(pos_n, pos_m)
+    front_bits = np.uint64(sub_n.n_atoms)
+    front_mask = np.uint64(lw_n.shape[0] - 1)
+    back_mask = np.uint64(lw_m.shape[0] - 1)
+    bucket_logs = np.full(lw_n.shape[0], -np.inf)
     up_worst = math.inf
     lo_worst = math.inf
     up_witness = 0
     lo_witness = 0
-    for worlds in world_chunks(index.n_atoms, chunk):
+    for worlds in world_chunks(index.n_atoms):
         lw = gt.log_weights(worlds)
-        lse.update(lw)
-        code_n = bit_codes(worlds, pos_n)
-        code_m = bit_codes(worlds, pos_m)
-        base = lw_n[code_n] + lw_m[code_m]
+        _fold_front_buckets(bucket_logs, int(worlds[0]), lw)
+        base = lw_n[worlds & front_mask] + lw_m[(worlds >> front_bits) & back_mask]
         up = base + cross.log_m_max - lw
         lo = lw - base - cross.log_m_min
         i = int(np.argmin(up))
@@ -265,23 +264,10 @@ def _split_context(
         if float(lo[i]) < lo_worst:
             lo_worst = float(lo[i])
             lo_witness = int(worlds[i])
-        cmax = np.full(n_buckets, -np.inf)
-        np.maximum.at(cmax, code_n, lw)
-        csum = np.zeros(n_buckets)
-        np.add.at(csum, code_n, np.exp(lw - cmax[code_n]))
-        newmax = np.maximum(bmax, cmax)
-        with np.errstate(invalid="ignore"):
-            scale_old = np.where(bmax == -np.inf, 0.0, np.exp(bmax - newmax))
-            scale_new = np.where(cmax == -np.inf, 0.0, np.exp(cmax - newmax))
-        bsum = bsum * scale_old + csum * scale_new
-        bmax = newmax
-    log_z_nm = lse.value
-    bucket_logs = bmax + np.log(bsum)
-    marginal_logs = bucket_logs - log_z_nm
+    log_z_nm = _logsumexp(bucket_logs)
 
-    def _lse(v: np.ndarray) -> float:
-        s = v.max()
-        return float(s + math.log(np.exp(v - s).sum()))
+    def _index_bits(relaid_bits: int) -> int:
+        return sum(1 << int(p) for j, p in enumerate(order) if relaid_bits >> j & 1)
 
     return _SplitContext(
         model=model,
@@ -292,16 +278,14 @@ def _split_context(
         cross=cross,
         lw_n=lw_n,
         lw_m=lw_m,
-        pos_n=pos_n,
-        pos_m=pos_m,
         log_z_nm=log_z_nm,
-        log_z_n=_lse(lw_n),
-        log_z_m=_lse(lw_m),
-        marginal_logs=marginal_logs,
+        log_z_n=_logsumexp(lw_n),
+        log_z_m=_logsumexp(lw_m),
+        marginal_logs=bucket_logs - log_z_nm,
         sandwich_upper=up_worst,
         sandwich_lower=lo_worst,
-        upper_witness=up_witness,
-        lower_witness=lo_witness,
+        upper_witness=_index_bits(up_witness),
+        lower_witness=_index_bits(lo_witness),
     )
 
 
@@ -434,10 +418,9 @@ def verify_all(
     *,
     tol: float = DEFAULT_TOL,
     max_atoms: int = DEFAULT_MAX_ATOMS,
-    chunk: int = DEFAULT_CHUNK,
 ) -> BoundsReport:
     """Run every bound check on one shared enumeration pass."""
-    ctx = _split_context(model, n, m, max_atoms=max_atoms, chunk=chunk)
+    ctx = _split_context(model, n, m, max_atoms=max_atoms)
     kl = _kl(ctx)
     checks = (
         _check_weight_sandwich(ctx, tol),

@@ -41,7 +41,7 @@ from .learning import (
     target_log_likelihoods,
 )
 from .logic import MlnModel, normalize_distinct, parse_mln, serialize_mln
-from .model import count_histogram, da_scale_factors
+from .model import apply_da_scaling, count_histogram, da_scale_factors
 from .worlds import AtomIndex, DomainSpec, World
 
 SCHEMA = "mlnexact-experiment schema=1"
@@ -266,14 +266,7 @@ def target_worlds(cfg: ExperimentConfig, model: MlnModel) -> dict[int, list[Worl
     return out
 
 
-def _effective_weights(model: MlnModel, weights: np.ndarray, da_sizes: dict | None) -> np.ndarray:
-    if da_sizes is None:
-        return weights
-    factors = np.array(da_scale_factors(model, da_sizes).factors)
-    return weights / factors
-
-
-def _spread_at(model: MlnModel, weights: np.ndarray, n: int, m: int) -> float:
+def _spread_at(model: MlnModel, weights: Sequence[float], n: int, m: int) -> float:
     try:
         return _bounds.log_spread(model.with_weights(weights), n, m)
     except ValueError:
@@ -382,17 +375,15 @@ def _run_one(cfg, model, tau, run, targets, smallest):
         res = results[method]
         models[(run, method)] = res.model
         for size in cfg.target_sizes:
-            da_sizes = None
+            scored = res.model
             if method == "da":
                 da_sizes = {t: size if t == tau else s for t, s in model.signature.types}
-            eff = _effective_weights(res.model, np.array(res.weights), da_sizes)
-            scored = res.model.with_weights(eff)
-            if method == "da":
+                scored = apply_da_scaling(res.model, da_scale_factors(res.model, da_sizes))
                 models[(run, f"da_eff{size}")] = scored
             lls = target_log_likelihoods(
                 scored, targets[size][0].index.spec, targets[size], max_atoms=cfg.max_atoms
             )
-            spread = _spread_at(model, eff, train_n, size - train_n)
+            spread = _spread_at(model, scored.weights(), train_n, size - train_n)
             for j, ll in enumerate(lls):
                 if method == "none":
                     baseline[(size, j)] = ll

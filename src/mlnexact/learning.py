@@ -24,7 +24,6 @@ import numpy as np
 from . import bounds as _bounds
 from .logic import Clause, Formula, MlnModel, normalize_distinct
 from .model import (
-    DEFAULT_CHUNK,
     DEFAULT_MAX_ATOMS,
     _guard,
     _table,
@@ -98,23 +97,18 @@ class SweepResult:
 # ---------------------------------------------------------------------------
 
 
-def _counts_for(model: MlnModel, index: AtomIndex, max_atoms: int, chunk: int) -> np.ndarray:
+def _counts_for(model: MlnModel, index: AtomIndex, max_atoms: int) -> np.ndarray:
     """(2^G, n_clauses) float64 true-grounding counts for every world, cached by structure."""
-    return _counts_cached(tuple(c.formula for c in model.clauses), index, max_atoms, chunk)
+    _guard(index.n_atoms, max_atoms)
+    return _counts_cached(tuple(c.formula for c in model.clauses), index)
 
 
 @lru_cache(maxsize=8)
-def _counts_cached(
-    formulas: tuple[Formula, ...],
-    index: AtomIndex,
-    max_atoms: int,
-    chunk: int,
-) -> np.ndarray:
-    _guard(index.n_atoms, max_atoms)
+def _counts_cached(formulas: tuple[Formula, ...], index: AtomIndex) -> np.ndarray:
     probe = MlnModel(index.signature, tuple(Clause(f, 0.0) for f in formulas), normalized=True)
     gt = _table(probe, index)
     out = np.empty((1 << index.n_atoms, len(formulas)))
-    for worlds in world_chunks(index.n_atoms, chunk):
+    for worlds in world_chunks(index.n_atoms):
         start = int(worlds[0])
         out[start : start + worlds.shape[0]] = gt.counts_matrix(worlds)
     return out
@@ -136,17 +130,12 @@ def log_likelihood(
 
 
 def gradient(
-    model: MlnModel,
-    spec: DomainSpec,
-    data: World,
-    *,
-    max_atoms: int = LEARN_MAX_ATOMS,
-    chunk: int = DEFAULT_CHUNK,
+    model: MlnModel, spec: DomainSpec, data: World, *, max_atoms: int = LEARN_MAX_ATOMS
 ) -> np.ndarray:
     """Log-likelihood gradient: observed minus expected true-grounding counts."""
     model = normalize_distinct(model)
     index = _validate_data(model, spec, data)
-    counts = _counts_for(model, index, max_atoms, chunk)
+    counts = _counts_for(model, index, max_atoms)
     logw = counts @ np.array(model.weights())
     shift = logw.max()
     p = np.exp(logw - shift)
@@ -166,7 +155,6 @@ def learn(
     config: LearnConfig = LearnConfig(),
     *,
     reference_nm: tuple[int, int] | None = None,
-    chunk: int = DEFAULT_CHUNK,
 ) -> LearnResult:
     """Maximize exact data log-likelihood minus the configured penalty.
 
@@ -175,7 +163,7 @@ def learn(
     """
     model = normalize_distinct(model)
     index = _validate_data(model, spec, data)
-    counts = _counts_for(model, index, config.max_atoms, chunk)
+    counts = _counts_for(model, index, config.max_atoms)
     data_counts = counts[data.bits].copy()
     n_clauses = len(model.clauses)
 

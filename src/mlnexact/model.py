@@ -13,12 +13,21 @@ The partition function has one path: a world's weight depends on it only
 through its count vector, so one enumeration per (clause structure, atom
 index) collapses all 2^G worlds into a cached histogram of distinct count
 vectors with multiplicities, and log Z for any weight vector is a logsumexp
-over that histogram. Restriction marginals and the factorization checks still
-stream over every world in log space.
+over that histogram.
+
+Restriction marginals make one pass over every world against a split-aware
+copy of the grounding table: the front-half atoms take the low F bits, in the
+front sub-index's order, so a world's restriction code is ``world & (2^F - 1)``.
+Worlds and chunks are powers of two, so a chunk's log weights reshape to rows
+of front buckets (or one slice of them) and fold into a 2^F log-space
+accumulator; the bound suite folds its pass through the same accumulator. The
+public ``AtomIndex`` order is unchanged. The factorization checks gather
+restriction codes with ``bit_codes``.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -60,15 +69,23 @@ def _guard(n_atoms: int, max_atoms: int) -> None:
         )
 
 
+def _logsumexp(log_values: np.ndarray) -> float:
+    """log(sum(exp(v))) of a non-empty vector of finite values."""
+    shift = float(log_values.max())
+    return shift + math.log(float(np.exp(log_values - shift).sum()))
+
+
 def atom_index(model: MlnModel, spec: DomainSpec) -> AtomIndex:
     return AtomIndex(model.signature, spec)
 
 
-def world_chunks(n_atoms: int, chunk: int = DEFAULT_CHUNK) -> Iterator[np.ndarray]:
-    """World integers 0..2^G-1 in consecutive uint64 blocks."""
+def world_chunks(n_atoms: int) -> Iterator[np.ndarray]:
+    """World integers 0..2^G-1 in consecutive uint64 blocks of DEFAULT_CHUNK
+    (one block of 2^G when that is smaller), so every block is a power of two
+    aligned to its length."""
     total = 1 << n_atoms
-    for start in range(0, total, chunk):
-        yield np.arange(start, min(start + chunk, total), dtype=np.uint64)
+    for start in range(0, total, DEFAULT_CHUNK):
+        yield np.arange(start, min(start + DEFAULT_CHUNK, total), dtype=np.uint64)
 
 
 def bit_codes(worlds: np.ndarray, positions: Sequence[int]) -> np.ndarray:
@@ -78,34 +95,6 @@ def bit_codes(worlds: np.ndarray, positions: Sequence[int]) -> np.ndarray:
     for j, p in enumerate(positions):
         code |= ((worlds >> np.uint64(int(p))) & one).astype(np.int64) << j
     return code
-
-
-class RunningLogSumExp:
-    """Streaming log-sum-exp over chunks, with running-max rescaling."""
-
-    __slots__ = ("_max", "_sum")
-
-    def __init__(self):
-        self._max = -math.inf
-        self._sum = 0.0
-
-    def update(self, log_values: np.ndarray) -> None:
-        if log_values.size == 0:
-            return
-        m = float(log_values.max())
-        if m > self._max:
-            if self._max > -math.inf:
-                self._sum *= math.exp(self._max - m)
-            self._max = m
-        if self._max == -math.inf:
-            return
-        self._sum += float(np.exp(log_values - self._max).sum())
-
-    @property
-    def value(self) -> float:
-        if self._max == -math.inf:
-            return -math.inf
-        return self._max + math.log(self._sum)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +209,23 @@ class GroundingTable:
         w = self._weights if weights is None else np.asarray(weights, dtype=np.float64)
         return _count_kernel(self.entries, worlds) @ w
 
+    def relaid(self, *leading: np.ndarray) -> tuple[GroundingTable, np.ndarray]:
+        """A copy over a permuted bit layout, plus that layout's ``order``.
+
+        The given index positions take the low bits, in the order given, and
+        the other atoms follow in index order: bit j of a relaid world is the
+        atom at index position ``order[j]``.
+        """
+        lead = np.concatenate(leading)
+        order = np.concatenate([lead, np.setdiff1d(np.arange(self.index.n_atoms), lead)])
+        new_pos = np.argsort(order)
+        out = copy.copy(self)
+        out.entries = [
+            replace(e, groups=[_Group(new_pos[g.cols], g.table) for g in e.groups])
+            for e in self.entries
+        ]
+        return out, order
+
 
 @lru_cache(maxsize=256)
 def _table(model: MlnModel, index: AtomIndex) -> GroundingTable:
@@ -261,17 +267,13 @@ def log_k_weight(model: MlnModel, partial: World, k: int) -> float:
 
 
 def dense_log_weights(
-    model: MlnModel,
-    index: AtomIndex,
-    *,
-    max_atoms: int = DEFAULT_DENSE_MAX_ATOMS,
-    chunk: int = DEFAULT_CHUNK,
+    model: MlnModel, index: AtomIndex, *, max_atoms: int = DEFAULT_DENSE_MAX_ATOMS
 ) -> np.ndarray:
     """Log weight of every world over the index, as one 2^G vector."""
     _guard(index.n_atoms, max_atoms)
     gt = _table(model, index)
     out = np.empty(1 << index.n_atoms, dtype=np.float64)
-    for worlds in world_chunks(index.n_atoms, chunk):
+    for worlds in world_chunks(index.n_atoms):
         start = int(worlds[0])
         out[start : start + worlds.shape[0]] = gt.log_weights(worlds)
     return out
@@ -372,9 +374,7 @@ def log_partition(
             raise ValueError("provide a domain spec or an atom index")
         index = AtomIndex(model.signature, spec)
     hist = count_histogram(model, index, max_atoms=max_atoms)
-    x = hist.counts @ np.array(model.weights(), dtype=np.float64) + hist.log_mult
-    shift = float(x.max())
-    return shift + math.log(float(np.exp(x - shift).sum()))
+    return _logsumexp(hist.counts @ np.array(model.weights(), dtype=np.float64) + hist.log_mult)
 
 
 def log_probability(
@@ -386,46 +386,46 @@ def log_probability(
     return log_weight(model, world) - log_partition(model, index=world.index, max_atoms=max_atoms)
 
 
+def _fold_front_buckets(acc: np.ndarray, start: int, lw: np.ndarray) -> None:
+    """Fold one chunk's log weights into the per-front-world log-sum-exp ``acc``.
+
+    The chunk holds the consecutive relaid worlds ``start .. start + len(lw) - 1``
+    and the front bucket of a world is ``world & (len(acc) - 1)``. Both lengths
+    are powers of two and chunks are aligned to their length, so the chunk is
+    either whole rows of every bucket or one contiguous slice of them.
+    """
+    width = min(acc.shape[0], lw.shape[0])
+    rows = lw.reshape(-1, width)
+    shift = rows.max(axis=0)
+    chunk_logs = shift + np.log(np.exp(rows - shift).sum(axis=0))
+    at = start % acc.shape[0]
+    np.logaddexp(acc[at : at + width], chunk_logs, out=acc[at : at + width])
+
+
 def marginal_log_probs(
     model: MlnModel,
     spec: DomainSpec,
     *,
     max_atoms: int = DEFAULT_MAX_ATOMS,
     accumulator_max_atoms: int = DEFAULT_DENSE_MAX_ATOMS,
-    chunk: int = DEFAULT_CHUNK,
 ) -> tuple[AtomIndex, np.ndarray]:
     """Log marginal probability of every front-half world under the split spec.
 
-    One pass over the full enumeration accumulates log-sum-exp per restriction
-    bucket; entry ``b`` of the result is the log probability that a full-domain
-    world restricts to the front-half world with bit vector ``b``.
+    One pass over the full enumeration, with the front-half atoms in the low
+    bits, folds log-sum-exp per restriction bucket; entry ``b`` of the result
+    is the log probability that a full-domain world restricts to the
+    front-half world with bit vector ``b``.
     """
     index = AtomIndex(model.signature, spec)
     _guard(index.n_atoms, max_atoms)
     front, _ = split_subsets(spec)
     sub_index, positions = restriction_positions(index, front)
     _guard(sub_index.n_atoms, accumulator_max_atoms)
-    n_buckets = 1 << sub_index.n_atoms
-    bmax = np.full(n_buckets, -np.inf)
-    bsum = np.zeros(n_buckets)
-    gt = _table(model, index)
-    for worlds in world_chunks(index.n_atoms, chunk):
-        lw = gt.log_weights(worlds)
-        code = bit_codes(worlds, positions)
-        cmax = np.full(n_buckets, -np.inf)
-        np.maximum.at(cmax, code, lw)
-        csum = np.zeros(n_buckets)
-        np.add.at(csum, code, np.exp(lw - cmax[code]))
-        newmax = np.maximum(bmax, cmax)
-        with np.errstate(invalid="ignore"):
-            scale_old = np.where(bmax == -np.inf, 0.0, np.exp(bmax - newmax))
-            scale_new = np.where(cmax == -np.inf, 0.0, np.exp(cmax - newmax))
-        bsum = bsum * scale_old + csum * scale_new
-        bmax = newmax
-    bucket_logs = bmax + np.log(bsum)
-    shift = bucket_logs.max()
-    log_z = shift + math.log(np.exp(bucket_logs - shift).sum())
-    return sub_index, bucket_logs - log_z
+    gt, _ = _table(model, index).relaid(positions)
+    bucket_logs = np.full(1 << sub_index.n_atoms, -np.inf)
+    for worlds in world_chunks(index.n_atoms):
+        _fold_front_buckets(bucket_logs, int(worlds[0]), gt.log_weights(worlds))
+    return sub_index, bucket_logs - _logsumexp(bucket_logs)
 
 
 def log_marginal(
@@ -459,7 +459,6 @@ def max_tuple_factorization_error(
     n: int,
     *,
     max_atoms: int = DEFAULT_DENSE_MAX_ATOMS,
-    chunk: int = DEFAULT_CHUNK,
 ) -> float:
     """Worst absolute gap between each world's log weight and the sum of the
     per-tuple arity-k log weights of its restrictions, over all worlds at size n."""
@@ -468,14 +467,14 @@ def max_tuple_factorization_error(
         raise ValueError("factorization identities require a normalized model")
     index = AtomIndex(model.signature, DomainSpec({tau: n}))
     _guard(index.n_atoms, max_atoms)
-    full = dense_log_weights(model, index, max_atoms=max_atoms, chunk=chunk)
+    full = dense_log_weights(model, index, max_atoms=max_atoms)
     total = np.zeros_like(full)
     for k, clauses in arity_partition(model).items():
         sub_model = replace(model, clauses=tuple(clauses))
         for c in ordered_tuples(n, k):
             sub_index, positions = restriction_positions(index, {tau: c})
             lw_k = dense_log_weights(sub_model, sub_index)
-            for worlds in world_chunks(index.n_atoms, chunk):
+            for worlds in world_chunks(index.n_atoms):
                 start = int(worlds[0])
                 codes = bit_codes(worlds, positions)
                 total[start : start + worlds.shape[0]] += lw_k[codes]
@@ -488,7 +487,6 @@ def max_split_factorization_error(
     m: int,
     *,
     max_atoms: int = DEFAULT_MAX_ATOMS,
-    chunk: int = DEFAULT_CHUNK,
 ) -> float:
     """Worst absolute gap, over all worlds at size n+m, between the full log
     weight and front-half + back-half + straddling-tuple contributions."""
@@ -511,7 +509,7 @@ def max_split_factorization_error(
             cross.append((pos_c, dense_log_weights(sub_model, sub_c)))
     gt = _table(model, index)
     worst = 0.0
-    for worlds in world_chunks(index.n_atoms, chunk):
+    for worlds in world_chunks(index.n_atoms):
         lw = gt.log_weights(worlds)
         acc = lw_n[bit_codes(worlds, pos_n)] + lw_m[bit_codes(worlds, pos_m)]
         for pos_c, lw_c in cross:

@@ -15,6 +15,7 @@ from mlnexact.logic import (
     Signature,
     parse_mln,
 )
+from mlnexact.model import bit_codes, dense_log_weights, world_chunks
 
 EXAMPLE2_TEXT = """\
 // contagion model: vaccines protect, contact spreads
@@ -128,3 +129,15 @@ def random_raw_model(
     if include_ternary_clause:
         clauses.append(random_clause(3))
     return MlnModel(signature, tuple(clauses))
+
+
+def dense_restriction_oracle(model: MlnModel, index, positions) -> tuple[np.ndarray, np.ndarray]:
+    """Per-world log weights over the full index, and the unnormalized log mass
+    of every restriction bucket, by gathering each world's restriction code
+    with ``bit_codes`` and scattering with ``np.logaddexp.at``."""
+    lw = dense_log_weights(model, index)
+    buckets = np.full(1 << len(positions), -np.inf)
+    for worlds in world_chunks(index.n_atoms):
+        start = int(worlds[0])
+        np.logaddexp.at(buckets, bit_codes(worlds, positions), lw[start : start + worlds.shape[0]])
+    return lw, buckets

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlnexact.bounds import (
     check_kl_bound,
@@ -15,11 +19,25 @@ from mlnexact.bounds import (
     weight_sandwich_slacks,
 )
 from mlnexact.logic import normalize_distinct, parse_mln
-from mlnexact.model import log_k_weight, marginal_log_probs, dense_log_weights, log_partition
-from mlnexact.worlds import AtomIndex, DomainSpec, World, enumerate_worlds
+from mlnexact.model import (
+    bit_codes,
+    dense_log_weights,
+    log_k_weight,
+    log_partition,
+    marginal_log_probs,
+)
+from mlnexact.worlds import (
+    AtomIndex,
+    DomainSpec,
+    World,
+    cross_atom_count,
+    enumerate_worlds,
+    restriction_positions,
+    split_subsets,
+)
 
 from _oracles import kl_reference
-from conftest import random_raw_model
+from conftest import dense_restriction_oracle, random_raw_model
 
 TOL = 1e-9
 
@@ -236,3 +254,74 @@ class TestVerifyAll:
         report = verify_all(example3_model, 2, 2)
         assert report.kl <= TOL
         assert report.cross.log_spread > 0
+
+
+def _lse(v: np.ndarray) -> float:
+    shift = float(v.max())
+    return shift + math.log(float(np.exp(v - shift).sum()))
+
+
+class TestSplitPassOracle:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        split=st.sampled_from([(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1)]),
+        ternary=st.booleans(),
+    )
+    def test_slacks_and_marginal_match_dense_oracle(self, seed, split, ternary):
+        n, m = split
+        model = normalize_distinct(
+            random_raw_model(np.random.default_rng(seed), include_ternary_clause=ternary)
+        )
+        tau = model.signature.types[0][0]
+        spec = DomainSpec({tau: n + m}, split_type=tau, split_at=n)
+        index = AtomIndex(model.signature, spec)
+        front, back = split_subsets(spec)
+        sub_n, pos_n = restriction_positions(index, front)
+        sub_m, pos_m = restriction_positions(index, back)
+        lw, buckets = dense_restriction_oracle(model, index, pos_n)
+        lw_n = dense_log_weights(model, sub_n)
+        lw_m = dense_log_weights(model, sub_m)
+        worlds = np.arange(1 << index.n_atoms, dtype=np.uint64)
+        base = lw_n[bit_codes(worlds, pos_n)] + lw_m[bit_codes(worlds, pos_m)]
+
+        report = verify_all(model, n, m)
+        cross = report.cross
+        spread = cross.log_spread
+        log_z, log_z_n, log_z_m = _lse(lw), _lse(lw_n), _lse(lw_m)
+        marg = buckets - log_z
+        ratio = marg - (lw_n - log_z_n)
+        kl = float(np.exp(marg) @ ratio)
+        log_c = cross_atom_count(index) * math.log(2.0)
+        up = float((base + cross.log_m_max - lw).min())
+        lo = float((lw - base - cross.log_m_min).min())
+        z_up = log_z_n + log_z_m + log_c + cross.log_m_max - log_z
+        z_lo = log_z - log_z_n - log_z_m - log_c - cross.log_m_min
+        r_up = float((spread - ratio).min())
+        r_lo = float((spread + ratio).min())
+        per_world = float((ratio + spread).min())
+        expected = {  # check name -> (worst slack, details)
+            "weight_sandwich": (min(up, lo), {"upper_slack": up, "lower_slack": lo}),
+            "partition_sandwich": (min(z_up, z_lo), {"upper_slack": z_up, "lower_slack": z_lo}),
+            "marginal_ratio": (
+                min(r_up, r_lo),
+                {"upper_slack": r_up, "lower_slack": r_lo, "max_abs_log_ratio": np.abs(ratio).max()},
+            ),
+            "kl_bound": (spread - kl, {"kl": kl}),
+            "loglik_bound": (min(per_world, spread - kl), {"per_world_slack": per_world}),
+        }
+        assert [c.name for c in report.checks] == list(expected)
+        for check in report.checks:
+            worst, details = expected[check.name]
+            assert abs(check.worst_slack - worst) <= 1e-9, check.name
+            for key, value in details.items():
+                assert abs(check.details[key] - value) <= 1e-9, (check.name, key)
+        assert abs(report.kl - kl) <= 1e-9
+        _, marginal = marginal_log_probs(model, spec)
+        assert np.abs(marginal - marg).max() <= 1e-9
+
+        sandwich = report.checks[0].details
+        up_at, _ = weight_sandwich_slacks(model, n, m, World(index, sandwich["upper_witness"]))
+        _, lo_at = weight_sandwich_slacks(model, n, m, World(index, sandwich["lower_witness"]))
+        assert abs(up_at - up) <= 1e-9
+        assert abs(lo_at - lo) <= 1e-9

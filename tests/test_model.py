@@ -38,10 +38,12 @@ from mlnexact.worlds import (
     ordered_tuples,
     permute,
     restrict,
+    restriction_positions,
+    split_subsets,
 )
 
 from _oracles import count_groundings_direct, raw_log_probs, raw_log_weight
-from conftest import random_raw_model
+from conftest import dense_restriction_oracle, random_raw_model
 
 
 def model_from(text: str) -> MlnModel:
@@ -441,6 +443,21 @@ class TestMarginal:
         direct = dense_log_weights(model, sub_index)
         direct = direct - log_partition(model, index=sub_index)
         assert np.abs(marg - direct).max() <= 1e-9
+
+    def test_multi_type_front_half_wider_than_a_chunk(self):
+        # G=21 and F=20: each 2^18-world chunk fills one quarter of the buckets.
+        model = parse_mln(
+            "type p = 2\ntype q = 19\npredicate R(p)\npredicate U(q)\n"
+            "0.7 R(x) ^ U(y)\n-0.4 U(y)\n0.9 R(x)"
+        )
+        spec = DomainSpec({"p": 2, "q": 19}, split_type="p", split_at=1)
+        index = AtomIndex(model.signature, spec)
+        front, _ = split_subsets(spec)
+        _, positions = restriction_positions(index, front)
+        sub_index, logs = marginal_log_probs(model, spec)
+        assert (index.n_atoms, sub_index.n_atoms) == (21, 20)
+        lw, buckets = dense_restriction_oracle(model, index, positions)
+        assert np.abs(logs - (buckets - _logsumexp(lw))).max() <= 1e-9
 
     def test_log_marginal_validates_world(self, example3_model):
         model = normalize_distinct(example3_model)
