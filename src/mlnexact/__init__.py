@@ -11,15 +11,9 @@ from .bounds import (
     CheckRecord,
     CrossBounds,
     KWeightExtrema,
-    check_kl_bound,
-    check_loglik_bound,
-    check_marginal_ratio,
-    check_partition_sandwich,
-    check_weight_sandwich,
     cross_weight_bounds,
     extremal_k_weights,
     log_spread,
-    marginal_kl,
     verify_all,
     weight_sandwich_slacks,
 )
@@ -38,12 +32,9 @@ from .learning import (
     LearnConfig,
     LearnResult,
     SweepResult,
-    evaluate_target,
     gradient,
     lambda_sweep,
     learn,
-    log_likelihood,
-    marginal_log_likelihood,
     target_log_likelihoods,
 )
 from .logic import (
@@ -66,7 +57,6 @@ from .model import (
     DaScaling,
     GroundingTable,
     apply_da_scaling,
-    atom_index,
     count_true_groundings,
     da_scale_factors,
     log_k_weight,

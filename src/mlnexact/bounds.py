@@ -15,13 +15,14 @@ the *log spread*), and verifies by full enumeration that:
 - the negative log likelihood transfers across sizes with at most ``log_spread``
   slack (``loglik_bound``).
 
-All five checks share one exhaustive pass over the (n+m)-worlds. It runs on a
-relaid copy of the grounding table: front-half atoms in the low F bits,
-back-half atoms in the next B bits, straddling atoms above. A world's two
-restriction codes are then the bit fields ``world & (2^F - 1)`` and
-``(world >> F) & (2^B - 1)``; the front marginal folds through the same bucket
-accumulator as ``model.marginal_log_probs``, log Z is the logsumexp of its
-buckets, and the sandwich witnesses are reported in ``AtomIndex`` order.
+``verify_all`` runs all five checks, plus the KL divergence itself, on one
+exhaustive pass over the (n+m)-worlds. The pass runs on a relaid copy of the
+grounding table: front-half atoms in the low F bits, back-half atoms in the
+next B bits, straddling atoms above. A world's two restriction codes are then
+the bit fields ``world & (2^F - 1)`` and ``(world >> F) & (2^B - 1)``; the
+front marginal folds through the same bucket accumulator as
+``model.marginal_log_probs``, log Z is the logsumexp of its buckets, and the
+sandwich witnesses are reported in ``AtomIndex`` order.
 """
 
 from __future__ import annotations
@@ -206,14 +207,11 @@ def log_spread(model: MlnModel, n: int, m: int, *, max_atoms: int = EXTREMAL_MAX
 
 @dataclass
 class _SplitContext:
-    model: MlnModel
     n: int
     m: int
-    spec: DomainSpec
     index: AtomIndex
     cross: CrossBounds
     lw_n: np.ndarray
-    lw_m: np.ndarray
     log_z_nm: float
     log_z_n: float
     log_z_m: float
@@ -241,7 +239,8 @@ def _split_context(
     lw_m = dense_log_weights(model, sub_m)
     cross = cross_weight_bounds(model, n, m)
 
-    gt, order = _table(model, index).relaid(pos_n, pos_m)
+    gt, order = _table(model.formulas(), index).relaid(pos_n, pos_m)
+    weights = model.weights()
     front_bits = np.uint64(sub_n.n_atoms)
     front_mask = np.uint64(lw_n.shape[0] - 1)
     back_mask = np.uint64(lw_m.shape[0] - 1)
@@ -251,7 +250,7 @@ def _split_context(
     up_witness = 0
     lo_witness = 0
     for worlds in world_chunks(index.n_atoms):
-        lw = gt.log_weights(worlds)
+        lw = gt.log_weights(worlds, weights)
         _fold_front_buckets(bucket_logs, int(worlds[0]), lw)
         base = lw_n[worlds & front_mask] + lw_m[(worlds >> front_bits) & back_mask]
         up = base + cross.log_m_max - lw
@@ -270,14 +269,11 @@ def _split_context(
         return sum(1 << int(p) for j, p in enumerate(order) if relaid_bits >> j & 1)
 
     return _SplitContext(
-        model=model,
         n=n,
         m=m,
-        spec=spec,
         index=index,
         cross=cross,
         lw_n=lw_n,
-        lw_m=lw_m,
         log_z_nm=log_z_nm,
         log_z_n=_logsumexp(lw_n),
         log_z_m=_logsumexp(lw_m),
@@ -301,7 +297,7 @@ def _record(name: str, ctx: _SplitContext, worst: float, tol: float, **details) 
     )
 
 
-def _check_weight_sandwich(ctx: _SplitContext, tol: float) -> CheckRecord:
+def _weight_sandwich(ctx: _SplitContext, tol: float) -> CheckRecord:
     worst = min(ctx.sandwich_upper, ctx.sandwich_lower)
     return _record(
         "weight_sandwich",
@@ -315,7 +311,7 @@ def _check_weight_sandwich(ctx: _SplitContext, tol: float) -> CheckRecord:
     )
 
 
-def _check_partition_sandwich(ctx: _SplitContext, tol: float) -> CheckRecord:
+def _partition_sandwich(ctx: _SplitContext, tol: float) -> CheckRecord:
     log_c = cross_atom_count(ctx.index) * math.log(2.0)
     base = ctx.log_z_n + ctx.log_z_m + log_c
     upper = base + ctx.cross.log_m_max - ctx.log_z_nm
@@ -325,7 +321,7 @@ def _check_partition_sandwich(ctx: _SplitContext, tol: float) -> CheckRecord:
     )
 
 
-def _check_marginal_ratio(ctx: _SplitContext, tol: float) -> CheckRecord:
+def _marginal_ratio(ctx: _SplitContext, tol: float) -> CheckRecord:
     direct = ctx.lw_n - ctx.log_z_n
     ratio = ctx.marginal_logs - direct
     upper = float((ctx.cross.log_spread - ratio).min())
@@ -349,11 +345,11 @@ def _kl(ctx: _SplitContext) -> float:
     return kl
 
 
-def _check_kl_bound(ctx: _SplitContext, kl: float, tol: float) -> CheckRecord:
+def _kl_bound(ctx: _SplitContext, kl: float, tol: float) -> CheckRecord:
     return _record("kl_bound", ctx, ctx.cross.log_spread - kl, tol, kl=kl)
 
 
-def _check_loglik_bound(ctx: _SplitContext, kl: float, tol: float) -> CheckRecord:
+def _loglik_bound(ctx: _SplitContext, kl: float, tol: float) -> CheckRecord:
     # Transfer bound per world: -log marginal <= -log direct + log spread,
     # and the KL-penalized variant collapses to kl <= log spread.
     direct = ctx.lw_n - ctx.log_z_n
@@ -365,33 +361,6 @@ def _check_loglik_bound(ctx: _SplitContext, kl: float, tol: float) -> CheckRecor
 # ---------------------------------------------------------------------------
 # Public checks
 # ---------------------------------------------------------------------------
-
-
-def check_weight_sandwich(model, n, m, *, tol=DEFAULT_TOL, max_atoms=DEFAULT_MAX_ATOMS) -> CheckRecord:
-    return _check_weight_sandwich(_split_context(model, n, m, max_atoms=max_atoms), tol)
-
-
-def check_partition_sandwich(model, n, m, *, tol=DEFAULT_TOL, max_atoms=DEFAULT_MAX_ATOMS) -> CheckRecord:
-    return _check_partition_sandwich(_split_context(model, n, m, max_atoms=max_atoms), tol)
-
-
-def check_marginal_ratio(model, n, m, *, tol=DEFAULT_TOL, max_atoms=DEFAULT_MAX_ATOMS) -> CheckRecord:
-    return _check_marginal_ratio(_split_context(model, n, m, max_atoms=max_atoms), tol)
-
-
-def marginal_kl(model, n, m, *, max_atoms=DEFAULT_MAX_ATOMS) -> float:
-    """KL divergence from the induced front-half marginal to the direct distribution."""
-    return _kl(_split_context(model, n, m, max_atoms=max_atoms))
-
-
-def check_kl_bound(model, n, m, *, tol=DEFAULT_TOL, max_atoms=DEFAULT_MAX_ATOMS) -> CheckRecord:
-    ctx = _split_context(model, n, m, max_atoms=max_atoms)
-    return _check_kl_bound(ctx, _kl(ctx), tol)
-
-
-def check_loglik_bound(model, n, m, *, tol=DEFAULT_TOL, max_atoms=DEFAULT_MAX_ATOMS) -> CheckRecord:
-    ctx = _split_context(model, n, m, max_atoms=max_atoms)
-    return _check_loglik_bound(ctx, _kl(ctx), tol)
 
 
 def weight_sandwich_slacks(
@@ -423,11 +392,11 @@ def verify_all(
     ctx = _split_context(model, n, m, max_atoms=max_atoms)
     kl = _kl(ctx)
     checks = (
-        _check_weight_sandwich(ctx, tol),
-        _check_partition_sandwich(ctx, tol),
-        _check_marginal_ratio(ctx, tol),
-        _check_kl_bound(ctx, kl, tol),
-        _check_loglik_bound(ctx, kl, tol),
+        _weight_sandwich(ctx, tol),
+        _partition_sandwich(ctx, tol),
+        _marginal_ratio(ctx, tol),
+        _kl_bound(ctx, kl, tol),
+        _loglik_bound(ctx, kl, tol),
     )
     return BoundsReport(
         n=n,

@@ -364,9 +364,7 @@ def _run_one(cfg, model, tau, run, targets, smallest):
                 max_atoms=cfg.max_atoms,
             )
             best_lams[method] = sweep.best_lam
-            results[method] = learn(
-                model, train_spec, data, replace(base_cfg, regularizer=method, lam=sweep.best_lam)
-            )
+            results[method] = sweep.fits[0]
 
     rows: list[Row] = []
     models: dict[tuple[int, str], MlnModel] = {}

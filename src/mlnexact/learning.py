@@ -22,16 +22,16 @@ from typing import Sequence
 import numpy as np
 
 from . import bounds as _bounds
-from .logic import Clause, Formula, MlnModel, normalize_distinct
+from .logic import Formula, MlnModel, normalize_distinct
 from .model import (
     DEFAULT_MAX_ATOMS,
     _guard,
+    _logsumexp,
     _table,
     apply_da_scaling,
     da_scale_factors,
     log_partition,
     log_weight,
-    marginal_log_probs,
     world_chunks,
 )
 from .worlds import AtomIndex, DomainSpec, World
@@ -90,6 +90,7 @@ class SweepEntry:
 class SweepResult:
     best_lam: float
     entries: tuple[SweepEntry, ...]
+    fits: tuple[LearnResult, ...]  # one per training world, at best_lam
 
 
 # ---------------------------------------------------------------------------
@@ -100,13 +101,12 @@ class SweepResult:
 def _counts_for(model: MlnModel, index: AtomIndex, max_atoms: int) -> np.ndarray:
     """(2^G, n_clauses) float64 true-grounding counts for every world, cached by structure."""
     _guard(index.n_atoms, max_atoms)
-    return _counts_cached(tuple(c.formula for c in model.clauses), index)
+    return _counts_cached(model.formulas(), index)
 
 
 @lru_cache(maxsize=8)
 def _counts_cached(formulas: tuple[Formula, ...], index: AtomIndex) -> np.ndarray:
-    probe = MlnModel(index.signature, tuple(Clause(f, 0.0) for f in formulas), normalized=True)
-    gt = _table(probe, index)
+    gt = _table(formulas, index)
     out = np.empty((1 << index.n_atoms, len(formulas)))
     for worlds in world_chunks(index.n_atoms):
         start = int(worlds[0])
@@ -121,12 +121,20 @@ def _validate_data(model: MlnModel, spec: DomainSpec, data: World) -> AtomIndex:
     return index
 
 
-def log_likelihood(
-    model: MlnModel, spec: DomainSpec, data: World, *, max_atoms: int = DEFAULT_MAX_ATOMS
-) -> float:
-    """Exact log probability of one observed world."""
-    index = _validate_data(model, spec, data)
-    return log_weight(model, data) - log_partition(model, index=index, max_atoms=max_atoms)
+def _nll_grad_hessian(
+    counts: np.ndarray, data_counts: np.ndarray, theta: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Negative log-likelihood, its gradient, and its exact Hessian (the
+    covariance of the counts under the current distribution)."""
+    logw = counts @ theta
+    shift = logw.max()
+    w = np.exp(logw - shift)
+    z = w.sum()
+    p = w / z
+    value = float(shift + math.log(z) - data_counts @ theta)
+    expected = p @ counts
+    hessian = (counts * p[:, None]).T @ counts - np.outer(expected, expected)
+    return value, expected - data_counts, hessian
 
 
 def gradient(
@@ -136,11 +144,8 @@ def gradient(
     model = normalize_distinct(model)
     index = _validate_data(model, spec, data)
     counts = _counts_for(model, index, max_atoms)
-    logw = counts @ np.array(model.weights())
-    shift = logw.max()
-    p = np.exp(logw - shift)
-    p /= p.sum()
-    return counts[data.bits] - p @ counts
+    _, grad, _ = _nll_grad_hessian(counts, counts[data.bits], np.array(model.weights()))
+    return -grad
 
 
 # ---------------------------------------------------------------------------
@@ -197,22 +202,7 @@ def learn(
         data_counts_p = data_counts
 
     def nll(theta: np.ndarray) -> float:
-        logw = counts_p @ theta
-        shift = logw.max()
-        return float(shift + math.log(np.exp(logw - shift).sum()) - data_counts_p @ theta)
-
-    def nll_grad_hessian(theta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        """Negative log-likelihood, gradient, and exact Hessian (the covariance
-        of the parameter-space counts under the current distribution)."""
-        logw = counts_p @ theta
-        shift = logw.max()
-        w = np.exp(logw - shift)
-        z = w.sum()
-        p = w / z
-        value = float(shift + math.log(z) - data_counts_p @ theta)
-        expected = p @ counts_p
-        hessian = (counts_p * p[:, None]).T @ counts_p - np.outer(expected, expected)
-        return value, expected - data_counts_p, hessian
+        return float(_logsumexp(counts_p @ theta) - data_counts_p @ theta)
 
     def penalty(theta: np.ndarray) -> float:
         if l1:
@@ -253,7 +243,7 @@ def learn(
 
     for _ in range(config.max_iter):
         iterations += 1
-        value, grad, hessian = nll_grad_hessian(theta)
+        value, grad, hessian = _nll_grad_hessian(counts_p, data_counts_p, theta)
         objective = value + penalty(theta)
         smooth_grad = grad + (2.0 * lam_vec * theta if l2 else 0.0)
         if l2:
@@ -299,7 +289,7 @@ def learn(
         theta = cand
     else:
         # Loop exhausted max_iter with a final update; record the last iterate.
-        value, grad, _ = nll_grad_hessian(theta)
+        value, grad, _ = _nll_grad_hessian(counts_p, data_counts_p, theta)
         smooth_grad = grad + (2.0 * lam_vec * theta if l2 else 0.0)
         stats = stats_at(theta, value, smooth_grad)
         trace.append(stats)
@@ -329,20 +319,6 @@ def learn(
 # ---------------------------------------------------------------------------
 
 
-def evaluate_target(
-    model: MlnModel,
-    target_spec: DomainSpec,
-    target_data: World,
-    *,
-    da_sizes: dict[str, int] | None = None,
-    max_atoms: int = DEFAULT_MAX_ATOMS,
-) -> float:
-    """Log likelihood at the target size, with optional target-size weight scaling."""
-    return target_log_likelihoods(
-        model, target_spec, [target_data], da_sizes=da_sizes, max_atoms=max_atoms
-    )[0]
-
-
 def target_log_likelihoods(
     model: MlnModel,
     target_spec: DomainSpec,
@@ -363,24 +339,6 @@ def target_log_likelihoods(
     return [log_weight(scaled, w) - log_z for w in target_worlds]
 
 
-def marginal_log_likelihood(
-    model: MlnModel,
-    split_spec: DomainSpec,
-    data: World,
-    *,
-    max_atoms: int = DEFAULT_MAX_ATOMS,
-) -> float:
-    """Log marginal likelihood of a front-half observation under the split spec.
-
-    This is the alternative estimation objective that accounts for the observed
-    structure being a subsample; exposed for comparison, not used by ``learn``.
-    """
-    sub_index, logs = marginal_log_probs(model, split_spec, max_atoms=max_atoms)
-    if data.index != sub_index:
-        raise ValueError("data world is not over the front half of the split spec")
-    return float(logs[data.bits])
-
-
 def lambda_sweep(
     model: MlnModel,
     spec: DomainSpec,
@@ -395,7 +353,8 @@ def lambda_sweep(
 ) -> SweepResult:
     """Pick the penalty strength maximizing mean validation-target log likelihood.
 
-    Ties break toward the larger penalty.
+    Ties break toward the larger penalty. The fits at the chosen strength are
+    kept in the result, so callers need not refit.
     """
     points = sorted(GRID_DEFAULT if grid is None else (float(x) for x in grid))
     if not points:
@@ -404,14 +363,16 @@ def lambda_sweep(
     entries = []
     best_lam = None
     best_score = -math.inf
+    best_fits: tuple[LearnResult, ...] = ()
     for lam in points:
         cfg = replace(base, regularizer=regularizer, lam=lam)
         lls: list[float] = []
+        fits: list[LearnResult] = []
         for tw in train_worlds:
-            result = learn(model, spec, tw, cfg)
+            fits.append(learn(model, spec, tw, cfg))
             lls.extend(
                 target_log_likelihoods(
-                    result.model,
+                    fits[-1].model,
                     target_spec,
                     target_worlds,
                     da_sizes=dict(target_spec.sizes) if cfg.da else None,
@@ -423,4 +384,5 @@ def lambda_sweep(
         if score >= best_score:
             best_score = score
             best_lam = lam
-    return SweepResult(best_lam, tuple(entries))
+            best_fits = tuple(fits)
+    return SweepResult(best_lam, tuple(entries), best_fits)

@@ -81,9 +81,6 @@ class Signature:
                 return size
         raise KeyError(f"unknown type: {type_name}")
 
-    def has_type(self, type_name: str) -> bool:
-        return any(name == type_name for name, _ in self.types)
-
     def predicate(self, name: str) -> Predicate:
         for pred in self.predicates:
             if pred.name == name:
@@ -261,6 +258,9 @@ class MlnModel:
 
     def weights(self) -> tuple[float, ...]:
         return tuple(c.weight for c in self.clauses)
+
+    def formulas(self) -> tuple[Formula, ...]:
+        return tuple(c.formula for c in self.clauses)
 
     def with_weights(self, weights: Sequence[float]) -> "MlnModel":
         if len(weights) != len(self.clauses):

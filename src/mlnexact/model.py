@@ -75,10 +75,6 @@ def _logsumexp(log_values: np.ndarray) -> float:
     return shift + math.log(float(np.exp(log_values - shift).sum()))
 
 
-def atom_index(model: MlnModel, spec: DomainSpec) -> AtomIndex:
-    return AtomIndex(model.signature, spec)
-
-
 def world_chunks(n_atoms: int) -> Iterator[np.ndarray]:
     """World integers 0..2^G-1 in consecutive uint64 blocks of DEFAULT_CHUNK
     (one block of 2^G when that is smaller), so every block is a power of two
@@ -188,13 +184,11 @@ def _count_kernel(entries: Sequence[_GroundedFormula], worlds: np.ndarray) -> np
 
 
 class GroundingTable:
-    """Per-clause compiled groundings for one model over one atom index."""
+    """Per-clause compiled groundings for one clause structure over one atom index."""
 
-    def __init__(self, model: MlnModel, index: AtomIndex):
-        self.model = model
+    def __init__(self, formulas: Sequence[Formula], index: AtomIndex):
         self.index = index
-        self.entries = [_grounded_formula(c.formula, index) for c in model.clauses]
-        self._weights = np.array(model.weights(), dtype=np.float64)
+        self.entries = [_grounded_formula(f, index) for f in formulas]
 
     def counts_world(self, world: World) -> np.ndarray:
         """True-grounding count of every clause in a single world."""
@@ -204,10 +198,9 @@ class GroundingTable:
         """(n_worlds, n_clauses) true-grounding counts, vectorized over worlds."""
         return _count_kernel(self.entries, worlds)
 
-    def log_weights(self, worlds: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    def log_weights(self, worlds: np.ndarray, weights: Sequence[float]) -> np.ndarray:
         """Per-world log weight: the weighted sum of true-grounding counts."""
-        w = self._weights if weights is None else np.asarray(weights, dtype=np.float64)
-        return _count_kernel(self.entries, worlds) @ w
+        return _count_kernel(self.entries, worlds) @ np.asarray(weights, dtype=np.float64)
 
     def relaid(self, *leading: np.ndarray) -> tuple[GroundingTable, np.ndarray]:
         """A copy over a permuted bit layout, plus that layout's ``order``.
@@ -228,8 +221,8 @@ class GroundingTable:
 
 
 @lru_cache(maxsize=256)
-def _table(model: MlnModel, index: AtomIndex) -> GroundingTable:
-    return GroundingTable(model, index)
+def _table(formulas: tuple[Formula, ...], index: AtomIndex) -> GroundingTable:
+    return GroundingTable(formulas, index)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +242,7 @@ def count_true_groundings(clause: Clause, world: World) -> int:
 
 def log_weight(model: MlnModel, world: World) -> float:
     """Weighted true-grounding count of all clauses (the log of the world weight)."""
-    counts = _table(model, world.index).counts_world(world)
+    counts = _table(model.formulas(), world.index).counts_world(world)
     return float(np.dot(np.array(model.weights()), counts))
 
 
@@ -271,11 +264,12 @@ def dense_log_weights(
 ) -> np.ndarray:
     """Log weight of every world over the index, as one 2^G vector."""
     _guard(index.n_atoms, max_atoms)
-    gt = _table(model, index)
+    gt = _table(model.formulas(), index)
+    weights = model.weights()
     out = np.empty(1 << index.n_atoms, dtype=np.float64)
     for worlds in world_chunks(index.n_atoms):
         start = int(worlds[0])
-        out[start : start + worlds.shape[0]] = gt.log_weights(worlds)
+        out[start : start + worlds.shape[0]] = gt.log_weights(worlds, weights)
     return out
 
 
@@ -333,13 +327,12 @@ def count_histogram(
     """The model's count histogram over the index: one enumeration per clause
     structure and index, cached and shared by every weight vector."""
     _guard(index.n_atoms, max_atoms)
-    return _histogram(tuple(c.formula for c in model.clauses), index)
+    return _histogram(model.formulas(), index)
 
 
 @lru_cache(maxsize=64)
 def _histogram(formulas: tuple[Formula, ...], index: AtomIndex) -> CountHistogram:
-    probe = MlnModel(index.signature, tuple(Clause(f, 0.0) for f in formulas))
-    gt = GroundingTable(probe, index)
+    gt = GroundingTable(formulas, index)
     rows = np.zeros((0, len(formulas)), dtype=np.int32)
     mult = np.zeros(0, dtype=np.int64)
     for worlds in world_chunks(index.n_atoms):
@@ -383,6 +376,9 @@ def log_probability(
     *,
     max_atoms: int = DEFAULT_MAX_ATOMS,
 ) -> float:
+    """Exact log probability of one world, which must be over the model's signature."""
+    if world.index.signature != model.signature:
+        raise ValueError("world is not over the model's signature")
     return log_weight(model, world) - log_partition(model, index=world.index, max_atoms=max_atoms)
 
 
@@ -407,7 +403,6 @@ def marginal_log_probs(
     spec: DomainSpec,
     *,
     max_atoms: int = DEFAULT_MAX_ATOMS,
-    accumulator_max_atoms: int = DEFAULT_DENSE_MAX_ATOMS,
 ) -> tuple[AtomIndex, np.ndarray]:
     """Log marginal probability of every front-half world under the split spec.
 
@@ -420,11 +415,12 @@ def marginal_log_probs(
     _guard(index.n_atoms, max_atoms)
     front, _ = split_subsets(spec)
     sub_index, positions = restriction_positions(index, front)
-    _guard(sub_index.n_atoms, accumulator_max_atoms)
-    gt, _ = _table(model, index).relaid(positions)
+    _guard(sub_index.n_atoms, DEFAULT_DENSE_MAX_ATOMS)
+    gt, _ = _table(model.formulas(), index).relaid(positions)
+    weights = model.weights()
     bucket_logs = np.full(1 << sub_index.n_atoms, -np.inf)
     for worlds in world_chunks(index.n_atoms):
-        _fold_front_buckets(bucket_logs, int(worlds[0]), gt.log_weights(worlds))
+        _fold_front_buckets(bucket_logs, int(worlds[0]), gt.log_weights(worlds, weights))
     return sub_index, bucket_logs - _logsumexp(bucket_logs)
 
 
@@ -432,10 +428,11 @@ def log_marginal(
     model: MlnModel,
     spec: DomainSpec,
     sub_world: World,
-    **kwargs,
+    *,
+    max_atoms: int = DEFAULT_MAX_ATOMS,
 ) -> float:
     """Log marginal probability of one front-half world (computes the full vector)."""
-    sub_index, logs = marginal_log_probs(model, spec, **kwargs)
+    sub_index, logs = marginal_log_probs(model, spec, max_atoms=max_atoms)
     if sub_world.index != sub_index:
         raise ValueError("sub-world is not over the front half of the split spec")
     return float(logs[sub_world.bits])
@@ -507,10 +504,11 @@ def max_split_factorization_error(
         for c in cross_tuples(n, m, k):
             sub_c, pos_c = restriction_positions(index, {tau: c})
             cross.append((pos_c, dense_log_weights(sub_model, sub_c)))
-    gt = _table(model, index)
+    gt = _table(model.formulas(), index)
+    weights = model.weights()
     worst = 0.0
     for worlds in world_chunks(index.n_atoms):
-        lw = gt.log_weights(worlds)
+        lw = gt.log_weights(worlds, weights)
         acc = lw_n[bit_codes(worlds, pos_n)] + lw_m[bit_codes(worlds, pos_m)]
         for pos_c, lw_c in cross:
             acc += lw_c[bit_codes(worlds, pos_c)]

@@ -54,10 +54,6 @@ class DomainSpec:
             if not 0 <= self.split_at <= self.size(split_type):
                 raise ValueError("split point outside 0..size")
 
-    @classmethod
-    def from_signature(cls, signature: Signature) -> "DomainSpec":
-        return cls(signature.types)
-
     @property
     def types(self) -> tuple[str, ...]:
         return tuple(t for t, _ in self.sizes)
@@ -70,9 +66,6 @@ class DomainSpec:
 
     def constants(self, type_name: str) -> range:
         return range(1, self.size(type_name) + 1)
-
-    def with_split(self, type_name: str, split_at: int) -> "DomainSpec":
-        return DomainSpec(self.sizes, type_name, split_at)
 
     def __eq__(self, other) -> bool:
         return (

@@ -6,15 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlnexact.bounds import (
-    check_kl_bound,
-    check_loglik_bound,
-    check_marginal_ratio,
-    check_partition_sandwich,
-    check_weight_sandwich,
     cross_weight_bounds,
     extremal_k_weights,
     log_spread,
-    marginal_kl,
     verify_all,
     weight_sandwich_slacks,
 )
@@ -44,6 +38,12 @@ TOL = 1e-9
 
 def model_from(text: str):
     return normalize_distinct(parse_mln(text))
+
+
+def named_check(name: str, model, n: int, m: int):
+    """The named CheckRecord of the full bound suite at the n|m split."""
+    (record,) = [c for c in verify_all(model, n, m).checks if c.name == name]
+    return record
 
 
 class TestExtremalKWeights:
@@ -129,7 +129,7 @@ class TestCrossBounds:
 class TestWeightSandwich:
     def test_zero_weights_exact_equality(self):
         model = model_from("type p = 4\npredicate R(p,p)\n0 R(x,y)")
-        rec = check_weight_sandwich(model, 2, 2)
+        rec = named_check("weight_sandwich", model, 2, 2)
         assert rec.passed
         assert rec.details["upper_slack"] == pytest.approx(0.0, abs=1e-12)
         assert rec.details["lower_slack"] == pytest.approx(0.0, abs=1e-12)
@@ -137,7 +137,7 @@ class TestWeightSandwich:
     @pytest.mark.parametrize("seed", range(5))
     def test_random_models_pass(self, seed):
         model = normalize_distinct(random_raw_model(np.random.default_rng(900 + seed)))
-        assert check_weight_sandwich(model, 2, 2).passed
+        assert named_check("weight_sandwich", model, 2, 2).passed
 
     def test_triangle_tight_at_complete_and_empty_worlds(self, triangle_model):
         model = normalize_distinct(triangle_model)
@@ -158,49 +158,49 @@ class TestWeightSandwich:
 class TestPartitionSandwich:
     def test_zero_weights_equality(self):
         model = model_from("type p = 4\npredicate R(p,p)\n0 R(x,y)")
-        rec = check_partition_sandwich(model, 2, 2)
+        rec = named_check("partition_sandwich", model, 2, 2)
         assert rec.passed
         assert rec.details["upper_slack"] == pytest.approx(0.0, abs=1e-9)
         assert rec.details["lower_slack"] == pytest.approx(0.0, abs=1e-9)
 
     def test_projective_example(self, example3_model):
-        assert check_partition_sandwich(example3_model, 2, 2).passed
+        assert named_check("partition_sandwich", example3_model, 2, 2).passed
 
     def test_contagion_example(self, example2_model):
-        assert check_partition_sandwich(example2_model, 2, 2).passed
+        assert named_check("partition_sandwich", example2_model, 2, 2).passed
 
 
 class TestMarginalRatio:
     def test_unary_only_ratio_zero(self, unary_model):
-        rec = check_marginal_ratio(unary_model, 2, 2)
+        rec = named_check("marginal_ratio", unary_model, 2, 2)
         assert rec.passed
         assert rec.log_spread == 0.0
         assert rec.details["max_abs_log_ratio"] <= TOL
 
     def test_single_binary_clause(self):
         model = model_from("type p = 3\npredicate R(p,p)\n0.9 R(x,y) ^ x != y")
-        rec = check_marginal_ratio(model, 2, 1)
+        rec = named_check("marginal_ratio", model, 2, 1)
         assert rec.passed
         assert rec.details["max_abs_log_ratio"] <= rec.log_spread
 
     def test_triangle(self, triangle_model):
-        rec = check_marginal_ratio(triangle_model, 2, 2)
+        rec = named_check("marginal_ratio", triangle_model, 2, 2)
         assert rec.passed
 
 
 class TestKl:
     def test_zero_weights(self):
         model = model_from("type p = 4\npredicate R(p,p)\n0 R(x,y)")
-        assert marginal_kl(model, 2, 2) == pytest.approx(0.0, abs=1e-12)
+        assert verify_all(model, 2, 2).kl == pytest.approx(0.0, abs=1e-12)
 
     def test_projective_fragment_is_projective_but_spread_is_not_zero(self, example3_model):
-        kl = marginal_kl(example3_model, 2, 2)
+        kl = verify_all(example3_model, 2, 2).kl
         assert 0.0 <= kl <= TOL
         assert log_spread(example3_model, 2, 2) > 1.0
 
     def test_kl_below_spread_and_matches_reference(self, example2_model):
         model = normalize_distinct(example2_model)
-        kl = marginal_kl(model, 2, 1)
+        kl = verify_all(model, 2, 1).kl
         tau = "person"
         spec = DomainSpec({tau: 3}, split_type=tau, split_at=2)
         sub_index, marg = marginal_log_probs(model, spec)
@@ -211,22 +211,22 @@ class TestKl:
     @pytest.mark.parametrize("seed", range(5))
     def test_bound_holds_on_random_models(self, seed):
         model = normalize_distinct(random_raw_model(np.random.default_rng(1000 + seed)))
-        assert check_kl_bound(model, 2, 2).passed
+        assert named_check("kl_bound", model, 2, 2).passed
 
 
 class TestLoglikBound:
     def test_unary_only_equality(self, unary_model):
-        rec = check_loglik_bound(unary_model, 2, 2)
+        rec = named_check("loglik_bound", unary_model, 2, 2)
         assert rec.passed
         assert abs(rec.worst_slack) <= TOL  # spread 0 makes the bound tight
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_models_pass(self, seed):
         model = normalize_distinct(random_raw_model(np.random.default_rng(1100 + seed)))
-        assert check_loglik_bound(model, 2, 2).passed
+        assert named_check("loglik_bound", model, 2, 2).passed
 
     def test_triangle(self, triangle_model):
-        assert check_loglik_bound(triangle_model, 2, 2).passed
+        assert named_check("loglik_bound", triangle_model, 2, 2).passed
 
 
 class TestVerifyAll:

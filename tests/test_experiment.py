@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from mlnexact import experiment, learning
 from mlnexact.cli import main
 from mlnexact.experiment import (
     ExperimentConfig,
@@ -14,7 +15,7 @@ from mlnexact.experiment import (
     target_worlds,
     load_experiment_model,
 )
-from mlnexact.learning import evaluate_target, target_log_likelihoods
+from mlnexact.learning import target_log_likelihoods
 from mlnexact.model import dense_log_weights
 from mlnexact.worlds import DomainSpec, DomainTooLargeError
 
@@ -72,6 +73,21 @@ class TestPipeline:
         )
         assert code == 1
 
+    def test_each_training_set_fits_once_per_method_and_grid_point(self, monkeypatch):
+        calls = []
+        original = learning.learn
+
+        def counting_learn(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(learning, "learn", counting_learn)
+        monkeypatch.setattr(experiment, "learn", counting_learn)
+        cfg = ExperimentConfig(**{**TINY, "grid": (0.1, 1.0)})
+        run_experiment(cfg)
+        # none and da once each; l1 and l2 once per grid point, with no refit.
+        assert len(calls) == cfg.train_sets * (2 + 2 * len(cfg.grid))
+
     def test_seed_schedule_is_injective_across_runs_and_targets(self):
         seen = set()
         for r in range(50):
@@ -82,8 +98,8 @@ class TestPipeline:
         assert len(seen) == 50 + 30
 
 
-class TestSizeEvaluator:
-    def test_cached_and_streaming_paths_agree(self):
+class TestTargetScoring:
+    def test_histogram_scoring_matches_dense_summation(self):
         """Target scoring through the cached count histogram matches the
         per-world log weights normalized by direct summation."""
         model = load_experiment_model(ExperimentConfig())
@@ -97,7 +113,7 @@ class TestSizeEvaluator:
         expected = [per_world[w.bits] - log_z for w in worlds]
         cached = target_log_likelihoods(scored, spec, worlds)
         assert cached == pytest.approx(expected, abs=1e-12)
-        direct = [evaluate_target(scored, spec, w) for w in worlds]
+        direct = [target_log_likelihoods(scored, spec, [w])[0] for w in worlds]
         assert cached == pytest.approx(direct, abs=1e-12)
 
     def test_target_over_the_guard_fails_before_any_run(self):

@@ -7,19 +7,17 @@ from mlnexact.bounds import log_spread
 from mlnexact.learning import (
     GRID_DEFAULT,
     LearnConfig,
-    evaluate_target,
     gradient,
     lambda_sweep,
     learn,
-    log_likelihood,
-    marginal_log_likelihood,
     target_log_likelihoods,
 )
-from mlnexact.logic import normalize_distinct, parse_mln
+from mlnexact.logic import Predicate, Signature, normalize_distinct, parse_mln
 from mlnexact.model import (
     apply_da_scaling,
     da_scale_factors,
     log_marginal,
+    log_probability,
     marginal_log_probs,
 )
 from mlnexact.worlds import AtomIndex, DomainSpec, World
@@ -48,7 +46,7 @@ class TestLikelihoodAndGradient:
     def test_zero_weights_uniform(self):
         model = smokers_model()
         spec, index, _ = smokers_data(model)
-        assert log_likelihood(model, spec, World(index, 0)) == pytest.approx(
+        assert log_probability(model, World(index, 0)) == pytest.approx(
             -index.n_atoms * math.log(2)
         )
 
@@ -59,7 +57,7 @@ class TestLikelihoodAndGradient:
         spec = DomainSpec({tau: 3})
         index = AtomIndex(model.signature, spec)
         for bits in rng.integers(0, 1 << index.n_atoms, size=6):
-            assert log_likelihood(model, spec, World(index, int(bits))) <= 0.0
+            assert log_probability(model, World(index, int(bits))) <= 0.0
 
     def test_gradient_sign_matches_local_likelihood_change(self):
         model = smokers_model()
@@ -71,9 +69,7 @@ class TestLikelihoodAndGradient:
                 continue
             bumped = list(model.weights())
             bumped[i] += h * math.copysign(1.0, gi)
-            assert log_likelihood(model.with_weights(bumped), spec, data) > log_likelihood(
-                model, spec, data
-            )
+            assert log_probability(model.with_weights(bumped), data) > log_probability(model, data)
 
     def test_gradient_of_positive_literal_on_empty_world(self):
         model = normalize_distinct(parse_mln("type p = 3\npredicate S(p)\n0 S(x)"))
@@ -95,7 +91,7 @@ class TestLikelihoodAndGradient:
         data = World(index, int(rng.integers(0, 1 << index.n_atoms)))
         analytic = gradient(model, spec, data)
         numeric = fd_gradient(
-            lambda w: log_likelihood(model.with_weights(w), spec, data), weights
+            lambda w: log_probability(model.with_weights(w), data), weights
         )
         assert np.abs(analytic - np.array(numeric)).max() <= 1e-5
 
@@ -103,7 +99,16 @@ class TestLikelihoodAndGradient:
         model = smokers_model()
         wrong_index = AtomIndex(model.signature, DomainSpec({"p": 2}))
         with pytest.raises(ValueError, match="domain spec"):
-            log_likelihood(model, DomainSpec({"p": 3}), World(wrong_index, 0))
+            gradient(model, DomainSpec({"p": 3}), World(wrong_index, 0))
+
+    def test_log_probability_rejects_world_over_another_signature(self):
+        model = smokers_model()
+        wider = Signature(
+            model.signature.types, model.signature.predicates + (Predicate("C", ("p",)),)
+        )
+        world = World(AtomIndex(wider, DomainSpec({"p": 3})), 0)
+        with pytest.raises(ValueError, match="signature"):
+            log_probability(model, world)
 
 
 class TestLearn:
@@ -212,8 +217,8 @@ class TestDomainAwareTraining:
         index4 = AtomIndex(model.signature, spec4)
         world = World(index4, 12345)
         scaled = apply_da_scaling(model, da_scale_factors(model, {"p": 4}))
-        expected = log_likelihood(scaled, spec4, world)
-        got = evaluate_target(model, spec4, world, da_sizes={"p": 4})
+        expected = log_probability(scaled, world)
+        got = target_log_likelihoods(model, spec4, [world], da_sizes={"p": 4})[0]
         assert got == pytest.approx(expected, abs=1e-12)
 
 
@@ -221,15 +226,15 @@ class TestTargetEvaluation:
     def test_same_spec_equals_training_likelihood(self):
         model = smokers_model().with_weights([0.3, -0.2, 0.5])
         spec, index, data = smokers_data(model)
-        assert evaluate_target(model, spec, data) == pytest.approx(
-            log_likelihood(model, spec, data)
+        assert target_log_likelihoods(model, spec, [data])[0] == pytest.approx(
+            log_probability(model, data)
         )
 
     def test_zero_weights_uniform(self):
         model = smokers_model()
         spec4 = DomainSpec({"p": 4})
         index4 = AtomIndex(model.signature, spec4)
-        assert evaluate_target(model, spec4, World(index4, 99)) == pytest.approx(
+        assert target_log_likelihoods(model, spec4, [World(index4, 99)])[0] == pytest.approx(
             -index4.n_atoms * math.log(2)
         )
 
@@ -238,7 +243,7 @@ class TestTargetEvaluation:
         spec, index, _ = smokers_data(model)
         worlds = [World(index, b) for b in (0, 5, 77)]
         batch = target_log_likelihoods(model, spec, worlds)
-        singles = [evaluate_target(model, spec, w) for w in worlds]
+        singles = [target_log_likelihoods(model, spec, [w])[0] for w in worlds]
         assert batch == pytest.approx(singles)
 
 
@@ -248,7 +253,7 @@ class TestMarginalObjective:
         split = DomainSpec({"p": 3}, split_type="p", split_at=2)
         sub_index, logs = marginal_log_probs(model, split)
         data = World(sub_index, 9)
-        assert marginal_log_likelihood(model, split, data) == pytest.approx(logs[9])
+        assert log_marginal(model, split, data) == pytest.approx(logs[9])
 
     def test_transfer_bound_on_learned_weights(self):
         """Learned weights still satisfy the cross-size likelihood transfer bound."""
@@ -260,7 +265,7 @@ class TestMarginalObjective:
         learned = result.model
         split = DomainSpec({"p": 4}, split_type="p", split_at=2)
         neg_marginal = -log_marginal(learned, split, data)
-        neg_direct = -log_likelihood(learned, spec2, data)
+        neg_direct = -log_probability(learned, data)
         assert neg_marginal <= neg_direct + log_spread(learned, 2, 2) + 1e-9
 
 
@@ -271,6 +276,17 @@ class TestLambdaSweep:
         sweep = lambda_sweep(model, spec, [data], spec, [data], "l2", grid=[0.5])
         assert sweep.best_lam == 0.5
         assert len(sweep.entries) == 1
+
+    def test_kept_fit_equals_a_fresh_fit_at_the_best_lambda(self):
+        model = smokers_model()
+        spec, _, data = smokers_data(model)
+        for reg in ("l1", "l2"):
+            sweep = lambda_sweep(model, spec, [data], spec, [data], reg, grid=[0.1, 1.0, 10.0])
+            (kept,) = sweep.fits
+            fresh = learn(model, spec, data, LearnConfig(regularizer=reg, lam=sweep.best_lam))
+            assert kept.weights.tobytes() == fresh.weights.tobytes()
+            assert kept.trace == fresh.trace
+            assert (kept.converged, kept.iterations) == (fresh.converged, fresh.iterations)
 
     def test_default_grid_is_nine_log_spaced_points(self):
         assert len(GRID_DEFAULT) == 9

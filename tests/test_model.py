@@ -27,6 +27,7 @@ from mlnexact.model import (
     _distinct_rows,
     _grounded_formula,
     _histogram,
+    _table,
     world_chunks,
 )
 from mlnexact.worlds import (
@@ -151,6 +152,17 @@ class TestLogWeight:
             mapping = {i + 1: p for i, p in enumerate(perm)}
             assert log_weight(model, permute(world, mapping)) == pytest.approx(reference)
 
+    def test_grounding_table_is_shared_across_weight_vectors(self):
+        # A clause structure no other test grounds, so the first call misses.
+        model = model_from("type p = 2\npredicate Q(p,p)\n0.3 Q(x,y) ^ Q(y,x) => Q(x,x)")
+        world = World(index_for(model, 2), 6)
+        before = _table.cache_info()
+        first = log_weight(model, world)
+        second = log_weight(model.with_weights([-1.7] * len(model.clauses)), world)
+        after = _table.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+        assert first != second
+
 
 class TestKWeights:
     def test_no_clauses_of_that_arity(self, unary_model):
@@ -241,10 +253,11 @@ class TestCountKernel:
         rng = np.random.default_rng(3)
         model = normalize_distinct(random_raw_model(rng, include_ternary_clause=True))
         index = index_for(model, 3)
-        gt = GroundingTable(model, index)
+        gt = GroundingTable(model.formulas(), index)
         worlds = next(world_chunks(index.n_atoms))
         counts = gt.counts_matrix(worlds)
-        assert np.abs(gt.log_weights(worlds) - counts @ np.array(model.weights())).max() <= 1e-12
+        lw = gt.log_weights(worlds, model.weights())
+        assert np.abs(lw - counts @ np.array(model.weights())).max() <= 1e-12
         for bits in (0, 5, int(worlds[-1])):
             world = World(index, bits)
             assert gt.counts_world(world).tolist() == counts[bits].tolist()
@@ -259,7 +272,7 @@ class TestCountKernel:
             "1 R(x,y) v R(y,x) v !R(x,x) v R(y,y) v S(x) v !S(y) v T(x) v T(y) v U(x)"
         )
         index = index_for(model, 2)
-        gt = GroundingTable(model, index)
+        gt = GroundingTable(model.formulas(), index)
         assert max(g.cols.shape[1] for e in gt.entries for g in e.groups) == 9
         counts = gt.counts_matrix(next(world_chunks(index.n_atoms)))
         direct = [raw_log_weight(model, World(index, b)) for b in range(1 << index.n_atoms)]

@@ -225,7 +225,7 @@ class TestDomainSpec:
         a = DomainSpec({"t": 3})
         b = DomainSpec({"t": 3})
         assert a == b and hash(a) == hash(b)
-        assert a != a.with_split("t", 2)
+        assert a != DomainSpec({"t": 3}, split_type="t", split_at=2)
 
     def test_index_equality_by_content(self):
         sig = Signature.make({"t": 3}, {"S": ("t",)})
