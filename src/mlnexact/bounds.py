@@ -44,7 +44,6 @@ from .model import (
     _table,
     dense_log_weights,
     log_weight,
-    world_chunks,
 )
 from .worlds import (
     AtomIndex,
@@ -240,7 +239,7 @@ def _split_context(
     cross = cross_weight_bounds(model, n, m)
 
     gt, order = _table(model.formulas(), index).relaid(pos_n, pos_m)
-    weights = model.weights()
+    weights = np.asarray(model.weights(), dtype=np.float64)
     front_bits = np.uint64(sub_n.n_atoms)
     front_mask = np.uint64(lw_n.shape[0] - 1)
     back_mask = np.uint64(lw_m.shape[0] - 1)
@@ -249,8 +248,8 @@ def _split_context(
     lo_worst = math.inf
     up_witness = 0
     lo_witness = 0
-    for worlds in world_chunks(index.n_atoms):
-        lw = gt.log_weights(worlds, weights)
+    for worlds, counts in gt.chunk_counts():
+        lw = counts @ weights
         _fold_front_buckets(bucket_logs, int(worlds[0]), lw)
         base = lw_n[worlds & front_mask] + lw_m[(worlds >> front_bits) & back_mask]
         up = base + cross.log_m_max - lw
@@ -263,6 +262,7 @@ def _split_context(
         if float(lo[i]) < lo_worst:
             lo_worst = float(lo[i])
             lo_witness = int(worlds[i])
+        del lw, base, up, lo  # freed before the next block is counted
     log_z_nm = _logsumexp(bucket_logs)
 
     def _index_bits(relaid_bits: int) -> int:

@@ -32,7 +32,6 @@ from .model import (
     da_scale_factors,
     log_partition,
     log_weight,
-    world_chunks,
 )
 from .worlds import AtomIndex, DomainSpec, World
 
@@ -106,11 +105,10 @@ def _counts_for(model: MlnModel, index: AtomIndex, max_atoms: int) -> np.ndarray
 
 @lru_cache(maxsize=8)
 def _counts_cached(formulas: tuple[Formula, ...], index: AtomIndex) -> np.ndarray:
-    gt = _table(formulas, index)
     out = np.empty((1 << index.n_atoms, len(formulas)))
-    for worlds in world_chunks(index.n_atoms):
+    for worlds, counts in _table(formulas, index).chunk_counts():
         start = int(worlds[0])
-        out[start : start + worlds.shape[0]] = gt.counts_matrix(worlds)
+        out[start : start + worlds.shape[0]] = counts
     return out
 
 

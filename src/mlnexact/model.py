@@ -9,6 +9,16 @@ variable-identification pattern of the assignment, so raw clauses (repeated
 constants allowed) and distinct-constant normalized clauses share one code
 path.
 
+Every pass over all 2^G worlds reads its counts from
+``GroundingTable.chunk_counts``. Worlds come in blocks of ``DEFAULT_CHUNK``
+aligned to their length, so all blocks share their low log2(DEFAULT_CHUNK)
+bits and differ only in the high bits, which are constant within a block.
+Groundings whose atoms all lie in the low bits are counted once, on the first
+block, by the counts kernel; a grounding that reaches the high bits keeps the
+low part of its truth-table code, and each block ORs in its high part and
+looks the code up. The plain per-block kernel (``counts_matrix``,
+``log_weights``, ``counts_world``) serves single worlds and the tests.
+
 The partition function has one path: a world's weight depends on it only
 through its count vector, so one enumeration per (clause structure, atom
 index) collapses all 2^G worlds into a cached histogram of distinct count
@@ -163,22 +173,42 @@ def _grounded_formula(formula: Formula, index: AtomIndex) -> _GroundedFormula:
     return _GroundedFormula(const_count, groups, total)
 
 
+def _bit_columns(worlds: np.ndarray, positions) -> dict[int, np.ndarray]:
+    """Bit ``p`` of every world, one uint8 column per position."""
+    one = np.uint64(1)
+    return {p: ((worlds >> np.uint64(p)) & one).astype(np.uint8) for p in positions}
+
+
+def _row_code(bits: Mapping[int, np.ndarray], row: np.ndarray) -> np.ndarray:
+    """Truth-table code of one grounding in every world: bit j is atom ``row[j]``.
+
+    Byte-wide while a grounding touches at most 8 atoms, int64 beyond.
+    """
+    code_dtype = np.uint8 if row.shape[0] <= 8 else np.int64
+    code = bits[int(row[0])].astype(code_dtype)
+    for j in range(1, row.shape[0]):
+        code |= bits[int(row[j])].astype(code_dtype, copy=False) << j
+    return code
+
+
+def _count_dtype(total: int) -> np.dtype:
+    """The narrowest count dtype that holds ``total``."""
+    for dtype in (np.uint8, np.uint16):
+        if total <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int32)
+
+
 def _count_kernel(entries: Sequence[_GroundedFormula], worlds: np.ndarray) -> np.ndarray:
     """(n_worlds, n_entries) int32 true-grounding counts: the one counts kernel."""
     used = sorted({int(p) for e in entries for g in e.groups for p in g.cols.flat})
-    one = np.uint64(1)
-    bits = {p: ((worlds >> np.uint64(p)) & one).astype(np.uint8) for p in used}
+    bits = _bit_columns(worlds, used)
     out = np.empty((worlds.shape[0], len(entries)), dtype=np.int32)
     for ci, entry in enumerate(entries):
         acc = np.full(worlds.shape[0], entry.const_count, dtype=np.int32)
         for g in entry.groups:
-            # Byte-wide truth-table codes while a grounding touches at most 8 atoms.
-            code_dtype = np.uint8 if g.cols.shape[1] <= 8 else np.int64
             for row in g.cols:
-                code = bits[int(row[0])].astype(code_dtype)
-                for j in range(1, row.shape[0]):
-                    code |= bits[int(row[j])].astype(code_dtype, copy=False) << j
-                acc += np.take(g.table, code)
+                acc += np.take(g.table, _row_code(bits, row))
         out[:, ci] = acc
     return out
 
@@ -199,8 +229,48 @@ class GroundingTable:
         return _count_kernel(self.entries, worlds)
 
     def log_weights(self, worlds: np.ndarray, weights: Sequence[float]) -> np.ndarray:
-        """Per-world log weight: the weighted sum of true-grounding counts."""
+        """Per-world log weight: the weighted sum of true-grounding counts.
+
+        The plain per-block path; whole passes read ``chunk_counts`` instead.
+        """
         return _count_kernel(self.entries, worlds) @ np.asarray(weights, dtype=np.float64)
+
+    def chunk_counts(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """``(worlds, counts)`` for every block of ``world_chunks``, where
+        ``counts`` equals ``counts_matrix(worlds)``.
+
+        Blocks are aligned to ``DEFAULT_CHUNK``, so every block holds the same
+        low log2(DEFAULT_CHUNK) bits. Groundings whose atoms all lie in those
+        bits are counted once, on the first block. A grounding that reaches the
+        high bits keeps its truth-table code over the first block; each block
+        ORs in its own high bits, which are constant across the block, and
+        looks the code up. Counts are as narrow as the largest grounding total.
+        """
+        low_bits = DEFAULT_CHUNK.bit_length() - 1
+        dtype = _count_dtype(max((e.total for e in self.entries), default=0))
+        low = copy.copy(self)
+        low.entries = []
+        high: list[tuple[int, np.ndarray, np.ndarray]] = []  # (clause, atoms, table)
+        for ci, e in enumerate(self.entries):
+            groups = []
+            for g in e.groups:
+                reach = g.cols.max(axis=1) >= low_bits
+                groups.append(_Group(g.cols[~reach], g.table))
+                high.extend((ci, row, g.table) for row in g.cols[reach])
+            low.entries.append(replace(e, groups=groups))
+        base = codes = None
+        for worlds in world_chunks(self.index.n_atoms):
+            if base is None:
+                base = low.counts_matrix(worlds).astype(dtype)
+                bits = _bit_columns(worlds, {int(p) for _, row, _ in high for p in row})
+                codes = [_row_code(bits, row) for _, row, _ in high]
+                del bits  # only the codes outlive the first block
+            counts = base.copy()
+            start = int(worlds[0])
+            for (ci, row, table), code in zip(high, codes):
+                high_code = sum((start >> int(p) & 1) << j for j, p in enumerate(row))
+                counts[:, ci] += np.take(table, code | high_code)
+            yield worlds, counts
 
     def relaid(self, *leading: np.ndarray) -> tuple[GroundingTable, np.ndarray]:
         """A copy over a permuted bit layout, plus that layout's ``order``.
@@ -264,12 +334,11 @@ def dense_log_weights(
 ) -> np.ndarray:
     """Log weight of every world over the index, as one 2^G vector."""
     _guard(index.n_atoms, max_atoms)
-    gt = _table(model.formulas(), index)
-    weights = model.weights()
+    weights = np.asarray(model.weights(), dtype=np.float64)
     out = np.empty(1 << index.n_atoms, dtype=np.float64)
-    for worlds in world_chunks(index.n_atoms):
+    for worlds, counts in _table(model.formulas(), index).chunk_counts():
         start = int(worlds[0])
-        out[start : start + worlds.shape[0]] = gt.log_weights(worlds, weights)
+        out[start : start + worlds.shape[0]] = counts @ weights
     return out
 
 
@@ -332,11 +401,10 @@ def count_histogram(
 
 @lru_cache(maxsize=64)
 def _histogram(formulas: tuple[Formula, ...], index: AtomIndex) -> CountHistogram:
-    gt = GroundingTable(formulas, index)
     rows = np.zeros((0, len(formulas)), dtype=np.int32)
     mult = np.zeros(0, dtype=np.int64)
-    for worlds in world_chunks(index.n_atoms):
-        r, m = _distinct_rows(gt.counts_matrix(worlds))
+    for _, counts in GroundingTable(formulas, index).chunk_counts():
+        r, m = _distinct_rows(counts)
         rows, mult = _distinct_rows(np.concatenate([rows, r]), np.concatenate([mult, m]))
     out = CountHistogram(rows.astype(np.float64), mult, np.log(mult))
     for a in (out.counts, out.mult, out.log_mult):
@@ -417,10 +485,10 @@ def marginal_log_probs(
     sub_index, positions = restriction_positions(index, front)
     _guard(sub_index.n_atoms, DEFAULT_DENSE_MAX_ATOMS)
     gt, _ = _table(model.formulas(), index).relaid(positions)
-    weights = model.weights()
+    weights = np.asarray(model.weights(), dtype=np.float64)
     bucket_logs = np.full(1 << sub_index.n_atoms, -np.inf)
-    for worlds in world_chunks(index.n_atoms):
-        _fold_front_buckets(bucket_logs, int(worlds[0]), gt.log_weights(worlds, weights))
+    for worlds, counts in gt.chunk_counts():
+        _fold_front_buckets(bucket_logs, int(worlds[0]), counts @ weights)
     return sub_index, bucket_logs - _logsumexp(bucket_logs)
 
 
@@ -504,11 +572,10 @@ def max_split_factorization_error(
         for c in cross_tuples(n, m, k):
             sub_c, pos_c = restriction_positions(index, {tau: c})
             cross.append((pos_c, dense_log_weights(sub_model, sub_c)))
-    gt = _table(model.formulas(), index)
-    weights = model.weights()
+    weights = np.asarray(model.weights(), dtype=np.float64)
     worst = 0.0
-    for worlds in world_chunks(index.n_atoms):
-        lw = gt.log_weights(worlds, weights)
+    for worlds, counts in _table(model.formulas(), index).chunk_counts():
+        lw = counts @ weights
         acc = lw_n[bit_codes(worlds, pos_n)] + lw_m[bit_codes(worlds, pos_m)]
         for pos_c, lw_c in cross:
             acc += lw_c[bit_codes(worlds, pos_c)]

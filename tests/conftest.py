@@ -15,7 +15,7 @@ from mlnexact.logic import (
     Signature,
     parse_mln,
 )
-from mlnexact.model import bit_codes, dense_log_weights, world_chunks
+from mlnexact.model import _table, bit_codes, world_chunks
 
 EXAMPLE2_TEXT = """\
 // contagion model: vaccines protect, contact spreads
@@ -131,11 +131,20 @@ def random_raw_model(
     return MlnModel(signature, tuple(clauses))
 
 
+def plain_log_weights(model: MlnModel, index) -> np.ndarray:
+    """Log weight of every world over the index, from the plain per-block
+    kernel (``GroundingTable.log_weights``) over ``world_chunks``."""
+    gt = _table(model.formulas(), index)
+    return np.concatenate(
+        [gt.log_weights(worlds, model.weights()) for worlds in world_chunks(index.n_atoms)]
+    )
+
+
 def dense_restriction_oracle(model: MlnModel, index, positions) -> tuple[np.ndarray, np.ndarray]:
     """Per-world log weights over the full index, and the unnormalized log mass
     of every restriction bucket, by gathering each world's restriction code
     with ``bit_codes`` and scattering with ``np.logaddexp.at``."""
-    lw = dense_log_weights(model, index)
+    lw = plain_log_weights(model, index)
     buckets = np.full(1 << len(positions), -np.inf)
     for worlds in world_chunks(index.n_atoms):
         start = int(worlds[0])

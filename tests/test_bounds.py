@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlnexact import model as model_module
 from mlnexact.bounds import (
     cross_weight_bounds,
     extremal_k_weights,
@@ -14,7 +16,11 @@ from mlnexact.bounds import (
 )
 from mlnexact.logic import normalize_distinct, parse_mln
 from mlnexact.model import (
+    _count_kernel,
+    _histogram,
+    _table,
     bit_codes,
+    count_histogram,
     dense_log_weights,
     log_k_weight,
     log_partition,
@@ -31,7 +37,7 @@ from mlnexact.worlds import (
 )
 
 from _oracles import kl_reference
-from conftest import dense_restriction_oracle, random_raw_model
+from conftest import dense_restriction_oracle, plain_log_weights, random_raw_model
 
 TOL = 1e-9
 
@@ -261,6 +267,67 @@ def _lse(v: np.ndarray) -> float:
     return shift + math.log(float(np.exp(v - shift).sum()))
 
 
+def _split_pass_oracle(model, n, m) -> dict:
+    """Everything ``verify_all`` and ``marginal_log_probs`` report for an n|m
+    split, from the plain per-block kernel, ``bit_codes`` and ``np.logaddexp.at``."""
+    tau = model.signature.types[0][0]
+    spec = DomainSpec({tau: n + m}, split_type=tau, split_at=n)
+    index = AtomIndex(model.signature, spec)
+    front, back = split_subsets(spec)
+    sub_n, pos_n = restriction_positions(index, front)
+    sub_m, pos_m = restriction_positions(index, back)
+    lw, buckets = dense_restriction_oracle(model, index, pos_n)
+    lw_n = plain_log_weights(model, sub_n)
+    lw_m = plain_log_weights(model, sub_m)
+    worlds = np.arange(1 << index.n_atoms, dtype=np.uint64)
+    base = lw_n[bit_codes(worlds, pos_n)] + lw_m[bit_codes(worlds, pos_m)]
+
+    cross = cross_weight_bounds(model, n, m)
+    spread = cross.log_spread
+    log_z, log_z_n, log_z_m = _lse(lw), _lse(lw_n), _lse(lw_m)
+    marg = buckets - log_z
+    ratio = marg - (lw_n - log_z_n)
+    kl = float(np.exp(marg) @ ratio)
+    log_c = cross_atom_count(index) * math.log(2.0)
+    up = float((base + cross.log_m_max - lw).min())
+    lo = float((lw - base - cross.log_m_min).min())
+    z_up = log_z_n + log_z_m + log_c + cross.log_m_max - log_z
+    z_lo = log_z - log_z_n - log_z_m - log_c - cross.log_m_min
+    r_up = float((spread - ratio).min())
+    r_lo = float((spread + ratio).min())
+    per_world = float((ratio + spread).min())
+    checks = {  # check name -> (worst slack, details)
+        "weight_sandwich": (min(up, lo), {"upper_slack": up, "lower_slack": lo}),
+        "partition_sandwich": (min(z_up, z_lo), {"upper_slack": z_up, "lower_slack": z_lo}),
+        "marginal_ratio": (
+            min(r_up, r_lo),
+            {"upper_slack": r_up, "lower_slack": r_lo, "max_abs_log_ratio": np.abs(ratio).max()},
+        ),
+        "kl_bound": (spread - kl, {"kl": kl}),
+        "loglik_bound": (min(per_world, spread - kl), {"per_world_slack": per_world}),
+    }
+    return {
+        "spec": spec,
+        "index": index,
+        "pos": (pos_n, pos_m),
+        "checks": checks,
+        "kl": kl,
+        "marginal": marg,
+        "log_z": log_z,
+    }
+
+
+def _assert_matches_oracle(report, marginal, oracle) -> None:
+    assert [c.name for c in report.checks] == list(oracle["checks"])
+    for check in report.checks:
+        worst, details = oracle["checks"][check.name]
+        assert abs(check.worst_slack - worst) <= 1e-9, check.name
+        for key, value in details.items():
+            assert abs(check.details[key] - value) <= 1e-9, (check.name, key)
+    assert abs(report.kl - oracle["kl"]) <= 1e-9
+    assert np.abs(marginal - oracle["marginal"]).max() <= 1e-9
+
+
 class TestSplitPassOracle:
     @settings(max_examples=25, deadline=None)
     @given(
@@ -273,55 +340,50 @@ class TestSplitPassOracle:
         model = normalize_distinct(
             random_raw_model(np.random.default_rng(seed), include_ternary_clause=ternary)
         )
-        tau = model.signature.types[0][0]
-        spec = DomainSpec({tau: n + m}, split_type=tau, split_at=n)
-        index = AtomIndex(model.signature, spec)
-        front, back = split_subsets(spec)
-        sub_n, pos_n = restriction_positions(index, front)
-        sub_m, pos_m = restriction_positions(index, back)
-        lw, buckets = dense_restriction_oracle(model, index, pos_n)
-        lw_n = dense_log_weights(model, sub_n)
-        lw_m = dense_log_weights(model, sub_m)
-        worlds = np.arange(1 << index.n_atoms, dtype=np.uint64)
-        base = lw_n[bit_codes(worlds, pos_n)] + lw_m[bit_codes(worlds, pos_m)]
-
+        oracle = _split_pass_oracle(model, n, m)
         report = verify_all(model, n, m)
-        cross = report.cross
-        spread = cross.log_spread
-        log_z, log_z_n, log_z_m = _lse(lw), _lse(lw_n), _lse(lw_m)
-        marg = buckets - log_z
-        ratio = marg - (lw_n - log_z_n)
-        kl = float(np.exp(marg) @ ratio)
-        log_c = cross_atom_count(index) * math.log(2.0)
-        up = float((base + cross.log_m_max - lw).min())
-        lo = float((lw - base - cross.log_m_min).min())
-        z_up = log_z_n + log_z_m + log_c + cross.log_m_max - log_z
-        z_lo = log_z - log_z_n - log_z_m - log_c - cross.log_m_min
-        r_up = float((spread - ratio).min())
-        r_lo = float((spread + ratio).min())
-        per_world = float((ratio + spread).min())
-        expected = {  # check name -> (worst slack, details)
-            "weight_sandwich": (min(up, lo), {"upper_slack": up, "lower_slack": lo}),
-            "partition_sandwich": (min(z_up, z_lo), {"upper_slack": z_up, "lower_slack": z_lo}),
-            "marginal_ratio": (
-                min(r_up, r_lo),
-                {"upper_slack": r_up, "lower_slack": r_lo, "max_abs_log_ratio": np.abs(ratio).max()},
-            ),
-            "kl_bound": (spread - kl, {"kl": kl}),
-            "loglik_bound": (min(per_world, spread - kl), {"per_world_slack": per_world}),
-        }
-        assert [c.name for c in report.checks] == list(expected)
-        for check in report.checks:
-            worst, details = expected[check.name]
-            assert abs(check.worst_slack - worst) <= 1e-9, check.name
-            for key, value in details.items():
-                assert abs(check.details[key] - value) <= 1e-9, (check.name, key)
-        assert abs(report.kl - kl) <= 1e-9
-        _, marginal = marginal_log_probs(model, spec)
-        assert np.abs(marginal - marg).max() <= 1e-9
+        _, marginal = marginal_log_probs(model, oracle["spec"])
+        _assert_matches_oracle(report, marginal, oracle)
 
+        index = oracle["index"]
+        _, slacks = oracle["checks"]["weight_sandwich"]
         sandwich = report.checks[0].details
         up_at, _ = weight_sandwich_slacks(model, n, m, World(index, sandwich["upper_witness"]))
         _, lo_at = weight_sandwich_slacks(model, n, m, World(index, sandwich["lower_witness"]))
-        assert abs(up_at - up) <= 1e-9
-        assert abs(lo_at - lo) <= 1e-9
+        assert abs(up_at - slacks["upper_slack"]) <= 1e-9
+        assert abs(lo_at - slacks["lower_slack"]) <= 1e-9
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        split=st.sampled_from([(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1)]),
+        ternary=st.booleans(),
+        chunk_bits=st.integers(2, 5),
+    )
+    def test_shrunken_chunks_match_dense_oracle(self, seed, split, ternary, chunk_bits):
+        # Blocks of 2^2..2^5 worlds put groundings on both sides of the
+        # low/high boundary of GroundingTable.chunk_counts.
+        n, m = split
+        model = normalize_distinct(
+            random_raw_model(np.random.default_rng(seed), include_ternary_clause=ternary)
+        )
+        oracle = _split_pass_oracle(model, n, m)
+        index = oracle["index"]
+        gt, _ = _table(model.formulas(), index).relaid(*oracle["pos"])
+        # At most 2^7 blocks per pass keeps the widest signatures (G=20) quick.
+        chunk = 1 << max(chunk_bits, index.n_atoms - 7)
+        with mock.patch.object(model_module, "DEFAULT_CHUNK", chunk):
+            blocks = 0
+            for worlds, counts in gt.chunk_counts():
+                assert worlds.shape[0] == min(chunk, 1 << index.n_atoms)
+                assert int(worlds[0]) == blocks * chunk
+                assert np.array_equal(counts, _count_kernel(gt.entries, worlds))
+                blocks += 1
+            assert blocks == max(1, (1 << index.n_atoms) // chunk)
+            report = verify_all(model, n, m)
+            _, marginal = marginal_log_probs(model, oracle["spec"])
+            _histogram.cache_clear()
+            hist = count_histogram(model, index)
+        _assert_matches_oracle(report, marginal, oracle)
+        assert count_histogram(model, index) is hist
+        assert abs(log_partition(model, index=index) - oracle["log_z"]) <= 1e-9

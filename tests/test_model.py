@@ -1,11 +1,13 @@
 import math
 from itertools import permutations
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlnexact import model as model_module
 from mlnexact.datagen import FRIENDS_SMOKERS_MLN
 from mlnexact.logic import MlnModel, normalize_distinct, parse_mln
 from mlnexact.model import (
@@ -24,6 +26,7 @@ from mlnexact.model import (
     marginal_log_probs,
     max_split_factorization_error,
     max_tuple_factorization_error,
+    _count_kernel,
     _distinct_rows,
     _grounded_formula,
     _histogram,
@@ -44,7 +47,14 @@ from mlnexact.worlds import (
 )
 
 from _oracles import count_groundings_direct, raw_log_probs, raw_log_weight
-from conftest import dense_restriction_oracle, random_raw_model
+from conftest import dense_restriction_oracle, plain_log_weights, random_raw_model
+
+
+# Each x != y grounding touches 9 ground atoms, past byte-wide codes.
+NINE_ATOM_TEXT = (
+    "type p = 2\npredicate R(p,p)\npredicate S(p)\npredicate T(p)\npredicate U(p)\n"
+    "1 R(x,y) v R(y,x) v !R(x,x) v R(y,y) v S(x) v !S(y) v T(x) v T(y) v U(x)"
+)
 
 
 def model_from(text: str) -> MlnModel:
@@ -265,18 +275,66 @@ class TestCountKernel:
             assert per_clause == counts[bits].tolist()
 
     def test_groundings_over_more_than_eight_atoms(self):
-        # Each x != y grounding touches 9 ground atoms, past byte-wide codes.
-        model = parse_mln(
-            "type p = 2\npredicate R(p,p)\npredicate S(p)\npredicate T(p)\n"
-            "predicate U(p)\n"
-            "1 R(x,y) v R(y,x) v !R(x,x) v R(y,y) v S(x) v !S(y) v T(x) v T(y) v U(x)"
-        )
+        model = parse_mln(NINE_ATOM_TEXT)
         index = index_for(model, 2)
         gt = GroundingTable(model.formulas(), index)
         assert max(g.cols.shape[1] for e in gt.entries for g in e.groups) == 9
         counts = gt.counts_matrix(next(world_chunks(index.n_atoms)))
         direct = [raw_log_weight(model, World(index, b)) for b in range(1 << index.n_atoms)]
         assert counts[:, 0].tolist() == direct
+
+
+class TestChunkCounts:
+    @pytest.mark.parametrize("chunk_bits", [18, 2])
+    @pytest.mark.parametrize(("n", "dtype"), [(7, np.uint8), (8, np.uint16)])
+    def test_counts_are_as_narrow_as_the_grounding_total(self, n, dtype, chunk_bits):
+        # n(n-1)(n-2) groundings: 210 fit a byte, 336 do not.
+        model = parse_mln(
+            f"type p = {n}\npredicate S(p)\n1 (S(x) v S(y) v S(z)) ^ x != y ^ x != z ^ y != z"
+        )
+        index = index_for(model, n)
+        gt = GroundingTable(model.formulas(), index)
+        with mock.patch.object(model_module, "DEFAULT_CHUNK", 1 << chunk_bits):
+            counts = np.concatenate([c for _, c in gt.chunk_counts()])
+        assert counts.dtype == dtype
+        assert int(counts.max()) == n * (n - 1) * (n - 2)
+        clause = model.clauses[0]
+        assert counts[:, 0].tolist() == [
+            count_true_groundings(clause, World(index, b)) for b in range(1 << n)
+        ]
+
+    def test_counts_past_two_bytes(self):
+        # 18 * 17 * 16 * 15 = 73,440 groundings. Blocks of 16 worlds put the 24
+        # groundings over atoms 0..3 in the base and the rest in the high part;
+        # only the first block is counted, as the whole pass is 2^18 worlds.
+        model = parse_mln(
+            "type p = 18\npredicate S(p)\n"
+            "1 (!S(x) v !S(y) v !S(z) v !S(w)) ^ x != y ^ x != z ^ x != w ^ y != z ^ y != w"
+            " ^ z != w"
+        )
+        index = index_for(model, 18)
+        gt = GroundingTable(model.formulas(), index)
+        with mock.patch.object(model_module, "DEFAULT_CHUNK", 1 << 4):
+            _, counts = next(gt.chunk_counts())
+        assert counts.dtype == np.int32
+        assert counts[0, 0] == count_true_groundings(model.clauses[0], World(index, 0)) == 73440
+        # With atoms 0..3 true, only their 4! orderings are false.
+        assert counts[15, 0] == 73440 - 24
+
+    def test_wide_groundings_straddle_a_shrunken_block(self):
+        # Groundings over 9 atoms take int64 codes; blocks of 16 worlds split
+        # some of them between the low and the high bits.
+        model = parse_mln(NINE_ATOM_TEXT)
+        index = index_for(model, 2)
+        gt = GroundingTable(model.formulas(), index)
+        cols = np.concatenate([g.cols for e in gt.entries for g in e.groups])
+        assert cols.shape[1] == 9
+        assert ((cols.min(axis=1) < 4) & (cols.max(axis=1) >= 4)).any()
+        with mock.patch.object(model_module, "DEFAULT_CHUNK", 1 << 4):
+            for worlds, counts in gt.chunk_counts():
+                assert np.array_equal(counts, _count_kernel(gt.entries, worlds))
+                direct = [raw_log_weight(model, World(index, int(b))) for b in worlds]
+                assert counts[:, 0].tolist() == direct
 
 
 class TestDistinctRows:
@@ -323,7 +381,7 @@ class TestCountHistogram:
         hist = count_histogram(model, index)
         assert int(hist.mult.sum()) == 1 << index.n_atoms
         log_z = log_partition(model, index=index)
-        assert abs(log_z - _logsumexp(dense_log_weights(model, index))) <= 1e-9
+        assert abs(log_z - _logsumexp(plain_log_weights(model, index))) <= 1e-9
         if index.n_atoms <= 12:
             oracle = np.array(raw_log_probs(model, index))
             worlds = [World(index, b) for b in range(1 << index.n_atoms)]
@@ -335,7 +393,7 @@ class TestCountHistogram:
         assert count_histogram(other, index) is hist
         assert _histogram.cache_info().hits == hits + 1
         assert abs(
-            log_partition(other, index=index) - _logsumexp(dense_log_weights(other, index))
+            log_partition(other, index=index) - _logsumexp(plain_log_weights(other, index))
         ) <= 1e-9
 
     def test_several_world_chunks_fold_into_one_histogram(self):
@@ -350,7 +408,7 @@ class TestCountHistogram:
         assert int(hist.mult.sum()) == 1 << 20
         assert len({tuple(r) for r in hist.counts.tolist()}) == hist.counts.shape[0]
         log_z = log_partition(model, index=index)
-        assert abs(log_z - _logsumexp(dense_log_weights(model, index))) <= 1e-9
+        assert abs(log_z - _logsumexp(plain_log_weights(model, index))) <= 1e-9
 
     def test_chunk_is_deprecated_and_ignored(self):
         model = model_from("type p = 3\npredicate R(p,p)\n0.8 R(x,y) => R(y,x)")
