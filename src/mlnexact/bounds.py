@@ -38,7 +38,6 @@ from .logic import MlnModel, arity_partition, normalize_distinct
 from .model import (
     DEFAULT_MAX_ATOMS,
     _fold_front_buckets,
-    _guard,
     _logsumexp,
     _single_type,
     _table,
@@ -49,6 +48,7 @@ from .worlds import (
     AtomIndex,
     DomainSpec,
     World,
+    _guard,
     cross_atom_count,
     restrict,
     restriction_positions,
@@ -157,9 +157,7 @@ class BoundsReport:
 # ---------------------------------------------------------------------------
 
 
-def extremal_k_weights(
-    model: MlnModel, k: int, *, max_atoms: int = EXTREMAL_MAX_ATOMS
-) -> KWeightExtrema:
+def extremal_k_weights(model: MlnModel, k: int) -> KWeightExtrema:
     """Exhaustive max/min of the arity-k log weight over all k-constant sub-worlds.
 
     Exchangeability makes one canonical tuple sufficient. Models with no
@@ -172,31 +170,26 @@ def extremal_k_weights(
         return KWeightExtrema(k, 0.0, 0.0, None, None)
     sub_model = replace(model, clauses=clauses)
     index = AtomIndex(model.signature, DomainSpec({tau: k}))
-    _guard(index.n_atoms, max_atoms)
-    logs = dense_log_weights(sub_model, index, max_atoms=max_atoms)
+    logs = dense_log_weights(sub_model, index, max_atoms=EXTREMAL_MAX_ATOMS)
     hi = int(np.argmax(logs))
     lo = int(np.argmin(logs))
     return KWeightExtrema(k, float(logs[hi]), float(logs[lo]), hi, lo)
 
 
-def cross_weight_bounds(
-    model: MlnModel, n: int, m: int, *, max_atoms: int = EXTREMAL_MAX_ATOMS
-) -> CrossBounds:
+def cross_weight_bounds(model: MlnModel, n: int, m: int) -> CrossBounds:
     """Log products of per-arity weight extrema over tuples straddling the n|m split."""
     model = _normalized(model)
     d = model.max_arity
-    per_arity = tuple(
-        extremal_k_weights(model, k, max_atoms=max_atoms) for k in range(1, d + 1)
-    )
+    per_arity = tuple(extremal_k_weights(model, k) for k in range(1, d + 1))
     exponents = tuple(comb(n + m, k) - comb(n, k) - comb(m, k) for k in range(1, d + 1))
     log_m_max = sum(e * x.log_max for e, x in zip(exponents, per_arity))
     log_m_min = sum(e * x.log_min for e, x in zip(exponents, per_arity))
     return CrossBounds(n, m, log_m_max, log_m_min, per_arity, exponents)
 
 
-def log_spread(model: MlnModel, n: int, m: int, *, max_atoms: int = EXTREMAL_MAX_ATOMS) -> float:
+def log_spread(model: MlnModel, n: int, m: int) -> float:
     """Log ratio of the cross-bound extrema products; 0 iff the sandwich is tight."""
-    return cross_weight_bounds(model, n, m, max_atoms=max_atoms).log_spread
+    return cross_weight_bounds(model, n, m).log_spread
 
 
 # ---------------------------------------------------------------------------
@@ -363,17 +356,14 @@ def _loglik_bound(ctx: _SplitContext, kl: float, tol: float) -> CheckRecord:
 # ---------------------------------------------------------------------------
 
 
-def weight_sandwich_slacks(
-    model: MlnModel, n: int, m: int, world: World, *, cross: CrossBounds | None = None
-) -> tuple[float, float]:
+def weight_sandwich_slacks(model: MlnModel, n: int, m: int, world: World) -> tuple[float, float]:
     """(upper, lower) sandwich slack for one world over the split domain."""
     model = _normalized(model)
     tau = _single_type(model)
     spec = DomainSpec({tau: n + m}, split_type=tau, split_at=n)
     if world.index != AtomIndex(model.signature, spec):
         raise ValueError("world is not over the split domain spec")
-    if cross is None:
-        cross = cross_weight_bounds(model, n, m)
+    cross = cross_weight_bounds(model, n, m)
     front, back = split_subsets(spec)
     base = log_weight(model, restrict(world, front)) + log_weight(model, restrict(world, back))
     lw = log_weight(model, world)

@@ -27,9 +27,7 @@ from .experiment import ExperimentConfig, run_experiment, write_outputs
 from .learning import LEARN_MAX_ATOMS, LearnConfig, learn, target_log_likelihoods
 from .logic import MlnParseError, formula_to_text, normalize_distinct, parse_mln, serialize_mln
 from .model import DEFAULT_MAX_ATOMS
-from .worlds import DomainSpec, DomainTooLargeError
-
-FORCED_MAX_ATOMS = 34
+from .worlds import FORCED_MAX_ATOMS, DomainSpec, DomainTooLargeError
 
 
 def _load_mln(path: str):
@@ -42,16 +40,10 @@ def _load_db(path: str, signature):
         return parse_db(fh.read(), signature)
 
 
-def _spec_for(model, n: int | None, split_at: int = 0) -> DomainSpec:
-    sizes = dict(model.signature.types)
-    if n is not None:
-        if len(sizes) != 1:
-            raise ValueError("--n requires a single-type signature; edit the model file instead")
-        sizes = {next(iter(sizes)): n}
-    tau = next(iter(sizes))
-    if split_at:
-        return DomainSpec(sizes, split_type=tau, split_at=split_at)
-    return DomainSpec(sizes)
+def _spec_for(model, n: int) -> DomainSpec:
+    if len(model.signature.types) != 1:
+        raise ValueError("--n requires a single-type signature; edit the model file instead")
+    return DomainSpec({model.signature.types[0][0]: n})
 
 
 def cmd_verify(args) -> int:
@@ -163,9 +155,16 @@ def cmd_experiment(args) -> int:
     return 0
 
 
+def _max_atoms(text: str) -> int:
+    value = int(text)
+    if value > FORCED_MAX_ATOMS:
+        raise argparse.ArgumentTypeError(f"{value} exceeds the hard cap of {FORCED_MAX_ATOMS}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--force-guard", action="store_true", help="raise the enumeration guard")
-    p.add_argument("--max-atoms", type=int, default=DEFAULT_MAX_ATOMS, dest="max_atoms")
+    p.add_argument("--max-atoms", type=_max_atoms, default=DEFAULT_MAX_ATOMS, dest="max_atoms")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -240,7 +239,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except DomainTooLargeError as exc:
-        print(f"error: {exc} (use --force-guard to override)", file=sys.stderr)
+        hint = "" if getattr(args, "force_guard", False) else " (use --force-guard to override)"
+        print(f"error: {exc}{hint}", file=sys.stderr)
         return 2
     except (MlnParseError, DbParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -235,11 +235,9 @@ def serialize_db(db: Database) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def domain_spec_for(db: Database, split_type: str | None = None, split_at: int = 0) -> DomainSpec:
+def domain_spec_for(db: Database) -> DomainSpec:
     """Domain spec sized to the database's registered constants."""
-    return DomainSpec(
-        {t: len(cs) for t, cs in db.constants.items()}, split_type=split_type, split_at=split_at
-    )
+    return DomainSpec({t: len(cs) for t, cs in db.constants.items()})
 
 
 def db_to_world(db: Database, spec: DomainSpec, index: AtomIndex | None = None) -> World:

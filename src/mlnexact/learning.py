@@ -21,11 +21,9 @@ from typing import Sequence
 
 import numpy as np
 
-from . import bounds as _bounds
 from .logic import Formula, MlnModel, normalize_distinct
 from .model import (
     DEFAULT_MAX_ATOMS,
-    _guard,
     _logsumexp,
     _table,
     apply_da_scaling,
@@ -33,7 +31,7 @@ from .model import (
     log_partition,
     log_weight,
 )
-from .worlds import AtomIndex, DomainSpec, World
+from .worlds import AtomIndex, DomainSpec, World, _guard
 
 LEARN_MAX_ATOMS = 20
 GRID_DEFAULT = tuple(float(x) for x in np.logspace(-2.0, 2.0, 9))
@@ -48,7 +46,6 @@ class LearnConfig:
     da: bool = False  # divide weights by train-size scale factors inside the objective
     max_iter: int = 500
     tol: float = 1e-6  # convergence threshold on the (composite) gradient inf-norm
-    init_step: float = 1.0
     tie_split_weights: bool = False  # one parameter per pre-normalization clause
     max_atoms: int = LEARN_MAX_ATOMS
 
@@ -76,7 +73,6 @@ class LearnResult:
     iterations: int
     trace: tuple[IterStats, ...]
     objective: float  # final penalized negative log-likelihood
-    log_spread: float | None  # at the reference (n, m), when requested and computable
 
 
 @dataclass(frozen=True)
@@ -135,13 +131,11 @@ def _nll_grad_hessian(
     return value, expected - data_counts, hessian
 
 
-def gradient(
-    model: MlnModel, spec: DomainSpec, data: World, *, max_atoms: int = LEARN_MAX_ATOMS
-) -> np.ndarray:
+def gradient(model: MlnModel, spec: DomainSpec, data: World) -> np.ndarray:
     """Log-likelihood gradient: observed minus expected true-grounding counts."""
     model = normalize_distinct(model)
     index = _validate_data(model, spec, data)
-    counts = _counts_for(model, index, max_atoms)
+    counts = _counts_for(model, index, LEARN_MAX_ATOMS)
     _, grad, _ = _nll_grad_hessian(counts, counts[data.bits], np.array(model.weights()))
     return -grad
 
@@ -156,8 +150,6 @@ def learn(
     spec: DomainSpec,
     data: World,
     config: LearnConfig = LearnConfig(),
-    *,
-    reference_nm: tuple[int, int] | None = None,
 ) -> LearnResult:
     """Maximize exact data log-likelihood minus the configured penalty.
 
@@ -265,7 +257,7 @@ def learn(
             direction = -pg
             descent = -float(pg @ pg)
 
-        alpha = config.init_step
+        alpha = 1.0
         stalled = False
         orthant = np.sign(np.where(theta == 0.0, -pg, theta))
         while True:
@@ -294,21 +286,13 @@ def learn(
         converged = stats.grad_norm <= config.tol
 
     clause_weights = tie @ theta
-    learned = model.with_weights(clause_weights)
-    spread = None
-    if reference_nm is not None:
-        try:
-            spread = _bounds.log_spread(learned, *reference_nm)
-        except ValueError:
-            spread = None
     return LearnResult(
         weights=clause_weights,
-        model=learned,
+        model=model.with_weights(clause_weights),
         converged=converged,
         iterations=iterations,
         trace=tuple(trace),
         objective=trace[-1].neg_log_likelihood + trace[-1].penalty,
-        log_spread=spread,
     )
 
 

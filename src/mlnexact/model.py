@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import copy
 import math
-import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
@@ -59,8 +58,8 @@ from .logic import (
 from .worlds import (
     AtomIndex,
     DomainSpec,
-    DomainTooLargeError,
     World,
+    _guard,
     cross_tuples,
     ordered_tuples,
     restriction_positions,
@@ -70,13 +69,6 @@ from .worlds import (
 DEFAULT_MAX_ATOMS = 28
 DEFAULT_DENSE_MAX_ATOMS = 24
 DEFAULT_CHUNK = 1 << 18
-
-
-def _guard(n_atoms: int, max_atoms: int) -> None:
-    if n_atoms > max_atoms:
-        raise DomainTooLargeError(
-            f"{n_atoms} ground atoms exceed the enumeration guard of {max_atoms}"
-        )
 
 
 def _logsumexp(log_values: np.ndarray) -> float:
@@ -418,18 +410,9 @@ def log_partition(
     *,
     index: AtomIndex | None = None,
     max_atoms: int = DEFAULT_MAX_ATOMS,
-    chunk: int = DEFAULT_CHUNK,
 ) -> float:
     """Log of the normalization constant: logsumexp(U @ w + log mult) over the
-    cached count histogram.
-
-    ``chunk`` is deprecated and ignored: the histogram pass always uses
-    ``DEFAULT_CHUNK``, and passing another value warns.
-    """
-    if chunk != DEFAULT_CHUNK:
-        warnings.warn(
-            "log_partition's chunk is deprecated and ignored", DeprecationWarning, stacklevel=2
-        )
+    cached count histogram."""
     if index is None:
         if spec is None:
             raise ValueError("provide a domain spec or an atom index")
@@ -438,16 +421,11 @@ def log_partition(
     return _logsumexp(hist.counts @ np.array(model.weights(), dtype=np.float64) + hist.log_mult)
 
 
-def log_probability(
-    model: MlnModel,
-    world: World,
-    *,
-    max_atoms: int = DEFAULT_MAX_ATOMS,
-) -> float:
+def log_probability(model: MlnModel, world: World) -> float:
     """Exact log probability of one world, which must be over the model's signature."""
     if world.index.signature != model.signature:
         raise ValueError("world is not over the model's signature")
-    return log_weight(model, world) - log_partition(model, index=world.index, max_atoms=max_atoms)
+    return log_weight(model, world) - log_partition(model, index=world.index)
 
 
 def _fold_front_buckets(acc: np.ndarray, start: int, lw: np.ndarray) -> None:
@@ -466,12 +444,7 @@ def _fold_front_buckets(acc: np.ndarray, start: int, lw: np.ndarray) -> None:
     np.logaddexp(acc[at : at + width], chunk_logs, out=acc[at : at + width])
 
 
-def marginal_log_probs(
-    model: MlnModel,
-    spec: DomainSpec,
-    *,
-    max_atoms: int = DEFAULT_MAX_ATOMS,
-) -> tuple[AtomIndex, np.ndarray]:
+def marginal_log_probs(model: MlnModel, spec: DomainSpec) -> tuple[AtomIndex, np.ndarray]:
     """Log marginal probability of every front-half world under the split spec.
 
     One pass over the full enumeration, with the front-half atoms in the low
@@ -480,7 +453,7 @@ def marginal_log_probs(
     front-half world with bit vector ``b``.
     """
     index = AtomIndex(model.signature, spec)
-    _guard(index.n_atoms, max_atoms)
+    _guard(index.n_atoms, DEFAULT_MAX_ATOMS)
     front, _ = split_subsets(spec)
     sub_index, positions = restriction_positions(index, front)
     _guard(sub_index.n_atoms, DEFAULT_DENSE_MAX_ATOMS)
@@ -492,15 +465,9 @@ def marginal_log_probs(
     return sub_index, bucket_logs - _logsumexp(bucket_logs)
 
 
-def log_marginal(
-    model: MlnModel,
-    spec: DomainSpec,
-    sub_world: World,
-    *,
-    max_atoms: int = DEFAULT_MAX_ATOMS,
-) -> float:
+def log_marginal(model: MlnModel, spec: DomainSpec, sub_world: World) -> float:
     """Log marginal probability of one front-half world (computes the full vector)."""
-    sub_index, logs = marginal_log_probs(model, spec, max_atoms=max_atoms)
+    sub_index, logs = marginal_log_probs(model, spec)
     if sub_world.index != sub_index:
         raise ValueError("sub-world is not over the front half of the split spec")
     return float(logs[sub_world.bits])
@@ -519,20 +486,14 @@ def _single_type(model: MlnModel) -> str:
     return model.signature.types[0][0]
 
 
-def max_tuple_factorization_error(
-    model: MlnModel,
-    n: int,
-    *,
-    max_atoms: int = DEFAULT_DENSE_MAX_ATOMS,
-) -> float:
+def max_tuple_factorization_error(model: MlnModel, n: int) -> float:
     """Worst absolute gap between each world's log weight and the sum of the
     per-tuple arity-k log weights of its restrictions, over all worlds at size n."""
     tau = _single_type(model)
     if not model.normalized:
         raise ValueError("factorization identities require a normalized model")
     index = AtomIndex(model.signature, DomainSpec({tau: n}))
-    _guard(index.n_atoms, max_atoms)
-    full = dense_log_weights(model, index, max_atoms=max_atoms)
+    full = dense_log_weights(model, index)
     total = np.zeros_like(full)
     for k, clauses in arity_partition(model).items():
         sub_model = replace(model, clauses=tuple(clauses))
@@ -546,13 +507,7 @@ def max_tuple_factorization_error(
     return float(np.abs(full - total).max())
 
 
-def max_split_factorization_error(
-    model: MlnModel,
-    n: int,
-    m: int,
-    *,
-    max_atoms: int = DEFAULT_MAX_ATOMS,
-) -> float:
+def max_split_factorization_error(model: MlnModel, n: int, m: int) -> float:
     """Worst absolute gap, over all worlds at size n+m, between the full log
     weight and front-half + back-half + straddling-tuple contributions."""
     tau = _single_type(model)
@@ -560,7 +515,7 @@ def max_split_factorization_error(
         raise ValueError("factorization identities require a normalized model")
     spec = DomainSpec({tau: n + m}, split_type=tau, split_at=n)
     index = AtomIndex(model.signature, spec)
-    _guard(index.n_atoms, max_atoms)
+    _guard(index.n_atoms, DEFAULT_MAX_ATOMS)
     front, back = split_subsets(spec)
     sub_n, pos_n = restriction_positions(index, front)
     sub_m, pos_m = restriction_positions(index, back)

@@ -18,11 +18,18 @@ import numpy as np
 
 from .logic import Signature
 
-ENUMERATION_MAX_ATOMS = 34
+FORCED_MAX_ATOMS = 34  # the hard cap: --force-guard and --max-atoms go no higher
 
 
 class DomainTooLargeError(RuntimeError):
     """The ground-atom count exceeds the enumeration guard."""
+
+
+def _guard(n_atoms: int, max_atoms: int) -> None:
+    if n_atoms > max_atoms:
+        raise DomainTooLargeError(
+            f"{n_atoms} ground atoms exceed the enumeration guard of {max_atoms}"
+        )
 
 
 class DomainSpec:
@@ -162,12 +169,9 @@ class World:
         return cls(index, bits)
 
 
-def enumerate_worlds(index: AtomIndex, max_atoms: int = ENUMERATION_MAX_ATOMS) -> Iterator[World]:
+def enumerate_worlds(index: AtomIndex) -> Iterator[World]:
     """Yield all 2^G worlds in increasing bit-vector order."""
-    if index.n_atoms > max_atoms:
-        raise DomainTooLargeError(
-            f"{index.n_atoms} ground atoms exceed the enumeration guard of {max_atoms}"
-        )
+    _guard(index.n_atoms, FORCED_MAX_ATOMS)
     for bits in range(1 << index.n_atoms):
         yield World(index, bits)
 

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from mlnexact.cli import main
+from mlnexact.cli import build_parser, main
 from mlnexact.experiment import ExperimentConfig
 from mlnexact.logic import normalize_distinct, parse_mln
 
@@ -52,6 +52,32 @@ class TestVerify:
 
     def test_missing_file_exits_two(self, capsys):
         assert main(["verify", "--mln", "no_such.mln", "--n", "2", "--m", "1"]) == 2
+
+    def test_max_atoms_above_the_hard_cap_exits_two(self, unary_path, capsys):
+        argv = ["verify", "--mln", unary_path, "--n", "2", "--m", "1", "--max-atoms", "60"]
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "hard cap of 34" in capsys.readouterr().err
+        assert build_parser().parse_args(argv[:-1] + ["34"]).max_atoms == 34
+
+    def test_forced_guard_error_drops_the_override_hint(self, tmp_path, capsys):
+        # G=30 passes the forced pass guard; the 25-atom front half exceeds the
+        # fixed 2^24 dense-vector limit, which --force-guard does not lift.
+        preds = "ABCDE"
+        path = tmp_path / "five.mln"
+        path.write_text(
+            "type p = 6\n"
+            + "".join(f"predicate {q}(p)\n" for q in preds)
+            + "".join(f"0.5 {q}(x)\n" for q in preds)
+        )
+        argv = ["verify", "--mln", str(path), "--n", "5", "--m", "1"]
+        assert main(argv + ["--force-guard"]) == 2
+        err = capsys.readouterr().err
+        assert "25 ground atoms exceed the enumeration guard of 24" in err
+        assert "--force-guard" not in err
+        assert main(argv) == 2
+        assert "use --force-guard to override" in capsys.readouterr().err
 
 
 class TestGenerate:

@@ -187,12 +187,6 @@ class TestLearn:
         untied = learn(model, spec, data, LearnConfig())
         assert abs(untied.weights[0] - untied.weights[1]) > 1e-3
 
-    def test_reference_spread_attached(self):
-        model = smokers_model()
-        spec, _, data = smokers_data(model)
-        result = learn(model, spec, data, LearnConfig(regularizer="l2", lam=1.0), reference_nm=(3, 1))
-        assert result.log_spread == pytest.approx(log_spread(result.model, 3, 1))
-
 
 class TestDomainAwareTraining:
     def test_da_learn_scales_objective(self):

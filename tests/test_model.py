@@ -410,12 +410,6 @@ class TestCountHistogram:
         log_z = log_partition(model, index=index)
         assert abs(log_z - _logsumexp(plain_log_weights(model, index))) <= 1e-9
 
-    def test_chunk_is_deprecated_and_ignored(self):
-        model = model_from("type p = 3\npredicate R(p,p)\n0.8 R(x,y) => R(y,x)")
-        log_z = log_partition(model, DomainSpec({"p": 3}))
-        with pytest.warns(DeprecationWarning, match="chunk"):
-            assert log_partition(model, DomainSpec({"p": 3}), chunk=7) == log_z
-
     def test_smokers_n3_collapses(self):
         model = normalize_distinct(parse_mln(FRIENDS_SMOKERS_MLN))
         hist = count_histogram(model, index_for(model, 3))

@@ -63,7 +63,7 @@ class TestEnumeration:
 
     def test_guard(self):
         with pytest.raises(DomainTooLargeError):
-            list(enumerate_worlds(single_pred_index(2, 3), max_atoms=8))
+            list(enumerate_worlds(single_pred_index(2, 6)))
 
     def test_atom_order_lexicographic(self, graph_index):
         atoms = graph_index.atoms
