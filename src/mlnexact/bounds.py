@@ -15,14 +15,14 @@ the *log spread*), and verifies by full enumeration that:
 - the negative log likelihood transfers across sizes with at most ``log_spread``
   slack (``loglik_bound``).
 
-``verify_all`` runs all five checks, plus the KL divergence itself, on one
-exhaustive pass over the (n+m)-worlds. The pass runs on a relaid copy of the
-grounding table: front-half atoms in the low F bits, back-half atoms in the
-next B bits, straddling atoms above. A world's two restriction codes are then
-the bit fields ``world & (2^F - 1)`` and ``(world >> F) & (2^B - 1)``; the
-front marginal folds through the same bucket accumulator as
-``model.marginal_log_probs``, log Z is the logsumexp of its buckets, and the
-sandwich witnesses are reported in ``AtomIndex`` order.
+``verify_all`` builds all five records, plus the KL divergence itself, in
+place from one exhaustive pass over the (n+m)-worlds, ``_split_context``. The
+pass runs on a relaid copy of the grounding table: front-half atoms in the low
+F bits, back-half atoms in the next B bits, straddling atoms above, so a
+world's two restriction codes are the bit fields ``world & (2^F - 1)`` and
+``(world >> F) & (2^B - 1)``. It folds the front marginal through the same
+bucket accumulator as ``model.marginal_log_probs`` and keeps the two
+weight-sandwich minima, with witnesses in ``AtomIndex`` order.
 """
 
 from __future__ import annotations
@@ -57,10 +57,6 @@ from .worlds import (
 
 DEFAULT_TOL = 1e-9
 EXTREMAL_MAX_ATOMS = 27
-
-
-def _normalized(model: MlnModel) -> MlnModel:
-    return model if model.normalized else normalize_distinct(model)
 
 
 @dataclass(frozen=True)
@@ -118,19 +114,6 @@ class BoundsReport:
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def to_rows(self) -> list[dict]:
-        return [
-            {
-                "check": c.name,
-                "n": c.n,
-                "m": c.m,
-                "log_spread": c.log_spread,
-                "worst_slack": c.worst_slack,
-                "pass": c.passed,
-            }
-            for c in self.checks
-        ]
-
     def to_text(self) -> str:
         lines = [f"bound report for n={self.n}, m={self.m}"]
         for e in self.cross.per_arity:
@@ -163,7 +146,7 @@ def extremal_k_weights(model: MlnModel, k: int) -> KWeightExtrema:
     Exchangeability makes one canonical tuple sufficient. Models with no
     arity-k clauses have constant weight 1 (log 0).
     """
-    model = _normalized(model)
+    model = normalize_distinct(model)
     tau = _single_type(model)
     clauses = tuple(arity_partition(model).get(k, ()))
     if not clauses:
@@ -178,7 +161,7 @@ def extremal_k_weights(model: MlnModel, k: int) -> KWeightExtrema:
 
 def cross_weight_bounds(model: MlnModel, n: int, m: int) -> CrossBounds:
     """Log products of per-arity weight extrema over tuples straddling the n|m split."""
-    model = _normalized(model)
+    model = normalize_distinct(model)
     d = model.max_arity
     per_arity = tuple(extremal_k_weights(model, k) for k in range(1, d + 1))
     exponents = tuple(comb(n + m, k) - comb(n, k) - comb(m, k) for k in range(1, d + 1))
@@ -193,33 +176,14 @@ def log_spread(model: MlnModel, n: int, m: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Shared exhaustive pass
+# The exhaustive pass and the checks
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _SplitContext:
-    n: int
-    m: int
-    index: AtomIndex
-    cross: CrossBounds
-    lw_n: np.ndarray
-    log_z_nm: float
-    log_z_n: float
-    log_z_m: float
-    marginal_logs: np.ndarray
-    sandwich_upper: float
-    sandwich_lower: float
-    upper_witness: int
-    lower_witness: int
-
-
-def _split_context(
-    model: MlnModel, n: int, m: int, *, max_atoms: int = DEFAULT_MAX_ATOMS
-) -> _SplitContext:
-    """One exhaustive pass over all (n+m)-worlds, in the relaid bit layout the
-    module docstring describes, collecting everything the checks need."""
-    model = _normalized(model)
+def _split_context(model: MlnModel, n: int, m: int, *, max_atoms: int = DEFAULT_MAX_ATOMS):
+    """The one pass over all (n+m)-worlds: ``(index, cross, lw_n, lw_m,
+    bucket_logs, upper, lower, upper_witness, lower_witness)``."""
+    model = normalize_distinct(model)
     tau = _single_type(model)
     spec = DomainSpec({tau: n + m}, split_type=tau, split_at=n)
     index = AtomIndex(model.signature, spec)
@@ -256,109 +220,17 @@ def _split_context(
             lo_worst = float(lo[i])
             lo_witness = int(worlds[i])
         del lw, base, up, lo  # freed before the next block is counted
-    log_z_nm = _logsumexp(bucket_logs)
 
     def _index_bits(relaid_bits: int) -> int:
         return sum(1 << int(p) for j, p in enumerate(order) if relaid_bits >> j & 1)
 
-    return _SplitContext(
-        n=n,
-        m=m,
-        index=index,
-        cross=cross,
-        lw_n=lw_n,
-        log_z_nm=log_z_nm,
-        log_z_n=_logsumexp(lw_n),
-        log_z_m=_logsumexp(lw_m),
-        marginal_logs=bucket_logs - log_z_nm,
-        sandwich_upper=up_worst,
-        sandwich_lower=lo_worst,
-        upper_witness=_index_bits(up_witness),
-        lower_witness=_index_bits(lo_witness),
-    )
-
-
-def _record(name: str, ctx: _SplitContext, worst: float, tol: float, **details) -> CheckRecord:
-    return CheckRecord(
-        name=name,
-        n=ctx.n,
-        m=ctx.m,
-        log_spread=ctx.cross.log_spread,
-        worst_slack=worst,
-        passed=worst >= -tol,
-        details=details,
-    )
-
-
-def _weight_sandwich(ctx: _SplitContext, tol: float) -> CheckRecord:
-    worst = min(ctx.sandwich_upper, ctx.sandwich_lower)
-    return _record(
-        "weight_sandwich",
-        ctx,
-        worst,
-        tol,
-        upper_slack=ctx.sandwich_upper,
-        lower_slack=ctx.sandwich_lower,
-        upper_witness=ctx.upper_witness,
-        lower_witness=ctx.lower_witness,
-    )
-
-
-def _partition_sandwich(ctx: _SplitContext, tol: float) -> CheckRecord:
-    log_c = cross_atom_count(ctx.index) * math.log(2.0)
-    base = ctx.log_z_n + ctx.log_z_m + log_c
-    upper = base + ctx.cross.log_m_max - ctx.log_z_nm
-    lower = ctx.log_z_nm - base - ctx.cross.log_m_min
-    return _record(
-        "partition_sandwich", ctx, min(upper, lower), tol, upper_slack=upper, lower_slack=lower
-    )
-
-
-def _marginal_ratio(ctx: _SplitContext, tol: float) -> CheckRecord:
-    direct = ctx.lw_n - ctx.log_z_n
-    ratio = ctx.marginal_logs - direct
-    upper = float((ctx.cross.log_spread - ratio).min())
-    lower = float((ctx.cross.log_spread + ratio).min())
-    return _record(
-        "marginal_ratio",
-        ctx,
-        min(upper, lower),
-        tol,
-        upper_slack=upper,
-        lower_slack=lower,
-        max_abs_log_ratio=float(np.abs(ratio).max()),
-    )
-
-
-def _kl(ctx: _SplitContext) -> float:
-    direct = ctx.lw_n - ctx.log_z_n
-    kl = float(np.exp(ctx.marginal_logs) @ (ctx.marginal_logs - direct))
-    if -1e-12 < kl < 0.0:
-        return 0.0
-    return kl
-
-
-def _kl_bound(ctx: _SplitContext, kl: float, tol: float) -> CheckRecord:
-    return _record("kl_bound", ctx, ctx.cross.log_spread - kl, tol, kl=kl)
-
-
-def _loglik_bound(ctx: _SplitContext, kl: float, tol: float) -> CheckRecord:
-    # Transfer bound per world: -log marginal <= -log direct + log spread,
-    # and the KL-penalized variant collapses to kl <= log spread.
-    direct = ctx.lw_n - ctx.log_z_n
-    per_world = float((ctx.marginal_logs - direct + ctx.cross.log_spread).min())
-    worst = min(per_world, ctx.cross.log_spread - kl)
-    return _record("loglik_bound", ctx, worst, tol, per_world_slack=per_world)
-
-
-# ---------------------------------------------------------------------------
-# Public checks
-# ---------------------------------------------------------------------------
+    witnesses = _index_bits(up_witness), _index_bits(lo_witness)
+    return index, cross, lw_n, lw_m, bucket_logs, up_worst, lo_worst, *witnesses
 
 
 def weight_sandwich_slacks(model: MlnModel, n: int, m: int, world: World) -> tuple[float, float]:
     """(upper, lower) sandwich slack for one world over the split domain."""
-    model = _normalized(model)
+    model = normalize_distinct(model)
     tau = _single_type(model)
     spec = DomainSpec({tau: n + m}, split_type=tau, split_at=n)
     if world.index != AtomIndex(model.signature, spec):
@@ -379,20 +251,57 @@ def verify_all(
     max_atoms: int = DEFAULT_MAX_ATOMS,
 ) -> BoundsReport:
     """Run every bound check on one shared enumeration pass."""
-    ctx = _split_context(model, n, m, max_atoms=max_atoms)
-    kl = _kl(ctx)
-    checks = (
-        _weight_sandwich(ctx, tol),
-        _partition_sandwich(ctx, tol),
-        _marginal_ratio(ctx, tol),
-        _kl_bound(ctx, kl, tol),
-        _loglik_bound(ctx, kl, tol),
+    index, cross, lw_n, lw_m, bucket_logs, w_up, w_lo, up_witness, lo_witness = _split_context(
+        model, n, m, max_atoms=max_atoms
     )
-    return BoundsReport(
-        n=n,
-        m=m,
-        cross=ctx.cross,
-        log2_extensions=cross_atom_count(ctx.index),
-        checks=checks,
-        kl=kl,
+    spread = cross.log_spread
+
+    def check(name: str, worst: float, **details) -> CheckRecord:
+        return CheckRecord(name, n, m, spread, worst, worst >= -tol, details)
+
+    # M_min * W_n * W_m <= W_{n+m} <= M_max * W_n * W_m for every world.
+    weight = check(
+        "weight_sandwich",
+        min(w_up, w_lo),
+        upper_slack=w_up,
+        lower_slack=w_lo,
+        upper_witness=up_witness,
+        lower_witness=lo_witness,
     )
+
+    # The same sandwich summed over worlds; the 2^C straddling-atom
+    # assignments extend each (front, back) pair.
+    extensions = cross_atom_count(index)
+    log_z_nm = _logsumexp(bucket_logs)
+    log_z_n = _logsumexp(lw_n)
+    base = log_z_n + _logsumexp(lw_m) + extensions * math.log(2.0)
+    z_up = base + cross.log_m_max - log_z_nm
+    z_lo = log_z_nm - base - cross.log_m_min
+    partition = check("partition_sandwich", min(z_up, z_lo), upper_slack=z_up, lower_slack=z_lo)
+
+    # |log marginal - log direct| <= log spread for every front-half world.
+    marginal = bucket_logs - log_z_nm
+    ratio = marginal - (lw_n - log_z_n)
+    r_up = float((spread - ratio).min())
+    r_lo = float((spread + ratio).min())
+    marginal_ratio = check(
+        "marginal_ratio",
+        min(r_up, r_lo),
+        upper_slack=r_up,
+        lower_slack=r_lo,
+        max_abs_log_ratio=float(np.abs(ratio).max()),
+    )
+
+    # KL(marginal || direct) <= log spread.
+    kl = float(np.exp(marginal) @ ratio)
+    if -1e-12 < kl < 0.0:
+        kl = 0.0
+    kl_bound = check("kl_bound", spread - kl, kl=kl)
+
+    # Transfer bound per world: -log marginal <= -log direct + log spread (the
+    # marginal ratio's lower slack), and the KL-penalized variant collapses to
+    # kl <= log spread.
+    loglik = check("loglik_bound", min(r_lo, spread - kl), per_world_slack=r_lo)
+
+    checks = (weight, partition, marginal_ratio, kl_bound, loglik)
+    return BoundsReport(n, m, cross, log2_extensions=extensions, checks=checks, kl=kl)

@@ -54,9 +54,8 @@ def cmd_verify(args) -> int:
     if args.out:
         lines = ["check,n,m,log_spread,worst_slack,pass"]
         lines += [
-            f"{r['check']},{r['n']},{r['m']},{r['log_spread']:.17g},"
-            f"{r['worst_slack']:.17g},{str(r['pass']).lower()}"
-            for r in report.to_rows()
+            f"{c.name},{c.n},{c.m},{c.log_spread:.17g},{c.worst_slack:.17g},{str(c.passed).lower()}"
+            for c in report.checks
         ]
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -75,7 +74,7 @@ def cmd_learn(args) -> int:
         max_iter=args.max_iter,
         tol=args.tol,
         tie_split_weights=args.tie_split_weights,
-        max_atoms=FORCED_MAX_ATOMS if args.force_guard else min(args.max_atoms, LEARN_MAX_ATOMS),
+        max_atoms=FORCED_MAX_ATOMS if args.force_guard else args.max_atoms,
     )
     result = learn(model, spec, data, config)
     print(f"converged: {result.converged} after {result.iterations} iterations")
@@ -196,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tie-split-weights", action="store_true", dest="tie_split_weights")
     p.add_argument("--out", help="write the learned model here")
     _add_common(p)
-    p.set_defaults(func=cmd_learn)
+    p.set_defaults(func=cmd_learn, max_atoms=LEARN_MAX_ATOMS)
 
     p = sub.add_parser("eval", help="log-likelihood of a database under a model")
     p.add_argument("--mln", required=True)

@@ -17,7 +17,8 @@ Groundings whose atoms all lie in the low bits are counted once, on the first
 block, by the counts kernel; a grounding that reaches the high bits keeps the
 low part of its truth-table code, and each block ORs in its high part and
 looks the code up. The plain per-block kernel (``counts_matrix``,
-``log_weights``, ``counts_world``) serves single worlds and the tests.
+``log_weights``, ``counts_world``) serves single worlds and the tests; a
+single world's bit columns come from its integer, so it may exceed 64 atoms.
 
 The partition function has one path: a world's weight depends on it only
 through its count vector, so one enumeration per (clause structure, atom
@@ -191,13 +192,17 @@ def _count_dtype(total: int) -> np.dtype:
     return np.dtype(np.int32)
 
 
-def _count_kernel(entries: Sequence[_GroundedFormula], worlds: np.ndarray) -> np.ndarray:
-    """(n_worlds, n_entries) int32 true-grounding counts: the one counts kernel."""
+def _count_kernel(entries: Sequence[_GroundedFormula], worlds: np.ndarray | int) -> np.ndarray:
+    """(n_worlds, n_entries) int32 true-grounding counts: the one counts kernel.
+    ``worlds`` is a uint64 block, or one world as an integer of any width."""
     used = sorted({int(p) for e in entries for g in e.groups for p in g.cols.flat})
-    bits = _bit_columns(worlds, used)
-    out = np.empty((worlds.shape[0], len(entries)), dtype=np.int32)
+    if isinstance(worlds, np.ndarray):
+        n_worlds, bits = worlds.shape[0], _bit_columns(worlds, used)
+    else:
+        n_worlds, bits = 1, {p: np.array([int(worlds) >> p & 1], dtype=np.uint8) for p in used}
+    out = np.empty((n_worlds, len(entries)), dtype=np.int32)
     for ci, entry in enumerate(entries):
-        acc = np.full(worlds.shape[0], entry.const_count, dtype=np.int32)
+        acc = np.full(n_worlds, entry.const_count, dtype=np.int32)
         for g in entry.groups:
             for row in g.cols:
                 acc += np.take(g.table, _row_code(bits, row))
@@ -214,7 +219,7 @@ class GroundingTable:
 
     def counts_world(self, world: World) -> np.ndarray:
         """True-grounding count of every clause in a single world."""
-        return _count_kernel(self.entries, np.array([world.bits], dtype=np.uint64))[0]
+        return _count_kernel(self.entries, world.bits)[0]
 
     def counts_matrix(self, worlds: np.ndarray) -> np.ndarray:
         """(n_worlds, n_clauses) true-grounding counts, vectorized over worlds."""
@@ -299,7 +304,7 @@ def count_true_groundings(clause: Clause, world: World) -> int:
     distinct-constants form are counted over injective assignments only.
     """
     entry = _grounded_formula(clause.formula, world.index)
-    return int(_count_kernel([entry], np.array([world.bits], dtype=np.uint64))[0, 0])
+    return int(_count_kernel([entry], world.bits)[0, 0])
 
 
 def log_weight(model: MlnModel, world: World) -> float:
@@ -496,10 +501,12 @@ def max_tuple_factorization_error(model: MlnModel, n: int) -> float:
     full = dense_log_weights(model, index)
     total = np.zeros_like(full)
     for k, clauses in arity_partition(model).items():
-        sub_model = replace(model, clauses=tuple(clauses))
-        for c in ordered_tuples(n, k):
-            sub_index, positions = restriction_positions(index, {tau: c})
-            lw_k = dense_log_weights(sub_model, sub_index)
+        tuples = ordered_tuples(n, k)
+        if tuples:  # every k-tuple restricts to the same k-constant sub-index
+            sub_index = AtomIndex(model.signature, DomainSpec({tau: k}))
+            lw_k = dense_log_weights(replace(model, clauses=tuple(clauses)), sub_index)
+        for c in tuples:
+            _, positions = restriction_positions(index, {tau: c})
             for worlds in world_chunks(index.n_atoms):
                 start = int(worlds[0])
                 codes = bit_codes(worlds, positions)
@@ -523,10 +530,11 @@ def max_split_factorization_error(model: MlnModel, n: int, m: int) -> float:
     lw_m = dense_log_weights(model, sub_m)
     cross: list[tuple[np.ndarray, np.ndarray]] = []
     for k, clauses in arity_partition(model).items():
-        sub_model = replace(model, clauses=tuple(clauses))
-        for c in cross_tuples(n, m, k):
-            sub_c, pos_c = restriction_positions(index, {tau: c})
-            cross.append((pos_c, dense_log_weights(sub_model, sub_c)))
+        tuples = cross_tuples(n, m, k)
+        if tuples:  # every k-tuple restricts to the same k-constant sub-index
+            sub_index = AtomIndex(model.signature, DomainSpec({tau: k}))
+            lw_k = dense_log_weights(replace(model, clauses=tuple(clauses)), sub_index)
+        cross += [(restriction_positions(index, {tau: c})[1], lw_k) for c in tuples]
     weights = np.asarray(model.weights(), dtype=np.float64)
     worst = 0.0
     for worlds, counts in _table(model.formulas(), index).chunk_counts():

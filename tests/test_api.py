@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import types
+from pathlib import Path
 
 import mlnexact
 from mlnexact.experiment import ExperimentConfig
@@ -218,3 +219,17 @@ def test_config_and_result_fields_are_pinned():
     assert {
         name: tuple(f.name for f in dataclasses.fields(cls)) for name, cls in classes.items()
     } == FIELDS
+
+
+def test_readme_library_block_runs(tmp_path, monkeypatch, capsys):
+    """README's Library example, run verbatim against the built-in smokers model."""
+    from mlnexact.datagen import FRIENDS_SMOKERS_MLN
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "model.mln").write_text(FRIENDS_SMOKERS_MLN, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    out = capsys.readouterr().out
+    assert "ALL CHECKS PASS" in out
+    assert out.rstrip().endswith("True")

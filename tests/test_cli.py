@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from mlnexact.bounds import verify_all
 from mlnexact.cli import build_parser, main
 from mlnexact.experiment import ExperimentConfig
 from mlnexact.logic import normalize_distinct, parse_mln
@@ -42,13 +43,29 @@ class TestVerify:
         assert main(["verify", "--mln", big.as_posix(), "--n", "3", "--m", "3"]) == 2
         assert "guard" in capsys.readouterr().err
 
-    def test_rows_written(self, unary_path, tmp_path):
+    def test_rows_written(self, unary_path, triangle_path, tmp_path):
         out = tmp_path / "checks.csv"
         main(["verify", "--mln", unary_path, "--n", "2", "--m", "1", "--out", str(out)])
         lines = out.read_text().splitlines()
         assert lines[0] == "check,n,m,log_spread,worst_slack,pass"
         assert len(lines) == 6
         assert all(line.endswith("true") for line in lines[1:])
+        # Every cell is the matching CheckRecord field; the triangle's spread is
+        # not zero, so its floats exercise the full .17g formatting.
+        for text, path, n, m in ((UNARY_MLN, unary_path, 2, 1), (TRIANGLE_MLN, triangle_path, 2, 2)):
+            main(["verify", "--mln", path, "--n", str(n), "--m", str(m), "--out", str(out)])
+            checks = verify_all(normalize_distinct(parse_mln(text)), n, m).checks
+            assert [line.split(",") for line in out.read_text().splitlines()[1:]] == [
+                [
+                    c.name,
+                    str(c.n),
+                    str(c.m),
+                    f"{c.log_spread:.17g}",
+                    f"{c.worst_slack:.17g}",
+                    str(c.passed).lower(),
+                ]
+                for c in checks
+            ]
 
     def test_missing_file_exits_two(self, capsys):
         assert main(["verify", "--mln", "no_such.mln", "--n", "2", "--m", "1"]) == 2
@@ -163,6 +180,18 @@ class TestLearnEval:
         assert main(["eval", "--mln", str(learned), "--db", db, "--n", "3"]) == 0
         eval_out = capsys.readouterr().out
         assert "log-likelihood:" in eval_out
+
+    def test_learn_max_atoms_sets_the_guard(self, tmp_path, capsys):
+        # G=22 exceeds both guards, so each run fails before any learning.
+        mln = tmp_path / "wide.mln"
+        mln.write_text("type p = 22\npredicate S(p)\n0.5 S(x)\n")
+        db = tmp_path / "wide.db"
+        db.write_text("S(a)\n")
+        argv = ["learn", "--mln", str(mln), "--db", str(db), "--n", "22"]
+        assert main(argv + ["--max-atoms", "21"]) == 2
+        assert "guard of 21" in capsys.readouterr().err
+        assert main(argv) == 2
+        assert "guard of 20" in capsys.readouterr().err
 
     def test_eval_with_da_scaling(self, tmp_path, capsys):
         data_dir = tmp_path / "d"

@@ -112,6 +112,25 @@ class TestCounting:
                     clause, world
                 )
 
+    def test_unary_world_past_64_atoms(self):
+        model = model_from("type p = 70\npredicate S(p)\n0.5 S(x)")
+        index = index_for(model, 70)
+        world = World(index, (1 << 70) - 1 - (1 << 3))
+        assert count_true_groundings(model.clauses[0], world) == 69
+        assert _table(model.formulas(), index).counts_world(world).tolist() == [69]
+        assert log_weight(model, world) == 0.5 * 69
+
+    def test_friends_smokers_world_past_64_atoms(self):
+        # n=9: 9 + 9 + 81 = 99 ground atoms.
+        model = model_from(FRIENDS_SMOKERS_MLN).with_weights([0.5, -1.0, 0.25, 2.0, -0.75])
+        index = index_for(model, 9)
+        rng = np.random.default_rng(9)
+        world = World(index, int.from_bytes(rng.bytes(13), "little") >> 5)
+        direct = [count_groundings_direct(c, world) for c in model.clauses]
+        assert [count_true_groundings(c, world) for c in model.clauses] == direct
+        assert _table(model.formulas(), index).counts_world(world).tolist() == direct
+        assert log_weight(model, world) == pytest.approx(raw_log_weight(model, world), abs=1e-12)
+
     def test_grounding_total_is_falling_factorial(self):
         model = model_from("type p = 5\npredicate R(p,p)\n1.0 R(x,y)")
         for clause in model.clauses:
