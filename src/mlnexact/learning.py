@@ -1,10 +1,21 @@
 """Exact generative weight learning by enumeration.
 
-Likelihood, gradient, and Hessian come from a cached matrix of true-grounding
-counts over every world: the gradient is observed-minus-expected counts and
-the Hessian is their covariance, so full Newton steps cost one extra matrix
-product. Newton matters here: exact ML on tiny domains routinely saturates
-weights along exponentially flat valleys where first-order steps crawl.
+Likelihood, gradient, and Hessian come from the true-grounding counts of every
+world: the gradient is observed-minus-expected counts and the Hessian is their
+covariance, so full Newton steps cost one extra matrix product. Newton matters
+here: exact ML on tiny domains routinely saturates weights along exponentially
+flat valleys where first-order steps crawl.
+
+A world's weight depends on it only through its count vector, so each Newton
+step computes log weights and exponentiates once per distinct count vector
+(the count histogram), then gathers the weights to the 2^G worlds. Three
+reductions still run over all 2^G worlds, with the operand layouts they always
+had: the normalizer, the expected counts and the Hessian product. Their
+rounding depends on summation order; run over the histogram they would move
+learned weights in the last bits, which saturated directions amplify. The line
+search only accepts or rejects a step, with 1e-12 of slack, so its likelihood
+is a logsumexp over the histogram alone.
+
 Penalties apply only to clauses of arity above one; L1 uses orthant-wise
 pseudo-gradients with zero-clamping projection so penalized weights reach
 exact zeros. A halving Armijo line search keeps the objective monotone.
@@ -17,13 +28,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .logic import Formula, MlnModel, normalize_distinct
 from .model import (
     DEFAULT_MAX_ATOMS,
+    _distinct_rows,
     _logsumexp,
     _table,
     apply_da_scaling,
@@ -93,19 +105,43 @@ class SweepResult:
 # ---------------------------------------------------------------------------
 
 
-def _counts_for(model: MlnModel, index: AtomIndex, max_atoms: int) -> np.ndarray:
-    """(2^G, n_clauses) float64 true-grounding counts for every world, cached by structure."""
+@dataclass(frozen=True)
+class _Counts:
+    """True-grounding counts of every world, and the same counts as a histogram.
+
+    ``rows`` holds the distinct count vectors in count_histogram order, then
+    copies of the last one up to a multiple of four, whose ``log_mult`` is
+    -inf. With 8 or more clauses, OpenBLAS was measured to round the rows of
+    a product's last block differently when that block holds fewer than four
+    rows. The 2^G-row world matrix has no such block, so the padding makes
+    ``(rows @ theta)[inverse]`` equal ``worlds @ theta`` to the bit.
+    """
+
+    worlds: np.ndarray  # (2^G, k) float64, the count vector of every world
+    rows: np.ndarray  # (n_padded, k) float64
+    log_mult: np.ndarray  # (n_padded,) log of the worlds per row
+    inverse: np.ndarray  # (2^G,) the row of every world: rows[inverse] == worlds
+
+    def project(self, jac: np.ndarray) -> _Counts:
+        """The counts in parameter space, where the clause weights are jac @ theta."""
+        return replace(self, worlds=self.worlds @ jac, rows=self.rows @ jac)
+
+
+def _counts_for(model: MlnModel, index: AtomIndex, max_atoms: int) -> _Counts:
+    """The counts of every world over the index, cached by clause structure."""
     _guard(index.n_atoms, max_atoms)
     return _counts_cached(model.formulas(), index)
 
 
 @lru_cache(maxsize=8)
-def _counts_cached(formulas: tuple[Formula, ...], index: AtomIndex) -> np.ndarray:
-    out = np.empty((1 << index.n_atoms, len(formulas)))
-    for worlds, counts in _table(formulas, index).chunk_counts():
-        start = int(worlds[0])
-        out[start : start + worlds.shape[0]] = counts
-    return out
+def _counts_cached(formulas: tuple[Formula, ...], index: AtomIndex) -> _Counts:
+    counts = np.concatenate([c for _, c in _table(formulas, index).chunk_counts()])
+    rows, mult, inverse = _distinct_rows(counts)
+    n = rows.shape[0]
+    pad = np.minimum(np.arange(-(-n // 4) * 4), n - 1)
+    log_mult = np.log(mult[pad])
+    log_mult[n:] = -np.inf
+    return _Counts(counts.astype(np.float64), rows[pad].astype(np.float64), log_mult, inverse)
 
 
 def _validate_data(model: MlnModel, spec: DomainSpec, data: World) -> AtomIndex:
@@ -116,19 +152,34 @@ def _validate_data(model: MlnModel, spec: DomainSpec, data: World) -> AtomIndex:
 
 
 def _nll_grad_hessian(
-    counts: np.ndarray, data_counts: np.ndarray, theta: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Negative log-likelihood, its gradient, and its exact Hessian (the
-    covariance of the counts under the current distribution)."""
-    logw = counts @ theta
+    counts: _Counts, data_counts: np.ndarray, theta: np.ndarray, buf: np.ndarray | None = None
+) -> tuple[float, np.ndarray, Callable[[], np.ndarray]]:
+    """Negative log-likelihood, its gradient, and a call that returns its exact
+    Hessian (the covariance of the counts under the current distribution), so
+    a step that has converged does not pay for it.
+
+    World weights are exponentiated per histogram row and gathered to the
+    worlds; the sums over worlds keep their operand layouts. ``buf``, shaped
+    like ``counts.worlds``, receives the Hessian's left operand.
+    """
+    logw = counts.rows @ theta
     shift = logw.max()
-    w = np.exp(logw - shift)
+    w = np.exp(logw - shift)[counts.inverse]
     z = w.sum()
-    p = w / z
+    p = np.divide(w, z, out=w)
     value = float(shift + math.log(z) - data_counts @ theta)
-    expected = p @ counts
-    hessian = (counts * p[:, None]).T @ counts - np.outer(expected, expected)
+    expected = p @ counts.worlds
+
+    def hessian() -> np.ndarray:
+        weighted = np.multiply(counts.worlds, p[:, None], out=buf)
+        return weighted.T @ counts.worlds - np.outer(expected, expected)
+
     return value, expected - data_counts, hessian
+
+
+def _nll(counts: _Counts, data_counts: np.ndarray, theta: np.ndarray) -> float:
+    """Negative log-likelihood from the histogram alone."""
+    return float(_logsumexp(counts.rows @ theta + counts.log_mult) - data_counts @ theta)
 
 
 def gradient(model: MlnModel, spec: DomainSpec, data: World) -> np.ndarray:
@@ -136,8 +187,29 @@ def gradient(model: MlnModel, spec: DomainSpec, data: World) -> np.ndarray:
     model = normalize_distinct(model)
     index = _validate_data(model, spec, data)
     counts = _counts_for(model, index, LEARN_MAX_ATOMS)
-    _, grad, _ = _nll_grad_hessian(counts, counts[data.bits], np.array(model.weights()))
+    _, grad, _ = _nll_grad_hessian(counts, counts.worlds[data.bits], np.array(model.weights()))
     return -grad
+
+
+def _parameter_map(
+    model: MlnModel, spec: DomainSpec, config: LearnConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(tie, jac)`` for a normalized model: its clause weights are ``tie @ theta``
+    and the objective sees ``jac @ theta``, the same divided by the DA scale factors."""
+    n_clauses = len(model.clauses)
+    scale = np.ones(n_clauses)
+    if config.da:
+        scale = np.array(da_scale_factors(model, dict(spec.sizes)).factors)
+
+    if config.tie_split_weights:
+        origins = [c.origin if c.origin is not None else -1 - i for i, c in enumerate(model.clauses)]
+        param_ids = list(dict.fromkeys(origins))
+        tie = np.zeros((n_clauses, len(param_ids)))
+        for ci, o in enumerate(origins):
+            tie[ci, param_ids.index(o)] = 1.0
+    else:
+        tie = np.eye(n_clauses)
+    return tie, tie / scale[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -159,21 +231,8 @@ def learn(
     model = normalize_distinct(model)
     index = _validate_data(model, spec, data)
     counts = _counts_for(model, index, config.max_atoms)
-    data_counts = counts[data.bits].copy()
-    n_clauses = len(model.clauses)
-
-    scale = np.ones(n_clauses)
-    if config.da:
-        scale = np.array(da_scale_factors(model, dict(spec.sizes)).factors)
-
-    if config.tie_split_weights:
-        origins = [c.origin if c.origin is not None else -1 - i for i, c in enumerate(model.clauses)]
-        param_ids = list(dict.fromkeys(origins))
-        tie = np.zeros((n_clauses, len(param_ids)))
-        for ci, o in enumerate(origins):
-            tie[ci, param_ids.index(o)] = 1.0
-    else:
-        tie = np.eye(n_clauses)
+    data_counts = counts.worlds[data.bits].copy()
+    tie, jac = _parameter_map(model, spec, config)
     n_params = tie.shape[1]
 
     penalized = np.array([c.formula.arity > 1 for c in model.clauses], dtype=float)
@@ -183,16 +242,13 @@ def learn(
 
     # Work directly in parameter space: a clause's effective weight is
     # (tie @ theta) / scale, so parameter-space counts fold both in.
-    jac = tie / scale[:, None]
     if config.tie_split_weights or config.da:
-        counts_p = counts @ jac
+        counts_p = counts.project(jac)
         data_counts_p = data_counts @ jac
     else:
         counts_p = counts
         data_counts_p = data_counts
-
-    def nll(theta: np.ndarray) -> float:
-        return float(_logsumexp(counts_p @ theta) - data_counts_p @ theta)
+    buf = np.empty_like(counts_p.worlds)
 
     def penalty(theta: np.ndarray) -> float:
         if l1:
@@ -233,16 +289,17 @@ def learn(
 
     for _ in range(config.max_iter):
         iterations += 1
-        value, grad, hessian = _nll_grad_hessian(counts_p, data_counts_p, theta)
+        value, grad, hessian_at = _nll_grad_hessian(counts_p, data_counts_p, theta, buf)
         objective = value + penalty(theta)
         smooth_grad = grad + (2.0 * lam_vec * theta if l2 else 0.0)
-        if l2:
-            hessian = hessian + np.diag(2.0 * lam_vec)
         stats = stats_at(theta, value, smooth_grad)
         trace.append(stats)
         if stats.grad_norm <= config.tol:
             converged = True
             break
+        hessian = hessian_at()
+        if l2:
+            hessian = hessian + np.diag(2.0 * lam_vec)
 
         # Exact-Hessian Newton direction; flat (weight-saturating) directions
         # get their natural long steps, which first-order steps cannot take.
@@ -267,7 +324,7 @@ def learn(
                 # within one step; crossing clamps to the kink.
                 flipped = penalized_coords & (np.sign(cand) != orthant) & (cand != 0.0)
                 cand = np.where(flipped, 0.0, cand)
-            cand_objective = nll(cand) + penalty(cand)
+            cand_objective = _nll(counts_p, data_counts_p, cand) + penalty(cand)
             if cand_objective <= objective + armijo * float(pg @ (cand - theta)) + 1e-12:
                 break
             alpha *= 0.5
@@ -279,7 +336,7 @@ def learn(
         theta = cand
     else:
         # Loop exhausted max_iter with a final update; record the last iterate.
-        value, grad, _ = _nll_grad_hessian(counts_p, data_counts_p, theta)
+        value, grad, _ = _nll_grad_hessian(counts_p, data_counts_p, theta, buf)
         smooth_grad = grad + (2.0 * lam_vec * theta if l2 else 0.0)
         stats = stats_at(theta, value, smooth_grad)
         trace.append(stats)
@@ -341,6 +398,10 @@ def lambda_sweep(
     points = sorted(GRID_DEFAULT if grid is None else (float(x) for x in grid))
     if not points:
         raise ValueError("empty regularization grid")
+    if not train_worlds:
+        raise ValueError("no training worlds")
+    if not target_worlds:
+        raise ValueError("no target worlds")
     base = config if config is not None else LearnConfig()
     entries = []
     best_lam = None

@@ -17,8 +17,9 @@ Groundings whose atoms all lie in the low bits are counted once, on the first
 block, by the counts kernel; a grounding that reaches the high bits keeps the
 low part of its truth-table code, and each block ORs in its high part and
 looks the code up. The plain per-block kernel (``counts_matrix``,
-``log_weights``, ``counts_world``) serves single worlds and the tests; a
-single world's bit columns come from its integer, so it may exceed 64 atoms.
+``log_weights``) serves the tests. A single world (``counts_world``,
+``log_weight``) is unpacked from its integer, so it may exceed 64 atoms, and
+each grounding group is counted with one gather into its truth table.
 
 The partition function has one path: a world's weight depends on it only
 through its count vector, so one enumeration per (clause structure, atom
@@ -192,14 +193,31 @@ def _count_dtype(total: int) -> np.dtype:
     return np.dtype(np.int32)
 
 
+def _world_atoms(world: int, entries: Sequence[_GroundedFormula]) -> np.ndarray:
+    """Bit ``p`` of one world integer at index ``p``, up to the highest atom the
+    entries touch; the integer may be of any width."""
+    top = max((int(g.cols.max(initial=0)) for e in entries for g in e.groups), default=0)
+    n_bytes = max(top // 8 + 1, (world.bit_length() + 7) // 8)
+    packed = np.frombuffer(world.to_bytes(n_bytes, "little"), dtype=np.uint8)
+    return np.unpackbits(packed, bitorder="little")
+
+
 def _count_kernel(entries: Sequence[_GroundedFormula], worlds: np.ndarray | int) -> np.ndarray:
     """(n_worlds, n_entries) int32 true-grounding counts: the one counts kernel.
     ``worlds`` is a uint64 block, or one world as an integer of any width."""
+    if not isinstance(worlds, np.ndarray):
+        atoms = _world_atoms(int(worlds), entries)
+        counts = [
+            e.const_count
+            + sum(
+                int(g.table[(atoms[g.cols] << np.arange(g.cols.shape[1])).sum(1)].sum())
+                for g in e.groups
+            )
+            for e in entries
+        ]
+        return np.array([counts], dtype=np.int32)
     used = sorted({int(p) for e in entries for g in e.groups for p in g.cols.flat})
-    if isinstance(worlds, np.ndarray):
-        n_worlds, bits = worlds.shape[0], _bit_columns(worlds, used)
-    else:
-        n_worlds, bits = 1, {p: np.array([int(worlds) >> p & 1], dtype=np.uint8) for p in used}
+    n_worlds, bits = worlds.shape[0], _bit_columns(worlds, used)
     out = np.empty((n_worlds, len(entries)), dtype=np.int32)
     for ci, entry in enumerate(entries):
         acc = np.full(n_worlds, entry.const_count, dtype=np.int32)
@@ -354,12 +372,15 @@ def _dense_ranks(key: np.ndarray) -> np.ndarray:
 
 def _distinct_rows(
     rows: np.ndarray, mult: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of a non-negative integer matrix, with summed multiplicities.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct rows of a non-negative integer matrix, with summed multiplicities
+    and the distinct row of every input row (``distinct[inverse] == rows``).
 
-    Each row gets a mixed-radix int64 key (radix = column max + 1). Before the
-    radix product could pass 2^62 the key is re-compacted to dense ranks, so
-    the dedupe is exact for any number of columns. ``mult`` weights each input
+    Each row gets a mixed-radix int64 key (radix = column max + 1), column 0
+    most significant. Before the radix product could pass 2^62 the key is
+    re-compacted to dense ranks, so the dedupe is exact for any number of
+    columns. Keys order rows lexicographically, so the distinct rows come out
+    sorted, whatever the input order or chunking. ``mult`` weights each input
     row (default 1); the result's multiplicities are int64.
     """
     key = np.zeros(rows.shape[0], dtype=np.int64)
@@ -375,7 +396,7 @@ def _distinct_rows(
     first = np.empty(int(inverse.max(initial=-1)) + 1, dtype=np.intp)
     first[inverse] = np.arange(rows.shape[0])  # any occurrence: the rows are equal
     # Float bincount sums are exact: multiplicities stay below 2^53.
-    return rows[first], np.bincount(inverse, weights=mult).astype(np.int64)
+    return rows[first], np.bincount(inverse, weights=mult).astype(np.int64), inverse
 
 
 @dataclass(frozen=True)
@@ -401,8 +422,8 @@ def _histogram(formulas: tuple[Formula, ...], index: AtomIndex) -> CountHistogra
     rows = np.zeros((0, len(formulas)), dtype=np.int32)
     mult = np.zeros(0, dtype=np.int64)
     for _, counts in GroundingTable(formulas, index).chunk_counts():
-        r, m = _distinct_rows(counts)
-        rows, mult = _distinct_rows(np.concatenate([rows, r]), np.concatenate([mult, m]))
+        r, m, _ = _distinct_rows(counts)
+        rows, mult, _ = _distinct_rows(np.concatenate([rows, r]), np.concatenate([mult, m]))
     out = CountHistogram(rows.astype(np.float64), mult, np.log(mult))
     for a in (out.counts, out.mult, out.log_mult):
         a.setflags(write=False)

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from itertools import product
 
+import numpy as np
+
 from mlnexact.logic import And, Atom, Iff, Implies, MlnModel, Not, Or
 from mlnexact.worlds import World
 
@@ -56,6 +58,27 @@ def raw_log_probs(model: MlnModel, index) -> list[float]:
     shift = max(logs)
     z = shift + math.log(sum(math.exp(x - shift) for x in logs))
     return [x - z for x in logs]
+
+
+def dense_nll_grad_hessian(counts, data_counts, theta):
+    """Negative log-likelihood, gradient and Hessian of the learning objective,
+    each a plain pass over the (2^G, k) count matrix of every world."""
+    logw = counts @ theta
+    shift = logw.max()
+    w = np.exp(logw - shift)
+    z = w.sum()
+    p = w / z
+    value = float(shift + math.log(z) - data_counts @ theta)
+    expected = p @ counts
+    hessian = (counts * p[:, None]).T @ counts - np.outer(expected, expected)
+    return value, expected - data_counts, hessian
+
+
+def dense_nll(counts, data_counts, theta) -> float:
+    """The negative log-likelihood alone, as a logsumexp over every world."""
+    logw = counts @ theta
+    shift = float(logw.max())
+    return float(shift + math.log(float(np.exp(logw - shift).sum())) - data_counts @ theta)
 
 
 def set_partitions_reference(items: list) -> list[list[list]]:

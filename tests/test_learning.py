@@ -2,11 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mlnexact import learning
 from mlnexact.bounds import log_spread
+from mlnexact.datagen import FRIENDS_SMOKERS_MLN
 from mlnexact.learning import (
     GRID_DEFAULT,
+    LEARN_MAX_ATOMS,
     LearnConfig,
+    _counts_for,
+    _nll,
+    _nll_grad_hessian,
+    _parameter_map,
     gradient,
     lambda_sweep,
     learn,
@@ -22,8 +31,23 @@ from mlnexact.model import (
 )
 from mlnexact.worlds import AtomIndex, DomainSpec, World
 
-from _oracles import fd_gradient
+from _oracles import dense_nll, dense_nll_grad_hessian, fd_gradient
 from conftest import random_raw_model
+
+
+TEN_CLAUSE_TEXT = """\
+type p = 2
+predicate S(p)
+predicate C(p)
+predicate F(p,p)
+0 S(x)
+0 C(x)
+0 S(x) => C(x)
+0 F(x,y) ^ S(x) => S(y)
+0 F(x,y) => F(y,x)
+0 F(x,y) ^ C(y)
+0 F(x,x)
+"""
 
 
 def smokers_model():
@@ -109,6 +133,97 @@ class TestLikelihoodAndGradient:
         world = World(AtomIndex(wider, DomainSpec({"p": 3})), 0)
         with pytest.raises(ValueError, match="signature"):
             log_probability(model, world)
+
+
+def dense_objective(counts, data_counts, theta, buf=None):
+    """``learning._nll_grad_hessian``'s contract, from the dense oracle."""
+    value, grad, hessian = dense_nll_grad_hessian(counts.worlds, data_counts, theta)
+    return value, grad, lambda: hessian
+
+
+class TestHistogramObjective:
+    """The Newton objective reads per-world weights and the line search off the
+    count histogram; the dense per-world objective is its oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 3),
+        ternary=st.booleans(),
+        jacobian=st.sampled_from(["plain", "da", "tied"]),
+    )
+    def test_matches_dense_oracle(self, seed, n, ternary, jacobian):
+        rng = np.random.default_rng(seed)
+        model = normalize_distinct(random_raw_model(rng, include_ternary_clause=ternary))
+        tau = model.signature.types[0][0]
+        spec = DomainSpec({tau: n})
+        index = AtomIndex(model.signature, spec)
+        config = LearnConfig(da=jacobian == "da", tie_split_weights=jacobian == "tied")
+        _, jac = _parameter_map(model, spec, config)
+        counts = _counts_for(model, index, LEARN_MAX_ATOMS)
+        dense = counts.worlds @ jac
+        data_counts = dense[int(rng.integers(0, 1 << index.n_atoms))]
+        theta = rng.uniform(-2.0, 2.0, size=jac.shape[1])
+
+        value, grad, hessian_at = _nll_grad_hessian(counts.project(jac), data_counts, theta)
+        hessian = hessian_at()
+        want_value, want_grad, want_hessian = dense_nll_grad_hessian(dense, data_counts, theta)
+        assert value == pytest.approx(want_value, rel=1e-9, abs=1e-9)
+        np.testing.assert_allclose(grad, want_grad, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(hessian, want_hessian, rtol=1e-9, atol=1e-9)
+        assert _nll(counts.project(jac), data_counts, theta) == pytest.approx(
+            dense_nll(dense, data_counts, theta), rel=1e-9, abs=1e-9
+        )
+
+    def test_wide_model_matches_dense_oracle_bit_for_bit(self):
+        # Ten clauses after normalization, and 118 distinct count vectors: a
+        # BLAS product rounds a short last block of rows differently at this
+        # width, which the histogram's padding keeps out (see learning._Counts).
+        model = normalize_distinct(parse_mln(TEN_CLAUSE_TEXT))
+        spec = DomainSpec({"p": 2})
+        counts = _counts_for(model, AtomIndex(model.signature, spec), LEARN_MAX_ATOMS)
+        assert counts.rows.shape[1] == 10
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            theta = rng.normal(scale=2.0, size=10)
+            data_counts = counts.worlds[int(rng.integers(0, counts.worlds.shape[0]))]
+            value, grad, hessian_at = _nll_grad_hessian(counts, data_counts, theta)
+            hessian = hessian_at()
+            want_value, want_grad, want_hessian = dense_nll_grad_hessian(
+                counts.worlds, data_counts, theta
+            )
+            assert value == want_value
+            assert np.array_equal(grad, want_grad)
+            assert np.array_equal(hessian, want_hessian)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            LearnConfig(),
+            LearnConfig(regularizer="l1", lam=1.0),
+            LearnConfig(regularizer="l2", lam=1.0),
+            LearnConfig(da=True),
+        ],
+        ids=["none", "l1", "l2", "da"],
+    )
+    def test_learned_smokers_weights_equal_the_dense_objective_bit_for_bit(
+        self, config, monkeypatch
+    ):
+        from mlnexact.datagen import SampleSpec, db_to_world, domain_spec_for
+        from mlnexact.datagen import generate_friends_smokers, subsample
+
+        model = normalize_distinct(parse_mln(FRIENDS_SMOKERS_MLN))
+        for seed in (0, 1):
+            db = subsample(generate_friends_smokers(10, seed), SampleSpec("person", 3, seed))
+            data = db_to_world(db, domain_spec_for(db))
+            spec = data.index.spec
+            fast = learn(model, spec, data, config)
+            with monkeypatch.context() as m:
+                m.setattr(learning, "_nll_grad_hessian", dense_objective)
+                m.setattr(learning, "_nll", lambda c, d, t: dense_nll(c.worlds, d, t))
+                slow = learn(model, spec, data, config)
+            assert np.array_equal(fast.weights, slow.weights)
+            assert (fast.iterations, fast.objective) == (slow.iterations, slow.objective)
 
 
 class TestLearn:
@@ -315,6 +430,18 @@ class TestLambdaSweep:
         spec, _, data = smokers_data(model)
         with pytest.raises(ValueError, match="empty"):
             lambda_sweep(model, spec, [data], spec, [data], "l1", grid=[])
+
+    def test_no_training_worlds_rejected(self):
+        model = smokers_model()
+        spec, _, data = smokers_data(model)
+        with pytest.raises(ValueError, match="training"):
+            lambda_sweep(model, spec, [], spec, [data], "l1", grid=[0.1, 1.0])
+
+    def test_no_target_worlds_rejected(self):
+        model = smokers_model()
+        spec, _, data = smokers_data(model)
+        with pytest.raises(ValueError, match="target"):
+            lambda_sweep(model, spec, [data], spec, [], "l1", grid=[0.1, 1.0])
 
 
 class TestSpreadReduction:

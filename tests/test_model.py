@@ -360,11 +360,12 @@ class TestDistinctRows:
     def test_matches_tuple_counting(self):
         rng = np.random.default_rng(11)
         rows = rng.integers(0, 3, size=(500, 4)).astype(np.int32)
-        got_rows, got_mult = _distinct_rows(rows)
+        got_rows, got_mult, inverse = _distinct_rows(rows)
         expected = {}
         for r in map(tuple, rows.tolist()):
             expected[r] = expected.get(r, 0) + 1
         assert dict(zip(map(tuple, got_rows.tolist()), got_mult.tolist())) == expected
+        assert np.array_equal(got_rows[inverse], rows)
 
     def test_radix_overflow_recompacts_exactly(self):
         # Ten columns of values below 2^20: the radix product is about 2^200,
@@ -375,12 +376,29 @@ class TestDistinctRows:
         span = math.prod(int(c.max()) + 1 for c in rows.T)
         assert span > 1 << 62
         mult = rng.integers(1, 5, size=300)
-        got_rows, got_mult = _distinct_rows(rows, mult)
+        got_rows, got_mult, inverse = _distinct_rows(rows, mult)
         expected = {}
         for r, k in zip(map(tuple, rows.tolist()), mult.tolist()):
             expected[r] = expected.get(r, 0) + k
         assert got_mult.dtype == np.int64
         assert dict(zip(map(tuple, got_rows.tolist()), got_mult.tolist())) == expected
+        assert np.array_equal(got_rows[inverse], rows)
+        assert np.array_equal(got_rows, sorted(map(tuple, got_rows.tolist())))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_pass_rows_are_in_count_histogram_order(self, n):
+        # The learner dedupes the whole 2^G count matrix at once; the histogram
+        # merges block by block. Both must give the same rows in the same order.
+        model = normalize_distinct(parse_mln(FRIENDS_SMOKERS_MLN))
+        index = AtomIndex(model.signature, DomainSpec({"person": n}))
+        counts = np.concatenate(
+            [c for _, c in _table(model.formulas(), index).chunk_counts()]
+        )
+        rows, mult, inverse = _distinct_rows(counts)
+        hist = count_histogram(model, index)
+        assert np.array_equal(rows.astype(np.float64), hist.counts)
+        assert np.array_equal(mult, hist.mult)
+        assert np.array_equal(rows[inverse], counts)
 
 
 class TestCountHistogram:
