@@ -65,7 +65,7 @@ def cmd_verify(args) -> int:
 def cmd_learn(args) -> int:
     model = _load_mln(args.mln)
     db = _load_db(args.db, model.signature)
-    spec = _spec_for(model, args.n) if args.n else domain_spec_for(db)
+    spec = _spec_for(model, args.n) if args.n is not None else domain_spec_for(db)
     data = db_to_world(db, spec)
     config = LearnConfig(
         regularizer=args.reg,
@@ -92,7 +92,7 @@ def cmd_learn(args) -> int:
 def cmd_eval(args) -> int:
     model = _load_mln(args.mln)
     db = _load_db(args.db, model.signature)
-    spec = _spec_for(model, args.n) if args.n else domain_spec_for(db)
+    spec = _spec_for(model, args.n) if args.n is not None else domain_spec_for(db)
     data = db_to_world(db, spec)
     da_sizes = dict(spec.sizes) if args.da else None
     max_atoms = FORCED_MAX_ATOMS if args.force_guard else args.max_atoms

@@ -16,6 +16,15 @@ learned weights in the last bits, which saturated directions amplify. The line
 search only accepts or rejects a step, with 1e-12 of slack, so its likelihood
 is a logsumexp over the histogram alone.
 
+The model is an exponential family, so the data enters the objective only
+through its count vector: a fit is a pure function of the clause structure
+(formulas and, for tied weights, their origins), the signature, the domain
+spec, that vector and the config, and starts from zero weights whatever the
+input weights are. ``learn`` therefore keeps the last 1024 fits in an LRU
+memo keyed on exactly these, and training worlds that share a count vector
+share one fit. A hit returns the same bits as a fresh fit, since the
+optimizer would run the same arithmetic on the same operands.
+
 Penalties apply only to clauses of arity above one; L1 uses orthant-wise
 pseudo-gradients with zero-clamping projection so penalized weights reach
 exact zeros. A halving Armijo line search keeps the objective monotone.
@@ -26,9 +35,10 @@ during both training and target evaluation.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -217,6 +227,21 @@ def _parameter_map(
 # ---------------------------------------------------------------------------
 
 
+class _Fit(NamedTuple):
+    """One optimizer run, as the fit memo keeps it. Bytes, not small arrays:
+    the memo of a 20-set smokers experiment (240 fits) then takes about
+    0.13 MB instead of 0.31 MB (tracemalloc)."""
+
+    weights: bytes  # float64 clause weights
+    converged: bool
+    iterations: int
+    trace: bytes  # float64 (len(trace), 3): the IterStats fields in order
+
+
+_FIT_MEMO_SIZE = 1024
+_fits: OrderedDict[tuple, _Fit] = OrderedDict()  # least recently used first
+
+
 def learn(
     model: MlnModel,
     spec: DomainSpec,
@@ -227,11 +252,37 @@ def learn(
 
     Returns the best (last) iterate with its trace; ``converged`` is False when
     the gradient norm never reached the threshold within ``max_iter`` steps.
+    Fits are shared by the data's count vector (see the module docstring).
     """
     model = normalize_distinct(model)
     index = _validate_data(model, spec, data)
     counts = _counts_for(model, index, config.max_atoms)
     data_counts = counts.worlds[data.bits].copy()
+    origins = tuple(c.origin for c in model.clauses)  # Clause equality ignores them
+    key = (model.formulas(), origins, model.signature, spec, data_counts.tobytes(), config)
+    # Pop and reinsert, most recent last: each step is one atomic dict operation.
+    fit = _fits.pop(key, None)
+    if fit is None:
+        fit = _fit(model, spec, counts, data_counts, config)
+    _fits[key] = fit
+    if len(_fits) > _FIT_MEMO_SIZE:
+        _fits.popitem(last=False)
+    weights = np.frombuffer(fit.weights)
+    trace = tuple(IterStats(*row) for row in np.frombuffer(fit.trace).reshape(-1, 3).tolist())
+    return LearnResult(
+        weights=weights.copy(),
+        model=model.with_weights(weights),
+        converged=fit.converged,
+        iterations=fit.iterations,
+        trace=trace,
+        objective=trace[-1].neg_log_likelihood + trace[-1].penalty,
+    )
+
+
+def _fit(
+    model: MlnModel, spec: DomainSpec, counts: _Counts, data_counts: np.ndarray, config: LearnConfig
+) -> _Fit:
+    """Newton's method from zero weights on a normalized model's counts."""
     tie, jac = _parameter_map(model, spec, config)
     n_params = tie.shape[1]
 
@@ -342,15 +393,8 @@ def learn(
         trace.append(stats)
         converged = stats.grad_norm <= config.tol
 
-    clause_weights = tie @ theta
-    return LearnResult(
-        weights=clause_weights,
-        model=model.with_weights(clause_weights),
-        converged=converged,
-        iterations=iterations,
-        trace=tuple(trace),
-        objective=trace[-1].neg_log_likelihood + trace[-1].penalty,
-    )
+    rows = [(t.neg_log_likelihood, t.penalty, t.grad_norm) for t in trace]
+    return _Fit((tie @ theta).tobytes(), converged, iterations, np.array(rows).tobytes())
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import combinations, product
 from typing import Iterator, Mapping, Sequence, Union
 
@@ -221,6 +222,18 @@ class Formula:
                 raise ValueError("disequality of a variable with itself")
             if (a, b) != _pair(a, b):
                 raise ValueError("disequality pairs must be stored in sorted order")
+
+    @cached_property
+    def _hash(self) -> int:
+        # Formulas key every per-structure cache, so the tree is hashed once.
+        return hash((self.ast, self.distinct, self.vars))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # String hashes differ between interpreters: rebuild, never copy, the cached one.
+        return Formula, (self.ast, self.distinct, self.vars)
 
     @property
     def arity(self) -> int:

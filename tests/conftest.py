@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from mlnexact import learning
 from mlnexact.logic import (
     And,
     Atom,
@@ -53,6 +54,13 @@ predicate B(item)
 0.5 A(x)
 -1.1 A(x) => B(x)
 """
+
+
+@pytest.fixture(autouse=True)
+def _empty_fit_memo():
+    """Start every test with an empty fit memo, so no test reads a fit that an
+    earlier one cached and no result depends on test order."""
+    learning._fits.clear()
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from mlnexact import learning
 from mlnexact.bounds import verify_all
 from mlnexact.cli import build_parser, main
 from mlnexact.experiment import ExperimentConfig
@@ -193,6 +194,21 @@ class TestLearnEval:
         assert main(argv) == 2
         assert "guard of 20" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["learn", "eval"])
+    def test_n_zero_is_a_domain_size_not_a_default(self, command, tmp_path, capsys):
+        data_dir = tmp_path / "d"
+        main(["generate", "--population", "3", "--seeds", "1", "--out", str(data_dir)])
+        capsys.readouterr()
+        mln = tmp_path / "fs.mln"
+        from mlnexact.datagen import FRIENDS_SMOKERS_MLN
+
+        mln.write_text(FRIENDS_SMOKERS_MLN)
+        db = str(data_dir / "fs_pop3_seed1.db")
+        assert main([command, "--mln", str(mln), "--db", db, "--n", "0"]) == 2
+        assert "database has 3 constants of type person, domain spec allows 0" in (
+            capsys.readouterr().err
+        )
+
     def test_eval_with_da_scaling(self, tmp_path, capsys):
         data_dir = tmp_path / "d"
         main(["generate", "--population", "3", "--seeds", "4", "--out", str(data_dir)])
@@ -220,6 +236,7 @@ class TestExperimentCommand:
             "11",
         ]
         assert main(args + ["--out", str(out_a)]) == 0
+        learning._fits.clear()  # the rerun fits afresh
         assert main(args + ["--out", str(out_b)]) == 0
 
         def rows(path):

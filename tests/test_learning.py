@@ -1,4 +1,6 @@
 import math
+from collections import OrderedDict
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ from mlnexact.model import (
     log_probability,
     marginal_log_probs,
 )
-from mlnexact.worlds import AtomIndex, DomainSpec, World
+from mlnexact.worlds import AtomIndex, DomainSpec, DomainTooLargeError, World
 
 from _oracles import dense_nll, dense_nll_grad_hessian, fd_gradient
 from conftest import random_raw_model
@@ -218,10 +220,19 @@ class TestHistogramObjective:
             data = db_to_world(db, domain_spec_for(db))
             spec = data.index.spec
             fast = learn(model, spec, data, config)
+            calls = []
+
+            def counted_dense_objective(*args):
+                calls.append(None)
+                return dense_objective(*args)
+
             with monkeypatch.context() as m:
-                m.setattr(learning, "_nll_grad_hessian", dense_objective)
+                # An empty memo of its own, so the oracle fit really runs.
+                m.setattr(learning, "_fits", OrderedDict())
+                m.setattr(learning, "_nll_grad_hessian", counted_dense_objective)
                 m.setattr(learning, "_nll", lambda c, d, t: dense_nll(c.worlds, d, t))
                 slow = learn(model, spec, data, config)
+            assert len(calls) >= slow.iterations
             assert np.array_equal(fast.weights, slow.weights)
             assert (fast.iterations, fast.objective) == (slow.iterations, slow.objective)
 
@@ -301,6 +312,123 @@ class TestLearn:
         assert result.weights[0] == pytest.approx(result.weights[1])
         untied = learn(model, spec, data, LearnConfig())
         assert abs(untied.weights[0] - untied.weights[1]) > 1e-3
+
+
+class TestFitMemo:
+    """Fits are shared by the data's count vector; a hit must be a fresh fit."""
+
+    @pytest.fixture
+    def misses(self, monkeypatch):
+        calls = []
+        fit = learning._fit
+
+        def counted_fit(*args):
+            calls.append(None)
+            return fit(*args)
+
+        monkeypatch.setattr(learning, "_fit", counted_fit)
+        return calls
+
+    def test_worlds_with_equal_count_vectors_share_one_fit(self, misses):
+        model = smokers_model()
+        spec, index, data = smokers_data(model)
+        # The same world with its constants relabelled 1 -> 2 -> 3 -> 1.
+        relabelled = World.from_true_atoms(index, [("S", (2,)), ("F", (2, 3)), ("F", (3, 1))])
+        counts = _counts_for(model, index, LEARN_MAX_ATOMS)
+        assert data.bits != relabelled.bits
+        assert np.array_equal(counts.worlds[data.bits], counts.worlds[relabelled.bits])
+        first = learn(model, spec, data)
+        assert len(misses) == 1
+        second = learn(model, spec, relabelled)
+        assert len(misses) == 1
+        assert first.weights.tobytes() == second.weights.tobytes()
+
+    @pytest.mark.parametrize(
+        "config",
+        [LearnConfig(), LearnConfig(regularizer="l1", lam=0.3), LearnConfig(da=True)],
+        ids=["none", "l1", "da"],
+    )
+    def test_hit_equals_a_fresh_fit(self, config, misses):
+        model = smokers_model()
+        spec, _, data = smokers_data(model)
+        learn(model, spec, data, config)
+        hit = learn(model, spec, data, config)
+        assert len(misses) == 1
+        learning._fits.clear()
+        fresh = learn(model, spec, data, config)
+        assert len(misses) == 2
+        assert hit.weights.tobytes() == fresh.weights.tobytes()
+        assert hit.iterations == fresh.iterations
+        assert hit.trace == fresh.trace
+        assert hit.objective == fresh.objective
+        assert hit.converged == fresh.converged
+        assert hit.model == fresh.model
+
+    def test_clause_origins_are_part_of_the_key(self, misses):
+        shared = normalize_distinct(parse_mln("type p = 3\npredicate R(p,p)\n0 R(x,y)"))
+        separate = replace(
+            shared, clauses=tuple(replace(c, origin=i) for i, c in enumerate(shared.clauses))
+        )
+        assert shared == separate  # Clause equality ignores origins
+        spec = DomainSpec({"p": 3})
+        index = AtomIndex(shared.signature, spec)
+        data = World.from_true_atoms(
+            index, [("R", (1, 1)), ("R", (2, 2)), ("R", (1, 2)), ("R", (2, 1))]
+        )
+        config = LearnConfig(tie_split_weights=True)
+        tied = learn(shared, spec, data, config)
+        untied = learn(separate, spec, data, config)
+        assert len(misses) == 2
+        assert tied.weights[0] == tied.weights[1]
+        assert abs(untied.weights[0] - untied.weights[1]) > 1e-3
+
+    def test_an_unused_predicate_changes_the_key(self, misses):
+        text = "type p = 3\npredicate S(p)\npredicate F(p,p)\n{}0 S(x)\n0 F(x,y) ^ S(x) => S(y)"
+        plain = normalize_distinct(parse_mln(text.format("")))
+        wider = normalize_distinct(parse_mln(text.format("predicate Q(p)\n")))
+        assert plain.formulas() == wider.formulas()
+        spec, _, data = smokers_data(plain)
+        wide_data = World.from_true_atoms(
+            AtomIndex(wider.signature, spec), [("S", (1,)), ("F", (1, 2)), ("F", (2, 3))]
+        )
+        small = learn(plain, spec, data)
+        wide = learn(wider, spec, wide_data)
+        assert len(misses) == 2
+        # Three free Q atoms double the partition function three times.
+        assert wide.objective == pytest.approx(small.objective + 3 * math.log(2), abs=1e-9)
+
+    def test_returned_weights_are_the_callers_own(self):
+        model = smokers_model()
+        spec, _, data = smokers_data(model)
+        first = learn(model, spec, data)
+        want = first.weights.tobytes()
+        first.weights[:] = 99.0
+        again = learn(model, spec, data)
+        assert again.weights.tobytes() == want
+        assert again.weights is not first.weights
+
+    def test_a_warm_memo_keeps_the_guard(self):
+        model = smokers_model()
+        spec, index, data = smokers_data(model)
+        learn(model, spec, data)
+        with pytest.raises(DomainTooLargeError):
+            learn(model, spec, data, LearnConfig(max_atoms=index.n_atoms - 1))
+
+    def test_memo_is_bounded_least_recently_used_first(self, misses, monkeypatch):
+        monkeypatch.setattr(learning, "_FIT_MEMO_SIZE", 2)
+        model = smokers_model()
+        spec, _, data = smokers_data(model)
+        configs = [LearnConfig(regularizer="l2", lam=lam) for lam in (0.1, 1.0, 10.0)]
+        learn(model, spec, data, configs[0])
+        learn(model, spec, data, configs[1])
+        learn(model, spec, data, configs[0])  # a hit: configs[1] is now the oldest
+        learn(model, spec, data, configs[2])
+        assert len(learning._fits) == 2
+        assert len(misses) == 3
+        learn(model, spec, data, configs[0])
+        assert len(misses) == 3
+        learn(model, spec, data, configs[1])
+        assert len(misses) == 4
 
 
 class TestDomainAwareTraining:
@@ -392,6 +520,7 @@ class TestLambdaSweep:
         for reg in ("l1", "l2"):
             sweep = lambda_sweep(model, spec, [data], spec, [data], reg, grid=[0.1, 1.0, 10.0])
             (kept,) = sweep.fits
+            learning._fits.clear()  # a real refit, not the sweep's memoized one
             fresh = learn(model, spec, data, LearnConfig(regularizer=reg, lam=sweep.best_lam))
             assert kept.weights.tobytes() == fresh.weights.tobytes()
             assert kept.trace == fresh.trace

@@ -1,3 +1,8 @@
+import os
+import pickle
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -212,6 +217,24 @@ class TestSerialization:
         assert parse_mln(serialize_mln(model)) == model
         norm = normalize_distinct(model)
         assert parse_mln(serialize_mln(norm)).clauses == norm.clauses
+
+    def test_pickled_formula_hashes_in_another_interpreter(self, example2_model):
+        # Formula caches its hash; string hashes differ between interpreters,
+        # so an unpickled formula must rehash rather than carry the old value.
+        formula = normalize_distinct(example2_model).clauses[1].formula
+        script = (
+            "import pickle, sys\n"
+            "f = pickle.loads(sys.stdin.buffer.read())\n"
+            "assert hash(f) == hash((f.ast, f.distinct, f.vars))\n"
+            "assert f in {f: 0}\n"
+        )
+        env = dict(os.environ, PYTHONHASHSEED="12345")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+        run = subprocess.run(
+            [sys.executable, "-c", script], input=pickle.dumps(formula), env=env, timeout=60
+        )
+        assert run.returncode == 0
+        assert hash(formula) == hash((formula.ast, formula.distinct, formula.vars))
 
 
 class TestSetPartitions:
