@@ -35,14 +35,13 @@ during both training and target evaluation.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .logic import Formula, MlnModel, normalize_distinct
+from .logic import Clause, Formula, MlnModel, Signature, normalize_distinct
 from .model import (
     DEFAULT_MAX_ATOMS,
     _distinct_rows,
@@ -238,10 +237,6 @@ class _Fit(NamedTuple):
     trace: bytes  # float64 (len(trace), 3): the IterStats fields in order
 
 
-_FIT_MEMO_SIZE = 1024
-_fits: OrderedDict[tuple, _Fit] = OrderedDict()  # least recently used first
-
-
 def learn(
     model: MlnModel,
     spec: DomainSpec,
@@ -257,16 +252,9 @@ def learn(
     model = normalize_distinct(model)
     index = _validate_data(model, spec, data)
     counts = _counts_for(model, index, config.max_atoms)
-    data_counts = counts.worlds[data.bits].copy()
     origins = tuple(c.origin for c in model.clauses)  # Clause equality ignores them
-    key = (model.formulas(), origins, model.signature, spec, data_counts.tobytes(), config)
-    # Pop and reinsert, most recent last: each step is one atomic dict operation.
-    fit = _fits.pop(key, None)
-    if fit is None:
-        fit = _fit(model, spec, counts, data_counts, config)
-    _fits[key] = fit
-    if len(_fits) > _FIT_MEMO_SIZE:
-        _fits.popitem(last=False)
+    data_counts = counts.worlds[data.bits].tobytes()
+    fit = _fit(model.formulas(), origins, model.signature, spec, data_counts, config)
     weights = np.frombuffer(fit.weights)
     trace = tuple(IterStats(*row) for row in np.frombuffer(fit.trace).reshape(-1, 3).tolist())
     return LearnResult(
@@ -279,10 +267,20 @@ def learn(
     )
 
 
+@lru_cache(maxsize=1024)
 def _fit(
-    model: MlnModel, spec: DomainSpec, counts: _Counts, data_counts: np.ndarray, config: LearnConfig
+    formulas: tuple[Formula, ...],
+    origins: tuple[int | None, ...],
+    signature: Signature,
+    spec: DomainSpec,
+    data_counts: bytes,
+    config: LearnConfig,
 ) -> _Fit:
-    """Newton's method from zero weights on a normalized model's counts."""
+    """Newton's method from zero weights on a normalized clause list's counts."""
+    clauses = tuple(Clause(f, 0.0, origin=o) for f, o in zip(formulas, origins))
+    model = MlnModel(signature, clauses, normalized=True)
+    counts = _counts_cached(formulas, AtomIndex(signature, spec))
+    data_counts = np.frombuffer(data_counts).copy()
     tie, jac = _parameter_map(model, spec, config)
     n_params = tie.shape[1]
 

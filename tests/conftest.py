@@ -60,7 +60,7 @@ predicate B(item)
 def _empty_fit_memo():
     """Start every test with an empty fit memo, so no test reads a fit that an
     earlier one cached and no result depends on test order."""
-    learning._fits.clear()
+    learning._fit.cache_clear()
 
 
 @pytest.fixture

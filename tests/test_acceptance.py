@@ -80,7 +80,7 @@ def pipeline(tmp_path_factory):
     )
     rows_a, models_a = run_experiment(cfg)
     write_outputs(cfg, rows_a, models_a)
-    learning._fits.clear()  # the rerun fits afresh
+    learning._fit.cache_clear()  # the rerun fits afresh
     rows_b, _ = run_experiment(cfg)
     csv_a = rows_to_csv(rows_a, timestamp="fixed")
     csv_b = rows_to_csv(rows_b, timestamp="fixed")

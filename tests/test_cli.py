@@ -236,7 +236,7 @@ class TestExperimentCommand:
             "11",
         ]
         assert main(args + ["--out", str(out_a)]) == 0
-        learning._fits.clear()  # the rerun fits afresh
+        learning._fit.cache_clear()  # the rerun fits afresh
         assert main(args + ["--out", str(out_b)]) == 0
 
         def rows(path):

@@ -26,6 +26,7 @@ class TestPipeline:
     def test_workers_do_not_change_results(self):
         cfg = ExperimentConfig(**TINY)
         rows_seq, models_seq = run_experiment(cfg)
+        learning._fit.cache_clear()  # forked workers must fit, not inherit the memo
         rows_par, models_par = run_experiment(dataclasses.replace(cfg, workers=2))
         assert rows_to_csv(rows_seq, "t") == rows_to_csv(rows_par, "t")
         assert models_seq == models_par

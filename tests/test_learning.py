@@ -1,5 +1,4 @@
 import math
-from collections import OrderedDict
 from dataclasses import replace
 
 import numpy as np
@@ -227,8 +226,8 @@ class TestHistogramObjective:
                 return dense_objective(*args)
 
             with monkeypatch.context() as m:
-                # An empty memo of its own, so the oracle fit really runs.
-                m.setattr(learning, "_fits", OrderedDict())
+                # The optimizer without its memo, so the oracle fit really runs.
+                m.setattr(learning, "_fit", learning._fit.__wrapped__)
                 m.setattr(learning, "_nll_grad_hessian", counted_dense_objective)
                 m.setattr(learning, "_nll", lambda c, d, t: dense_nll(c.worlds, d, t))
                 slow = learn(model, spec, data, config)
@@ -318,16 +317,9 @@ class TestFitMemo:
     """Fits are shared by the data's count vector; a hit must be a fresh fit."""
 
     @pytest.fixture
-    def misses(self, monkeypatch):
-        calls = []
-        fit = learning._fit
-
-        def counted_fit(*args):
-            calls.append(None)
-            return fit(*args)
-
-        monkeypatch.setattr(learning, "_fit", counted_fit)
-        return calls
+    def misses(self):
+        """The optimizer runs since the memo was last emptied."""
+        return lambda: learning._fit.cache_info().misses
 
     def test_worlds_with_equal_count_vectors_share_one_fit(self, misses):
         model = smokers_model()
@@ -338,9 +330,9 @@ class TestFitMemo:
         assert data.bits != relabelled.bits
         assert np.array_equal(counts.worlds[data.bits], counts.worlds[relabelled.bits])
         first = learn(model, spec, data)
-        assert len(misses) == 1
+        assert misses() == 1
         second = learn(model, spec, relabelled)
-        assert len(misses) == 1
+        assert misses() == 1
         assert first.weights.tobytes() == second.weights.tobytes()
 
     @pytest.mark.parametrize(
@@ -353,10 +345,10 @@ class TestFitMemo:
         spec, _, data = smokers_data(model)
         learn(model, spec, data, config)
         hit = learn(model, spec, data, config)
-        assert len(misses) == 1
-        learning._fits.clear()
+        assert learning._fit.cache_info().hits == 1
+        learning._fit.cache_clear()
         fresh = learn(model, spec, data, config)
-        assert len(misses) == 2
+        assert misses() == 1  # emptying the memo also resets its counts
         assert hit.weights.tobytes() == fresh.weights.tobytes()
         assert hit.iterations == fresh.iterations
         assert hit.trace == fresh.trace
@@ -378,7 +370,7 @@ class TestFitMemo:
         config = LearnConfig(tie_split_weights=True)
         tied = learn(shared, spec, data, config)
         untied = learn(separate, spec, data, config)
-        assert len(misses) == 2
+        assert misses() == 2
         assert tied.weights[0] == tied.weights[1]
         assert abs(untied.weights[0] - untied.weights[1]) > 1e-3
 
@@ -393,7 +385,7 @@ class TestFitMemo:
         )
         small = learn(plain, spec, data)
         wide = learn(wider, spec, wide_data)
-        assert len(misses) == 2
+        assert misses() == 2
         # Three free Q atoms double the partition function three times.
         assert wide.objective == pytest.approx(small.objective + 3 * math.log(2), abs=1e-9)
 
@@ -414,21 +406,8 @@ class TestFitMemo:
         with pytest.raises(DomainTooLargeError):
             learn(model, spec, data, LearnConfig(max_atoms=index.n_atoms - 1))
 
-    def test_memo_is_bounded_least_recently_used_first(self, misses, monkeypatch):
-        monkeypatch.setattr(learning, "_FIT_MEMO_SIZE", 2)
-        model = smokers_model()
-        spec, _, data = smokers_data(model)
-        configs = [LearnConfig(regularizer="l2", lam=lam) for lam in (0.1, 1.0, 10.0)]
-        learn(model, spec, data, configs[0])
-        learn(model, spec, data, configs[1])
-        learn(model, spec, data, configs[0])  # a hit: configs[1] is now the oldest
-        learn(model, spec, data, configs[2])
-        assert len(learning._fits) == 2
-        assert len(misses) == 3
-        learn(model, spec, data, configs[0])
-        assert len(misses) == 3
-        learn(model, spec, data, configs[1])
-        assert len(misses) == 4
+    def test_memo_is_bounded(self):
+        assert learning._fit.cache_info().maxsize == 1024
 
 
 class TestDomainAwareTraining:
@@ -520,7 +499,7 @@ class TestLambdaSweep:
         for reg in ("l1", "l2"):
             sweep = lambda_sweep(model, spec, [data], spec, [data], reg, grid=[0.1, 1.0, 10.0])
             (kept,) = sweep.fits
-            learning._fits.clear()  # a real refit, not the sweep's memoized one
+            learning._fit.cache_clear()  # a real refit, not the sweep's memoized one
             fresh = learn(model, spec, data, LearnConfig(regularizer=reg, lam=sweep.best_lam))
             assert kept.weights.tobytes() == fresh.weights.tobytes()
             assert kept.trace == fresh.trace
