@@ -30,6 +30,7 @@ from .datagen import (
     SampleSpec,
     db_to_world,
     domain_spec_for,
+    friends_smokers_signature,
     generate_friends_smokers,
     subsample,
 )
@@ -91,6 +92,15 @@ class ExperimentConfig:
             raise ValueError("the unregularized baseline 'none' is required for deltas")
         if self.train_sets < 1 and not self.train_dbs:
             raise ValueError("need at least one training set")
+        if not self.target_sizes:
+            raise ValueError("target_sizes must name at least one size")
+        for name, least in (
+            ("target_sizes", min(self.target_sizes)),
+            ("target_replicates", self.target_replicates),
+            ("train_size", self.train_size),
+        ):
+            if least < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     @classmethod
     def from_mapping(cls, values: dict) -> "ExperimentConfig":
@@ -218,12 +228,22 @@ def seed_target(base: int, size_index: int, replicate: int) -> int:
 
 
 def load_experiment_model(cfg: ExperimentConfig) -> MlnModel:
+    """The normalized experiment model. Target worlds come from the smokers
+    generator, so the model must declare each of its predicates over the
+    same types."""
     if cfg.mln is None:
         text = FRIENDS_SMOKERS_MLN
     else:
         with open(cfg.mln, encoding="utf-8") as fh:
             text = fh.read()
-    return normalize_distinct(parse_mln(text))
+    model = normalize_distinct(parse_mln(text))
+    for pred in friends_smokers_signature().predicates:
+        if pred not in model.signature.predicates:
+            raise ValueError(
+                f"the target generator needs predicate {pred.name}"
+                f"({','.join(pred.arg_types)}) in the model"
+            )
+    return model
 
 
 def _sample_type(model: MlnModel) -> str:

@@ -25,7 +25,12 @@ The partition function has one path: a world's weight depends on it only
 through its count vector, so one enumeration per (clause structure, atom
 index) collapses all 2^G worlds into a cached histogram of distinct count
 vectors with multiplicities, and log Z for any weight vector is a logsumexp
-over that histogram.
+over that histogram. The pass builds each world's count key, the mixed-radix
+code of its count vector (radix = grounding total + 1), straight from
+``chunk_counts`` and tallies the keys with one bincount per block. Its memory
+is one block of worlds plus a count table no longer than a block. Structures
+whose key span exceeds a block instead dedupe every block's count rows and
+merge them into the running distinct rows.
 
 Restriction marginals make one pass over every world against a split-aware
 copy of the grounding table: the front-half atoms take the low F bits, in the
@@ -250,7 +255,9 @@ class GroundingTable:
         """
         return _count_kernel(self.entries, worlds) @ np.asarray(weights, dtype=np.float64)
 
-    def chunk_counts(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    def chunk_counts(
+        self, strides: Sequence[int] | None = None
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """``(worlds, counts)`` for every block of ``world_chunks``, where
         ``counts`` equals ``counts_matrix(worlds)``.
 
@@ -260,32 +267,48 @@ class GroundingTable:
         high bits keeps its truth-table code over the first block; each block
         ORs in its own high bits, which are constant across the block, and
         looks the code up. Counts are as narrow as the largest grounding total.
+
+        With one integer ``stride`` per clause, ``counts`` is instead the int32
+        vector ``counts_matrix(worlds) @ strides``: each clause's truth tables
+        are scaled by its stride and added into that one column. The caller
+        keeps the largest key below 2^31.
         """
         low_bits = DEFAULT_CHUNK.bit_length() - 1
-        dtype = _count_dtype(max((e.total for e in self.entries), default=0))
+        keyed = strides is not None
+        if keyed:
+            dtype = np.dtype(np.int32)
+        else:
+            dtype = _count_dtype(max((e.total for e in self.entries), default=0))
         low = copy.copy(self)
         low.entries = []
-        high: list[tuple[int, np.ndarray, np.ndarray]] = []  # (clause, atoms, table)
+        high: list[tuple[int, np.ndarray, np.ndarray]] = []  # (column, atoms, table)
         for ci, e in enumerate(self.entries):
             groups = []
             for g in e.groups:
                 reach = g.cols.max(axis=1) >= low_bits
                 groups.append(_Group(g.cols[~reach], g.table))
-                high.extend((ci, row, g.table) for row in g.cols[reach])
+                if keyed:
+                    table = g.table.astype(dtype) * dtype.type(strides[ci])
+                    high.extend((0, row, table) for row in g.cols[reach])
+                else:
+                    high.extend((ci, row, g.table) for row in g.cols[reach])
             low.entries.append(replace(e, groups=groups))
         base = codes = None
         for worlds in world_chunks(self.index.n_atoms):
             if base is None:
-                base = low.counts_matrix(worlds).astype(dtype)
+                base = low.counts_matrix(worlds)
+                if keyed:
+                    base = (base @ np.asarray(strides, dtype=dtype))[:, None]
+                base = base.astype(dtype, copy=False)
                 bits = _bit_columns(worlds, {int(p) for _, row, _ in high for p in row})
                 codes = [_row_code(bits, row) for _, row, _ in high]
                 del bits  # only the codes outlive the first block
             counts = base.copy()
             start = int(worlds[0])
-            for (ci, row, table), code in zip(high, codes):
+            for (col, row, table), code in zip(high, codes):
                 high_code = sum((start >> int(p) & 1) << j for j, p in enumerate(row))
-                counts[:, ci] += np.take(table, code | high_code)
-            yield worlds, counts
+                counts[:, col] += np.take(table, code | high_code)
+            yield worlds, counts[:, 0] if keyed else counts
 
     def relaid(self, *leading: np.ndarray) -> tuple[GroundingTable, np.ndarray]:
         """A copy over a permuted bit layout, plus that layout's ``order``.
@@ -419,11 +442,27 @@ def count_histogram(
 
 @lru_cache(maxsize=64)
 def _histogram(formulas: tuple[Formula, ...], index: AtomIndex) -> CountHistogram:
-    rows = np.zeros((0, len(formulas)), dtype=np.int32)
-    mult = np.zeros(0, dtype=np.int64)
-    for _, counts in GroundingTable(formulas, index).chunk_counts():
-        r, m, _ = _distinct_rows(counts)
-        rows, mult, _ = _distinct_rows(np.concatenate([rows, r]), np.concatenate([mult, m]))
+    """Count vectors are keyed by their mixed-radix code (radix = grounding
+    total + 1, clause 0 most significant). While the key span fits in one
+    block, every block's keys are tallied with one bincount into a table of
+    the span; past it, every block is deduped and merged into the running rows.
+    Both give the distinct vectors in lexicographic order."""
+    gt = GroundingTable(formulas, index)
+    radix = np.array([e.total + 1 for e in gt.entries], dtype=np.int64)
+    span = math.prod(radix.tolist())
+    if span <= DEFAULT_CHUNK:
+        strides = span // np.cumprod(radix)  # clause 0 most significant
+        tally = np.zeros(span, dtype=np.int64)
+        for _, key in gt.chunk_counts(strides):
+            tally += np.bincount(key, minlength=span)
+        keys = np.flatnonzero(tally)
+        rows, mult = keys[:, None] // strides % radix, tally[keys]
+    else:
+        rows = np.zeros((0, len(formulas)), dtype=np.int32)
+        mult = np.zeros(0, dtype=np.int64)
+        for _, counts in gt.chunk_counts():
+            r, m, _ = _distinct_rows(counts)
+            rows, mult, _ = _distinct_rows(np.concatenate([rows, r]), np.concatenate([mult, m]))
     out = CountHistogram(rows.astype(np.float64), mult, np.log(mult))
     for a in (out.counts, out.mult, out.log_mult):
         a.setflags(write=False)

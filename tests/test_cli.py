@@ -293,6 +293,27 @@ class TestExperimentCommand:
         cfg.write_text("no_such_key = 1\n")
         assert main(["experiment", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize(
+        ("flags", "field"),
+        [
+            (["--target-replicates", "0"], "target_replicates"),
+            (["--targets", "0"], "target_sizes"),
+            (["--train-size", "0"], "train_size"),
+        ],
+    )
+    def test_out_of_range_sizes_exit_two(self, flags, field, tmp_path, capsys):
+        assert main(["experiment", "--out", str(tmp_path / "o"), *flags]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_model_the_target_generator_cannot_fill_exits_two(self, tmp_path, capsys):
+        mln = tmp_path / "smokes.mln"
+        mln.write_text("type person = 3\npredicate Smokes(person)\n0 Smokes(x)\n")
+        argv = ["experiment", "--mln", str(mln), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert "Cancer(person)" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_saved_models_reproduce_spread_column(self, tmp_path):
         out = tmp_path / "o"
         main(
@@ -349,6 +370,20 @@ class TestConfigParsing:
     def test_methods_require_baseline(self):
         with pytest.raises(ValueError, match="baseline"):
             ExperimentConfig(methods=("l1",))
+
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("target_sizes", ()),
+            ("target_sizes", (3, 0)),
+            ("target_replicates", 0),
+            ("train_size", 0),
+            ("train_size", -2),
+        ],
+    )
+    def test_sizes_and_counts_below_one_name_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**{field: value})
 
     def test_bad_bool(self):
         with pytest.raises(ValueError, match="boolean"):

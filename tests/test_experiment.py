@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -97,6 +98,44 @@ class TestPipeline:
             for j in range(10):
                 seen.add(seed_target(7, si, j))
         assert len(seen) == 50 + 30
+
+
+class TestModelCheck:
+    @pytest.mark.parametrize(
+        ("text", "missing"),
+        [
+            ("type person = 3\npredicate Smokes(person)\n0 Smokes(x)\n", "Cancer(person)"),
+            (
+                "type person = 3\ntype city = 2\npredicate Smokes(person)\n"
+                "predicate Cancer(person)\npredicate Friends(person,city)\n0 Smokes(x)\n",
+                "Friends(person,person)",
+            ),
+        ],
+    )
+    def test_model_the_target_generator_cannot_fill_is_rejected_before_any_pass(
+        self, text, missing, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "model.mln"
+        path.write_text(text)
+
+        def no_pass(*args, **kwargs):
+            raise AssertionError("a pass ran before the model check")
+
+        monkeypatch.setattr(experiment, "count_histogram", no_pass)
+        monkeypatch.setattr(experiment, "learn", no_pass)
+        cfg = ExperimentConfig(**{**TINY, "mln": str(path)})
+        with pytest.raises(ValueError, match=re.escape(missing)):
+            run_experiment(cfg)
+
+    def test_extra_predicates_and_types_are_allowed(self, tmp_path):
+        path = tmp_path / "model.mln"
+        path.write_text(
+            "type person = 3\ntype city = 2\npredicate Smokes(person)\n"
+            "predicate Cancer(person)\npredicate Friends(person,person)\n"
+            "predicate Lives(person,city)\n0 Smokes(x) => Cancer(x)\n"
+        )
+        model = load_experiment_model(ExperimentConfig(mln=str(path)))
+        assert model.signature.has_predicate("Lives")
 
 
 class TestTargetScoring:

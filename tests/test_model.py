@@ -355,6 +355,20 @@ class TestChunkCounts:
                 direct = [raw_log_weight(model, World(index, int(b))) for b in worlds]
                 assert counts[:, 0].tolist() == direct
 
+    @pytest.mark.parametrize("text", [NINE_ATOM_TEXT, FRIENDS_SMOKERS_MLN])
+    def test_strides_add_the_clause_columns_into_one_key(self, text):
+        # Blocks of 16 worlds put groundings on both sides of the low/high split.
+        model = normalize_distinct(parse_mln(text))
+        index = index_for(model, 2)
+        gt = GroundingTable(model.formulas(), index)
+        strides = np.arange(len(gt.entries), dtype=np.int64) * 7 + 3
+        with mock.patch.object(model_module, "DEFAULT_CHUNK", 1 << 4):
+            blocks = list(gt.chunk_counts(strides))
+        assert len(blocks) == 1 << (index.n_atoms - 4)
+        for worlds, key in blocks:
+            assert key.dtype == np.int32 and key.shape == worlds.shape
+            assert np.array_equal(key, _count_kernel(gt.entries, worlds) @ strides)
+
 
 class TestDistinctRows:
     def test_matches_tuple_counting(self):
@@ -452,6 +466,64 @@ class TestCountHistogram:
         hist = count_histogram(model, index_for(model, 3))
         assert hist.counts.shape == (44, 5)
         assert int(hist.mult.sum()) == 1 << 15
+
+    @pytest.mark.parametrize(
+        ("name", "n"),
+        [
+            ("smokers", 2),
+            ("smokers", 3),
+            ("smokers_reversed", 3),
+            ("random", 3),
+            ("random_ternary", 3),
+        ],
+    )
+    def test_count_keys_match_block_dedupe_on_both_sides_of_the_span(self, name, n):
+        # The span is the product of (grounding total + 1) over the clauses.
+        # A block as long as the span tallies count keys; one shorter dedupes
+        # every block. Both must give the same histogram, bit for bit.
+        if name.startswith("smokers"):
+            model = normalize_distinct(parse_mln(FRIENDS_SMOKERS_MLN))
+            if name == "smokers_reversed":  # the Friends clause reaches the high bits
+                model = MlnModel(model.signature, model.clauses[::-1], normalized=True)
+        else:
+            rng = np.random.default_rng(1)
+            model = random_raw_model(rng, include_ternary_clause=name == "random_ternary")
+        index = index_for(model, n)
+        span = math.prod(e.total + 1 for e in GroundingTable(model.formulas(), index).entries)
+        above = 1 << (span - 1).bit_length()
+        results = {}
+        for keyed, chunk in ((True, above), (False, above >> 1)):
+            assert (span <= chunk) is keyed
+            _histogram.cache_clear()
+            with mock.patch.object(model_module, "DEFAULT_CHUNK", chunk), mock.patch.object(
+                model_module, "_distinct_rows", wraps=_distinct_rows
+            ) as dedupe:
+                results[keyed] = count_histogram(model, index)
+            assert dedupe.called is not keyed
+        _histogram.cache_clear()
+        keyed, deduped = results[True], results[False]
+        assert np.array_equal(keyed.counts, deduped.counts)
+        assert np.array_equal(keyed.mult, deduped.mult)
+        assert keyed.log_mult.tobytes() == deduped.log_mult.tobytes()
+        assert int(keyed.mult.sum()) == 1 << index.n_atoms
+
+    @pytest.mark.parametrize("n", [0, 2, 3])
+    def test_clause_less_model_is_one_empty_vector(self, n):
+        model = parse_mln("type p = 2\npredicate S(p)\npredicate R(p,p)\n")
+        assert model.clauses == ()
+        index = index_for(model, n)
+        hist = count_histogram(model, index)
+        assert hist.counts.shape == (1, 0)
+        assert hist.mult.tolist() == [1 << index.n_atoms]
+        log_z = log_partition(model, index=index)
+        assert log_z == pytest.approx(index.n_atoms * math.log(2), abs=1e-12)
+
+    def test_empty_domain_is_one_zero_vector(self):
+        model = parse_mln("type p = 2\npredicate S(p)\n0.5 S(x) v S(y)")
+        hist = count_histogram(model, index_for(model, 0))
+        assert hist.counts.tolist() == [[0.0]]
+        assert hist.mult.tolist() == [1]
+        assert log_partition(model, index=index_for(model, 0)) == 0.0
 
 
 class TestNonFiniteWeights:
