@@ -20,9 +20,13 @@ place from one exhaustive pass over the (n+m)-worlds, ``_split_context``. The
 pass runs on a relaid copy of the grounding table: front-half atoms in the low
 F bits, back-half atoms in the next B bits, straddling atoms above, so a
 world's two restriction codes are the bit fields ``world & (2^F - 1)`` and
-``(world >> F) & (2^B - 1)``. It folds the front marginal through the same
-bucket accumulator as ``model.marginal_log_probs`` and keeps the two
-weight-sandwich minima, with witnesses in ``AtomIndex`` order.
+``(world >> F) & (2^B - 1)``. It reads each block's log weights from
+``GroundingTable.chunk_log_weights``, folds the front marginal through the
+same bucket accumulator as ``model.marginal_log_probs`` and keeps the two
+weight-sandwich minima, with witnesses in ``AtomIndex`` order. The sandwich's
+base, the two restriction weights of every world, depends only on a world's
+low F+B bits, so it is gathered again only when a block's low F+B bits change:
+once per pass while F+B is at most log2(``DEFAULT_CHUNK``).
 """
 
 from __future__ import annotations
@@ -196,20 +200,24 @@ def _split_context(model: MlnModel, n: int, m: int, *, max_atoms: int = DEFAULT_
     cross = cross_weight_bounds(model, n, m)
 
     gt, order = _table(model.formulas(), index).relaid(pos_n, pos_m)
-    weights = np.asarray(model.weights(), dtype=np.float64)
     front_bits = np.uint64(sub_n.n_atoms)
     front_mask = np.uint64(lw_n.shape[0] - 1)
     back_mask = np.uint64(lw_m.shape[0] - 1)
+    split_mask = lw_n.shape[0] * lw_m.shape[0] - 1  # the low F+B bits
     bucket_logs = np.full(lw_n.shape[0], -np.inf)
     up_worst = math.inf
     lo_worst = math.inf
     up_witness = 0
     lo_witness = 0
-    for worlds, counts in gt.chunk_counts():
-        lw = counts @ weights
-        _fold_front_buckets(bucket_logs, int(worlds[0]), lw)
-        base = lw_n[worlds & front_mask] + lw_m[(worlds >> front_bits) & back_mask]
-        up = base + cross.log_m_max - lw
+    base_at = None
+    for worlds, lw in gt.chunk_log_weights(model.weights()):
+        start = int(worlds[0])
+        _fold_front_buckets(bucket_logs, start, lw)
+        if start & split_mask != base_at:  # the base reads only the low F+B bits
+            base_at = start & split_mask
+            base = lw_n[worlds & front_mask] + lw_m[(worlds >> front_bits) & back_mask]
+            base_up = base + cross.log_m_max
+        up = base_up - lw
         lo = lw - base - cross.log_m_min
         i = int(np.argmin(up))
         if float(up[i]) < up_worst:
@@ -219,7 +227,7 @@ def _split_context(model: MlnModel, n: int, m: int, *, max_atoms: int = DEFAULT_
         if float(lo[i]) < lo_worst:
             lo_worst = float(lo[i])
             lo_witness = int(worlds[i])
-        del lw, base, up, lo  # freed before the next block is counted
+        del lw, up, lo  # freed before the next block is counted
 
     def _index_bits(relaid_bits: int) -> int:
         return sum(1 << int(p) for j, p in enumerate(order) if relaid_bits >> j & 1)

@@ -14,23 +14,30 @@ Every pass over all 2^G worlds reads its counts from
 aligned to their length, so all blocks share their low log2(DEFAULT_CHUNK)
 bits and differ only in the high bits, which are constant within a block.
 Groundings whose atoms all lie in the low bits are counted once, on the first
-block, by the counts kernel; a grounding that reaches the high bits keeps the
-low part of its truth-table code, and each block ORs in its high part and
-looks the code up. The plain per-block kernel (``counts_matrix``,
-``log_weights``) serves the tests. A single world (``counts_world``,
-``log_weight``) is unpacked from its integer, so it may exceed 64 atoms, and
-each grounding group is counted with one gather into its truth table.
+block, by the counts kernel. A grounding that reaches the high bits sees a
+block only through the few low atoms it touches (the shared atoms) and the
+block's high bits: each block sums those groundings over every assignment of
+the shared atoms into a small table, and one gather by each world's
+shared-atom code, computed on the first block, adds it to the low counts.
+The plain per-block kernel (``counts_matrix``, ``log_weights``) serves the
+tests. A single world (``counts_world``, ``log_weight``) is unpacked from its
+integer, so it may exceed 64 atoms, and each grounding group is counted with
+one gather into its truth table.
 
-The partition function has one path: a world's weight depends on it only
-through its count vector, so one enumeration per (clause structure, atom
+A world's weight depends on it only through its count vector, whose count
+key is its mixed-radix code (radix = grounding total + 1, clause 0 most
+significant). ``chunk_counts`` builds the key straight from the groundings,
+and while its span fits in one block every weighted pass works in key space:
+``chunk_log_weights`` computes the log weight of each key in the span once and
+looks every world's up, so no pass casts a block's counts to float64 and
+multiplies them by the weights; a wider span falls back to that product. The
+partition function has one path: one enumeration per (clause structure, atom
 index) collapses all 2^G worlds into a cached histogram of distinct count
 vectors with multiplicities, and log Z for any weight vector is a logsumexp
-over that histogram. The pass builds each world's count key, the mixed-radix
-code of its count vector (radix = grounding total + 1), straight from
-``chunk_counts`` and tallies the keys with one bincount per block. Its memory
-is one block of worlds plus a count table no longer than a block. Structures
-whose key span exceeds a block instead dedupe every block's count rows and
-merge them into the running distinct rows.
+over that histogram. The build tallies the count keys with one bincount per
+block; its memory is one block of worlds plus a count table no longer than a
+block. Structures whose key span exceeds a block instead dedupe every block's
+count rows and merge them into the running distinct rows.
 
 Restriction marginals make one pass over every world against a split-aware
 copy of the grounding table: the front-half atoms take the low F bits, in the
@@ -198,6 +205,25 @@ def _count_dtype(total: int) -> np.dtype:
     return np.dtype(np.int32)
 
 
+def _count_keys(
+    entries: Sequence[_GroundedFormula],
+) -> tuple[int, np.ndarray, np.ndarray] | None:
+    """``(span, strides, radix)`` of the count key, or None when the span
+    exceeds ``DEFAULT_CHUNK``.
+
+    A count vector's key is its mixed-radix code, radix grounding total + 1
+    per clause and clause 0 most significant: ``key = counts @ strides`` and
+    ``counts = key // strides % radix``, so keys order count vectors
+    lexicographically. Every key lies below ``span``, the product of the
+    radices.
+    """
+    radix = np.array([e.total + 1 for e in entries], dtype=np.int64)
+    span = math.prod(radix.tolist())
+    if span > DEFAULT_CHUNK:
+        return None
+    return span, span // np.cumprod(radix), radix
+
+
 def _world_atoms(world: int, entries: Sequence[_GroundedFormula]) -> np.ndarray:
     """Bit ``p`` of one world integer at index ``p``, up to the highest atom the
     entries touch; the integer may be of any width."""
@@ -264,19 +290,26 @@ class GroundingTable:
         Blocks are aligned to ``DEFAULT_CHUNK``, so every block holds the same
         low log2(DEFAULT_CHUNK) bits. Groundings whose atoms all lie in those
         bits are counted once, on the first block. A grounding that reaches the
-        high bits keeps its truth-table code over the first block; each block
-        ORs in its own high bits, which are constant across the block, and
-        looks the code up. Counts are as narrow as the largest grounding total.
+        high bits sees a block only through the low atoms it touches, the
+        ``shared`` atoms, and the block's high bits, which are constant across
+        the block. Each world's ``shared`` code is computed once, on the first
+        block; each block sums its high groundings over the 2^|shared|
+        assignments into one small table and adds it to the first block's
+        counts with one gather. Counts are as narrow as the largest grounding
+        total.
 
         With one integer ``stride`` per clause, ``counts`` is instead the int32
         vector ``counts_matrix(worlds) @ strides``: each clause's truth tables
-        are scaled by its stride and added into that one column. The caller
-        keeps the largest key below 2^31.
+        are scaled by its stride and added into that one column. A largest key
+        of 2^31 or more raises ``ValueError``.
         """
         low_bits = DEFAULT_CHUNK.bit_length() - 1
         keyed = strides is not None
         if keyed:
             dtype = np.dtype(np.int32)
+            top = sum(int(s) * e.total for s, e in zip(strides, self.entries))
+            if top >= 1 << 31:
+                raise ValueError(f"count keys reach {top}, past the int32 range")
         else:
             dtype = _count_dtype(max((e.total for e in self.entries), default=0))
         low = copy.copy(self)
@@ -293,22 +326,55 @@ class GroundingTable:
                 else:
                     high.extend((ci, row, g.table) for row in g.cols[reach])
             low.entries.append(replace(e, groups=groups))
-        base = codes = None
+        shared = sorted({int(p) for _, row, _ in high for p in row if p < low_bits})
+        # Assignment i of the shared atoms as a world: bit shared[j] is bit j of
+        # i, and every high bit is 0 until a block ORs its own in.
+        sub = np.arange(1 << len(shared), dtype=np.uint64)
+        assign = np.zeros_like(sub)
+        for j, p in enumerate(shared):
+            assign |= (sub >> np.uint64(j) & np.uint64(1)) << np.uint64(p)
+        bits = _bit_columns(assign, {int(p) for _, row, _ in high for p in row})
+        codes = [_row_code(bits, row) for _, row, _ in high]
+        base = shared_code = None
         for worlds in world_chunks(self.index.n_atoms):
             if base is None:
                 base = low.counts_matrix(worlds)
                 if keyed:
                     base = (base @ np.asarray(strides, dtype=dtype))[:, None]
                 base = base.astype(dtype, copy=False)
-                bits = _bit_columns(worlds, {int(p) for _, row, _ in high for p in row})
-                codes = [_row_code(bits, row) for _, row, _ in high]
-                del bits  # only the codes outlive the first block
-            counts = base.copy()
+                shared_code = bit_codes(worlds, shared) if high else None
+            if not high:
+                yield worlds, base[:, 0] if keyed else base
+                continue
+            high_counts = np.zeros((assign.shape[0], base.shape[1]), dtype=dtype)
             start = int(worlds[0])
             for (col, row, table), code in zip(high, codes):
                 high_code = sum((start >> int(p) & 1) << j for j, p in enumerate(row))
-                counts[:, col] += np.take(table, code | high_code)
+                high_counts[:, col] += np.take(table, code | high_code)
+            counts = np.take(high_counts, shared_code, axis=0)
+            counts += base
             yield worlds, counts[:, 0] if keyed else counts
+
+    def chunk_log_weights(
+        self, weights: Sequence[float]
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """``(worlds, log weights)`` for every block of ``world_chunks``, equal
+        to ``log_weights(worlds, weights)``.
+
+        While the count-key span fits in one block, the log weight of every
+        key in the span is computed once and each block looks its keys up;
+        past it, each block's counts are multiplied by the weights.
+        """
+        weights = np.asarray(weights, dtype=np.float64)
+        keys = _count_keys(self.entries)
+        if keys is None:
+            for worlds, counts in self.chunk_counts():
+                yield worlds, counts @ weights
+            return
+        span, strides, radix = keys
+        table = (np.arange(span)[:, None] // strides % radix) @ weights
+        for worlds, key in self.chunk_counts(strides):
+            yield worlds, np.take(table, key)
 
     def relaid(self, *leading: np.ndarray) -> tuple[GroundingTable, np.ndarray]:
         """A copy over a permuted bit layout, plus that layout's ``order``.
@@ -372,11 +438,10 @@ def dense_log_weights(
 ) -> np.ndarray:
     """Log weight of every world over the index, as one 2^G vector."""
     _guard(index.n_atoms, max_atoms)
-    weights = np.asarray(model.weights(), dtype=np.float64)
     out = np.empty(1 << index.n_atoms, dtype=np.float64)
-    for worlds, counts in _table(model.formulas(), index).chunk_counts():
+    for worlds, lw in _table(model.formulas(), index).chunk_log_weights(model.weights()):
         start = int(worlds[0])
-        out[start : start + worlds.shape[0]] = counts @ weights
+        out[start : start + worlds.shape[0]] = lw
     return out
 
 
@@ -448,10 +513,9 @@ def _histogram(formulas: tuple[Formula, ...], index: AtomIndex) -> CountHistogra
     the span; past it, every block is deduped and merged into the running rows.
     Both give the distinct vectors in lexicographic order."""
     gt = GroundingTable(formulas, index)
-    radix = np.array([e.total + 1 for e in gt.entries], dtype=np.int64)
-    span = math.prod(radix.tolist())
-    if span <= DEFAULT_CHUNK:
-        strides = span // np.cumprod(radix)  # clause 0 most significant
+    count_keys = _count_keys(gt.entries)
+    if count_keys is not None:
+        span, strides, radix = count_keys
         tally = np.zeros(span, dtype=np.int64)
         for _, key in gt.chunk_counts(strides):
             tally += np.bincount(key, minlength=span)
@@ -523,10 +587,9 @@ def marginal_log_probs(model: MlnModel, spec: DomainSpec) -> tuple[AtomIndex, np
     sub_index, positions = restriction_positions(index, front)
     _guard(sub_index.n_atoms, DEFAULT_DENSE_MAX_ATOMS)
     gt, _ = _table(model.formulas(), index).relaid(positions)
-    weights = np.asarray(model.weights(), dtype=np.float64)
     bucket_logs = np.full(1 << sub_index.n_atoms, -np.inf)
-    for worlds, counts in gt.chunk_counts():
-        _fold_front_buckets(bucket_logs, int(worlds[0]), counts @ weights)
+    for worlds, lw in gt.chunk_log_weights(model.weights()):
+        _fold_front_buckets(bucket_logs, int(worlds[0]), lw)
     return sub_index, bucket_logs - _logsumexp(bucket_logs)
 
 
@@ -595,10 +658,8 @@ def max_split_factorization_error(model: MlnModel, n: int, m: int) -> float:
             sub_index = AtomIndex(model.signature, DomainSpec({tau: k}))
             lw_k = dense_log_weights(replace(model, clauses=tuple(clauses)), sub_index)
         cross += [(restriction_positions(index, {tau: c})[1], lw_k) for c in tuples]
-    weights = np.asarray(model.weights(), dtype=np.float64)
     worst = 0.0
-    for worlds, counts in _table(model.formulas(), index).chunk_counts():
-        lw = counts @ weights
+    for worlds, lw in _table(model.formulas(), index).chunk_log_weights(model.weights()):
         acc = lw_n[bit_codes(worlds, pos_n)] + lw_m[bit_codes(worlds, pos_m)]
         for pos_c, lw_c in cross:
             acc += lw_c[bit_codes(worlds, pos_c)]

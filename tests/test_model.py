@@ -57,6 +57,38 @@ NINE_ATOM_TEXT = (
 )
 
 
+# Nine clauses over eight unary predicates: a count-key span of 3^9, which is
+# not a multiple of four, so the span's log-weight product ends in a partial
+# block of rows.
+NINE_CLAUSE_TEXT = (
+    "type p = 2\n"
+    + "".join(f"predicate {c}(p)\n" for c in "ABCDEFGH")
+    + "".join(f"1 {c}(x)\n" for c in "ABCDEFGH")
+    + "1 A(x) v B(x)\n"
+)
+
+# Models on both sides of the count-key span rule, as (name, n).
+SPAN_CASES = [
+    ("smokers", 2),
+    ("smokers", 3),
+    ("smokers_reversed", 3),
+    ("random", 3),
+    ("random_ternary", 3),
+    ("nine_clauses", 2),
+]
+
+
+def span_case_model(name: str, rng: np.random.Generator) -> MlnModel:
+    if name == "nine_clauses":
+        return normalize_distinct(parse_mln(NINE_CLAUSE_TEXT))
+    if name.startswith("smokers"):
+        model = normalize_distinct(parse_mln(FRIENDS_SMOKERS_MLN))
+        if name == "smokers_reversed":  # the Friends clause reaches the high bits
+            model = MlnModel(model.signature, model.clauses[::-1], normalized=True)
+        return model
+    return random_raw_model(rng, include_ternary_clause=name == "random_ternary")
+
+
 def model_from(text: str) -> MlnModel:
     return normalize_distinct(parse_mln(text))
 
@@ -369,6 +401,76 @@ class TestChunkCounts:
             assert key.dtype == np.int32 and key.shape == worlds.shape
             assert np.array_equal(key, _count_kernel(gt.entries, worlds) @ strides)
 
+    @pytest.mark.parametrize(
+        ("text", "n", "shared"),
+        [
+            ("type p = 6\npredicate S(p)\n0.5 S(x)", 6, "none"),  # one atom per grounding
+            (FRIENDS_SMOKERS_MLN, 2, "some"),  # Friends(x,y) also reads Smokes(x), Smokes(y)
+            (NINE_ATOM_TEXT, 2, "all"),  # every high grounding reads all four R atoms
+        ],
+    )
+    @pytest.mark.parametrize("keyed", [False, True])
+    def test_shared_table_matches_the_kernel(self, text, n, shared, keyed):
+        # Blocks of 16 worlds; the high groundings reach past bit 4 and read
+        # none, some or all of the four low atoms.
+        model = normalize_distinct(parse_mln(text))
+        index = index_for(model, n)
+        gt = GroundingTable(model.formulas(), index)
+        rows = [row for e in gt.entries for g in e.groups for row in g.cols if row.max() >= 4]
+        low_atoms = {int(p) for row in rows for p in row if p < 4}
+        assert rows
+        assert {"none": 0, "some": 2, "all": 4}[shared] == len(low_atoms)
+        strides = np.arange(len(gt.entries), dtype=np.int64) * 5 + 1 if keyed else None
+        with mock.patch.object(model_module, "DEFAULT_CHUNK", 1 << 4):
+            blocks = list(gt.chunk_counts(strides))
+        assert len(blocks) == 1 << (index.n_atoms - 4)
+        for worlds, counts in blocks:
+            expected = _count_kernel(gt.entries, worlds)
+            if keyed:
+                assert counts.dtype == np.int32
+                expected = expected @ strides
+            assert np.array_equal(counts, expected)
+
+    def test_keys_past_int32_raise(self):
+        # Smokers at n=2 has 2 groundings per clause: the largest key is
+        # 2 * sum(strides), one short of 2^31 or exactly 2^31.
+        model = normalize_distinct(parse_mln(FRIENDS_SMOKERS_MLN))
+        index = index_for(model, 2)
+        gt = GroundingTable(model.formulas(), index)
+        assert [e.total for e in gt.entries] == [2] * 5
+        fits = np.array([(1 << 28) - 1, 1 << 28, 1 << 28, 1 << 28, 0])
+        (worlds, key), = gt.chunk_counts(fits)
+        assert np.array_equal(key, _count_kernel(gt.entries, worlds) @ fits)
+        assert int(key.max()) == (1 << 31) - 2
+        for strides in (fits + [1, 0, 0, 0, 0], np.full(5, 1 << 28)):
+            with pytest.raises(ValueError, match="int32"):
+                next(gt.chunk_counts(strides))
+
+
+class TestChunkLogWeights:
+    @pytest.mark.parametrize(("name", "n"), SPAN_CASES)
+    def test_key_lookup_matches_plain_log_weights_on_both_sides_of_the_span(self, name, n):
+        # A block as long as the count-key span looks log weights up by key;
+        # one shorter multiplies counts by the weights. Both must equal the
+        # plain kernel's log weights, bit for bit.
+        rng = np.random.default_rng(5)
+        model = span_case_model(name, rng)
+        model = model.with_weights(rng.uniform(-1.5, 1.5, len(model.clauses)))
+        index = index_for(model, n)
+        gt = GroundingTable(model.formulas(), index)
+        span = math.prod(e.total + 1 for e in gt.entries)
+        above = 1 << (span - 1).bit_length()
+        expected = plain_log_weights(model, index)
+        for keyed, chunk in ((True, above), (False, above >> 1)):
+            with mock.patch.object(model_module, "DEFAULT_CHUNK", chunk):
+                assert (model_module._count_keys(gt.entries) is not None) is keyed
+                blocks = list(gt.chunk_log_weights(model.weights()))
+            assert len(blocks) == max(1, (1 << index.n_atoms) // chunk)
+            lw = np.concatenate([lw for _, lw in blocks])
+            assert lw.dtype == np.float64
+            assert np.array_equal(lw, expected)
+            assert np.array_equal(np.concatenate([w for w, _ in blocks]), np.arange(lw.shape[0]))
+
 
 class TestDistinctRows:
     def test_matches_tuple_counting(self):
@@ -467,27 +569,12 @@ class TestCountHistogram:
         assert hist.counts.shape == (44, 5)
         assert int(hist.mult.sum()) == 1 << 15
 
-    @pytest.mark.parametrize(
-        ("name", "n"),
-        [
-            ("smokers", 2),
-            ("smokers", 3),
-            ("smokers_reversed", 3),
-            ("random", 3),
-            ("random_ternary", 3),
-        ],
-    )
+    @pytest.mark.parametrize(("name", "n"), SPAN_CASES)
     def test_count_keys_match_block_dedupe_on_both_sides_of_the_span(self, name, n):
         # The span is the product of (grounding total + 1) over the clauses.
         # A block as long as the span tallies count keys; one shorter dedupes
         # every block. Both must give the same histogram, bit for bit.
-        if name.startswith("smokers"):
-            model = normalize_distinct(parse_mln(FRIENDS_SMOKERS_MLN))
-            if name == "smokers_reversed":  # the Friends clause reaches the high bits
-                model = MlnModel(model.signature, model.clauses[::-1], normalized=True)
-        else:
-            rng = np.random.default_rng(1)
-            model = random_raw_model(rng, include_ternary_clause=name == "random_ternary")
+        model = span_case_model(name, np.random.default_rng(1))
         index = index_for(model, n)
         span = math.prod(e.total + 1 for e in GroundingTable(model.formulas(), index).entries)
         above = 1 << (span - 1).bit_length()
