@@ -8,13 +8,14 @@ flat valleys where first-order steps crawl.
 
 A world's weight depends on it only through its count vector, so each Newton
 step computes log weights and exponentiates once per distinct count vector
-(the count histogram), then gathers the weights to the 2^G worlds. Three
-reductions still run over all 2^G worlds, with the operand layouts they always
-had: the normalizer, the expected counts and the Hessian product. Their
-rounding depends on summation order; run over the histogram they would move
-learned weights in the last bits, which saturated directions amplify. The line
-search only accepts or rejects a step, with 1e-12 of slack, so its likelihood
-is a logsumexp over the histogram alone.
+(the count histogram, deduped with one ``np.unique`` over every world's count
+key), then gathers the weights to the 2^G worlds. Three reductions still run
+over all 2^G worlds, with the operand layouts they always had: the
+normalizer, the expected counts and the Hessian product. Their rounding
+depends on summation order; run over the histogram they would move learned
+weights in the last bits, which saturated directions amplify. The line search
+only accepts or rejects a step, with 1e-12 of slack, so its likelihood is a
+logsumexp over the histogram alone.
 
 The model is an exponential family, so the data enters the objective only
 through its count vector: a fit is a pure function of the clause structure
@@ -44,7 +45,8 @@ import numpy as np
 from .logic import Clause, Formula, MlnModel, Signature, normalize_distinct
 from .model import (
     DEFAULT_MAX_ATOMS,
-    _distinct_rows,
+    _count_keys,
+    _decode_keys,
     _logsumexp,
     _table,
     apply_da_scaling,
@@ -144,13 +146,17 @@ def _counts_for(model: MlnModel, index: AtomIndex, max_atoms: int) -> _Counts:
 
 @lru_cache(maxsize=8)
 def _counts_cached(formulas: tuple[Formula, ...], index: AtomIndex) -> _Counts:
-    counts = np.concatenate([c for _, c in _table(formulas, index).chunk_counts()])
-    rows, mult, inverse = _distinct_rows(counts)
+    gt = _table(formulas, index)
+    _, strides, radix = _count_keys(gt.entries)
+    keys = np.concatenate([k for _, k in gt.chunk_counts(strides)])
+    keys, inverse, mult = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+    rows = _decode_keys(keys, strides, radix).astype(np.float64)
+    inverse = inverse.reshape(-1)  # its shape varies across numpy 2.x releases
     n = rows.shape[0]
     pad = np.minimum(np.arange(-(-n // 4) * 4), n - 1)
     log_mult = np.log(mult[pad])
     log_mult[n:] = -np.inf
-    return _Counts(counts.astype(np.float64), rows[pad].astype(np.float64), log_mult, inverse)
+    return _Counts(rows[inverse], rows[pad], log_mult, inverse)
 
 
 def _validate_data(model: MlnModel, spec: DomainSpec, data: World) -> AtomIndex:

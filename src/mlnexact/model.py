@@ -36,8 +36,9 @@ index) collapses all 2^G worlds into a cached histogram of distinct count
 vectors with multiplicities, and log Z for any weight vector is a logsumexp
 over that histogram. The build tallies the count keys with one bincount per
 block; its memory is one block of worlds plus a count table no longer than a
-block. Structures whose key span exceeds a block instead dedupe every block's
-count rows and merge them into the running distinct rows.
+block. Past a block, the build takes ``np.unique`` of every block's keys
+(int64 past 2^31, several int64 words from 2^63) and merges them into the
+running distinct keys; learning dedupes its worlds by key in the same way.
 
 Restriction marginals make one pass over every world against a split-aware
 copy of the grounding table: the front-half atoms take the low F bits, in the
@@ -205,23 +206,37 @@ def _count_dtype(total: int) -> np.dtype:
     return np.dtype(np.int32)
 
 
-def _count_keys(
-    entries: Sequence[_GroundedFormula],
-) -> tuple[int, np.ndarray, np.ndarray] | None:
-    """``(span, strides, radix)`` of the count key, or None when the span
-    exceeds ``DEFAULT_CHUNK``.
+def _count_keys(entries: Sequence[_GroundedFormula]) -> tuple[int, np.ndarray, np.ndarray]:
+    """``(span, strides, radix)`` of the count key.
 
     A count vector's key is its mixed-radix code, radix grounding total + 1
     per clause and clause 0 most significant: ``key = counts @ strides`` and
-    ``counts = key // strides % radix``, so keys order count vectors
-    lexicographically. Every key lies below ``span``, the product of the
-    radices.
+    ``counts = _decode_keys(key, strides, radix)``, so keys order count
+    vectors lexicographically. ``span`` is the product of the radices. Below
+    2^63 the key is one int64 word and ``strides`` one vector; from 2^63 the
+    clauses are packed, in order and greedily from the last one, into words
+    whose spans stay below 2^63, and ``strides`` is a (clauses, words) matrix
+    with one nonzero per row: each word holds its own clauses' key.
     """
     radix = np.array([e.total + 1 for e in entries], dtype=np.int64)
+    strides = np.zeros((radix.shape[0], 1), dtype=np.int64)
+    word_span = 1  # radix product of the later clauses in the word being filled
+    for c in reversed(range(radix.shape[0])):
+        if word_span * int(radix[c]) >= 1 << 63:
+            strides = np.pad(strides, ((0, 0), (1, 0)))
+            word_span = 1
+        strides[c, 0] = word_span
+        word_span *= int(radix[c])
     span = math.prod(radix.tolist())
-    if span > DEFAULT_CHUNK:
-        return None
-    return span, span // np.cumprod(radix), radix
+    return span, strides[:, 0] if strides.shape[1] == 1 else strides, radix
+
+
+def _decode_keys(keys: np.ndarray, strides: np.ndarray, radix: np.ndarray) -> np.ndarray:
+    """The count vector of every count key: ``key // stride % radix`` per
+    clause, read from the clause's word."""
+    if strides.ndim == 1:
+        return keys[:, None] // strides % radix
+    return keys[:, strides.argmax(axis=1)] // strides.max(axis=1) % radix
 
 
 def _world_atoms(world: int, entries: Sequence[_GroundedFormula]) -> np.ndarray:
@@ -298,20 +313,24 @@ class GroundingTable:
         counts with one gather. Counts are as narrow as the largest grounding
         total.
 
-        With one integer ``stride`` per clause, ``counts`` is instead the int32
-        vector ``counts_matrix(worlds) @ strides``: each clause's truth tables
-        are scaled by its stride and added into that one column. A largest key
-        of 2^31 or more raises ``ValueError``.
+        With ``strides``, one integer per clause or a (clauses, words) matrix
+        of them, ``counts`` is instead the key ``counts_matrix(worlds) @
+        strides``: each clause's truth tables are scaled by its stride and
+        added into its word's column. Keys are int32 while the largest key is
+        below 2^31 and int64 up to 2^63; past that they raise ``ValueError``.
         """
         low_bits = DEFAULT_CHUNK.bit_length() - 1
         keyed = strides is not None
         if keyed:
-            dtype = np.dtype(np.int32)
-            top = sum(int(s) * e.total for s, e in zip(strides, self.entries))
-            if top >= 1 << 31:
-                raise ValueError(f"count keys reach {top}, past the int32 range")
+            strides = np.asarray(strides, dtype=np.int64)
+            per_word = strides if strides.ndim == 2 else strides[:, None]
+            top = max(sum(int(s) * e.total for s, e in zip(w, self.entries)) for w in per_word.T)
+            if top >= 1 << 63:
+                raise ValueError(f"count keys reach {top}, past the int64 range")
+            dtype = np.dtype(np.int32 if top < 1 << 31 else np.int64)
         else:
             dtype = _count_dtype(max((e.total for e in self.entries), default=0))
+        one_word = keyed and strides.ndim == 1
         low = copy.copy(self)
         low.entries = []
         high: list[tuple[int, np.ndarray, np.ndarray]] = []  # (column, atoms, table)
@@ -321,8 +340,9 @@ class GroundingTable:
                 reach = g.cols.max(axis=1) >= low_bits
                 groups.append(_Group(g.cols[~reach], g.table))
                 if keyed:
-                    table = g.table.astype(dtype) * dtype.type(strides[ci])
-                    high.extend((0, row, table) for row in g.cols[reach])
+                    for w in np.flatnonzero(per_word[ci]):
+                        table = g.table.astype(dtype) * dtype.type(per_word[ci, w])
+                        high.extend((w, row, table) for row in g.cols[reach])
                 else:
                     high.extend((ci, row, g.table) for row in g.cols[reach])
             low.entries.append(replace(e, groups=groups))
@@ -340,11 +360,11 @@ class GroundingTable:
             if base is None:
                 base = low.counts_matrix(worlds)
                 if keyed:
-                    base = (base @ np.asarray(strides, dtype=dtype))[:, None]
+                    base = base @ per_word.astype(dtype)
                 base = base.astype(dtype, copy=False)
                 shared_code = bit_codes(worlds, shared) if high else None
             if not high:
-                yield worlds, base[:, 0] if keyed else base
+                yield worlds, base[:, 0] if one_word else base
                 continue
             high_counts = np.zeros((assign.shape[0], base.shape[1]), dtype=dtype)
             start = int(worlds[0])
@@ -353,7 +373,7 @@ class GroundingTable:
                 high_counts[:, col] += np.take(table, code | high_code)
             counts = np.take(high_counts, shared_code, axis=0)
             counts += base
-            yield worlds, counts[:, 0] if keyed else counts
+            yield worlds, counts[:, 0] if one_word else counts
 
     def chunk_log_weights(
         self, weights: Sequence[float]
@@ -366,13 +386,12 @@ class GroundingTable:
         past it, each block's counts are multiplied by the weights.
         """
         weights = np.asarray(weights, dtype=np.float64)
-        keys = _count_keys(self.entries)
-        if keys is None:
+        span, strides, radix = _count_keys(self.entries)
+        if span > DEFAULT_CHUNK:
             for worlds, counts in self.chunk_counts():
                 yield worlds, counts @ weights
             return
-        span, strides, radix = keys
-        table = (np.arange(span)[:, None] // strides % radix) @ weights
+        table = _decode_keys(np.arange(span), strides, radix) @ weights
         for worlds, key in self.chunk_counts(strides):
             yield worlds, np.take(table, key)
 
@@ -450,43 +469,6 @@ def dense_log_weights(
 # ---------------------------------------------------------------------------
 
 
-def _dense_ranks(key: np.ndarray) -> np.ndarray:
-    """Rank of every key among the sorted distinct keys."""
-    s = np.sort(key)
-    first = np.ones(s.shape[0], dtype=bool)
-    first[1:] = s[1:] != s[:-1]
-    return np.searchsorted(s[first], key)
-
-
-def _distinct_rows(
-    rows: np.ndarray, mult: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct rows of a non-negative integer matrix, with summed multiplicities
-    and the distinct row of every input row (``distinct[inverse] == rows``).
-
-    Each row gets a mixed-radix int64 key (radix = column max + 1), column 0
-    most significant. Before the radix product could pass 2^62 the key is
-    re-compacted to dense ranks, so the dedupe is exact for any number of
-    columns. Keys order rows lexicographically, so the distinct rows come out
-    sorted, whatever the input order or chunking. ``mult`` weights each input
-    row (default 1); the result's multiplicities are int64.
-    """
-    key = np.zeros(rows.shape[0], dtype=np.int64)
-    span = 1
-    for col in rows.T:
-        radix = int(col.max(initial=0)) + 1
-        if span * radix > 1 << 62:
-            key = _dense_ranks(key)
-            span = int(key.max(initial=0)) + 1
-        key = key * radix + col
-        span *= radix
-    inverse = _dense_ranks(key)
-    first = np.empty(int(inverse.max(initial=-1)) + 1, dtype=np.intp)
-    first[inverse] = np.arange(rows.shape[0])  # any occurrence: the rows are equal
-    # Float bincount sums are exact: multiplicities stay below 2^53.
-    return rows[first], np.bincount(inverse, weights=mult).astype(np.int64), inverse
-
-
 @dataclass(frozen=True)
 class CountHistogram:
     """Distinct true-grounding count vectors over all worlds of one atom index."""
@@ -500,33 +482,37 @@ def count_histogram(
     model: MlnModel, index: AtomIndex, *, max_atoms: int = DEFAULT_MAX_ATOMS
 ) -> CountHistogram:
     """The model's count histogram over the index: one enumeration per clause
-    structure and index, cached and shared by every weight vector."""
+    structure and index, cached and shared by every weight vector. The index
+    must be over the model's signature."""
+    if index.signature != model.signature:
+        raise ValueError("atom index is not over the model's signature")
     _guard(index.n_atoms, max_atoms)
     return _histogram(model.formulas(), index)
 
 
 @lru_cache(maxsize=64)
 def _histogram(formulas: tuple[Formula, ...], index: AtomIndex) -> CountHistogram:
-    """Count vectors are keyed by their mixed-radix code (radix = grounding
-    total + 1, clause 0 most significant). While the key span fits in one
-    block, every block's keys are tallied with one bincount into a table of
-    the span; past it, every block is deduped and merged into the running rows.
-    Both give the distinct vectors in lexicographic order."""
+    """Every block's count keys are tallied: while the key span fits in one
+    block, with one bincount into a table of the span; past it, with one
+    ``np.unique`` per block, merged into the running distinct keys. Both give
+    the distinct vectors in lexicographic order."""
     gt = GroundingTable(formulas, index)
-    count_keys = _count_keys(gt.entries)
-    if count_keys is not None:
-        span, strides, radix = count_keys
+    span, strides, radix = _count_keys(gt.entries)
+    if span <= DEFAULT_CHUNK:
         tally = np.zeros(span, dtype=np.int64)
         for _, key in gt.chunk_counts(strides):
             tally += np.bincount(key, minlength=span)
         keys = np.flatnonzero(tally)
-        rows, mult = keys[:, None] // strides % radix, tally[keys]
+        mult = tally[keys]
     else:
-        rows = np.zeros((0, len(formulas)), dtype=np.int32)
-        mult = np.zeros(0, dtype=np.int64)
-        for _, counts in gt.chunk_counts():
-            r, m, _ = _distinct_rows(counts)
-            rows, mult, _ = _distinct_rows(np.concatenate([rows, r]), np.concatenate([mult, m]))
+        keys, mult = np.zeros((0, *strides.shape[1:]), dtype=np.int64), np.zeros(0)
+        for _, key in gt.chunk_counts(strides):
+            k, m = np.unique(key, axis=0, return_counts=True)
+            keys, inverse = np.unique(np.concatenate([keys, k]), axis=0, return_inverse=True)
+            # Float bincount sums are exact: multiplicities stay below 2^53.
+            mult = np.bincount(inverse.reshape(-1), weights=np.concatenate([mult, m]))
+        mult = mult.astype(np.int64)
+    rows = _decode_keys(keys, strides, radix)
     out = CountHistogram(rows.astype(np.float64), mult, np.log(mult))
     for a in (out.counts, out.mult, out.log_mult):
         a.setflags(write=False)
@@ -541,11 +527,14 @@ def log_partition(
     max_atoms: int = DEFAULT_MAX_ATOMS,
 ) -> float:
     """Log of the normalization constant: logsumexp(U @ w + log mult) over the
-    cached count histogram."""
+    cached count histogram. A spec given along with an index must be the
+    index's spec."""
     if index is None:
         if spec is None:
             raise ValueError("provide a domain spec or an atom index")
         index = AtomIndex(model.signature, spec)
+    elif spec is not None and spec != index.spec:
+        raise ValueError("domain spec differs from the atom index's spec")
     hist = count_histogram(model, index, max_atoms=max_atoms)
     return _logsumexp(hist.counts @ np.array(model.weights(), dtype=np.float64) + hist.log_mult)
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlnexact import learning
 from mlnexact import model as model_module
 from mlnexact.datagen import FRIENDS_SMOKERS_MLN
 from mlnexact.logic import MlnModel, normalize_distinct, parse_mln
@@ -27,7 +28,6 @@ from mlnexact.model import (
     max_split_factorization_error,
     max_tuple_factorization_error,
     _count_kernel,
-    _distinct_rows,
     _grounded_formula,
     _histogram,
     _table,
@@ -65,6 +65,15 @@ NINE_CLAUSE_TEXT = (
     + "".join(f"predicate {c}(p)\n" for c in "ABCDEFGH")
     + "".join(f"1 {c}(x)\n" for c in "ABCDEFGH")
     + "1 A(x) v B(x)\n"
+)
+
+# Eight ternary clauses over three unary predicates: 40 clauses once
+# normalized, with a count-key span of about 2^145 at p = 4: three key words.
+WORDS_TEXT = (
+    "type p = 4\npredicate A(p)\npredicate B(p)\npredicate C(p)\n"
+    "1 A(x) ^ B(y) => C(z)\n1 A(x) v B(y) v C(z)\n1 A(x) ^ A(y) => B(z)\n"
+    "1 B(x) ^ C(y) => A(z)\n1 C(x) ^ C(y) => C(z)\n1 A(x) ^ B(y) ^ C(z)\n"
+    "1 B(x) v B(y) => A(z)\n1 !A(x) v C(y) v B(z)\n"
 )
 
 # Models on both sides of the count-key span rule, as (name, n).
@@ -303,6 +312,25 @@ class TestPartition:
         with pytest.raises(DomainTooLargeError):
             log_partition(model, DomainSpec({"p": 8}), max_atoms=28)
 
+    def test_index_over_another_signature_is_rejected(self):
+        # Scored over S(p) and R(p,p), this model would give log Z 4.7207, not 1.9482.
+        model = model_from("type p = 2\npredicate S(p)\n0.5 S(x)")
+        other = model_from("type p = 2\npredicate S(p)\npredicate R(p,p)\n0.5 S(x)")
+        index = AtomIndex(other.signature, DomainSpec({"p": 2}))
+        assert log_partition(model, DomainSpec({"p": 2})) == pytest.approx(1.9482, abs=1e-4)
+        with pytest.raises(ValueError, match="signature"):
+            log_partition(model, index=index)
+        with pytest.raises(ValueError, match="signature"):
+            count_histogram(model, index)
+
+    def test_spec_that_differs_from_the_index_is_rejected(self):
+        model = model_from("type p = 2\npredicate S(p)\n0.5 S(x)")
+        spec, index = DomainSpec({"p": 2}), index_for(model, 3)
+        with pytest.raises(ValueError, match="spec"):
+            log_partition(model, spec, index=index)
+        same = log_partition(model, DomainSpec({"p": 3}), index=index)
+        assert same == log_partition(model, index=index)
+
 
 def _logsumexp(x: np.ndarray) -> float:
     shift = float(x.max())
@@ -431,20 +459,40 @@ class TestChunkCounts:
                 expected = expected @ strides
             assert np.array_equal(counts, expected)
 
-    def test_keys_past_int32_raise(self):
+    def test_keys_at_and_past_int32_are_int64(self):
         # Smokers at n=2 has 2 groundings per clause: the largest key is
-        # 2 * sum(strides), one short of 2^31 or exactly 2^31.
+        # 2 * sum(strides), one short of 2^31, exactly 2^31, or far past it.
         model = normalize_distinct(parse_mln(FRIENDS_SMOKERS_MLN))
         index = index_for(model, 2)
         gt = GroundingTable(model.formulas(), index)
         assert [e.total for e in gt.entries] == [2] * 5
         fits = np.array([(1 << 28) - 1, 1 << 28, 1 << 28, 1 << 28, 0])
-        (worlds, key), = gt.chunk_counts(fits)
-        assert np.array_equal(key, _count_kernel(gt.entries, worlds) @ fits)
-        assert int(key.max()) == (1 << 31) - 2
-        for strides in (fits + [1, 0, 0, 0, 0], np.full(5, 1 << 28)):
-            with pytest.raises(ValueError, match="int32"):
-                next(gt.chunk_counts(strides))
+        for strides, dtype, top in (
+            (fits, np.int32, (1 << 31) - 2),
+            (fits + [1, 0, 0, 0, 0], np.int64, 1 << 31),
+            (np.full(5, 1 << 40), np.int64, 10 << 40),
+        ):
+            (worlds, key), = gt.chunk_counts(strides)
+            assert key.dtype == dtype
+            assert np.array_equal(key, _count_kernel(gt.entries, worlds) @ strides)
+            assert int(key.max()) == top
+        with pytest.raises(ValueError, match="int64"):
+            next(gt.chunk_counts(np.full(5, 1 << 61)))
+
+    def test_key_words_hold_their_own_clauses(self):
+        # Blocks of 16 worlds; clauses 0-2 go to word 0 and 3-4 to word 1.
+        model = normalize_distinct(parse_mln(FRIENDS_SMOKERS_MLN))
+        index = index_for(model, 2)
+        gt = GroundingTable(model.formulas(), index)
+        strides = np.array([[9, 0], [3, 0], [1, 0], [0, 3], [0, 1]])
+        with mock.patch.object(model_module, "DEFAULT_CHUNK", 1 << 4):
+            blocks = list(gt.chunk_counts(strides))
+        assert len(blocks) == 1 << (index.n_atoms - 4)
+        for worlds, key in blocks:
+            assert key.dtype == np.int32 and key.shape == (worlds.shape[0], 2)
+            counts = _count_kernel(gt.entries, worlds)
+            assert np.array_equal(key, counts @ strides)
+            assert np.array_equal(model_module._decode_keys(key, strides, np.full(5, 3)), counts)
 
 
 class TestChunkLogWeights:
@@ -463,58 +511,13 @@ class TestChunkLogWeights:
         expected = plain_log_weights(model, index)
         for keyed, chunk in ((True, above), (False, above >> 1)):
             with mock.patch.object(model_module, "DEFAULT_CHUNK", chunk):
-                assert (model_module._count_keys(gt.entries) is not None) is keyed
+                assert (model_module._count_keys(gt.entries)[0] <= chunk) is keyed
                 blocks = list(gt.chunk_log_weights(model.weights()))
             assert len(blocks) == max(1, (1 << index.n_atoms) // chunk)
             lw = np.concatenate([lw for _, lw in blocks])
             assert lw.dtype == np.float64
             assert np.array_equal(lw, expected)
             assert np.array_equal(np.concatenate([w for w, _ in blocks]), np.arange(lw.shape[0]))
-
-
-class TestDistinctRows:
-    def test_matches_tuple_counting(self):
-        rng = np.random.default_rng(11)
-        rows = rng.integers(0, 3, size=(500, 4)).astype(np.int32)
-        got_rows, got_mult, inverse = _distinct_rows(rows)
-        expected = {}
-        for r in map(tuple, rows.tolist()):
-            expected[r] = expected.get(r, 0) + 1
-        assert dict(zip(map(tuple, got_rows.tolist()), got_mult.tolist())) == expected
-        assert np.array_equal(got_rows[inverse], rows)
-
-    def test_radix_overflow_recompacts_exactly(self):
-        # Ten columns of values below 2^20: the radix product is about 2^200,
-        # far past 2^62, so the key must be re-compacted on the way.
-        rng = np.random.default_rng(12)
-        base = rng.integers(0, 1 << 20, size=(40, 10)).astype(np.int32)
-        rows = base[rng.integers(0, 40, size=300)]
-        span = math.prod(int(c.max()) + 1 for c in rows.T)
-        assert span > 1 << 62
-        mult = rng.integers(1, 5, size=300)
-        got_rows, got_mult, inverse = _distinct_rows(rows, mult)
-        expected = {}
-        for r, k in zip(map(tuple, rows.tolist()), mult.tolist()):
-            expected[r] = expected.get(r, 0) + k
-        assert got_mult.dtype == np.int64
-        assert dict(zip(map(tuple, got_rows.tolist()), got_mult.tolist())) == expected
-        assert np.array_equal(got_rows[inverse], rows)
-        assert np.array_equal(got_rows, sorted(map(tuple, got_rows.tolist())))
-
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_one_pass_rows_are_in_count_histogram_order(self, n):
-        # The learner dedupes the whole 2^G count matrix at once; the histogram
-        # merges block by block. Both must give the same rows in the same order.
-        model = normalize_distinct(parse_mln(FRIENDS_SMOKERS_MLN))
-        index = AtomIndex(model.signature, DomainSpec({"person": n}))
-        counts = np.concatenate(
-            [c for _, c in _table(model.formulas(), index).chunk_counts()]
-        )
-        rows, mult, inverse = _distinct_rows(counts)
-        hist = count_histogram(model, index)
-        assert np.array_equal(rows.astype(np.float64), hist.counts)
-        assert np.array_equal(mult, hist.mult)
-        assert np.array_equal(rows[inverse], counts)
 
 
 class TestCountHistogram:
@@ -570,10 +573,11 @@ class TestCountHistogram:
         assert int(hist.mult.sum()) == 1 << 15
 
     @pytest.mark.parametrize(("name", "n"), SPAN_CASES)
-    def test_count_keys_match_block_dedupe_on_both_sides_of_the_span(self, name, n):
+    def test_bincount_and_unique_tallies_match_on_both_sides_of_the_span(self, name, n):
         # The span is the product of (grounding total + 1) over the clauses.
-        # A block as long as the span tallies count keys; one shorter dedupes
-        # every block. Both must give the same histogram, bit for bit.
+        # A block as long as the span tallies count keys with bincount; one
+        # shorter takes np.unique of every block's keys. Both must give the
+        # same histogram, bit for bit.
         model = span_case_model(name, np.random.default_rng(1))
         index = index_for(model, n)
         span = math.prod(e.total + 1 for e in GroundingTable(model.formulas(), index).entries)
@@ -583,16 +587,55 @@ class TestCountHistogram:
             assert (span <= chunk) is keyed
             _histogram.cache_clear()
             with mock.patch.object(model_module, "DEFAULT_CHUNK", chunk), mock.patch.object(
-                model_module, "_distinct_rows", wraps=_distinct_rows
-            ) as dedupe:
+                np, "unique", wraps=np.unique
+            ) as unique:
                 results[keyed] = count_histogram(model, index)
-            assert dedupe.called is not keyed
+            assert unique.called is not keyed
         _histogram.cache_clear()
         keyed, deduped = results[True], results[False]
         assert np.array_equal(keyed.counts, deduped.counts)
         assert np.array_equal(keyed.mult, deduped.mult)
         assert keyed.log_mult.tobytes() == deduped.log_mult.tobytes()
         assert int(keyed.mult.sum()) == 1 << index.n_atoms
+
+    @pytest.mark.parametrize(("name", "n"), SPAN_CASES)
+    def test_learning_count_table_is_the_histogram(self, name, n):
+        # The learner dedupes all 2^G keys at once; the histogram tallies
+        # block by block. Both must give the same rows in the same order.
+        model = span_case_model(name, np.random.default_rng(1))
+        index = index_for(model, n)
+        counts = learning._counts_cached(model.formulas(), index)
+        hist = count_histogram(model, index)
+        rows = hist.counts.shape[0]
+        assert counts.rows[:rows].tobytes() == hist.counts.tobytes()
+        assert counts.log_mult[:rows].tobytes() == hist.log_mult.tobytes()
+        assert np.all(counts.log_mult[rows:] == -np.inf)
+        worlds = np.concatenate(
+            [_table(model.formulas(), index).counts_matrix(w) for w in world_chunks(index.n_atoms)]
+        ).astype(np.float64)
+        assert counts.rows[counts.inverse].tobytes() == worlds.tobytes()
+        assert counts.worlds.tobytes() == worlds.tobytes()
+
+    def test_key_words_past_int64(self):
+        model = model_from(WORDS_TEXT)
+        index = index_for(model, 4)
+        gt = GroundingTable(model.formulas(), index)
+        span, strides, radix = model_module._count_keys(gt.entries)
+        assert (len(model.clauses), index.n_atoms, span.bit_length()) == (40, 12, 145)
+        assert strides.shape == (40, 3) and (np.count_nonzero(strides, axis=1) == 1).all()
+        counts = gt.counts_matrix(next(world_chunks(index.n_atoms)))
+        tally: dict[tuple[int, ...], int] = {}
+        for row in map(tuple, counts.tolist()):
+            tally[row] = tally.get(row, 0) + 1
+        hist = count_histogram(model, index)
+        assert hist.counts.shape[0] == 330
+        assert list(map(tuple, hist.counts.astype(np.int64).tolist())) == sorted(tally)
+        assert hist.mult.tolist() == [tally[r] for r in sorted(tally)]
+        log_z = log_partition(model, index=index)
+        assert abs(log_z - _logsumexp(plain_log_weights(model, index))) <= 1e-9
+        table = learning._counts_cached(model.formulas(), index)
+        assert np.array_equal(table.rows[:330], hist.counts)
+        assert np.array_equal(table.rows[table.inverse], counts)
 
     @pytest.mark.parametrize("n", [0, 2, 3])
     def test_clause_less_model_is_one_empty_vector(self, n):
