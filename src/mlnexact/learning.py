@@ -8,14 +8,22 @@ flat valleys where first-order steps crawl.
 
 A world's weight depends on it only through its count vector, so each Newton
 step computes log weights and exponentiates once per distinct count vector
-(the count histogram, deduped with one ``np.unique`` over every world's count
-key), then gathers the weights to the 2^G worlds. Three reductions still run
-over all 2^G worlds, with the operand layouts they always had: the
-normalizer, the expected counts and the Hessian product. Their rounding
+(the count histogram, deduped by every world's count key), then gathers the
+weights to the 2^G worlds. Three reductions still run over all 2^G worlds:
+the normalizer, the expected counts and the Hessian product. Their rounding
 depends on summation order; run over the histogram they would move learned
-weights in the last bits, which saturated directions amplify. The line search
-only accepts or rejects a step, with 1e-12 of slack, so its likelihood is a
-logsumexp over the histogram alone.
+weights in the last bits, which saturated directions amplify. The Hessian's
+left operand stays world-major, (2^G, k) with the probability-weighted counts
+of one world per row, so its product is the very BLAS call of the plain
+``(counts * p[:, None]).T @ counts`` and rounds the same on any BLAS. A
+clause-major (k, 2^G) operand is multiplied faster, but it takes another
+kernel: OpenBLAS 0.3.31's small-matrix kernels on AVX-512 rounded it
+differently at 2 to 4, 9 to 12 and 17 clauses. Every fit starts at zero
+weights, where every world has probability 2^-G whatever the data, so the
+normalizer, the expected counts and the Hessian there are evaluated once per
+count table and shared by every fit on it; the data only shifts the
+gradient. The line search only accepts or rejects a step, with 1e-12 of
+slack, so its likelihood is a logsumexp over the histogram alone.
 
 The model is an exponential family, so the data enters the objective only
 through its count vector: a fit is a pure function of the clause structure
@@ -36,7 +44,7 @@ during both training and target evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
@@ -49,6 +57,7 @@ from .model import (
     _decode_keys,
     _logsumexp,
     _table,
+    _unique_keys,
     apply_da_scaling,
     da_scale_factors,
     log_partition,
@@ -126,16 +135,35 @@ class _Counts:
     a product's last block differently when that block holds fewer than four
     rows. The 2^G-row world matrix has no such block, so the padding makes
     ``(rows @ theta)[inverse]`` equal ``worlds @ theta`` to the bit.
+
+    ``at_zero`` is the objective's data-free part at zero weights, computed
+    on first use and kept with the table, so every fit on one table shares
+    its first evaluation. A projected table is a new object with its own.
     """
 
     worlds: np.ndarray  # (2^G, k) float64, the count vector of every world
     rows: np.ndarray  # (n_padded, k) float64
     log_mult: np.ndarray  # (n_padded,) log of the worlds per row
     inverse: np.ndarray  # (2^G,) the row of every world: rows[inverse] == worlds
+    # at_zero's one entry; not an init field, so a projected copy starts empty
+    _zero: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def project(self, jac: np.ndarray) -> _Counts:
         """The counts in parameter space, where the clause weights are jac @ theta."""
         return replace(self, worlds=self.worlds @ jac, rows=self.rows @ jac)
+
+    def at_zero(self, buf: np.ndarray | None = None) -> tuple[float, np.ndarray, np.ndarray]:
+        """``(log Z, expected counts, Hessian)`` at zero weights, where every
+        world is equally likely; the arrays are read-only. The first call
+        computes them, with ``buf`` as in ``_moments``, so it holds no more
+        memory than any other Newton step."""
+        if not self._zero:
+            log_z, expected, covariance = _moments(self, np.zeros(self.rows.shape[1]), buf)
+            hessian = covariance()
+            for a in (expected, hessian):
+                a.setflags(write=False)
+            self._zero.append((log_z, expected, hessian))
+        return self._zero[0]
 
 
 def _counts_for(model: MlnModel, index: AtomIndex, max_atoms: int) -> _Counts:
@@ -149,7 +177,7 @@ def _counts_cached(formulas: tuple[Formula, ...], index: AtomIndex) -> _Counts:
     gt = _table(formulas, index)
     _, strides, radix = _count_keys(gt.entries)
     keys = np.concatenate([k for _, k in gt.chunk_counts(strides)])
-    keys, inverse, mult = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+    keys, inverse, mult = _unique_keys(keys, return_inverse=True, return_counts=True)
     rows = _decode_keys(keys, strides, radix).astype(np.float64)
     inverse = inverse.reshape(-1)  # its shape varies across numpy 2.x releases
     n = rows.shape[0]
@@ -166,6 +194,31 @@ def _validate_data(model: MlnModel, spec: DomainSpec, data: World) -> AtomIndex:
     return index
 
 
+def _moments(
+    counts: _Counts, theta: np.ndarray, buf: np.ndarray | None = None
+) -> tuple[np.float64, np.ndarray, Callable[[], np.ndarray]]:
+    """``(log Z, expected counts, covariance call)`` of the model at ``theta``.
+
+    World weights are exponentiated per histogram row and gathered to the
+    worlds; the normalizer and both moments sum over the worlds. The
+    covariance's left operand is world-major, ``counts.worlds`` scaled row by
+    row (into ``buf`` when given, shaped like ``counts.worlds``), and enters
+    its product transposed, as in the dense reference.
+    """
+    logw = counts.rows @ theta
+    shift = logw.max()
+    w = np.take(np.exp(logw - shift), counts.inverse)
+    z = w.sum()
+    p = np.divide(w, z, out=w)
+    expected = p @ counts.worlds
+
+    def covariance() -> np.ndarray:
+        weighted = np.multiply(counts.worlds, p[:, None], out=buf)
+        return weighted.T @ counts.worlds - np.outer(expected, expected)
+
+    return shift + math.log(z), expected, covariance
+
+
 def _nll_grad_hessian(
     counts: _Counts, data_counts: np.ndarray, theta: np.ndarray, buf: np.ndarray | None = None
 ) -> tuple[float, np.ndarray, Callable[[], np.ndarray]]:
@@ -173,23 +226,17 @@ def _nll_grad_hessian(
     Hessian (the covariance of the counts under the current distribution), so
     a step that has converged does not pay for it.
 
-    World weights are exponentiated per histogram row and gathered to the
-    worlds; the sums over worlds keep their operand layouts. ``buf``, shaped
-    like ``counts.worlds``, receives the Hessian's left operand.
+    The moments come from ``_moments``; at zero weights they are the table's
+    shared ``counts.at_zero(buf)``, which ``_moments`` computed with the same
+    operands, so every bit is as if evaluated afresh. The Hessian then
+    returned is that read-only array.
     """
-    logw = counts.rows @ theta
-    shift = logw.max()
-    w = np.exp(logw - shift)[counts.inverse]
-    z = w.sum()
-    p = np.divide(w, z, out=w)
-    value = float(shift + math.log(z) - data_counts @ theta)
-    expected = p @ counts.worlds
-
-    def hessian() -> np.ndarray:
-        weighted = np.multiply(counts.worlds, p[:, None], out=buf)
-        return weighted.T @ counts.worlds - np.outer(expected, expected)
-
-    return value, expected - data_counts, hessian
+    if theta.any():
+        log_z, expected, hessian = _moments(counts, theta, buf)
+    else:
+        log_z, expected, hessian_0 = counts.at_zero(buf)
+        hessian = lambda: hessian_0
+    return float(log_z - data_counts @ theta), expected - data_counts, hessian
 
 
 def _nll(counts: _Counts, data_counts: np.ndarray, theta: np.ndarray) -> float:

@@ -22,7 +22,9 @@ shared-atom code, computed on the first block, adds it to the low counts.
 The plain per-block kernel (``counts_matrix``, ``log_weights``) serves the
 tests. A single world (``counts_world``, ``log_weight``) is unpacked from its
 integer, so it may exceed 64 atoms, and each grounding group is counted with
-one gather into its truth table.
+one gather into its truth table. The table memoizes the counts of the last
+``WORLD_COUNTS_MEMO`` single worlds, so scoring fixed worlds under many
+weight vectors counts each of them once.
 
 A world's weight depends on it only through its count vector, whose count
 key is its mixed-radix code (radix = grounding total + 1, clause 0 most
@@ -36,9 +38,10 @@ index) collapses all 2^G worlds into a cached histogram of distinct count
 vectors with multiplicities, and log Z for any weight vector is a logsumexp
 over that histogram. The build tallies the count keys with one bincount per
 block; its memory is one block of worlds plus a count table no longer than a
-block. Past a block, the build takes ``np.unique`` of every block's keys
-(int64 past 2^31, several int64 words from 2^63) and merges them into the
-running distinct keys; learning dedupes its worlds by key in the same way.
+block. Past a block, the build dedupes every block's keys with
+``_unique_keys`` (int64 past 2^31; from 2^63, several int64 words, sorted by
+one lexsort) and merges them into the running distinct keys; learning dedupes
+its worlds by key in the same way.
 
 Restriction marginals make one pass over every world against a split-aware
 copy of the grounding table: the front-half atoms take the low F bits, in the
@@ -84,6 +87,7 @@ from .worlds import (
 DEFAULT_MAX_ATOMS = 28
 DEFAULT_DENSE_MAX_ATOMS = 24
 DEFAULT_CHUNK = 1 << 18
+WORLD_COUNTS_MEMO = 256  # single-world count vectors a grounding table keeps
 
 
 def _logsumexp(log_values: np.ndarray) -> float:
@@ -231,6 +235,31 @@ def _count_keys(entries: Sequence[_GroundedFormula]) -> tuple[int, np.ndarray, n
     return span, strides[:, 0] if strides.shape[1] == 1 else strides, radix
 
 
+def _unique_keys(keys: np.ndarray, return_inverse: bool = False, return_counts: bool = False):
+    """``np.unique(keys, axis=0, ...)`` of count keys, one word or several.
+
+    One-word keys go to ``np.unique``. On several words it sorts the rows as a
+    structured view, so they are sorted here with one ``np.lexsort``, word 0
+    most significant, which gives the same distinct keys in the same order
+    with the same counts; the inverse comes back flat.
+    """
+    if keys.ndim == 1:
+        return np.unique(keys, axis=0, return_inverse=return_inverse, return_counts=return_counts)
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    first = np.ones(order.shape[0], dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    starts = np.flatnonzero(first)
+    out = [ordered[starts]]
+    if return_inverse:
+        inverse = np.empty_like(order)
+        inverse[order] = np.cumsum(first) - 1
+        out.append(inverse)
+    if return_counts:
+        out.append(np.diff(np.append(starts, order.shape[0])))
+    return tuple(out) if len(out) > 1 else out[0]
+
+
 def _decode_keys(keys: np.ndarray, strides: np.ndarray, radix: np.ndarray) -> np.ndarray:
     """The count vector of every count key: ``key // stride % radix`` per
     clause, read from the clause's word."""
@@ -280,10 +309,30 @@ class GroundingTable:
     def __init__(self, formulas: Sequence[Formula], index: AtomIndex):
         self.index = index
         self.entries = [_grounded_formula(f, index) for f in formulas]
+        self._world_counts: dict[int, np.ndarray] = {}
+
+    def _with_entries(self, entries: list[_GroundedFormula]) -> GroundingTable:
+        """A copy over other groundings, with its own empty world-count memo."""
+        out = copy.copy(self)
+        out.entries = entries
+        out._world_counts = {}
+        return out
 
     def counts_world(self, world: World) -> np.ndarray:
-        """True-grounding count of every clause in a single world."""
-        return _count_kernel(self.entries, world.bits)[0]
+        """True-grounding count of every clause in a single world, read-only.
+
+        The table keeps the counts of the last ``WORLD_COUNTS_MEMO`` worlds
+        it was asked for, keyed by their bits; a table belongs to one atom
+        index, so the bits name one world.
+        """
+        counts = self._world_counts.pop(world.bits, None)
+        if counts is None:
+            counts = _count_kernel(self.entries, world.bits)[0]
+            counts.setflags(write=False)
+            if len(self._world_counts) >= WORLD_COUNTS_MEMO:
+                del self._world_counts[next(iter(self._world_counts))]
+        self._world_counts[world.bits] = counts  # most recently used last
+        return counts
 
     def counts_matrix(self, worlds: np.ndarray) -> np.ndarray:
         """(n_worlds, n_clauses) true-grounding counts, vectorized over worlds."""
@@ -331,8 +380,7 @@ class GroundingTable:
         else:
             dtype = _count_dtype(max((e.total for e in self.entries), default=0))
         one_word = keyed and strides.ndim == 1
-        low = copy.copy(self)
-        low.entries = []
+        low = self._with_entries([])
         high: list[tuple[int, np.ndarray, np.ndarray]] = []  # (column, atoms, table)
         for ci, e in enumerate(self.entries):
             groups = []
@@ -405,12 +453,11 @@ class GroundingTable:
         lead = np.concatenate(leading)
         order = np.concatenate([lead, np.setdiff1d(np.arange(self.index.n_atoms), lead)])
         new_pos = np.argsort(order)
-        out = copy.copy(self)
-        out.entries = [
+        entries = [
             replace(e, groups=[_Group(new_pos[g.cols], g.table) for g in e.groups])
             for e in self.entries
         ]
-        return out, order
+        return self._with_entries(entries), order
 
 
 @lru_cache(maxsize=256)
@@ -434,7 +481,12 @@ def count_true_groundings(clause: Clause, world: World) -> int:
 
 
 def log_weight(model: MlnModel, world: World) -> float:
-    """Weighted true-grounding count of all clauses (the log of the world weight)."""
+    """Weighted true-grounding count of all clauses (the log of the world weight).
+
+    The counts come from the clause structure's cached grounding table, which
+    memoizes the counts of the worlds it has seen (``counts_world``): scoring
+    the same worlds under many weight vectors counts each world once.
+    """
     counts = _table(model.formulas(), world.index).counts_world(world)
     return float(np.dot(np.array(model.weights()), counts))
 
@@ -494,8 +546,8 @@ def count_histogram(
 def _histogram(formulas: tuple[Formula, ...], index: AtomIndex) -> CountHistogram:
     """Every block's count keys are tallied: while the key span fits in one
     block, with one bincount into a table of the span; past it, with one
-    ``np.unique`` per block, merged into the running distinct keys. Both give
-    the distinct vectors in lexicographic order."""
+    ``_unique_keys`` per block, merged into the running distinct keys. Both
+    give the distinct vectors in lexicographic order."""
     gt = GroundingTable(formulas, index)
     span, strides, radix = _count_keys(gt.entries)
     if span <= DEFAULT_CHUNK:
@@ -507,8 +559,8 @@ def _histogram(formulas: tuple[Formula, ...], index: AtomIndex) -> CountHistogra
     else:
         keys, mult = np.zeros((0, *strides.shape[1:]), dtype=np.int64), np.zeros(0)
         for _, key in gt.chunk_counts(strides):
-            k, m = np.unique(key, axis=0, return_counts=True)
-            keys, inverse = np.unique(np.concatenate([keys, k]), axis=0, return_inverse=True)
+            k, m = _unique_keys(key, return_counts=True)
+            keys, inverse = _unique_keys(np.concatenate([keys, k]), return_inverse=True)
             # Float bincount sums are exact: multiplicities stay below 2^53.
             mult = np.bincount(inverse.reshape(-1), weights=np.concatenate([mult, m]))
         mult = mult.astype(np.int64)

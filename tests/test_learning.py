@@ -13,6 +13,7 @@ from mlnexact.learning import (
     GRID_DEFAULT,
     LEARN_MAX_ATOMS,
     LearnConfig,
+    _Counts,
     _counts_for,
     _nll,
     _nll_grad_hessian,
@@ -234,6 +235,123 @@ class TestHistogramObjective:
             assert len(calls) >= slow.iterations
             assert np.array_equal(fast.weights, slow.weights)
             assert (fast.iterations, fast.objective) == (slow.iterations, slow.objective)
+
+
+def synthetic_counts(rng, k: int, n_worlds: int, n_rows: int) -> _Counts:
+    """A count table of random small counts, padded as ``_counts_cached`` pads."""
+    rows = rng.integers(0, 12, size=(n_rows, k)).astype(np.float64)
+    inverse = rng.permutation(np.arange(n_worlds) % n_rows)
+    pad = np.minimum(np.arange(-(-n_rows // 4) * 4), n_rows - 1)
+    log_mult = np.log(np.bincount(inverse, minlength=n_rows)[pad])
+    log_mult[n_rows:] = -np.inf
+    return _Counts(rows[inverse], rows[pad], log_mult, inverse)
+
+
+class TestHessianOperand:
+    """The Hessian's left operand is world-major, so its product is the dense
+    reference's own BLAS call. A clause-major operand takes another BLAS
+    kernel, which was measured to round differently at some widths."""
+
+    @pytest.mark.parametrize("k", [*range(1, 13), 16, 17, 24, 40])
+    def test_matches_the_dense_product_bit_for_bit(self, k):
+        rng = np.random.default_rng(k)
+        for n_worlds in (8, 64, 1000, 4096, 1 << 14):
+            counts = synthetic_counts(rng, k, n_worlds, min(n_worlds, 50))
+            theta = rng.normal(scale=0.3, size=k)
+            data_counts = counts.worlds[int(rng.integers(0, n_worlds))]
+            buf = np.empty_like(counts.worlds)
+            value, grad, hessian_at = _nll_grad_hessian(counts, data_counts, theta, buf)
+            want_value, want_grad, want_hessian = dense_nll_grad_hessian(
+                counts.worlds, data_counts, theta
+            )
+            assert value == want_value
+            assert np.array_equal(grad, want_grad)
+            assert np.array_equal(hessian_at(), want_hessian)
+
+
+class TestZeroWeights:
+    """Every fit starts at zero weights, where the objective's moments do not
+    depend on the data: one evaluation per count table serves every fit."""
+
+    @pytest.fixture
+    def zero_evaluations(self, monkeypatch):
+        """The count tables ``_moments`` has evaluated at zero weights."""
+        calls = []
+        moments = learning._moments
+
+        def counted(counts, theta, buf=None):
+            if not theta.any():
+                calls.append(counts)
+            return moments(counts, theta, buf)
+
+        monkeypatch.setattr(learning, "_moments", counted)
+        return calls
+
+    def test_one_evaluation_serves_fits_of_every_penalty_and_data(self, zero_evaluations):
+        model = smokers_model()
+        spec, index, data = smokers_data(model)
+        learning._counts_cached.cache_clear()
+        others = [
+            World.from_true_atoms(index, [("S", (1,)), ("S", (2,)), ("F", (1, 2))]),
+            World.from_true_atoms(index, [("F", (1, 2)), ("F", (2, 1)), ("S", (3,))]),
+        ]
+        configs = [
+            LearnConfig(),
+            LearnConfig(regularizer="l1", lam=0.3),
+            LearnConfig(regularizer="l2", lam=0.3),
+        ]
+        counts = _counts_for(model, index, LEARN_MAX_ATOMS)
+        assert len({counts.worlds[w.bits].tobytes() for w in [data, *others]}) == 3
+        fits = [learn(model, spec, w, c) for w, c in zip([data, *others], configs)]
+        assert learning._fit.cache_info().misses == 3
+        assert all(f.iterations > 1 for f in fits)  # each one took a step from zero
+        assert len(zero_evaluations) == 1 and zero_evaluations[0] is counts
+
+    @pytest.mark.parametrize("text", [None, TEN_CLAUSE_TEXT], ids=["smokers", "ten_clauses"])
+    def test_equals_the_dense_oracle_bit_for_bit(self, text):
+        model = smokers_model() if text is None else normalize_distinct(parse_mln(text))
+        index = AtomIndex(model.signature, DomainSpec({"p": 3 if text is None else 2}))
+        counts = _counts_for(model, index, LEARN_MAX_ATOMS)
+        zero = np.zeros(counts.rows.shape[1])
+        rng = np.random.default_rng(2)
+        for bits in rng.integers(0, counts.worlds.shape[0], size=4):
+            data_counts = counts.worlds[int(bits)]
+            value, grad, hessian_at = _nll_grad_hessian(counts, data_counts, zero)
+            want_value, want_grad, want_hessian = dense_nll_grad_hessian(
+                counts.worlds, data_counts, zero
+            )
+            assert value == want_value
+            assert np.array_equal(grad, want_grad)
+            assert np.array_equal(hessian_at(), want_hessian)
+            assert hessian_at() is counts.at_zero()[2]
+        _, expected, hessian = counts.at_zero()
+        assert not expected.flags.writeable and not hessian.flags.writeable
+
+    def test_the_first_evaluation_fills_the_callers_buffer(self):
+        # The Hessian operand goes into the fit's buffer, so the step at zero
+        # holds no more memory than any other step.
+        counts = synthetic_counts(np.random.default_rng(3), 5, 1 << 10, 40)
+        buf = np.full_like(counts.worlds, np.nan)
+        _nll_grad_hessian(counts, counts.worlds[0], np.zeros(5), buf)
+        assert np.array_equal(buf, counts.worlds / (1 << 10))
+
+    def test_a_projected_table_has_its_own(self, zero_evaluations):
+        model = normalize_distinct(parse_mln(FRIENDS_SMOKERS_MLN))
+        spec = DomainSpec({"person": 3})
+        index = AtomIndex(model.signature, spec)
+        _, jac = _parameter_map(model, spec, LearnConfig(da=True))
+        counts = _counts_for(model, index, LEARN_MAX_ATOMS)
+        base = counts.at_zero()
+        projected = counts.project(jac)
+        got = projected.at_zero()
+        assert zero_evaluations[-1] is projected
+        assert not np.array_equal(got[2], base[2])
+        zero = np.zeros(jac.shape[1])
+        data_counts = projected.worlds[5]
+        _, want_grad, want_hessian = dense_nll_grad_hessian(projected.worlds, data_counts, zero)
+        _, grad, hessian_at = _nll_grad_hessian(projected, data_counts, zero)
+        assert np.array_equal(grad, want_grad)
+        assert np.array_equal(hessian_at(), want_hessian)
 
 
 class TestLearn:

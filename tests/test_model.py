@@ -234,6 +234,81 @@ class TestLogWeight:
         assert first != second
 
 
+class TestWorldCountsMemo:
+    """A grounding table keeps the counts of the single worlds it was asked for."""
+
+    def test_memo_equals_the_kernel_and_is_read_only(self):
+        model = normalize_distinct(parse_mln(FRIENDS_SMOKERS_MLN))
+        index = index_for(model, 3)
+        gt = GroundingTable(model.formulas(), index)
+        rng = np.random.default_rng(5)
+        for bits in map(int, rng.integers(0, 1 << index.n_atoms, size=8)):
+            for _ in range(2):  # a miss, then a hit
+                counts = gt.counts_world(World(index, bits))
+                assert counts.tobytes() == _count_kernel(gt.entries, bits)[0].tobytes()
+                assert not counts.flags.writeable
+                with pytest.raises(ValueError):
+                    counts[0] = 0
+
+    def test_a_hit_does_not_count_again(self):
+        model = normalize_distinct(parse_mln(FRIENDS_SMOKERS_MLN))
+        index = index_for(model, 3)
+        gt = GroundingTable(model.formulas(), index)
+        with mock.patch.object(model_module, "_count_kernel", wraps=_count_kernel) as kernel:
+            first = gt.counts_world(World(index, 12345))
+            second = gt.counts_world(World(index, 12345))
+        assert kernel.call_count == 1
+        assert second is first
+
+    def test_memo_is_bounded_and_keeps_the_recent_worlds(self):
+        model = model_from("type p = 3\npredicate S(p)\npredicate R(p,p)\n1 R(x,y) => S(x)")
+        index = index_for(model, 3)
+        gt = GroundingTable(model.formulas(), index)
+        limit = model_module.WORLD_COUNTS_MEMO
+        assert 1 << index.n_atoms > limit + 40
+        with mock.patch.object(model_module, "_count_kernel", wraps=_count_kernel) as kernel:
+            for bits in range(1, limit + 40):
+                gt.counts_world(World(index, bits))
+                gt.counts_world(World(index, 0))  # world 0 stays the most recently used
+        assert kernel.call_count == limit + 40  # every world counted once
+        assert len(gt._world_counts) == limit
+        assert 0 in gt._world_counts and limit + 39 in gt._world_counts
+        assert 1 not in gt._world_counts
+
+    def test_the_same_bits_over_another_index_give_other_counts(self):
+        model = normalize_distinct(parse_mln(FRIENDS_SMOKERS_MLN))
+        small, large = index_for(model, 2), index_for(model, 3)
+        bits = 0b1011
+        weights = [0.5, -0.25, 1.0, 0.75, -1.5][: len(model.clauses)]
+        model = model.with_weights(weights)
+        seen = []
+        for index in (small, large, small, large):  # each index's memo is filled, then hit
+            world = World(index, bits)
+            gt = _table(model.formulas(), index)
+            counts = gt.counts_world(world)
+            assert counts.tobytes() == _count_kernel(gt.entries, bits)[0].tobytes()
+            assert log_weight(model, world) == pytest.approx(
+                raw_log_weight(model, world), abs=1e-12
+            )
+            seen.append(counts.tolist())
+        assert seen[0] == seen[2] and seen[1] == seen[3]
+        assert seen[0] != seen[1]
+
+    def test_a_relaid_copy_counts_its_own_worlds(self):
+        model = normalize_distinct(parse_mln(FRIENDS_SMOKERS_MLN))
+        index = index_for(model, 3)
+        gt = GroundingTable(model.formulas(), index)
+        relaid, _ = gt.relaid(np.arange(index.n_atoms)[::-1].copy())
+        differ = 0
+        for bits in range(1, 1 << 12, 97):
+            world = World(index, bits)
+            original = gt.counts_world(world).tolist()
+            copied = relaid.counts_world(world)
+            assert copied.tobytes() == _count_kernel(relaid.entries, bits)[0].tobytes()
+            differ += copied.tolist() != original
+        assert differ > 0
+
+
 class TestKWeights:
     def test_no_clauses_of_that_arity(self, unary_model):
         model = normalize_distinct(unary_model)
@@ -636,6 +711,45 @@ class TestCountHistogram:
         table = learning._counts_cached(model.formulas(), index)
         assert np.array_equal(table.rows[:330], hist.counts)
         assert np.array_equal(table.rows[table.inverse], counts)
+
+    @pytest.mark.parametrize("words", [2, 3, 4])
+    def test_multi_word_dedupe_equals_np_unique(self, words):
+        rng = np.random.default_rng(words)
+        pool = rng.integers(0, 1 << 62, size=(40, words))
+        pool[::3, 0] = pool[0, 0]  # equal leading words: a later word decides
+        pool[::6, 1] = pool[0, 1]
+        keys = pool[rng.integers(0, 40, size=1000)]
+        want = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+        got = model_module._unique_keys(keys, return_inverse=True, return_counts=True)
+        assert got[0].dtype == want[0].dtype and got[0].tobytes() == want[0].tobytes()
+        assert got[1].dtype == want[1].dtype
+        assert got[1].tobytes() == want[1].reshape(-1).tobytes()
+        assert got[2].dtype == want[2].dtype and got[2].tobytes() == want[2].tobytes()
+        assert model_module._unique_keys(keys).tobytes() == want[0].tobytes()
+        one = model_module._unique_keys(keys[:1], return_inverse=True, return_counts=True)
+        assert [a.tolist() for a in one] == [keys[:1].tolist(), [0], [1]]
+
+    def test_key_words_are_sorted_without_np_unique(self):
+        # np.unique sorts several key words as a structured view; a lexsort
+        # does the same work several times faster. Short blocks make the
+        # histogram merge the distinct keys of every block.
+        model = model_from(WORDS_TEXT)
+        index = index_for(model, 4)
+        results = []
+        for chunk in (model_module.DEFAULT_CHUNK, 1 << 6):
+            _histogram.cache_clear()
+            learning._counts_cached.cache_clear()
+            with mock.patch.object(model_module, "DEFAULT_CHUNK", chunk), mock.patch.object(
+                np, "unique", wraps=np.unique
+            ) as unique:
+                results.append(count_histogram(model, index))
+                table = learning._counts_cached(model.formulas(), index)
+            assert not unique.called
+            assert np.array_equal(table.rows[: results[-1].counts.shape[0]], results[-1].counts)
+        _histogram.cache_clear()
+        learning._counts_cached.cache_clear()
+        assert results[0].counts.tobytes() == results[1].counts.tobytes()
+        assert results[0].mult.tobytes() == results[1].mult.tobytes()
 
     @pytest.mark.parametrize("n", [0, 2, 3])
     def test_clause_less_model_is_one_empty_vector(self, n):
