@@ -20,13 +20,15 @@ place from one exhaustive pass over the (n+m)-worlds, ``_split_context``. The
 pass runs on a relaid copy of the grounding table: front-half atoms in the low
 F bits, back-half atoms in the next B bits, straddling atoms above, so a
 world's two restriction codes are the bit fields ``world & (2^F - 1)`` and
-``(world >> F) & (2^B - 1)``. It reads each block's log weights from
-``GroundingTable.chunk_log_weights``, folds the front marginal through the
-same bucket accumulator as ``model.marginal_log_probs`` and keeps the two
-weight-sandwich minima, with witnesses in ``AtomIndex`` order. The sandwich's
-base, the two restriction weights of every world, depends only on a world's
-low F+B bits, so it is gathered again only when a block's low F+B bits change:
-once per pass while F+B is at most log2(``DEFAULT_CHUNK``).
+``(world >> F) & (2^B - 1)``. It reads each block's first world and log
+weights from ``GroundingTable.chunk_log_weights``, folds the front marginal
+through the same bucket accumulator as ``model.marginal_log_probs`` and keeps
+the two weight-sandwich minima. A minimum's witness is the block's first
+world plus the minimum's offset in the block, mapped back to ``AtomIndex``
+order at the end. The sandwich's base, the two restriction weights of every
+world, depends only on a world's low F+B bits, so the block's world integers
+are built and the base gathered again only when a block's low F+B bits
+change: once per pass while F+B is at most log2(``DEFAULT_CHUNK``).
 """
 
 from __future__ import annotations
@@ -210,11 +212,11 @@ def _split_context(model: MlnModel, n: int, m: int, *, max_atoms: int = DEFAULT_
     up_witness = 0
     lo_witness = 0
     base_at = None
-    for worlds, lw in gt.chunk_log_weights(model.weights()):
-        start = int(worlds[0])
+    for start, lw in gt.chunk_log_weights(model.weights()):
         _fold_front_buckets(bucket_logs, start, lw)
         if start & split_mask != base_at:  # the base reads only the low F+B bits
             base_at = start & split_mask
+            worlds = np.arange(start, start + lw.shape[0], dtype=np.uint64)
             base = lw_n[worlds & front_mask] + lw_m[(worlds >> front_bits) & back_mask]
             base_up = base + cross.log_m_max
         up = base_up - lw
@@ -222,11 +224,11 @@ def _split_context(model: MlnModel, n: int, m: int, *, max_atoms: int = DEFAULT_
         i = int(np.argmin(up))
         if float(up[i]) < up_worst:
             up_worst = float(up[i])
-            up_witness = int(worlds[i])
+            up_witness = start + i
         i = int(np.argmin(lo))
         if float(lo[i]) < lo_worst:
             lo_worst = float(lo[i])
-            lo_witness = int(worlds[i])
+            lo_witness = start + i
         del lw, up, lo  # freed before the next block is counted
 
     def _index_bits(relaid_bits: int) -> int:

@@ -53,11 +53,8 @@ import numpy as np
 from .logic import Clause, Formula, MlnModel, Signature, normalize_distinct
 from .model import (
     DEFAULT_MAX_ATOMS,
-    _count_keys,
-    _decode_keys,
     _logsumexp,
-    _table,
-    _unique_keys,
+    _distinct_counts,
     apply_da_scaling,
     da_scale_factors,
     log_partition,
@@ -174,12 +171,8 @@ def _counts_for(model: MlnModel, index: AtomIndex, max_atoms: int) -> _Counts:
 
 @lru_cache(maxsize=8)
 def _counts_cached(formulas: tuple[Formula, ...], index: AtomIndex) -> _Counts:
-    gt = _table(formulas, index)
-    _, strides, radix = _count_keys(gt.entries)
-    keys = np.concatenate([k for _, k in gt.chunk_counts(strides)])
-    keys, inverse, mult = _unique_keys(keys, return_inverse=True, return_counts=True)
-    rows = _decode_keys(keys, strides, radix).astype(np.float64)
-    inverse = inverse.reshape(-1)  # its shape varies across numpy 2.x releases
+    rows, mult, inverse = _distinct_counts(formulas, index)
+    rows = rows.astype(np.float64)
     n = rows.shape[0]
     pad = np.minimum(np.arange(-(-n // 4) * 4), n - 1)
     log_mult = np.log(mult[pad])

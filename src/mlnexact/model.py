@@ -4,44 +4,47 @@ Clauses are compiled once per (formula, atom index) into grounding tables:
 for every grounding, the positions of the ground atoms it touches plus a
 truth table over their joint assignments. World enumeration is then integer
 counting, and one counts kernel turns a block of worlds into true-grounding
-counts; log weights are counts @ w. Groundings are grouped by the
-variable-identification pattern of the assignment, so raw clauses (repeated
-constants allowed) and distinct-constant normalized clauses share one code
-path.
+counts; log weights are counts @ w. Groundings are grouped by the variable-identification pattern of the
+assignment, so raw clauses (repeated constants allowed) and distinct-constant
+normalized clauses share one code path.
 
-Every pass over all 2^G worlds reads its counts from
-``GroundingTable.chunk_counts``. Worlds come in blocks of ``DEFAULT_CHUNK``
+Every pass over all 2^G worlds reads one stream,
+``GroundingTable.chunk_counts(strides)``: for every block of
+``DEFAULT_CHUNK`` worlds, its first world and each world's count key
+``counts @ strides`` (under ``np.eye`` the keys are the counts). Blocks are
 aligned to their length, so all blocks share their low log2(DEFAULT_CHUNK)
 bits and differ only in the high bits, which are constant within a block.
-Groundings whose atoms all lie in the low bits are counted once, on the first
-block, by the counts kernel. A grounding that reaches the high bits sees a
-block only through the few low atoms it touches (the shared atoms) and the
-block's high bits: each block sums those groundings over every assignment of
-the shared atoms into a small table, and one gather by each world's
-shared-atom code, computed on the first block, adds it to the low counts.
-The plain per-block kernel (``counts_matrix``, ``log_weights``) serves the
-tests. A single world (``counts_world``, ``log_weight``) is unpacked from its
-integer, so it may exceed 64 atoms, and each grounding group is counted with
-one gather into its truth table. The table memoizes the counts of the last
-``WORLD_COUNTS_MEMO`` single worlds, so scoring fixed worlds under many
-weight vectors counts each of them once.
+Only the first block's worlds are built. Groundings whose atoms all lie in
+the low bits are counted on it, once, by the counts kernel. A grounding that
+reaches the high bits sees a block only through the few low atoms it touches
+(the shared atoms) and the block's high bits: each block sums those
+groundings' stride-scaled truth tables over every assignment of the shared
+atoms into a small table, and one gather by each world's shared-atom code,
+computed on the first block, adds it to the low keys. The plain per-block
+kernel (``counts_matrix``, ``log_weights``) serves the tests. A single world
+(``counts_world``, ``log_weight``) is unpacked from its integer, so it may
+exceed 64 atoms, and each grounding group is counted with one gather into its
+truth table. The table memoizes the counts of the last ``WORLD_COUNTS_MEMO``
+single worlds, so scoring fixed worlds under many weight vectors counts each
+of them once.
 
 A world's weight depends on it only through its count vector, whose count
 key is its mixed-radix code (radix = grounding total + 1, clause 0 most
-significant). ``chunk_counts`` builds the key straight from the groundings,
-and while its span fits in one block every weighted pass works in key space:
-``chunk_log_weights`` computes the log weight of each key in the span once and
-looks every world's up, so no pass casts a block's counts to float64 and
-multiplies them by the weights; a wider span falls back to that product. The
-partition function has one path: one enumeration per (clause structure, atom
-index) collapses all 2^G worlds into a cached histogram of distinct count
-vectors with multiplicities, and log Z for any weight vector is a logsumexp
-over that histogram. The build tallies the count keys with one bincount per
-block; its memory is one block of worlds plus a count table no longer than a
-block. Past a block, the build dedupes every block's keys with
-``_unique_keys`` (int64 past 2^31; from 2^63, several int64 words, sorted by
-one lexsort) and merges them into the running distinct keys; learning dedupes
-its worlds by key in the same way.
+significant). While the key span fits in one block every weighted pass works
+in key space: ``chunk_log_weights`` computes the log weight of each key in
+the span once and looks every world's up, so no pass casts a block's counts
+to float64 and multiplies them by the weights; a wider span reads the keys
+under the identity layout, the counts, and multiplies those by the weights.
+The partition function has one path: one enumeration per (clause structure,
+atom index) collapses all 2^G worlds into a cached histogram of distinct
+count vectors with multiplicities, and log Z for any weight vector is a
+logsumexp over that histogram. The build tallies the count keys with one
+bincount per block; its memory is one block of keys plus a count table no
+longer than a block. Past a block, the build dedupes every block's keys with
+``_unique_keys`` (from 2^63, several int64 words, sorted by one lexsort) and
+merges them into the running distinct keys. Learning's count table comes
+from ``_distinct_counts``, which dedupes all 2^G keys at once in the same
+way; the key format stays inside this module.
 
 Restriction marginals make one pass over every world against a split-aware
 copy of the grounding table: the front-half atoms take the low F bits, in the
@@ -202,12 +205,12 @@ def _row_code(bits: Mapping[int, np.ndarray], row: np.ndarray) -> np.ndarray:
     return code
 
 
-def _count_dtype(total: int) -> np.dtype:
-    """The narrowest count dtype that holds ``total``."""
-    for dtype in (np.uint8, np.uint16):
-        if total <= np.iinfo(dtype).max:
+def _count_dtype(top: int) -> np.dtype:
+    """The narrowest count-key dtype that holds ``top``."""
+    for dtype in (np.uint8, np.uint16, np.int32, np.int64):
+        if top <= np.iinfo(dtype).max:
             return np.dtype(dtype)
-    return np.dtype(np.int32)
+    raise ValueError(f"count keys reach {top}, past the int64 range")
 
 
 def _count_keys(entries: Sequence[_GroundedFormula]) -> tuple[int, np.ndarray, np.ndarray]:
@@ -346,53 +349,44 @@ class GroundingTable:
         return _count_kernel(self.entries, worlds) @ np.asarray(weights, dtype=np.float64)
 
     def chunk_counts(
-        self, strides: Sequence[int] | None = None
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """``(worlds, counts)`` for every block of ``world_chunks``, where
-        ``counts`` equals ``counts_matrix(worlds)``.
+        self, strides: Sequence[int] | np.ndarray
+    ) -> Iterator[tuple[int, np.ndarray]]:
+        """``(start, keys)`` for every block of ``world_chunks``: the block
+        holds worlds ``start .. start + len(keys) - 1`` and ``keys`` equals
+        ``counts_matrix(worlds) @ strides``, where ``strides`` is one integer
+        per clause, giving one key per world, or a (clauses, words) matrix of
+        them, giving a row of key words per world. Under ``np.eye`` the keys
+        are the counts.
 
         Blocks are aligned to ``DEFAULT_CHUNK``, so every block holds the same
         low log2(DEFAULT_CHUNK) bits. Groundings whose atoms all lie in those
-        bits are counted once, on the first block. A grounding that reaches the
-        high bits sees a block only through the low atoms it touches, the
-        ``shared`` atoms, and the block's high bits, which are constant across
-        the block. Each world's ``shared`` code is computed once, on the first
-        block; each block sums its high groundings over the 2^|shared|
-        assignments into one small table and adds it to the first block's
-        counts with one gather. Counts are as narrow as the largest grounding
-        total.
-
-        With ``strides``, one integer per clause or a (clauses, words) matrix
-        of them, ``counts`` is instead the key ``counts_matrix(worlds) @
-        strides``: each clause's truth tables are scaled by its stride and
-        added into its word's column. Keys are int32 while the largest key is
-        below 2^31 and int64 up to 2^63; past that they raise ``ValueError``.
+        bits are counted once, on the first block, the only block whose
+        worlds are built. A grounding that reaches the high bits sees a block
+        only through the low atoms it touches, the ``shared`` atoms, and the
+        block's high bits, which are constant across the block. Each world's
+        ``shared`` code is computed once, on the first block; each block sums
+        its high groundings' truth tables, scaled by their clause's stride,
+        over the 2^|shared| assignments into one small table per word, and
+        adds it to the first block's keys with one gather. Keys take
+        ``_count_dtype`` of the largest key; past int64 they raise
+        ``ValueError``.
         """
         low_bits = DEFAULT_CHUNK.bit_length() - 1
-        keyed = strides is not None
-        if keyed:
-            strides = np.asarray(strides, dtype=np.int64)
-            per_word = strides if strides.ndim == 2 else strides[:, None]
-            top = max(sum(int(s) * e.total for s, e in zip(w, self.entries)) for w in per_word.T)
-            if top >= 1 << 63:
-                raise ValueError(f"count keys reach {top}, past the int64 range")
-            dtype = np.dtype(np.int32 if top < 1 << 31 else np.int64)
-        else:
-            dtype = _count_dtype(max((e.total for e in self.entries), default=0))
-        one_word = keyed and strides.ndim == 1
+        strides = np.asarray(strides, dtype=np.int64)
+        per_word = strides if strides.ndim == 2 else strides[:, None]
+        dtype = _count_dtype(
+            max(sum(int(s) * e.total for s, e in zip(w, self.entries)) for w in per_word.T)
+        )
         low = self._with_entries([])
-        high: list[tuple[int, np.ndarray, np.ndarray]] = []  # (column, atoms, table)
-        for ci, e in enumerate(self.entries):
+        high: list[tuple[int, np.ndarray, np.ndarray]] = []  # (word, atoms, scaled table)
+        for e, clause_strides in zip(self.entries, per_word):
             groups = []
             for g in e.groups:
                 reach = g.cols.max(axis=1) >= low_bits
                 groups.append(_Group(g.cols[~reach], g.table))
-                if keyed:
-                    for w in np.flatnonzero(per_word[ci]):
-                        table = g.table.astype(dtype) * dtype.type(per_word[ci, w])
-                        high.extend((w, row, table) for row in g.cols[reach])
-                else:
-                    high.extend((ci, row, g.table) for row in g.cols[reach])
+                for w in np.flatnonzero(clause_strides):
+                    table = g.table.astype(dtype) * dtype.type(clause_strides[w])
+                    high.extend((w, row, table) for row in g.cols[reach])
             low.entries.append(replace(e, groups=groups))
         shared = sorted({int(p) for _, row, _ in high for p in row if p < low_bits})
         # Assignment i of the shared atoms as a world: bit shared[j] is bit j of
@@ -403,45 +397,53 @@ class GroundingTable:
             assign |= (sub >> np.uint64(j) & np.uint64(1)) << np.uint64(p)
         bits = _bit_columns(assign, {int(p) for _, row, _ in high for p in row})
         codes = [_row_code(bits, row) for _, row, _ in high]
-        base = shared_code = None
-        for worlds in world_chunks(self.index.n_atoms):
-            if base is None:
-                base = low.counts_matrix(worlds)
-                if keyed:
-                    base = base @ per_word.astype(dtype)
-                base = base.astype(dtype, copy=False)
-                shared_code = bit_codes(worlds, shared) if high else None
+        worlds = next(world_chunks(self.index.n_atoms))
+        # One count matrix times the strides, not per-row adds of scaled
+        # tables: those run as fast on their own, but without this block's
+        # multi-MB count matrix glibc's dynamic mmap threshold stays low, every
+        # later block's arrays are mapped afresh, and verify_all on G=24
+        # smokers at 2|2 plus 3|1 took 0.87-0.98 s instead of 0.56-0.68 s
+        # (2-CPU VM, numpy 2.4).
+        base = low.counts_matrix(worlds)
+        # Identity keys are the counts. numpy multiplies integer matrices
+        # without BLAS: 0.5-0.6 s for 2^18 worlds by 40 clauses under
+        # np.eye(40) on the same VM.
+        if not np.array_equal(strides, np.eye(len(self.entries))):
+            base = base @ strides.astype(dtype)
+        base = base.astype(dtype, copy=False)
+        shared_code = bit_codes(worlds, shared) if high else None
+        del worlds
+        for start in range(0, 1 << self.index.n_atoms, DEFAULT_CHUNK):
             if not high:
-                yield worlds, base[:, 0] if one_word else base
+                yield start, base
                 continue
-            high_counts = np.zeros((assign.shape[0], base.shape[1]), dtype=dtype)
-            start = int(worlds[0])
-            for (col, row, table), code in zip(high, codes):
+            high_keys = np.zeros((assign.shape[0], *strides.shape[1:]), dtype=dtype)
+            word_cols = high_keys.reshape(assign.shape[0], -1)
+            for (w, row, table), code in zip(high, codes):
                 high_code = sum((start >> int(p) & 1) << j for j, p in enumerate(row))
-                high_counts[:, col] += np.take(table, code | high_code)
-            counts = np.take(high_counts, shared_code, axis=0)
-            counts += base
-            yield worlds, counts[:, 0] if one_word else counts
+                word_cols[:, w] += np.take(table, code | high_code)
+            keys = np.take(high_keys, shared_code, axis=0)
+            keys += base
+            yield start, keys
 
-    def chunk_log_weights(
-        self, weights: Sequence[float]
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """``(worlds, log weights)`` for every block of ``world_chunks``, equal
-        to ``log_weights(worlds, weights)``.
+    def chunk_log_weights(self, weights: Sequence[float]) -> Iterator[tuple[int, np.ndarray]]:
+        """``(start, log weights)`` for every block of ``chunk_counts``, equal
+        to ``log_weights(worlds, weights)`` of the block's worlds.
 
         While the count-key span fits in one block, the log weight of every
-        key in the span is computed once and each block looks its keys up;
-        past it, each block's counts are multiplied by the weights.
+        key in the span is computed once and each block looks its keys up.
+        Past it, each block's keys under the identity layout, which are its
+        counts, are multiplied by the weights.
         """
         weights = np.asarray(weights, dtype=np.float64)
         span, strides, radix = _count_keys(self.entries)
         if span > DEFAULT_CHUNK:
-            for worlds, counts in self.chunk_counts():
-                yield worlds, counts @ weights
+            for start, counts in self.chunk_counts(np.eye(len(self.entries), dtype=np.int64)):
+                yield start, counts @ weights
             return
         table = _decode_keys(np.arange(span), strides, radix) @ weights
-        for worlds, key in self.chunk_counts(strides):
-            yield worlds, np.take(table, key)
+        for start, key in self.chunk_counts(strides):
+            yield start, np.take(table, key)
 
     def relaid(self, *leading: np.ndarray) -> tuple[GroundingTable, np.ndarray]:
         """A copy over a permuted bit layout, plus that layout's ``order``.
@@ -510,9 +512,8 @@ def dense_log_weights(
     """Log weight of every world over the index, as one 2^G vector."""
     _guard(index.n_atoms, max_atoms)
     out = np.empty(1 << index.n_atoms, dtype=np.float64)
-    for worlds, lw in _table(model.formulas(), index).chunk_log_weights(model.weights()):
-        start = int(worlds[0])
-        out[start : start + worlds.shape[0]] = lw
+    for start, lw in _table(model.formulas(), index).chunk_log_weights(model.weights()):
+        out[start : start + lw.shape[0]] = lw
     return out
 
 
@@ -569,6 +570,21 @@ def _histogram(formulas: tuple[Formula, ...], index: AtomIndex) -> CountHistogra
     for a in (out.counts, out.mult, out.log_mult):
         a.setflags(write=False)
     return out
+
+
+def _distinct_counts(
+    formulas: tuple[Formula, ...], index: AtomIndex
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, mult, inverse)``: the distinct count vectors over all 2^G
+    worlds as int64 rows in ``count_histogram`` order, their multiplicities,
+    and each world's row, so ``rows[inverse]`` is every world's count vector.
+    All 2^G keys are deduped at once."""
+    gt = _table(formulas, index)
+    _, strides, radix = _count_keys(gt.entries)
+    keys = np.concatenate([k for _, k in gt.chunk_counts(strides)])
+    keys, inverse, mult = _unique_keys(keys, return_inverse=True, return_counts=True)
+    # The inverse's shape varies across numpy 2.x releases.
+    return _decode_keys(keys, strides, radix), mult, inverse.reshape(-1)
 
 
 def log_partition(
@@ -629,8 +645,8 @@ def marginal_log_probs(model: MlnModel, spec: DomainSpec) -> tuple[AtomIndex, np
     _guard(sub_index.n_atoms, DEFAULT_DENSE_MAX_ATOMS)
     gt, _ = _table(model.formulas(), index).relaid(positions)
     bucket_logs = np.full(1 << sub_index.n_atoms, -np.inf)
-    for worlds, lw in gt.chunk_log_weights(model.weights()):
-        _fold_front_buckets(bucket_logs, int(worlds[0]), lw)
+    for start, lw in gt.chunk_log_weights(model.weights()):
+        _fold_front_buckets(bucket_logs, start, lw)
     return sub_index, bucket_logs - _logsumexp(bucket_logs)
 
 
@@ -700,7 +716,8 @@ def max_split_factorization_error(model: MlnModel, n: int, m: int) -> float:
             lw_k = dense_log_weights(replace(model, clauses=tuple(clauses)), sub_index)
         cross += [(restriction_positions(index, {tau: c})[1], lw_k) for c in tuples]
     worst = 0.0
-    for worlds, lw in _table(model.formulas(), index).chunk_log_weights(model.weights()):
+    for start, lw in _table(model.formulas(), index).chunk_log_weights(model.weights()):
+        worlds = np.arange(start, start + lw.shape[0], dtype=np.uint64)
         acc = lw_n[bit_codes(worlds, pos_n)] + lw_m[bit_codes(worlds, pos_m)]
         for pos_c, lw_c in cross:
             acc += lw_c[bit_codes(worlds, pos_c)]

@@ -372,9 +372,10 @@ class TestSplitPassOracle:
         chunk = 1 << max(chunk_bits, index.n_atoms - 7)
         with mock.patch.object(model_module, "DEFAULT_CHUNK", chunk):
             blocks = 0
-            for worlds, counts in gt.chunk_counts():
-                assert worlds.shape[0] == min(chunk, 1 << index.n_atoms)
-                assert int(worlds[0]) == blocks * chunk
+            for start, counts in gt.chunk_counts(np.eye(len(gt.entries), dtype=np.int64)):
+                assert counts.shape[0] == min(chunk, 1 << index.n_atoms)
+                assert start == blocks * chunk
+                worlds = np.arange(start, start + counts.shape[0], dtype=np.uint64)
                 assert np.array_equal(counts, _count_kernel(gt.entries, worlds))
                 blocks += 1
             assert blocks == max(1, (1 << index.n_atoms) // chunk)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlnexact import learning
+from mlnexact import bounds, learning
 from mlnexact import model as model_module
 from mlnexact.datagen import FRIENDS_SMOKERS_MLN
 from mlnexact.logic import MlnModel, normalize_distinct, parse_mln
@@ -438,18 +438,30 @@ class TestCountKernel:
         assert counts[:, 0].tolist() == direct
 
 
+def _block_worlds(start: int, keys: np.ndarray) -> np.ndarray:
+    """The worlds of the ``chunk_counts`` block that starts at ``start``."""
+    return np.arange(start, start + keys.shape[0], dtype=np.uint64)
+
+
+LAYOUTS = {
+    "identity": lambda gt: np.eye(len(gt.entries), dtype=np.int64),
+    "mixed_radix": lambda gt: model_module._count_keys(gt.entries)[1],
+}
+
+
 class TestChunkCounts:
     @pytest.mark.parametrize("chunk_bits", [18, 2])
     @pytest.mark.parametrize(("n", "dtype"), [(7, np.uint8), (8, np.uint16)])
-    def test_counts_are_as_narrow_as_the_grounding_total(self, n, dtype, chunk_bits):
-        # n(n-1)(n-2) groundings: 210 fit a byte, 336 do not.
+    def test_identity_keys_are_as_narrow_as_the_grounding_total(self, n, dtype, chunk_bits):
+        # n(n-1)(n-2) groundings: 210 fit a byte, 336 do not. Under the
+        # identity layout a world's keys are its counts.
         model = parse_mln(
             f"type p = {n}\npredicate S(p)\n1 (S(x) v S(y) v S(z)) ^ x != y ^ x != z ^ y != z"
         )
         index = index_for(model, n)
         gt = GroundingTable(model.formulas(), index)
         with mock.patch.object(model_module, "DEFAULT_CHUNK", 1 << chunk_bits):
-            counts = np.concatenate([c for _, c in gt.chunk_counts()])
+            counts = np.concatenate([c for _, c in gt.chunk_counts(LAYOUTS["identity"](gt))])
         assert counts.dtype == dtype
         assert int(counts.max()) == n * (n - 1) * (n - 2)
         clause = model.clauses[0]
@@ -457,7 +469,7 @@ class TestChunkCounts:
             count_true_groundings(clause, World(index, b)) for b in range(1 << n)
         ]
 
-    def test_counts_past_two_bytes(self):
+    def test_identity_keys_past_two_bytes_are_int32(self):
         # 18 * 17 * 16 * 15 = 73,440 groundings. Blocks of 16 worlds put the 24
         # groundings over atoms 0..3 in the base and the rest in the high part;
         # only the first block is counted, as the whole pass is 2^18 worlds.
@@ -469,11 +481,43 @@ class TestChunkCounts:
         index = index_for(model, 18)
         gt = GroundingTable(model.formulas(), index)
         with mock.patch.object(model_module, "DEFAULT_CHUNK", 1 << 4):
-            _, counts = next(gt.chunk_counts())
+            start, counts = next(gt.chunk_counts(LAYOUTS["identity"](gt)))
+        assert start == 0 and counts.shape == (16, 1)
         assert counts.dtype == np.int32
         assert counts[0, 0] == count_true_groundings(model.clauses[0], World(index, 0)) == 73440
         # With atoms 0..3 true, only their 4! orderings are false.
         assert counts[15, 0] == 73440 - 24
+
+    @pytest.mark.parametrize("chunk_bits", [2, 1])
+    @pytest.mark.parametrize(
+        ("top", "dtype"),
+        [
+            (255, np.uint8),
+            (256, np.uint16),
+            (65535, np.uint16),
+            (65536, np.int32),
+            ((1 << 31) - 1, np.int32),
+            (1 << 31, np.int64),
+            ((1 << 63) - 1, np.int64),
+        ],
+    )
+    def test_keys_take_the_narrowest_dtype_of_the_largest_key(self, top, dtype, chunk_bits):
+        # Atoms S(1) and R(1), each clause true in one grounding: under
+        # strides (a, b) the four worlds have keys 0, a, b and a + b = top.
+        # Blocks of two worlds put R in the high bits, where its truth table
+        # is scaled by b.
+        model = model_from("type p = 1\npredicate S(p)\npredicate R(p)\n1 S(x)\n1 R(x)")
+        index = index_for(model, 1)
+        gt = GroundingTable(model.formulas(), index)
+        a, b = top // 2, top - top // 2
+        with mock.patch.object(model_module, "DEFAULT_CHUNK", 1 << chunk_bits):
+            blocks = list(gt.chunk_counts(np.array([a, b])))
+        assert [start for start, _ in blocks] == list(range(0, 4, 1 << chunk_bits))
+        keys = np.concatenate([k for _, k in blocks])
+        assert keys.dtype == dtype
+        assert keys.tolist() == [0, a, b, top]
+        with pytest.raises(ValueError, match="int64"):
+            next(gt.chunk_counts(np.array([1 << 62, 1 << 62])))
 
     def test_wide_groundings_straddle_a_shrunken_block(self):
         # Groundings over 9 atoms take int64 codes; blocks of 16 worlds split
@@ -485,7 +529,8 @@ class TestChunkCounts:
         assert cols.shape[1] == 9
         assert ((cols.min(axis=1) < 4) & (cols.max(axis=1) >= 4)).any()
         with mock.patch.object(model_module, "DEFAULT_CHUNK", 1 << 4):
-            for worlds, counts in gt.chunk_counts():
+            for start, counts in gt.chunk_counts(LAYOUTS["identity"](gt)):
+                worlds = _block_worlds(start, counts)
                 assert np.array_equal(counts, _count_kernel(gt.entries, worlds))
                 direct = [raw_log_weight(model, World(index, int(b))) for b in worlds]
                 assert counts[:, 0].tolist() == direct
@@ -500,8 +545,9 @@ class TestChunkCounts:
         with mock.patch.object(model_module, "DEFAULT_CHUNK", 1 << 4):
             blocks = list(gt.chunk_counts(strides))
         assert len(blocks) == 1 << (index.n_atoms - 4)
-        for worlds, key in blocks:
-            assert key.dtype == np.int32 and key.shape == worlds.shape
+        for start, key in blocks:
+            assert key.shape == (16,)
+            worlds = _block_worlds(start, key)
             assert np.array_equal(key, _count_kernel(gt.entries, worlds) @ strides)
 
     @pytest.mark.parametrize(
@@ -512,8 +558,8 @@ class TestChunkCounts:
             (NINE_ATOM_TEXT, 2, "all"),  # every high grounding reads all four R atoms
         ],
     )
-    @pytest.mark.parametrize("keyed", [False, True])
-    def test_shared_table_matches_the_kernel(self, text, n, shared, keyed):
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_shared_table_matches_the_kernel(self, text, n, shared, layout):
         # Blocks of 16 worlds; the high groundings reach past bit 4 and read
         # none, some or all of the four low atoms.
         model = normalize_distinct(parse_mln(text))
@@ -523,36 +569,13 @@ class TestChunkCounts:
         low_atoms = {int(p) for row in rows for p in row if p < 4}
         assert rows
         assert {"none": 0, "some": 2, "all": 4}[shared] == len(low_atoms)
-        strides = np.arange(len(gt.entries), dtype=np.int64) * 5 + 1 if keyed else None
+        strides = LAYOUTS[layout](gt)
         with mock.patch.object(model_module, "DEFAULT_CHUNK", 1 << 4):
             blocks = list(gt.chunk_counts(strides))
         assert len(blocks) == 1 << (index.n_atoms - 4)
-        for worlds, counts in blocks:
-            expected = _count_kernel(gt.entries, worlds)
-            if keyed:
-                assert counts.dtype == np.int32
-                expected = expected @ strides
-            assert np.array_equal(counts, expected)
-
-    def test_keys_at_and_past_int32_are_int64(self):
-        # Smokers at n=2 has 2 groundings per clause: the largest key is
-        # 2 * sum(strides), one short of 2^31, exactly 2^31, or far past it.
-        model = normalize_distinct(parse_mln(FRIENDS_SMOKERS_MLN))
-        index = index_for(model, 2)
-        gt = GroundingTable(model.formulas(), index)
-        assert [e.total for e in gt.entries] == [2] * 5
-        fits = np.array([(1 << 28) - 1, 1 << 28, 1 << 28, 1 << 28, 0])
-        for strides, dtype, top in (
-            (fits, np.int32, (1 << 31) - 2),
-            (fits + [1, 0, 0, 0, 0], np.int64, 1 << 31),
-            (np.full(5, 1 << 40), np.int64, 10 << 40),
-        ):
-            (worlds, key), = gt.chunk_counts(strides)
-            assert key.dtype == dtype
-            assert np.array_equal(key, _count_kernel(gt.entries, worlds) @ strides)
-            assert int(key.max()) == top
-        with pytest.raises(ValueError, match="int64"):
-            next(gt.chunk_counts(np.full(5, 1 << 61)))
+        for start, keys in blocks:
+            expected = _count_kernel(gt.entries, _block_worlds(start, keys)) @ strides
+            assert np.array_equal(keys, expected)
 
     def test_key_words_hold_their_own_clauses(self):
         # Blocks of 16 worlds; clauses 0-2 go to word 0 and 3-4 to word 1.
@@ -563,11 +586,45 @@ class TestChunkCounts:
         with mock.patch.object(model_module, "DEFAULT_CHUNK", 1 << 4):
             blocks = list(gt.chunk_counts(strides))
         assert len(blocks) == 1 << (index.n_atoms - 4)
-        for worlds, key in blocks:
-            assert key.dtype == np.int32 and key.shape == (worlds.shape[0], 2)
-            counts = _count_kernel(gt.entries, worlds)
+        for start, key in blocks:
+            assert key.shape == (16, 2)
+            counts = _count_kernel(gt.entries, _block_worlds(start, key))
             assert np.array_equal(key, counts @ strides)
             assert np.array_equal(model_module._decode_keys(key, strides, np.full(5, 3)), counts)
+
+    @pytest.mark.parametrize("chunk_bits", [18, 4])
+    def test_blocks_tile_the_worlds_and_only_the_first_builds_them(self, chunk_bits):
+        # Smokers at n=3 (G=15) over two layouts and every pass built on
+        # chunk_counts: the block starts are 0, chunk, 2 chunk, ... below 2^G,
+        # and each pass calls world_chunks once, for its first block.
+        model = normalize_distinct(parse_mln(FRIENDS_SMOKERS_MLN))
+        index = index_for(model, 3)
+        gt = GroundingTable(model.formulas(), index)
+        chunk = 1 << chunk_bits
+        tiles = list(range(0, 1 << index.n_atoms, chunk))
+        passes = mock.patch.object(
+            GroundingTable, "chunk_counts", autospec=True, side_effect=GroundingTable.chunk_counts
+        )
+        with mock.patch.object(model_module, "DEFAULT_CHUNK", chunk), mock.patch.object(
+            model_module, "world_chunks", wraps=world_chunks
+        ) as made, passes as counted:
+            for layout in LAYOUTS.values():
+                blocks = list(gt.chunk_counts(layout(gt)))
+                assert [start for start, _ in blocks] == tiles
+                assert all(keys.shape[0] == min(chunk, 1 << index.n_atoms) for _, keys in blocks)
+            assert [s for s, _ in gt.chunk_log_weights(model.weights())] == tiles
+            assert made.call_count == counted.call_count == 3
+            _histogram.cache_clear()
+            learning._counts_cached.cache_clear()
+            count_histogram(model, index)
+            learning._counts_cached(model.formulas(), index)
+            dense_log_weights(model, index)
+            marginal_log_probs(model, DomainSpec({"person": 3}, split_type="person", split_at=2))
+            max_split_factorization_error(model, 2, 1)
+            bounds.verify_all(model, 2, 1)
+            assert made.call_count == counted.call_count
+        _histogram.cache_clear()
+        learning._counts_cached.cache_clear()
 
 
 class TestChunkLogWeights:
@@ -592,7 +649,7 @@ class TestChunkLogWeights:
             lw = np.concatenate([lw for _, lw in blocks])
             assert lw.dtype == np.float64
             assert np.array_equal(lw, expected)
-            assert np.array_equal(np.concatenate([w for w, _ in blocks]), np.arange(lw.shape[0]))
+            assert [start for start, _ in blocks] == list(range(0, lw.shape[0], chunk))
 
 
 class TestCountHistogram:
