@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from . import bounds as _bounds
 from .datagen import (
@@ -48,8 +48,7 @@ def _spec_for(model, n: int) -> DomainSpec:
 
 def cmd_verify(args) -> int:
     model = _load_mln(args.mln)
-    max_atoms = FORCED_MAX_ATOMS if args.force_guard else args.max_atoms
-    report = _bounds.verify_all(model, args.n, args.m, tol=args.tol, max_atoms=max_atoms)
+    report = _bounds.verify_all(model, args.n, args.m, tol=args.tol, max_atoms=args.max_atoms)
     print(report.to_text())
     if args.out:
         lines = ["check,n,m,log_spread,worst_slack,pass"]
@@ -74,7 +73,7 @@ def cmd_learn(args) -> int:
         max_iter=args.max_iter,
         tol=args.tol,
         tie_split_weights=args.tie_split_weights,
-        max_atoms=FORCED_MAX_ATOMS if args.force_guard else args.max_atoms,
+        max_atoms=args.max_atoms,
     )
     result = learn(model, spec, data, config)
     print(f"converged: {result.converged} after {result.iterations} iterations")
@@ -95,9 +94,8 @@ def cmd_eval(args) -> int:
     spec = _spec_for(model, args.n) if args.n is not None else domain_spec_for(db)
     data = db_to_world(db, spec)
     da_sizes = dict(spec.sizes) if args.da else None
-    max_atoms = FORCED_MAX_ATOMS if args.force_guard else args.max_atoms
-    ll = target_log_likelihoods(model, spec, [data], da_sizes=da_sizes, max_atoms=max_atoms)[0]
-    print(f"log-likelihood: {ll:.17g}")
+    lls = target_log_likelihoods(model, spec, [data], da_sizes=da_sizes, max_atoms=args.max_atoms)
+    print(f"log-likelihood: {lls[0]:.17g}")
     return 0
 
 
@@ -119,32 +117,9 @@ def cmd_generate(args) -> int:
 
 def cmd_experiment(args) -> int:
     cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-    overrides = {}
-    for key in (
-        "mln",
-        "out",
-        "train_sets",
-        "train_population",
-        "train_size",
-        "target_replicates",
-        "seed",
-        "max_iter",
-        "workers",
-    ):
-        value = getattr(args, key)
-        if value is not None:
-            overrides[key] = value
-    if args.targets is not None:
-        overrides["target_sizes"] = tuple(args.targets)
-    if args.grid is not None:
-        overrides["grid"] = tuple(args.grid)
-    if args.methods is not None:
-        overrides["methods"] = tuple(args.methods)
-    if args.da_eval_only:
-        overrides["da_eval_only"] = True
-    if args.force_guard:
-        overrides["max_atoms"] = FORCED_MAX_ATOMS
-    cfg = replace(cfg, **overrides) if overrides else cfg
+    # Every experiment flag's dest is a config field; a flag left unset is None.
+    names = {f.name for f in fields(ExperimentConfig)}
+    cfg = replace(cfg, **{k: v for k, v in vars(args).items() if k in names and v is not None})
     rows, models = run_experiment(cfg)
     csv_path = write_outputs(cfg, rows, models)
     ok = sum(1 for r in rows if r.status == "ok")
@@ -219,22 +194,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-sets", type=int, dest="train_sets")
     p.add_argument("--train-population", type=int, dest="train_population")
     p.add_argument("--train-size", type=int, dest="train_size")
-    p.add_argument("--targets", type=lambda s: [int(x) for x in s.split(",")])
+    p.add_argument(
+        "--targets", type=lambda s: tuple(int(x) for x in s.split(",")), dest="target_sizes"
+    )
     p.add_argument("--target-replicates", type=int, dest="target_replicates")
-    p.add_argument("--methods", type=lambda s: [x.strip() for x in s.split(",")])
-    p.add_argument("--grid", type=lambda s: [float(x) for x in s.split(",")])
+    p.add_argument("--methods", type=lambda s: tuple(x.strip() for x in s.split(",")))
+    p.add_argument("--grid", type=lambda s: tuple(float(x) for x in s.split(",")))
     p.add_argument("--seed", type=int)
     p.add_argument("--max-iter", type=int, dest="max_iter")
     p.add_argument("--workers", type=int)
-    p.add_argument("--da-eval-only", action="store_true", dest="da_eval_only")
+    p.add_argument("--da-eval-only", action="store_true", default=None, dest="da_eval_only")
     p.add_argument("--force-guard", action="store_true")
-    p.set_defaults(func=cmd_experiment)
+    p.set_defaults(func=cmd_experiment, max_atoms=None)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "force_guard", False):
+        args.max_atoms = FORCED_MAX_ATOMS
     try:
         return args.func(args)
     except DomainTooLargeError as exc:

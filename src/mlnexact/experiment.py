@@ -6,6 +6,9 @@ subsampled to the training size, target sets are generated fresh per size and
 replicate, and every derived seed is an arithmetic function of the base seed.
 Rerunning a config reproduces every numeric cell byte for byte.
 
+Each CSV column is one field of ``Row``, in field order; ``rows_to_csv`` and
+``CSV_COLUMNS`` read the schema from it.
+
 Target worlds are scored with ``learning.target_log_likelihoods``. Every run
 and method at one target size shares that size's cached count histogram
 (``model.count_histogram``), so the 2^G enumeration happens once per size and
@@ -17,7 +20,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from datetime import datetime, timezone
 from typing import Sequence
 
@@ -42,27 +45,11 @@ from .learning import (
     target_log_likelihoods,
 )
 from .logic import MlnModel, normalize_distinct, parse_mln, serialize_mln
-from .model import apply_da_scaling, count_histogram, da_scale_factors
+from .model import DEFAULT_MAX_ATOMS, apply_da_scaling, count_histogram, da_scale_factors
 from .worlds import AtomIndex, DomainSpec, World
 
 SCHEMA = "mlnexact-experiment schema=1"
 METHODS_ALL = ("none", "l1", "l2", "da")
-
-CSV_COLUMNS = (
-    "run",
-    "regularizer",
-    "lambda",
-    "train_size",
-    "target_size",
-    "replicate",
-    "status",
-    "converged",
-    "train_ll",
-    "target_ll",
-    "delta_ll",
-    "log_spread",
-)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -79,7 +66,7 @@ class ExperimentConfig:
     seed: int = 7
     max_iter: int = 2000
     tol: float = 1e-6
-    max_atoms: int = 28
+    max_atoms: int = DEFAULT_MAX_ATOMS
     workers: int = 1
     da_eval_only: bool = False
     tie_split_weights: bool = False
@@ -101,6 +88,10 @@ class ExperimentConfig:
         ):
             if least < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.train_dbs and self.train_size > self.train_population:
+            raise ValueError(
+                f"train_size {self.train_size} exceeds train_population {self.train_population}"
+            )
 
     @classmethod
     def from_mapping(cls, values: dict) -> "ExperimentConfig":
@@ -154,6 +145,9 @@ def _coerce(raw, annotation: str | type):
 
 @dataclass(frozen=True)
 class Row:
+    """One CSV row; the fields, in order, are the CSV columns. A run that
+    fails keeps the defaults of the last five fields."""
+
     run: int
     regularizer: str
     lam: float | None
@@ -161,11 +155,15 @@ class Row:
     target_size: int
     replicate: int
     status: str
-    converged: bool
-    train_ll: float
-    target_ll: float
-    delta_ll: float
-    log_spread: float
+    converged: bool = False
+    train_ll: float = math.nan
+    target_ll: float = math.nan
+    delta_ll: float = math.nan
+    log_spread: float = math.nan
+
+
+# ``lambda`` is a Python keyword, so the field is named ``lam``.
+CSV_COLUMNS = tuple("lambda" if f.name == "lam" else f.name for f in fields(Row))
 
 
 def _fmt(x) -> str:
@@ -182,26 +180,7 @@ def rows_to_csv(rows: Sequence[Row], timestamp: str | None = None) -> str:
     if timestamp is None:
         timestamp = datetime.now(timezone.utc).isoformat()
     lines = [f"# {SCHEMA}", f"# generated={timestamp}", ",".join(CSV_COLUMNS)]
-    for r in rows:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    r.run,
-                    r.regularizer,
-                    r.lam,
-                    r.train_size,
-                    r.target_size,
-                    r.replicate,
-                    r.status,
-                    r.converged,
-                    r.train_ll,
-                    r.target_ll,
-                    r.delta_ll,
-                    r.log_spread,
-                )
-            )
-        )
+    lines += [",".join(_fmt(v) for v in astuple(r)) for r in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -333,23 +312,8 @@ def _run_batch(args: tuple[ExperimentConfig, list[int]]) -> tuple[list[Row], dic
             rows.extend(rows_r)
             models.update(models_r)
         except Exception as exc:  # per-run isolation: one bad run must not sink the batch
-            for method in cfg.methods:
-                rows.append(
-                    Row(
-                        run=run,
-                        regularizer=method,
-                        lam=None,
-                        train_size=cfg.train_size,
-                        target_size=-1,
-                        replicate=-1,
-                        status=f"error:{type(exc).__name__}",
-                        converged=False,
-                        train_ll=math.nan,
-                        target_ll=math.nan,
-                        delta_ll=math.nan,
-                        log_spread=math.nan,
-                    )
-                )
+            error = f"error:{type(exc).__name__}"
+            rows += [Row(run, m, None, cfg.train_size, -1, -1, error) for m in cfg.methods]
     return rows, models
 
 

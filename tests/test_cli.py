@@ -1,9 +1,10 @@
+import dataclasses
 import json
 import os
 
 import pytest
 
-from mlnexact import learning
+from mlnexact import cli, learning
 from mlnexact.bounds import verify_all
 from mlnexact.cli import build_parser, main
 from mlnexact.experiment import ExperimentConfig
@@ -78,6 +79,20 @@ class TestVerify:
         assert exc.value.code == 2
         assert "hard cap of 34" in capsys.readouterr().err
         assert build_parser().parse_args(argv[:-1] + ["34"]).max_atoms == 34
+
+    @pytest.mark.parametrize(
+        "flags", [["--force-guard", "--max-atoms", "20"], ["--max-atoms", "20", "--force-guard"]]
+    )
+    def test_force_guard_wins_over_max_atoms(self, flags, unary_path, monkeypatch):
+        seen = []
+
+        def fake_verify_all(model, n, m, tol, max_atoms):
+            seen.append(max_atoms)
+            raise ValueError("stop")
+
+        monkeypatch.setattr(cli._bounds, "verify_all", fake_verify_all)
+        assert main(["verify", "--mln", unary_path, "--n", "2", "--m", "1", *flags]) == 2
+        assert seen == [34]
 
     def test_forced_guard_error_drops_the_override_hint(self, tmp_path, capsys):
         # G=30 passes the forced pass guard; the 25-atom front half exceeds the
@@ -299,12 +314,28 @@ class TestExperimentCommand:
             (["--target-replicates", "0"], "target_replicates"),
             (["--targets", "0"], "target_sizes"),
             (["--train-size", "0"], "train_size"),
+            (["--train-size", "11"], "train_size"),
         ],
     )
     def test_out_of_range_sizes_exit_two(self, flags, field, tmp_path, capsys):
         assert main(["experiment", "--out", str(tmp_path / "o"), *flags]) == 2
         assert field in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_every_flag_is_a_config_field(self):
+        parsed = vars(build_parser().parse_args(["experiment"]))
+        not_fields = {"config", "force_guard", "func", "command"}
+        names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert set(parsed) - not_fields <= names
+
+    @pytest.mark.parametrize(("flags", "max_atoms"), [(["--force-guard"], 34), ([], 20)])
+    def test_force_guard_lifts_the_config_file_guard(self, flags, max_atoms, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "run_experiment", lambda cfg: seen.append(cfg) or ([], {}))
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"max_atoms = 20\nout = {tmp_path / 'o'}\n")
+        main(["experiment", "--config", str(path), *flags])
+        assert [cfg.max_atoms for cfg in seen] == [max_atoms]
 
     def test_model_the_target_generator_cannot_fill_exits_two(self, tmp_path, capsys):
         mln = tmp_path / "smokes.mln"

@@ -57,6 +57,21 @@ class TestPipeline:
         assert all(s.startswith("error:") for s in by_status[1])
         assert all(math.isnan(r.target_ll) for r in rows if r.run == 1)
 
+    def test_csv_header_and_error_row_are_pinned(self, tmp_path):
+        cfg = ExperimentConfig(
+            train_dbs=(str(tmp_path / "missing.db"),),
+            target_sizes=(3,),
+            target_replicates=1,
+            methods=("none",),
+            out="unused",
+        )
+        rows, _ = run_experiment(cfg)
+        assert rows_to_csv(rows, "t").splitlines()[2:] == [
+            "run,regularizer,lambda,train_size,target_size,replicate,status,"
+            "converged,train_ll,target_ll,delta_ll,log_spread",
+            "0,none,,3,-1,-1,error:FileNotFoundError,false,nan,nan,nan,nan",
+        ]
+
     def test_all_failed_runs_exit_nonzero(self, tmp_path, capsys):
         code = main(
             [
@@ -70,7 +85,7 @@ class TestPipeline:
                 "--target-replicates",
                 "1",
                 "--train-size",
-                "99",  # larger than the generated population: every run fails
+                "10",  # the whole population, G=120: learning is past its 2^20 guard
             ]
         )
         assert code == 1
