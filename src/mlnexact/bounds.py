@@ -20,15 +20,28 @@ place from one exhaustive pass over the (n+m)-worlds, ``_split_context``. The
 pass runs on a relaid copy of the grounding table: front-half atoms in the low
 F bits, back-half atoms in the next B bits, straddling atoms above, so a
 world's two restriction codes are the bit fields ``world & (2^F - 1)`` and
-``(world >> F) & (2^B - 1)``. It reads each block's first world and log
-weights from ``GroundingTable.chunk_log_weights``, folds the front marginal
-through the same bucket accumulator as ``model.marginal_log_probs`` and keeps
-the two weight-sandwich minima. A minimum's witness is the block's first
-world plus the minimum's offset in the block, mapped back to ``AtomIndex``
-order at the end. The sandwich's base, the two restriction weights of every
-world, depends only on a world's low F+B bits, so the block's world integers
-are built and the base gathered again only when a block's low F+B bits
-change: once per pass while F+B is at most log2(``DEFAULT_CHUNK``).
+``(world >> F) & (2^B - 1)``. It reads the log weights of
+``GroundingTable.pair_log_weights``: one per (low key, shared code) pair and
+block, where world ``start + i`` takes the value of pair ``inverse[i]``.
+
+While F+B is at most log2(``DEFAULT_CHUNK``), which holds for every smokers
+split up to n+m=4, the sandwich's base, the two restriction weights of a
+world, depends only on its offset ``i`` in the block, and so does its front
+bucket. The pass then reduces across blocks per pair: each pair keeps the
+max and min of its log weight, with the first block start at which each is
+reached, and a running log-sum-exp. One final pass over the offsets computes
+the upper slack from the max and the lower slack from the min, which are the
+same floats as the per-world minima because subtracting from a fixed base is
+monotone, and folds every offset's log-sum-exp into the front buckets through
+the same accumulator as ``model.marginal_log_probs``. A slack's witness is the
+lowest offset attaining its minimum, in the first block where that offset's
+pair reaches its extreme.
+
+Past that, the pass folds every block's worlds, ``per_world`` of the pair log
+weights, into the buckets and the two sandwich minima, and rebuilds the base
+only when a block's low F+B bits change. A slack's witness is then the first
+world attaining it, in world order. Witnesses are mapped back to
+``AtomIndex`` order at the end.
 """
 
 from __future__ import annotations
@@ -45,6 +58,7 @@ from .model import (
     DEFAULT_MAX_ATOMS,
     _fold_front_buckets,
     _logsumexp,
+    _pair_extremes,
     _single_type,
     _table,
     dense_log_weights,
@@ -202,40 +216,55 @@ def _split_context(model: MlnModel, n: int, m: int, *, max_atoms: int = DEFAULT_
     cross = cross_weight_bounds(model, n, m)
 
     gt, order = _table(model.formulas(), index).relaid(pos_n, pos_m)
+    stream = gt.pair_log_weights(model.weights())
     front_bits = np.uint64(sub_n.n_atoms)
     front_mask = np.uint64(lw_n.shape[0] - 1)
     back_mask = np.uint64(lw_m.shape[0] - 1)
     split_mask = lw_n.shape[0] * lw_m.shape[0] - 1  # the low F+B bits
     bucket_logs = np.full(lw_n.shape[0], -np.inf)
-    up_worst = math.inf
-    lo_worst = math.inf
-    up_witness = 0
-    lo_witness = 0
-    base_at = None
-    for start, lw in gt.chunk_log_weights(model.weights()):
-        _fold_front_buckets(bucket_logs, start, lw)
-        if start & split_mask != base_at:  # the base reads only the low F+B bits
-            base_at = start & split_mask
-            worlds = np.arange(start, start + lw.shape[0], dtype=np.uint64)
-            base = lw_n[worlds & front_mask] + lw_m[(worlds >> front_bits) & back_mask]
-            base_up = base + cross.log_m_max
-        up = base_up - lw
-        lo = lw - base - cross.log_m_min
-        i = int(np.argmin(up))
-        if float(up[i]) < up_worst:
-            up_worst = float(up[i])
-            up_witness = start + i
-        i = int(np.argmin(lo))
-        if float(lo[i]) < lo_worst:
-            lo_worst = float(lo[i])
-            lo_witness = start + i
-        del lw, up, lo  # freed before the next block is counted
+    worst = [math.inf, math.inf]  # upper, lower
+    witness = [0, 0]
+
+    def keep_minima(start: int, slacks, pair_starts=None) -> None:
+        """Fold the upper and lower slacks of the block that starts at
+        ``start`` into the running minima. With ``pair_starts``, the slacks
+        are per-pair minima over all blocks, and ``pair_starts[k][p]`` is the
+        start of the block in which pair ``p`` attains slack ``k``."""
+        for k, slack in enumerate(slacks):
+            i = int(np.argmin(slack))
+            if float(slack[i]) < worst[k]:
+                worst[k] = float(slack[i])
+                at = start if pair_starts is None else int(pair_starts[k][stream.pair_of(i)])
+                witness[k] = at + i
+
+    def base_of(start: int, n_worlds: int) -> np.ndarray:
+        worlds = np.arange(start, start + n_worlds, dtype=np.uint64)
+        return lw_n[worlds & front_mask] + lw_m[(worlds >> front_bits) & back_mask]
+
+    if split_mask < stream.n_worlds:  # the F+B restriction bits lie in a block's low bits
+        lse, hi, hi_at, lo, lo_at = _pair_extremes(stream)
+        _fold_front_buckets(bucket_logs, 0, stream.per_world(lse))
+        base = base_of(0, stream.n_worlds)
+        up = base + cross.log_m_max - stream.per_world(hi)
+        down = stream.per_world(lo) - base - cross.log_m_min
+        keep_minima(0, (up, down), (hi_at, lo_at))
+    else:
+        base_at = None
+        for start, pair_lw in stream.blocks:
+            lw = stream.per_world(pair_lw)
+            _fold_front_buckets(bucket_logs, start, lw)
+            if start & split_mask != base_at:  # the base reads only the low F+B bits
+                base_at = start & split_mask
+                base = base_of(start, lw.shape[0])
+                base_up = base + cross.log_m_max
+            keep_minima(start, (base_up - lw, lw - base - cross.log_m_min))
+            del lw  # freed before the next block is counted
 
     def _index_bits(relaid_bits: int) -> int:
         return sum(1 << int(p) for j, p in enumerate(order) if relaid_bits >> j & 1)
 
-    witnesses = _index_bits(up_witness), _index_bits(lo_witness)
-    return index, cross, lw_n, lw_m, bucket_logs, up_worst, lo_worst, *witnesses
+    witnesses = _index_bits(witness[0]), _index_bits(witness[1])
+    return index, cross, lw_n, lw_m, bucket_logs, *worst, *witnesses
 
 
 def weight_sandwich_slacks(model: MlnModel, n: int, m: int, world: World) -> tuple[float, float]:

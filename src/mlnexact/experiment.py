@@ -146,7 +146,9 @@ def _coerce(raw, annotation: str | type):
 @dataclass(frozen=True)
 class Row:
     """One CSV row; the fields, in order, are the CSV columns. A run that
-    fails keeps the defaults of the last five fields."""
+    fails keeps the defaults of the last five fields, and its ``train_size``
+    is the configured ``ExperimentConfig.train_size``, also when ``train_dbs``
+    supplies the training worlds, whose domain size a failed run cannot know."""
 
     run: int
     regularizer: str

@@ -9,51 +9,60 @@ assignment, so raw clauses (repeated constants allowed) and distinct-constant
 normalized clauses share one code path.
 
 Every pass over all 2^G worlds reads one stream,
-``GroundingTable.chunk_counts(strides)``: for every block of
-``DEFAULT_CHUNK`` worlds, its first world and each world's count key
-``counts @ strides`` (under ``np.eye`` the keys are the counts). Blocks are
-aligned to their length, so all blocks share their low log2(DEFAULT_CHUNK)
-bits and differ only in the high bits, which are constant within a block.
-Only the first block's worlds are built. Groundings whose atoms all lie in
-the low bits are counted on it, once, by the counts kernel. A grounding that
-reaches the high bits sees a block only through the few low atoms it touches
-(the shared atoms) and the block's high bits: each block sums those
-groundings' stride-scaled truth tables over every assignment of the shared
-atoms into a small table, and one gather by each world's shared-atom code,
-computed on the first block, adds it to the low keys. The plain per-block
-kernel (``counts_matrix``, ``log_weights``) serves the tests. A single world
-(``counts_world``, ``log_weight``) is unpacked from its integer, so it may
-exceed 64 atoms, and each grounding group is counted with one gather into its
-truth table. The table memoizes the counts of the last ``WORLD_COUNTS_MEMO``
-single worlds, so scoring fixed worlds under many weight vectors counts each
-of them once.
+``GroundingTable.pair_counts(strides)``. Blocks of ``DEFAULT_CHUNK`` worlds
+are aligned to their length, so all blocks share their low
+log2(DEFAULT_CHUNK) bits and differ only in the high bits, which are constant
+within a block. Only the first block's worlds are built. Groundings whose
+atoms all lie in the low bits are counted on it, once, by the counts kernel,
+into each world's low count key ``counts @ strides`` (under ``np.eye`` the
+keys are the counts). A grounding that reaches the high bits sees a block
+only through the few low atoms it touches (the shared atoms) and the block's
+high bits: each block sums those groundings' stride-scaled truth tables over
+every assignment of the shared atoms into a small table, indexed by each
+world's shared-atom code. So a world's key depends on its low bits only
+through the pair (low key, shared code): the first block's worlds are
+deduped into these pairs once (332 pairs for the 2^18 low worlds of G=24
+smokers relaid for a bound split), and each block yields one key per pair,
+with ``inverse`` giving every low world's pair. ``chunk_counts`` is the
+per-world view ``keys[inverse]`` of the same stream. Passes that reduce
+across blocks per pair never look at single worlds until the end. The plain
+per-block kernel (``counts_matrix``, ``log_weights``) serves the tests. A
+single world (``counts_world``, ``log_weight``) is unpacked from its integer,
+so it may exceed 64 atoms, and each grounding group is counted with one
+gather into its truth table. The table memoizes the counts of the last
+``WORLD_COUNTS_MEMO`` single worlds, so scoring fixed worlds under many
+weight vectors counts each of them once.
 
 A world's weight depends on it only through its count vector, whose count
 key is its mixed-radix code (radix = grounding total + 1, clause 0 most
 significant). While the key span fits in one block every weighted pass works
-in key space: ``chunk_log_weights`` computes the log weight of each key in
-the span once and looks every world's up, so no pass casts a block's counts
+in key space: ``pair_log_weights`` computes the log weight of each key in
+the span once and looks every pair's up, so no pass casts a block's counts
 to float64 and multiplies them by the weights; a wider span reads the keys
-under the identity layout, the counts, and multiplies those by the weights.
-The partition function has one path: one enumeration per (clause structure,
-atom index) collapses all 2^G worlds into a cached histogram of distinct
-count vectors with multiplicities, and log Z for any weight vector is a
-logsumexp over that histogram. The build tallies the count keys with one
-bincount per block; its memory is one block of keys plus a count table no
-longer than a block. Past a block, the build dedupes every block's keys with
-``_unique_keys`` (from 2^63, several int64 words, sorted by one lexsort) and
-merges them into the running distinct keys. Learning's count table comes
-from ``_distinct_counts``, which dedupes all 2^G keys at once in the same
-way; the key format stays inside this module.
+under the identity layout, the counts, gathers them to the worlds and
+multiplies those by the weights. The partition function has one path: one
+enumeration per (clause structure, atom index) collapses all 2^G worlds into
+a cached histogram of distinct count vectors with multiplicities, and log Z
+for any weight vector is a logsumexp over that histogram. The build tallies
+every block's pair keys, weighted by the pairs' world counts, with one
+bincount per block; its memory is one block of low keys plus a count table no
+longer than a block. Past a block, the build dedupes every block's pair keys
+with ``_unique_keys`` (from 2^63, several int64 words, sorted by one lexsort)
+and merges them into the running distinct keys. Learning's count table comes
+from ``_distinct_counts``, which dedupes the pair keys of all blocks at once
+in the same way; the key format stays inside this module.
 
 Restriction marginals make one pass over every world against a split-aware
 copy of the grounding table: the front-half atoms take the low F bits, in the
 front sub-index's order, so a world's restriction code is ``world & (2^F - 1)``.
-Worlds and chunks are powers of two, so a chunk's log weights reshape to rows
-of front buckets (or one slice of them) and fold into a 2^F log-space
-accumulator; the bound suite folds its pass through the same accumulator. The
-public ``AtomIndex`` order is unchanged. The factorization checks gather
-restriction codes with ``bit_codes``.
+While F is at most log2(DEFAULT_CHUNK), a world's bucket is fixed by its
+offset in the block, so each pair's log-sum-exp over all blocks is computed
+first and folded into the buckets once. Otherwise every block's worlds are
+folded: worlds and chunks are powers of two, so a chunk's log weights
+reshape to rows of front buckets (or one slice of them) and fold into a 2^F
+log-space accumulator. The bound suite folds its pass through the same
+accumulator. The public ``AtomIndex`` order is unchanged. The factorization
+checks gather restriction codes with ``bit_codes``.
 """
 
 from __future__ import annotations
@@ -306,6 +315,55 @@ def _count_kernel(entries: Sequence[_GroundedFormula], worlds: np.ndarray | int)
     return out
 
 
+@dataclass(frozen=True)
+class PairStream:
+    """One pass over all worlds, one value per (low key, shared code) pair
+    and block (see ``GroundingTable.pair_counts``): world ``start + i`` of
+    the block that starts at ``start`` takes the value of pair
+    ``inverse[i]``."""
+
+    inverse: np.ndarray | None  # (n_worlds,) narrow; None: the pairs are the worlds
+    mult: np.ndarray | None  # (n_pairs,) int64 worlds of a block per pair; None when inverse is
+    n_worlds: int  # worlds per block
+    blocks: Iterator[tuple[int, np.ndarray]]  # (start, per-pair values), in start order
+
+    def per_world(self, values: np.ndarray) -> np.ndarray:
+        """Per-pair values gathered to the worlds of a block."""
+        return values if self.inverse is None else np.take(values, self.inverse, axis=0)
+
+    def pair_of(self, i: int) -> int:
+        """The pair of the block's world at offset ``i``."""
+        return i if self.inverse is None else int(self.inverse[i])
+
+
+def _pairs(
+    low: np.ndarray, code: np.ndarray, code_bits: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(pair_low, pair_code, inverse)``: the distinct rows of ``(low,
+    code)`` in lexicographic order and each row's pair, as narrow as the
+    pair count allows. ``low`` holds one key or a row of key words per world
+    and ``code < 2^code_bits``. One-word pairs are ranked through a presence
+    table over ``low << code_bits | code`` while that table is no longer than
+    ``low``; otherwise the rows are deduped by ``_unique_keys``."""
+    table = (int(low.max()) + 1) << code_bits if low.ndim == 1 else math.inf
+    if table <= low.shape[0]:
+        packed = low.astype(np.int64) << code_bits | code
+        present = np.zeros(table, dtype=bool)
+        present[packed] = True
+        pairs = np.flatnonzero(present)
+        inverse = np.take(np.cumsum(present, dtype=np.int64) - 1, packed)
+        pair_low, pair_code = pairs >> code_bits, pairs & ((1 << code_bits) - 1)
+    else:
+        rows = np.column_stack([low.reshape(low.shape[0], -1).astype(np.int64), code])
+        rows, inverse = _unique_keys(rows, return_inverse=True)
+        pair_low, pair_code = rows[:, :-1].reshape(-1, *low.shape[1:]), rows[:, -1]
+    return (
+        pair_low.astype(low.dtype),
+        pair_code,
+        inverse.reshape(-1).astype(_count_dtype(pair_code.shape[0] - 1)),
+    )
+
+
 class GroundingTable:
     """Per-clause compiled groundings for one clause structure over one atom index."""
 
@@ -344,31 +402,33 @@ class GroundingTable:
     def log_weights(self, worlds: np.ndarray, weights: Sequence[float]) -> np.ndarray:
         """Per-world log weight: the weighted sum of true-grounding counts.
 
-        The plain per-block path; whole passes read ``chunk_counts`` instead.
+        The plain per-block path; whole passes read ``pair_counts`` instead.
         """
         return _count_kernel(self.entries, worlds) @ np.asarray(weights, dtype=np.float64)
 
-    def chunk_counts(
-        self, strides: Sequence[int] | np.ndarray
-    ) -> Iterator[tuple[int, np.ndarray]]:
-        """``(start, keys)`` for every block of ``world_chunks``: the block
-        holds worlds ``start .. start + len(keys) - 1`` and ``keys`` equals
-        ``counts_matrix(worlds) @ strides``, where ``strides`` is one integer
-        per clause, giving one key per world, or a (clauses, words) matrix of
-        them, giving a row of key words per world. Under ``np.eye`` the keys
-        are the counts.
+    def pair_counts(self, strides: Sequence[int] | np.ndarray) -> PairStream:
+        """The count keys of every block of ``world_chunks``, one per (low
+        key, shared code) pair: ``stream.per_world(keys)`` of the block that
+        starts at ``start`` equals ``counts_matrix(worlds) @ strides`` of its
+        worlds, where ``strides`` is one integer per clause, giving one key
+        per world, or a (clauses, words) matrix of them, giving a row of key
+        words per world. Under ``np.eye`` the keys are the counts.
 
         Blocks are aligned to ``DEFAULT_CHUNK``, so every block holds the same
         low log2(DEFAULT_CHUNK) bits. Groundings whose atoms all lie in those
         bits are counted once, on the first block, the only block whose
-        worlds are built. A grounding that reaches the high bits sees a block
-        only through the low atoms it touches, the ``shared`` atoms, and the
-        block's high bits, which are constant across the block. Each world's
-        ``shared`` code is computed once, on the first block; each block sums
-        its high groundings' truth tables, scaled by their clause's stride,
-        over the 2^|shared| assignments into one small table per word, and
-        adds it to the first block's keys with one gather. Keys take
-        ``_count_dtype`` of the largest key; past int64 they raise
+        worlds are built: its ``low`` keys. A grounding that reaches the high
+        bits sees a block only through the low atoms it touches, the
+        ``shared`` atoms, and the block's high bits, which are constant
+        across the block. So world ``start + i`` has the key ``low[i] +
+        high[shared_code[i]]``, where each block sums its high groundings'
+        truth tables, scaled by their clause's stride, over the 2^|shared|
+        assignments into one small table ``high`` per word. A world's key
+        thus depends on its low bits only through the pair ``(low[i],
+        shared_code[i])``. The pairs are deduped once, on the first block,
+        and each block gathers only its pairs' keys. Without high groundings
+        the pairs are the first block's worlds and ``inverse`` is ``None``.
+        Keys take ``_count_dtype`` of the largest key; past int64 they raise
         ``ValueError``.
         """
         low_bits = DEFAULT_CHUNK.bit_length() - 1
@@ -407,43 +467,70 @@ class GroundingTable:
         base = low.counts_matrix(worlds)
         # Identity keys are the counts. numpy multiplies integer matrices
         # without BLAS: 0.5-0.6 s for 2^18 worlds by 40 clauses under
-        # np.eye(40) on the same VM.
+        # np.eye(40) on the same VM. The strides are cast to the key dtype
+        # first: int64 strides would upcast the whole count matrix.
         if not np.array_equal(strides, np.eye(len(self.entries))):
             base = base @ strides.astype(dtype)
         base = base.astype(dtype, copy=False)
-        shared_code = bit_codes(worlds, shared) if high else None
-        del worlds
-        for start in range(0, 1 << self.index.n_atoms, DEFAULT_CHUNK):
-            if not high:
-                yield start, base
-                continue
-            high_keys = np.zeros((assign.shape[0], *strides.shape[1:]), dtype=dtype)
-            word_cols = high_keys.reshape(assign.shape[0], -1)
-            for (w, row, table), code in zip(high, codes):
-                high_code = sum((start >> int(p) & 1) << j for j, p in enumerate(row))
-                word_cols[:, w] += np.take(table, code | high_code)
-            keys = np.take(high_keys, shared_code, axis=0)
-            keys += base
-            yield start, keys
+        n_worlds = worlds.shape[0]
+        if not high:
+            del worlds
+            blocks = ((start, base) for start in range(0, 1 << self.index.n_atoms, n_worlds))
+            return PairStream(None, None, n_worlds, blocks)
+        pair_base, pair_code, inverse = _pairs(base, bit_codes(worlds, shared), len(shared))
+        del worlds, base
 
-    def chunk_log_weights(self, weights: Sequence[float]) -> Iterator[tuple[int, np.ndarray]]:
-        """``(start, log weights)`` for every block of ``chunk_counts``, equal
-        to ``log_weights(worlds, weights)`` of the block's worlds.
+        def blocks() -> Iterator[tuple[int, np.ndarray]]:
+            for start in range(0, 1 << self.index.n_atoms, n_worlds):
+                high_keys = np.zeros((assign.shape[0], *strides.shape[1:]), dtype=dtype)
+                word_cols = high_keys.reshape(assign.shape[0], -1)
+                for (w, row, table), code in zip(high, codes):
+                    high_code = sum((start >> int(p) & 1) << j for j, p in enumerate(row))
+                    word_cols[:, w] += np.take(table, code | high_code)
+                keys = np.take(high_keys, pair_code, axis=0)
+                keys += pair_base
+                yield start, keys
+
+        mult = np.bincount(inverse, minlength=pair_code.shape[0])
+        return PairStream(inverse, mult, n_worlds, blocks())
+
+    def chunk_counts(
+        self, strides: Sequence[int] | np.ndarray
+    ) -> Iterator[tuple[int, np.ndarray]]:
+        """``(start, keys)`` for every block of ``world_chunks``: the per-world
+        view of ``pair_counts``, so ``keys`` equals ``counts_matrix(worlds) @
+        strides`` of the block's worlds ``start .. start + len(keys) - 1``."""
+        stream = self.pair_counts(strides)
+        for start, keys in stream.blocks:
+            yield start, stream.per_world(keys)
+
+    def pair_log_weights(self, weights: Sequence[float]) -> PairStream:
+        """The log weights of every block of ``pair_counts``, one per pair.
 
         While the count-key span fits in one block, the log weight of every
-        key in the span is computed once and each block looks its keys up.
-        Past it, each block's keys under the identity layout, which are its
-        counts, are multiplied by the weights.
+        key in the span is computed once and each block looks its pairs' keys
+        up. Past it, each block's keys under the identity layout, which are
+        its counts, are gathered to its worlds and multiplied by the weights,
+        so the pairs are the block's worlds: a product over fewer rows may
+        round differently in BLAS.
         """
         weights = np.asarray(weights, dtype=np.float64)
         span, strides, radix = _count_keys(self.entries)
         if span > DEFAULT_CHUNK:
-            for start, counts in self.chunk_counts(np.eye(len(self.entries), dtype=np.int64)):
-                yield start, counts @ weights
-            return
+            stream = self.pair_counts(np.eye(len(self.entries), dtype=np.int64))
+            lws = ((start, stream.per_world(c) @ weights) for start, c in stream.blocks)
+            return PairStream(None, None, stream.n_worlds, lws)
         table = _decode_keys(np.arange(span), strides, radix) @ weights
-        for start, key in self.chunk_counts(strides):
-            yield start, np.take(table, key)
+        stream = self.pair_counts(strides)
+        return replace(stream, blocks=((start, np.take(table, k)) for start, k in stream.blocks))
+
+    def chunk_log_weights(self, weights: Sequence[float]) -> Iterator[tuple[int, np.ndarray]]:
+        """``(start, log weights)`` for every block of ``chunk_counts``, equal
+        to ``log_weights(worlds, weights)`` of the block's worlds: the
+        per-world view of ``pair_log_weights``."""
+        stream = self.pair_log_weights(weights)
+        for start, lw in stream.blocks:
+            yield start, stream.per_world(lw)
 
     def relaid(self, *leading: np.ndarray) -> tuple[GroundingTable, np.ndarray]:
         """A copy over a permuted bit layout, plus that layout's ``order``.
@@ -453,7 +540,9 @@ class GroundingTable:
         atom at index position ``order[j]``.
         """
         lead = np.concatenate(leading)
-        order = np.concatenate([lead, np.setdiff1d(np.arange(self.index.n_atoms), lead)])
+        rest = np.ones(self.index.n_atoms, dtype=bool)
+        rest[lead] = False
+        order = np.concatenate([lead, np.flatnonzero(rest)])
         new_pos = np.argsort(order)
         entries = [
             replace(e, groups=[_Group(new_pos[g.cols], g.table) for g in e.groups])
@@ -545,26 +634,29 @@ def count_histogram(
 
 @lru_cache(maxsize=64)
 def _histogram(formulas: tuple[Formula, ...], index: AtomIndex) -> CountHistogram:
-    """Every block's count keys are tallied: while the key span fits in one
-    block, with one bincount into a table of the span; past it, with one
-    ``_unique_keys`` per block, merged into the running distinct keys. Both
-    give the distinct vectors in lexicographic order."""
+    """Every block's pair keys are tallied, weighted by the pair
+    multiplicities: while the key span fits in one block, with one bincount
+    into a table of the span; past it, with one ``_unique_keys`` per block,
+    merged into the running distinct keys. Both give the distinct vectors in
+    lexicographic order. Float bincount sums are exact: multiplicities stay
+    below 2^53."""
     gt = GroundingTable(formulas, index)
     span, strides, radix = _count_keys(gt.entries)
+    stream = gt.pair_counts(strides)
     if span <= DEFAULT_CHUNK:
-        tally = np.zeros(span, dtype=np.int64)
-        for _, key in gt.chunk_counts(strides):
-            tally += np.bincount(key, minlength=span)
+        tally = np.zeros(span)
+        for _, key in stream.blocks:
+            tally += np.bincount(key, weights=stream.mult, minlength=span)
         keys = np.flatnonzero(tally)
         mult = tally[keys]
     else:
         keys, mult = np.zeros((0, *strides.shape[1:]), dtype=np.int64), np.zeros(0)
-        for _, key in gt.chunk_counts(strides):
-            k, m = _unique_keys(key, return_counts=True)
+        for _, key in stream.blocks:
+            k, inverse = _unique_keys(key, return_inverse=True)
+            m = np.bincount(inverse.reshape(-1), weights=stream.mult)
             keys, inverse = _unique_keys(np.concatenate([keys, k]), return_inverse=True)
-            # Float bincount sums are exact: multiplicities stay below 2^53.
             mult = np.bincount(inverse.reshape(-1), weights=np.concatenate([mult, m]))
-        mult = mult.astype(np.int64)
+    mult = mult.astype(np.int64)
     rows = _decode_keys(keys, strides, radix)
     out = CountHistogram(rows.astype(np.float64), mult, np.log(mult))
     for a in (out.counts, out.mult, out.log_mult):
@@ -578,13 +670,20 @@ def _distinct_counts(
     """``(rows, mult, inverse)``: the distinct count vectors over all 2^G
     worlds as int64 rows in ``count_histogram`` order, their multiplicities,
     and each world's row, so ``rows[inverse]`` is every world's count vector.
-    All 2^G keys are deduped at once."""
+    The pair keys of all blocks are deduped at once."""
     gt = _table(formulas, index)
     _, strides, radix = _count_keys(gt.entries)
-    keys = np.concatenate([k for _, k in gt.chunk_counts(strides)])
-    keys, inverse, mult = _unique_keys(keys, return_inverse=True, return_counts=True)
+    stream = gt.pair_counts(strides)
+    blocks = [k for _, k in stream.blocks]
+    keys, inverse = _unique_keys(np.concatenate(blocks), return_inverse=True)
     # The inverse's shape varies across numpy 2.x releases.
-    return _decode_keys(keys, strides, radix), mult, inverse.reshape(-1)
+    inverse = inverse.reshape(len(blocks), -1)
+    if stream.mult is None:
+        mult = np.bincount(inverse.reshape(-1))
+    else:
+        mult = np.bincount(inverse.reshape(-1), weights=np.tile(stream.mult, len(blocks)))
+        inverse = np.take(inverse, stream.inverse, axis=1)
+    return _decode_keys(keys, strides, radix), mult.astype(np.int64), inverse.reshape(-1)
 
 
 def log_partition(
@@ -630,13 +729,33 @@ def _fold_front_buckets(acc: np.ndarray, start: int, lw: np.ndarray) -> None:
     np.logaddexp(acc[at : at + width], chunk_logs, out=acc[at : at + width])
 
 
+def _pair_extremes(stream: PairStream) -> tuple[np.ndarray, ...]:
+    """``(lse, hi, hi_at, lo, lo_at)`` of a log-weight ``PairStream``, per
+    pair over every block: the log-sum-exp of its log weights, their max and
+    min, and the first block start at which each extreme is reached."""
+    for start, lw in stream.blocks:
+        if start == 0:
+            lse, hi, lo = lw.copy(), lw.copy(), lw
+            hi_at = np.zeros(lw.shape[0], dtype=np.int64)
+            lo_at = np.zeros(lw.shape[0], dtype=np.int64)
+            continue
+        np.logaddexp(lse, lw, out=lse)
+        for extreme, at, better in ((hi, hi_at, lw > hi), (lo, lo_at, lw < lo)):
+            np.copyto(extreme, lw, where=better)
+            at[better] = start
+    return lse, hi, hi_at, lo, lo_at
+
+
 def marginal_log_probs(model: MlnModel, spec: DomainSpec) -> tuple[AtomIndex, np.ndarray]:
     """Log marginal probability of every front-half world under the split spec.
 
     One pass over the full enumeration, with the front-half atoms in the low
     bits, folds log-sum-exp per restriction bucket; entry ``b`` of the result
     is the log probability that a full-domain world restricts to the
-    front-half world with bit vector ``b``.
+    front-half world with bit vector ``b``. While the front-half bits lie in a
+    block's low bits, a world's bucket depends only on its offset in the
+    block, so each pair's log-sum-exp over the blocks is folded once, gathered
+    to the block's worlds; otherwise every block's worlds are folded.
     """
     index = AtomIndex(model.signature, spec)
     _guard(index.n_atoms, DEFAULT_MAX_ATOMS)
@@ -645,8 +764,12 @@ def marginal_log_probs(model: MlnModel, spec: DomainSpec) -> tuple[AtomIndex, np
     _guard(sub_index.n_atoms, DEFAULT_DENSE_MAX_ATOMS)
     gt, _ = _table(model.formulas(), index).relaid(positions)
     bucket_logs = np.full(1 << sub_index.n_atoms, -np.inf)
-    for start, lw in gt.chunk_log_weights(model.weights()):
-        _fold_front_buckets(bucket_logs, start, lw)
+    stream = gt.pair_log_weights(model.weights())
+    if bucket_logs.shape[0] <= stream.n_worlds:
+        _fold_front_buckets(bucket_logs, 0, stream.per_world(_pair_extremes(stream)[0]))
+    else:
+        for start, lw in stream.blocks:
+            _fold_front_buckets(bucket_logs, start, stream.per_world(lw))
     return sub_index, bucket_logs - _logsumexp(bucket_logs)
 
 

@@ -1,0 +1,83 @@
+"""tools/bench_pairs.py: the pair order and the summary of synthetic run records."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def record(wall: float, *, setup: float = 0.25, rss: float = 60.0, failed: int = 0) -> dict:
+    metrics = {"wall_s": wall, "setup_s": setup, "peak_rss_mb": rss}
+    return {
+        "correct": failed == 0,
+        "attempted": 100,
+        "failed": failed,
+        "metrics": {k: {"value": v, "unit": "x"} for k, v in metrics.items()},
+    }
+
+
+def test_sides_alternate_parent_first():
+    assert bench_pairs.first_in_pair(5) == ["parent", "change", "parent", "change", "parent"]
+
+
+def test_summary_of_synthetic_records():
+    parent = [record(w) for w in (1.0, 2.0, 3.0, 4.0, 5.0)]
+    change = [record(w, rss=59.0) for w in (0.5, 1.0, 3.5, 2.0, 1.5)]
+    change[2] = record(3.5, rss=61.0, failed=2)
+    first = bench_pairs.first_in_pair(5)
+    out = bench_pairs.summarize({"parent": parent, "change": change}, first)
+    assert out["pairs"] == 5 and out["first_in_pair"] == first
+    assert out["runs"]["parent"]["wall_s"] == [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert out["runs"]["change"]["peak_rss_mb"] == [59.0, 59.0, 61.0, 59.0, 59.0]
+    # Inclusive quartiles: numpy's linear percentiles.
+    assert out["parent"]["wall_s"] == {"median": 3.0, "q1": 2.0, "q3": 4.0}
+    assert out["change"]["wall_s"] == {"median": 1.5, "q1": 1.0, "q3": 2.0}
+    assert out["parent"]["setup_s"] == {"median": 0.25, "q1": 0.25, "q3": 0.25}
+    assert (out["parent"]["failed"], out["parent"]["attempted"], out["parent"]["correct"]) == (
+        0,
+        500,
+        True,
+    )
+    assert (out["change"]["failed"], out["change"]["attempted"], out["change"]["correct"]) == (
+        2,
+        500,
+        False,
+    )
+    assert out["change_lower_wall_s"] == "4/5"  # only pair 3 is higher
+    assert out["median_ratio_wall_s"] == -0.5
+    assert out["change_lower_setup_s"] == "0/5"
+    assert out["median_ratio_setup_s"] == 0.0
+    assert out["change_lower_peak_rss_mb"] == "4/5"
+    assert out["median_ratio_peak_rss_mb"] == round(59.0 / 60.0 - 1, 4)
+    one = bench_pairs.summarize({"parent": parent[:1], "change": change[:1]}, first[:1])
+    assert one["parent"]["wall_s"] == {"median": 1.0, "q1": 1.0, "q3": 1.0}
+
+
+def test_main_alternates_runs_and_merges_into_the_file(tmp_path):
+    out = tmp_path / "bench.json"
+    out.write_text(json.dumps({"description": "kept", "workloads": {"w": {"9": {}}}}))
+    calls = []
+
+    def fake_run(root, workload, seed, seconds):
+        calls.append((root.name, workload, seed, seconds))
+        return record(1.0 if root.name == "old" else 0.5)
+
+    (tmp_path / "old").mkdir()
+    (tmp_path / "new").mkdir()
+    args = [str(tmp_path / "old"), "--change", str(tmp_path / "new"), "--workload", "w"]
+    args += ["--seed", "7", "--pairs", "3", "--seconds", "5", "--out", str(out)]
+    assert bench_pairs.main(args, run=fake_run) == 0
+    assert [c[0] for c in calls] == ["old", "new", "new", "old", "old", "new"]
+    assert all(c[1:] == ("w", 7, 5.0) for c in calls)
+    data = json.loads(out.read_text())
+    assert data["description"] == "kept" and data["workloads"]["w"]["9"] == {}
+    summary = data["workloads"]["w"]["7"]
+    assert summary["pairs"] == 3 and summary["change_lower_wall_s"] == "3/3"
+    with pytest.raises(SystemExit):
+        bench_pairs.main(args[:-4] + ["--pairs", "0", "--out", str(out)], run=fake_run)

@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mlnexact import bounds
 from mlnexact import model as model_module
 from mlnexact.bounds import (
     cross_weight_bounds,
@@ -14,6 +19,7 @@ from mlnexact.bounds import (
     verify_all,
     weight_sandwich_slacks,
 )
+from mlnexact.datagen import FRIENDS_SMOKERS_MLN
 from mlnexact.logic import normalize_distinct, parse_mln
 from mlnexact.model import (
     _count_kernel,
@@ -351,38 +357,106 @@ class TestSplitPassOracle:
         assert abs(up_at - slacks["upper_slack"]) <= 1e-9
         assert abs(lo_at - slacks["lower_slack"]) <= 1e-9
 
-    @settings(max_examples=20, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        split=st.sampled_from([(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1)]),
-        ternary=st.booleans(),
-        chunk_bits=st.integers(2, 5),
-    )
-    def test_shrunken_chunks_match_dense_oracle(self, seed, split, ternary, chunk_bits):
+    def test_shrunken_chunks_match_dense_oracle(self):
         # Blocks of 2^2..2^5 worlds put groundings on both sides of the
-        # low/high boundary of GroundingTable.chunk_counts.
-        n, m = split
-        model = normalize_distinct(
-            random_raw_model(np.random.default_rng(seed), include_ternary_clause=ternary)
+        # low/high boundary of GroundingTable.pair_counts. The bound pass
+        # reduces per pair while the F+B restriction bits lie in a block's low
+        # bits, and per world past them; the draws must reach both regimes
+        # over several blocks.
+        regimes = set()
+
+        @settings(max_examples=20, deadline=None)
+        @given(
+            seed=st.integers(0, 2**32 - 1),
+            split=st.sampled_from([(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1)]),
+            ternary=st.booleans(),
+            chunk_bits=st.integers(2, 5),
         )
-        oracle = _split_pass_oracle(model, n, m)
-        index = oracle["index"]
-        gt, _ = _table(model.formulas(), index).relaid(*oracle["pos"])
-        # At most 2^7 blocks per pass keeps the widest signatures (G=20) quick.
-        chunk = 1 << max(chunk_bits, index.n_atoms - 7)
-        with mock.patch.object(model_module, "DEFAULT_CHUNK", chunk):
-            blocks = 0
-            for start, counts in gt.chunk_counts(np.eye(len(gt.entries), dtype=np.int64)):
-                assert counts.shape[0] == min(chunk, 1 << index.n_atoms)
-                assert start == blocks * chunk
-                worlds = np.arange(start, start + counts.shape[0], dtype=np.uint64)
-                assert np.array_equal(counts, _count_kernel(gt.entries, worlds))
-                blocks += 1
-            assert blocks == max(1, (1 << index.n_atoms) // chunk)
+        # G=20 at blocks of 2^13: F+B = 12 bits reduce per pair, 14 per world.
+        @example(seed=0, split=(2, 2), ternary=False, chunk_bits=2)
+        @example(seed=0, split=(3, 1), ternary=False, chunk_bits=2)
+        def check(seed, split, ternary, chunk_bits):
+            n, m = split
+            model = normalize_distinct(
+                random_raw_model(np.random.default_rng(seed), include_ternary_clause=ternary)
+            )
+            oracle = _split_pass_oracle(model, n, m)
+            index = oracle["index"]
+            gt, _ = _table(model.formulas(), index).relaid(*oracle["pos"])
+            # At most 2^7 blocks per pass keeps the widest signatures (G=20) quick.
+            chunk = 1 << max(chunk_bits, index.n_atoms - 7)
+            n_worlds = min(chunk, 1 << index.n_atoms)
+            split_bits = sum(len(p) for p in oracle["pos"])
+            extremes = model_module._pair_extremes
+            with mock.patch.object(model_module, "DEFAULT_CHUNK", chunk), mock.patch.object(
+                bounds, "_pair_extremes", wraps=extremes
+            ) as per_pair, mock.patch.object(
+                model_module, "_pair_extremes", wraps=extremes
+            ) as marginal_per_pair:
+                blocks = 0
+                for start, counts in gt.chunk_counts(np.eye(len(gt.entries), dtype=np.int64)):
+                    assert counts.shape[0] == n_worlds
+                    assert start == blocks * chunk
+                    worlds = np.arange(start, start + counts.shape[0], dtype=np.uint64)
+                    assert np.array_equal(counts, _count_kernel(gt.entries, worlds))
+                    blocks += 1
+                assert blocks == max(1, (1 << index.n_atoms) // chunk)
+                report = verify_all(model, n, m)
+                _, marginal = marginal_log_probs(model, oracle["spec"])
+                _histogram.cache_clear()
+                hist = count_histogram(model, index)
+            assert per_pair.called is (1 << split_bits <= n_worlds)
+            assert marginal_per_pair.called is (1 << len(oracle["pos"][0]) <= n_worlds)
+            if blocks > 1:
+                regimes.add(per_pair.called)
+            _assert_matches_oracle(report, marginal, oracle)
+            assert count_histogram(model, index) is hist
+            assert abs(log_partition(model, index=index) - oracle["log_z"]) <= 1e-9
+            sandwich = report.checks[0].details
+            up_at, _ = weight_sandwich_slacks(model, n, m, World(index, sandwich["upper_witness"]))
+            _, lo_at = weight_sandwich_slacks(model, n, m, World(index, sandwich["lower_witness"]))
+            assert abs(up_at - sandwich["upper_slack"]) <= 1e-9
+            assert abs(lo_at - sandwich["lower_slack"]) <= 1e-9
+
+        check()
+        assert regimes == {True, False}
+
+    @pytest.mark.parametrize("split", [(2, 2), (3, 1)])
+    def test_smokers_witnesses_attain_their_slacks(self, split):
+        # G=24: both splits reduce per (low key, shared code) pair. A witness
+        # is the lowest offset attaining its minimum, in the first block where
+        # that offset's pair reaches its extreme log weight.
+        n, m = split
+        model = normalize_distinct(parse_mln(FRIENDS_SMOKERS_MLN))
+        model = model.with_weights(np.random.default_rng(7).uniform(-1.5, 1.5, len(model.clauses)))
+        with mock.patch.object(bounds, "_pair_extremes", wraps=model_module._pair_extremes) as per_pair:
             report = verify_all(model, n, m)
-            _, marginal = marginal_log_probs(model, oracle["spec"])
-            _histogram.cache_clear()
-            hist = count_histogram(model, index)
-        _assert_matches_oracle(report, marginal, oracle)
-        assert count_histogram(model, index) is hist
-        assert abs(log_partition(model, index=index) - oracle["log_z"]) <= 1e-9
+        assert per_pair.call_count == 1
+        index = AtomIndex(model.signature, DomainSpec({"person": 4}, split_type="person", split_at=n))
+        assert index.n_atoms == 24
+        sandwich = report.checks[0].details
+        up_at, _ = weight_sandwich_slacks(model, n, m, World(index, sandwich["upper_witness"]))
+        _, lo_at = weight_sandwich_slacks(model, n, m, World(index, sandwich["lower_witness"]))
+        assert abs(up_at - sandwich["upper_slack"]) <= 1e-12
+        assert abs(lo_at - sandwich["lower_slack"]) <= 1e-12
+
+    def test_smokers_pass_imports_no_masked_arrays(self):
+        # np.setdiff1d reaches np.ma.is_masked, whose lazy import of numpy.ma
+        # cost 25-35 ms of a cold G=24 verify; no pass needs it.
+        code = (
+            "import sys\n"
+            "from mlnexact import bounds\n"
+            "from mlnexact.datagen import FRIENDS_SMOKERS_MLN\n"
+            "from mlnexact.logic import normalize_distinct, parse_mln\n"
+            "model = normalize_distinct(parse_mln(FRIENDS_SMOKERS_MLN))\n"
+            "assert 'numpy.ma' not in sys.modules\n"
+            "bounds.verify_all(model, 2, 2)\n"
+            "bounds.verify_all(model, 3, 1)\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(bounds.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert out.stdout.strip() == "False"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from itertools import permutations
 from unittest import mock
@@ -595,15 +596,16 @@ class TestChunkCounts:
     @pytest.mark.parametrize("chunk_bits", [18, 4])
     def test_blocks_tile_the_worlds_and_only_the_first_builds_them(self, chunk_bits):
         # Smokers at n=3 (G=15) over two layouts and every pass built on
-        # chunk_counts: the block starts are 0, chunk, 2 chunk, ... below 2^G,
-        # and each pass calls world_chunks once, for its first block.
+        # pair_counts, whose per-world view is chunk_counts: the block starts
+        # are 0, chunk, 2 chunk, ... below 2^G, and each pass calls
+        # world_chunks once, for its first block.
         model = normalize_distinct(parse_mln(FRIENDS_SMOKERS_MLN))
         index = index_for(model, 3)
         gt = GroundingTable(model.formulas(), index)
         chunk = 1 << chunk_bits
         tiles = list(range(0, 1 << index.n_atoms, chunk))
         passes = mock.patch.object(
-            GroundingTable, "chunk_counts", autospec=True, side_effect=GroundingTable.chunk_counts
+            GroundingTable, "pair_counts", autospec=True, side_effect=GroundingTable.pair_counts
         )
         with mock.patch.object(model_module, "DEFAULT_CHUNK", chunk), mock.patch.object(
             model_module, "world_chunks", wraps=world_chunks
@@ -625,6 +627,131 @@ class TestChunkCounts:
             assert made.call_count == counted.call_count
         _histogram.cache_clear()
         learning._counts_cached.cache_clear()
+
+
+def _two_word_strides(gt: GroundingTable) -> np.ndarray:
+    """Mixed-radix strides over two key words: the first half of the clauses
+    in word 0, the rest in word 1."""
+    radix = [e.total + 1 for e in gt.entries]
+    strides = np.zeros((len(radix), 2), dtype=np.int64)
+    half = len(radix) // 2
+    for word, clauses in enumerate((range(half), range(half, len(radix)))):
+        span = 1
+        for c in reversed(clauses):
+            strides[c, word] = span
+            span *= radix[c]
+    return strides
+
+
+PAIR_LAYOUTS = {**LAYOUTS, "two_words": _two_word_strides}
+
+
+class TestPairCounts:
+    @pytest.mark.parametrize(
+        ("text", "n"),
+        [(FRIENDS_SMOKERS_MLN, 2), (FRIENDS_SMOKERS_MLN, 3), (NINE_ATOM_TEXT, 2)],
+        ids=["smokers-2", "smokers-3", "nine_atoms-2"],
+    )
+    @pytest.mark.parametrize("layout", sorted(PAIR_LAYOUTS))
+    def test_pair_keys_gather_to_every_world_s_key(self, text, n, layout):
+        # Blocks of 16 worlds: every block's pair keys, gathered by inverse,
+        # are the kernel's keys of its worlds, and inverse is as narrow as the
+        # pair count allows.
+        model = model_from(text)
+        index = index_for(model, n)
+        gt = GroundingTable(model.formulas(), index)
+        strides = PAIR_LAYOUTS[layout](gt)
+        with mock.patch.object(model_module, "DEFAULT_CHUNK", 1 << 4):
+            stream = gt.pair_counts(strides)
+            blocks = list(stream.blocks)
+        pairs = stream.mult.shape[0]
+        assert stream.n_worlds == 16 and stream.inverse.shape == (16,)
+        assert stream.inverse.dtype == model_module._count_dtype(pairs - 1) == np.uint8
+        assert stream.mult.tolist() == np.bincount(stream.inverse, minlength=pairs).tolist()
+        assert [start for start, _ in blocks] == list(range(0, 1 << index.n_atoms, 16))
+        for start, keys in blocks:
+            assert keys.shape[0] == pairs
+            worlds = np.arange(start, start + 16, dtype=np.uint64)
+            assert np.array_equal(stream.per_world(keys), _count_kernel(gt.entries, worlds) @ strides)
+
+    @pytest.mark.parametrize(("n", "split", "pairs"), [(4, (2, 2), 332), (4, (3, 1), 332)])
+    def test_smokers_blocks_share_few_pairs(self, n, split, pairs):
+        # G=24 smokers relaid for a bound split: the 2^18 worlds of a block
+        # fall into a few hundred (low key, shared code) pairs.
+        model = model_from(FRIENDS_SMOKERS_MLN)
+        spec = DomainSpec({"person": n}, split_type="person", split_at=split[0])
+        index = AtomIndex(model.signature, spec)
+        positions = [restriction_positions(index, half)[1] for half in split_subsets(spec)]
+        gt, _ = GroundingTable(model.formulas(), index).relaid(*positions)
+        stream = gt.pair_counts(model_module._count_keys(gt.entries)[1])
+        assert stream.n_worlds == model_module.DEFAULT_CHUNK
+        assert stream.mult.shape == (pairs,)
+        assert int(stream.mult.sum()) == stream.n_worlds
+        assert stream.inverse.dtype == np.uint16
+
+    def test_a_single_block_is_its_own_pair_table(self):
+        model = model_from(FRIENDS_SMOKERS_MLN)
+        index = index_for(model, 3)
+        stream = GroundingTable(model.formulas(), index).pair_counts(
+            model_module._count_keys(_table(model.formulas(), index).entries)[1]
+        )
+        assert stream.inverse is None and stream.mult is None
+        assert stream.n_worlds == 1 << index.n_atoms
+
+    @pytest.mark.parametrize("words", [1, 2])
+    def test_presence_table_and_unique_keys_rank_pairs_alike(self, words):
+        # One-word pairs whose table fits go through the presence table; a
+        # second key word forces _unique_keys. Both give the same ranks.
+        rng = np.random.default_rng(words)
+        low = rng.integers(0, 40, size=4096).astype(np.uint16)
+        code = rng.integers(0, 8, size=4096)
+        packed = model_module._pairs(low, code, 3)
+        sorted_ = model_module._pairs(np.stack([low] * words, axis=1), code, 3)
+        assert packed[0].dtype == np.uint16 and packed[2].dtype == np.uint16
+        assert np.array_equal(sorted_[0], np.stack([packed[0]] * words, axis=1))
+        assert np.array_equal(sorted_[1], packed[1])
+        assert sorted_[2].tobytes() == packed[2].tobytes()
+        assert np.array_equal(packed[0][packed[2]], low)
+        assert np.array_equal(packed[1][packed[2]], code)
+
+    def test_learning_count_table_keeps_its_bytes(self):
+        # G=15 smokers is one block: _distinct_counts is byte-identical to its
+        # all-worlds np.unique, which this digest was taken from.
+        model = model_from(FRIENDS_SMOKERS_MLN)
+        rows, mult, inverse = model_module._distinct_counts(model.formulas(), index_for(model, 3))
+        assert (rows.dtype, mult.dtype, inverse.dtype) == (np.int64,) * 3
+        digest = hashlib.sha256(rows.tobytes() + mult.tobytes() + inverse.tobytes()).hexdigest()
+        assert digest == "fa26512d1ed7c1b9ae3b821325e461248ce43857687d5dc2cad72ae2e58eec73"
+
+    @pytest.mark.parametrize(
+        ("text", "n"),
+        [(FRIENDS_SMOKERS_MLN, 2), (NINE_ATOM_TEXT, 2)],
+        ids=["smokers-2", "nine_atoms-2"],
+    )
+    def test_learning_count_table_is_the_same_over_many_blocks(self, text, n):
+        # Blocks of 16 worlds: the pair keys of every block, deduped at once
+        # and gathered to the worlds, give the one-block table byte for byte.
+        model = model_from(text)
+        index = index_for(model, n)
+        whole = model_module._distinct_counts(model.formulas(), index)
+        _table.cache_clear()
+        with mock.patch.object(model_module, "DEFAULT_CHUNK", 1 << 4):
+            blocked = model_module._distinct_counts(model.formulas(), index)
+        _table.cache_clear()
+        assert index.n_atoms > 4
+        for a, b in zip(whole, blocked):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_relaid_order_equals_setdiff1d(self, seed):
+        model = model_from(FRIENDS_SMOKERS_MLN)
+        gt = GroundingTable(model.formulas(), index_for(model, 3))
+        rng = np.random.default_rng(seed)
+        lead = [rng.permutation(15)[: rng.integers(0, 16)] for _ in range(2)]
+        lead = [lead[0], np.setdiff1d(lead[1], lead[0])]
+        _, order = gt.relaid(*lead)
+        want = np.concatenate([*lead, np.setdiff1d(np.arange(15), np.concatenate(lead))])
+        assert order.dtype == want.dtype and order.tolist() == want.tolist()
 
 
 class TestChunkLogWeights:
