@@ -24,10 +24,11 @@ world's two restriction codes are the bit fields ``world & (2^F - 1)`` and
 ``GroundingTable.pair_log_weights``: one per (low key, shared code) pair and
 block, where world ``start + i`` takes the value of pair ``inverse[i]``.
 
+The sandwich's base, the sum of a world's two restriction weights, is read
+from an outer sum of the two halves' log weights over its low F+B bits.
 While F+B is at most log2(``DEFAULT_CHUNK``), which holds for every smokers
-split up to n+m=4, the sandwich's base, the two restriction weights of a
-world, depends only on its offset ``i`` in the block, and so does its front
-bucket. The pass then reduces across blocks per pair: each pair keeps the
+split up to n+m=4, the base depends only on a world's offset ``i`` in the
+block, and so does its front bucket. The pass then reduces across blocks per pair: each pair keeps the
 max and min of its log weight, with the first block start at which each is
 reached, and a running log-sum-exp. One final pass over the offsets computes
 the upper slack from the max and the lower slack from the min, which are the
@@ -38,8 +39,8 @@ lowest offset attaining its minimum, in the first block where that offset's
 pair reaches its extreme.
 
 Past that, the pass folds every block's worlds, ``per_world`` of the pair log
-weights, into the buckets and the two sandwich minima, and rebuilds the base
-only when a block's low F+B bits change. A slack's witness is then the first
+weights, into the buckets and the two sandwich minima, and slices the base
+anew only when a block's low F+B bits change. A slack's witness is then the first
 world attaining it, in world order. Witnesses are mapped back to
 ``AtomIndex`` order at the end.
 """
@@ -217,9 +218,6 @@ def _split_context(model: MlnModel, n: int, m: int, *, max_atoms: int = DEFAULT_
 
     gt, order = _table(model.formulas(), index).relaid(pos_n, pos_m)
     stream = gt.pair_log_weights(model.weights())
-    front_bits = np.uint64(sub_n.n_atoms)
-    front_mask = np.uint64(lw_n.shape[0] - 1)
-    back_mask = np.uint64(lw_m.shape[0] - 1)
     split_mask = lw_n.shape[0] * lw_m.shape[0] - 1  # the low F+B bits
     bucket_logs = np.full(lw_n.shape[0], -np.inf)
     worst = [math.inf, math.inf]  # upper, lower
@@ -238,8 +236,14 @@ def _split_context(model: MlnModel, n: int, m: int, *, max_atoms: int = DEFAULT_
                 witness[k] = at + i
 
     def base_of(start: int, n_worlds: int) -> np.ndarray:
-        worlds = np.arange(start, start + n_worlds, dtype=np.uint64)
-        return lw_n[worlds & front_mask] + lw_m[(worlds >> front_bits) & back_mask]
+        """The base of the worlds ``start .. start + n_worlds - 1``: the outer
+        sum of the back and front log weights they read, back code major,
+        tiled when the block is longer than the F+B bits."""
+        fronts = min(n_worlds, lw_n.shape[0])
+        backs = min(n_worlds // fronts, lw_m.shape[0])
+        f0, b0 = start & (lw_n.shape[0] - 1), (start & split_mask) >> sub_n.n_atoms
+        base = np.add.outer(lw_m[b0 : b0 + backs], lw_n[f0 : f0 + fronts]).reshape(-1)
+        return base if base.shape[0] == n_worlds else np.tile(base, n_worlds // base.shape[0])
 
     if split_mask < stream.n_worlds:  # the F+B restriction bits lie in a block's low bits
         lse, hi, hi_at, lo, lo_at = _pair_extremes(stream)

@@ -135,19 +135,26 @@ class _Counts:
 
     ``at_zero`` is the objective's data-free part at zero weights, computed
     on first use and kept with the table, so every fit on one table shares
-    its first evaluation. A projected table is a new object with its own.
+    its first evaluation. A projected table is a new object with its own,
+    and ``project`` keeps it per Jacobian, so fits with one Jacobian share
+    one projection and its zero-weight evaluation.
     """
 
     worlds: np.ndarray  # (2^G, k) float64, the count vector of every world
     rows: np.ndarray  # (n_padded, k) float64
     log_mult: np.ndarray  # (n_padded,) log of the worlds per row
     inverse: np.ndarray  # (2^G,) the row of every world: rows[inverse] == worlds
-    # at_zero's one entry; not an init field, so a projected copy starts empty
+    # at_zero's one entry and project's tables by jac bytes; not init fields,
+    # so a projected copy starts with both empty
     _zero: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _projected: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def project(self, jac: np.ndarray) -> _Counts:
         """The counts in parameter space, where the clause weights are jac @ theta."""
-        return replace(self, worlds=self.worlds @ jac, rows=self.rows @ jac)
+        key = jac.tobytes()
+        if key not in self._projected:
+            self._projected[key] = replace(self, worlds=self.worlds @ jac, rows=self.rows @ jac)
+        return self._projected[key]
 
     def at_zero(self, buf: np.ndarray | None = None) -> tuple[float, np.ndarray, np.ndarray]:
         """``(log Z, expected counts, Hessian)`` at zero weights, where every

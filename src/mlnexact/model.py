@@ -12,24 +12,27 @@ Every pass over all 2^G worlds reads one stream,
 ``GroundingTable.pair_counts(strides)``. Blocks of ``DEFAULT_CHUNK`` worlds
 are aligned to their length, so all blocks share their low
 log2(DEFAULT_CHUNK) bits and differ only in the high bits, which are constant
-within a block. Only the first block's worlds are built. Groundings whose
-atoms all lie in the low bits are counted on it, once, by the counts kernel,
-into each world's low count key ``counts @ strides`` (under ``np.eye`` the
-keys are the counts). A grounding that reaches the high bits sees a block
-only through the few low atoms it touches (the shared atoms) and the block's
-high bits: each block sums those groundings' stride-scaled truth tables over
-every assignment of the shared atoms into a small table, indexed by each
-world's shared-atom code. So a world's key depends on its low bits only
-through the pair (low key, shared code): the first block's worlds are
-deduped into these pairs once (332 pairs for the 2^18 low worlds of G=24
-smokers relaid for a bound split), and each block yields one key per pair,
-with ``inverse`` giving every low world's pair. ``chunk_counts`` is the
-per-world view ``keys[inverse]`` of the same stream. Passes that reduce
-across blocks per pair never look at single worlds until the end. The plain
-per-block kernel (``counts_matrix``, ``log_weights``) serves the tests. A
-single world (``counts_world``, ``log_weight``) is unpacked from its integer,
-so it may exceed 64 atoms, and each grounding group is counted with one
-gather into its truth table. The table memoizes the counts of the last
+within a block. No pass builds a block's worlds. Groundings whose atoms all
+lie in the low bits are counted once, over the low-bit assignments, into each
+world's low count key ``counts @ strides`` (under ``np.eye`` the keys are the
+counts): a grounding's stride-scaled truth table reads only its own atoms'
+bits, so the low keys are a sum of small tables broadcast over the low bits
+(``_table_sums``), as are the shared-atom codes below. A grounding that
+reaches the high bits sees a block only through the few low atoms it touches
+(the shared atoms) and the block's high bits: each block sums those
+groundings' stride-scaled truth tables over every assignment of the shared
+atoms into a small table, indexed by each world's shared-atom code. So a
+world's key depends on its low bits only through the pair (low key, shared
+code): the low-bit assignments are deduped into these pairs once (332 pairs
+for the 2^18 of G=24 smokers relaid for a bound split), and each block yields
+one key per pair, with ``inverse`` giving every low world's pair.
+``chunk_counts`` is the per-world view ``keys[inverse]`` of the same stream.
+Passes that reduce across blocks per pair never look at single worlds until
+the end. The plain per-block kernel (``counts_matrix`` and ``log_weights``
+over ``world_chunks``) is the tests' oracle. A single world
+(``counts_world``, ``log_weight``) is unpacked from its integer, so it may
+exceed 64 atoms, and each grounding group is counted with one gather into
+its truth table. The table memoizes the counts of the last
 ``WORLD_COUNTS_MEMO`` single worlds, so scoring fixed worlds under many
 weight vectors counts each of them once.
 
@@ -212,6 +215,53 @@ def _row_code(bits: Mapping[int, np.ndarray], row: np.ndarray) -> np.ndarray:
     for j in range(1, row.shape[0]):
         code |= bits[int(row[j])].astype(code_dtype, copy=False) << j
     return code
+
+
+def _table_sums(n_bits: int, terms, dtype: np.dtype) -> np.ndarray:
+    """``out[x] = sum(table[code_x] for positions, table in terms)`` for every
+    assignment ``x`` of ``n_bits`` bits, where bit j of ``code_x`` is bit
+    ``positions[j]`` of ``x``, the kernel's convention; a term over no
+    positions adds ``table[0]`` everywhere. Sums are taken in ``dtype``,
+    exactly, and no assignment is built.
+
+    Each term is materialised over its positions above the lowest 8 bits and
+    all 256 assignments of those 8, and terms over the same positions above
+    them are summed first; each sum is then added into a view of ``out`` that
+    broadcasts it over the bits it does not read, with runs of 256 innermost.
+    """
+    inner = min(n_bits, 8)
+    lo_world = np.arange(1 << inner)
+    by_hi: dict[tuple[int, ...], np.ndarray] = {}
+    for positions, table in terms:
+        lo_code = np.zeros(1 << inner, dtype=np.int64)
+        hi = []  # (position, table bit) above the inner bits
+        for j, p in enumerate(positions):
+            if p < inner:
+                lo_code |= (lo_world >> int(p) & 1) << j
+            else:
+                hi.append((int(p), j))
+        hi.sort()
+        h = np.arange(1 << len(hi))
+        hi_code = np.zeros(h.shape[0], dtype=np.int64)
+        for i, (_, j) in enumerate(hi):
+            hi_code |= (h >> i & 1) << j
+        term = np.take(table, hi_code[:, None] | lo_code)
+        key = tuple(p for p, _ in hi)
+        if key in by_hi:
+            by_hi[key] += term
+        else:
+            by_hi[key] = term
+    out = np.zeros(1 << n_bits, dtype=dtype)
+    for hi, term in by_hi.items():
+        # Bits from the top: a run of unread bits, then one read bit, per position.
+        shape, term_shape, top = [], [], n_bits
+        for p in reversed(hi):
+            shape += [1 << (top - p - 1), 2]
+            term_shape += [1, 2]
+            top = p
+        view = out.reshape(*shape, 1 << (top - inner), 1 << inner)
+        view += term.reshape(*term_shape, 1, 1 << inner)
+    return out
 
 
 def _count_dtype(top: int) -> np.dtype:
@@ -416,74 +466,74 @@ class GroundingTable:
 
         Blocks are aligned to ``DEFAULT_CHUNK``, so every block holds the same
         low log2(DEFAULT_CHUNK) bits. Groundings whose atoms all lie in those
-        bits are counted once, on the first block, the only block whose
-        worlds are built: its ``low`` keys. A grounding that reaches the high
-        bits sees a block only through the low atoms it touches, the
-        ``shared`` atoms, and the block's high bits, which are constant
-        across the block. So world ``start + i`` has the key ``low[i] +
+        bits are counted once, into the ``low`` keys of every low-bit
+        assignment: per key word, ``_table_sums`` of their truth tables scaled
+        by their clause's stride, plus ``const_count`` times the stride, so
+        no block's worlds are built. A grounding that reaches the high bits
+        sees a block only through the low atoms it touches, the ``shared``
+        atoms, and the block's high bits, which are constant across the
+        block. So world ``start + i`` has the key ``low[i] +
         high[shared_code[i]]``, where each block sums its high groundings'
         truth tables, scaled by their clause's stride, over the 2^|shared|
         assignments into one small table ``high`` per word. A world's key
         thus depends on its low bits only through the pair ``(low[i],
-        shared_code[i])``. The pairs are deduped once, on the first block,
-        and each block gathers only its pairs' keys. Without high groundings
-        the pairs are the first block's worlds and ``inverse`` is ``None``.
+        shared_code[i])``. The shared codes, and each high grounding's code
+        over the shared assignments, are table sums as well. The pairs are
+        deduped once, and each block gathers only its pairs' keys. Without
+        high groundings the pairs are the low-bit assignments, which are the
+        worlds of the first block, and ``inverse`` is ``None``.
         Keys take ``_count_dtype`` of the largest key; past int64 they raise
         ``ValueError``.
         """
         low_bits = DEFAULT_CHUNK.bit_length() - 1
+        n_bits = min(self.index.n_atoms, low_bits)
         strides = np.asarray(strides, dtype=np.int64)
         per_word = strides if strides.ndim == 2 else strides[:, None]
         dtype = _count_dtype(
             max(sum(int(s) * e.total for s, e in zip(w, self.entries)) for w in per_word.T)
         )
-        low = self._with_entries([])
+        # Per key word, (atoms, stride-scaled table) terms of the low groundings;
+        # a clause's always-true groundings are a term over no atoms.
+        low: list[list[tuple[Sequence[int], np.ndarray]]] = [[] for _ in per_word.T]
         high: list[tuple[int, np.ndarray, np.ndarray]] = []  # (word, atoms, scaled table)
         for e, clause_strides in zip(self.entries, per_word):
-            groups = []
-            for g in e.groups:
-                reach = g.cols.max(axis=1) >= low_bits
-                groups.append(_Group(g.cols[~reach], g.table))
-                for w in np.flatnonzero(clause_strides):
-                    table = g.table.astype(dtype) * dtype.type(clause_strides[w])
+            for w in np.flatnonzero(clause_strides):
+                stride = dtype.type(clause_strides[w])
+                low[w].append(((), np.array([e.const_count], dtype=dtype) * stride))
+                for g in e.groups:
+                    table = g.table.astype(dtype) * stride
+                    reach = g.cols.max(axis=1) >= low_bits
+                    low[w].extend((row, table) for row in g.cols[~reach])
                     high.extend((w, row, table) for row in g.cols[reach])
-            low.entries.append(replace(e, groups=groups))
-        shared = sorted({int(p) for _, row, _ in high for p in row if p < low_bits})
-        # Assignment i of the shared atoms as a world: bit shared[j] is bit j of
-        # i, and every high bit is 0 until a block ORs its own in.
-        sub = np.arange(1 << len(shared), dtype=np.uint64)
-        assign = np.zeros_like(sub)
-        for j, p in enumerate(shared):
-            assign |= (sub >> np.uint64(j) & np.uint64(1)) << np.uint64(p)
-        bits = _bit_columns(assign, {int(p) for _, row, _ in high for p in row})
-        codes = [_row_code(bits, row) for _, row, _ in high]
-        worlds = next(world_chunks(self.index.n_atoms))
-        # One count matrix times the strides, not per-row adds of scaled
-        # tables: those run as fast on their own, but without this block's
-        # multi-MB count matrix glibc's dynamic mmap threshold stays low, every
-        # later block's arrays are mapped afresh, and verify_all on G=24
-        # smokers at 2|2 plus 3|1 took 0.87-0.98 s instead of 0.56-0.68 s
-        # (2-CPU VM, numpy 2.4).
-        base = low.counts_matrix(worlds)
-        # Identity keys are the counts. numpy multiplies integer matrices
-        # without BLAS: 0.5-0.6 s for 2^18 worlds by 40 clauses under
-        # np.eye(40) on the same VM. The strides are cast to the key dtype
-        # first: int64 strides would upcast the whole count matrix.
-        if not np.array_equal(strides, np.eye(len(self.entries))):
-            base = base @ strides.astype(dtype)
-        base = base.astype(dtype, copy=False)
-        n_worlds = worlds.shape[0]
+        base = np.stack([_table_sums(n_bits, terms, dtype) for terms in low], axis=-1)
+        base = base.reshape(base.shape[0], *strides.shape[1:])
+        n_worlds = base.shape[0]
         if not high:
-            del worlds
             blocks = ((start, base) for start in range(0, 1 << self.index.n_atoms, n_worlds))
             return PairStream(None, None, n_worlds, blocks)
-        pair_base, pair_code, inverse = _pairs(base, bit_codes(worlds, shared), len(shared))
-        del worlds, base
+        shared = sorted({int(p) for _, row, _ in high for p in row if p < low_bits})
+        slot = {p: j for j, p in enumerate(shared)}
+        # Each high grounding's truth-table code over the 2^|shared| shared
+        # assignments (bit j of an assignment is atom shared[j]), a sum of one
+        # term per low slot, with every high bit 0 until a block ORs its own in.
+        codes = []
+        for _, row, _ in high:
+            code_dtype = _count_dtype((1 << row.shape[0]) - 1)
+            terms = [
+                ([slot[int(p)]], np.array([0, 1 << j], dtype=code_dtype))
+                for j, p in enumerate(row)
+                if p < low_bits
+            ]
+            codes.append(_table_sums(len(shared), terms, code_dtype))
+        code_dtype = _count_dtype((1 << len(shared)) - 1)
+        shared_code = _table_sums(n_bits, [(shared, np.arange(1 << len(shared), dtype=code_dtype))], code_dtype)
+        pair_base, pair_code, inverse = _pairs(base, shared_code, len(shared))
+        del base, shared_code
 
         def blocks() -> Iterator[tuple[int, np.ndarray]]:
             for start in range(0, 1 << self.index.n_atoms, n_worlds):
-                high_keys = np.zeros((assign.shape[0], *strides.shape[1:]), dtype=dtype)
-                word_cols = high_keys.reshape(assign.shape[0], -1)
+                high_keys = np.zeros((len(codes[0]), *strides.shape[1:]), dtype=dtype)
+                word_cols = high_keys.reshape(high_keys.shape[0], -1)
                 for (w, row, table), code in zip(high, codes):
                     high_code = sum((start >> int(p) & 1) << j for j, p in enumerate(row))
                     word_cols[:, w] += np.take(table, code | high_code)
