@@ -217,51 +217,70 @@ def _row_code(bits: Mapping[int, np.ndarray], row: np.ndarray) -> np.ndarray:
     return code
 
 
+def _layout(n_bits: int, positions: Sequence[int], table_bits: Sequence[int] | None = None):
+    """``(outer, index)`` of a truth table read at ``positions`` of an
+    ``n_bits``-bit assignment: the positions at or above the lowest 8 bits,
+    ascending, and the (2^len(outer), 2^min(n_bits, 8)) table index of every
+    assignment of them (bit i is ``outer[i]``) and of the lowest bits. Bit
+    ``table_bits[j]`` of the index, by default bit j, is bit ``positions[j]``
+    of the assignment; its other bits are 0."""
+    inner = min(n_bits, 8)
+    lo_world = np.arange(1 << inner)
+    lo_code = np.zeros(1 << inner, dtype=np.int64)
+    outer = []  # (position, table bit)
+    for j, p in zip(range(len(positions)) if table_bits is None else table_bits, positions):
+        if p < inner:
+            lo_code |= (lo_world >> int(p) & 1) << j
+        else:
+            outer.append((int(p), j))
+    outer.sort()
+    h = np.arange(1 << len(outer))
+    hi_code = np.zeros(h.shape[0], dtype=np.int64)
+    for i, (_, j) in enumerate(outer):
+        hi_code |= (h >> i & 1) << j
+    return tuple(p for p, _ in outer), hi_code[:, None] | lo_code
+
+
+def _broadcast_sum(n_bits: int, laid, dtype: np.dtype) -> np.ndarray:
+    """The sum of ``(outer, values)`` terms over every assignment of
+    ``n_bits`` bits, where ``values`` is laid out as ``_layout``'s index:
+    ``values[h, l]`` is the term where its outer positions take ``h`` and the
+    lowest bits ``l``. Terms over the same outer positions are summed first;
+    each sum is then added, in ``dtype``, into a view of the result that
+    broadcasts it over the bits it does not read, so the innermost loop runs
+    over the 256 assignments of the lowest bits, not over one bit."""
+    inner = min(n_bits, 8)
+    by_outer: dict[tuple[int, ...], np.ndarray] = {}
+    for outer, values in laid:
+        if outer in by_outer:
+            by_outer[outer] += values
+        else:
+            by_outer[outer] = values
+    out = np.zeros(1 << n_bits, dtype=dtype)
+    for outer, values in by_outer.items():
+        # From the top bit down: a run of unread bits, then one read bit, per position.
+        shape, values_shape, top = [], [], n_bits
+        for p in reversed(outer):
+            shape += [1 << (top - p - 1), 2]
+            values_shape += [1, 2]
+            top = p
+        view = out.reshape(*shape, 1 << (top - inner), 1 << inner)
+        view += values.reshape(*values_shape, 1, 1 << inner)
+    return out
+
+
 def _table_sums(n_bits: int, terms, dtype: np.dtype) -> np.ndarray:
     """``out[x] = sum(table[code_x] for positions, table in terms)`` for every
     assignment ``x`` of ``n_bits`` bits, where bit j of ``code_x`` is bit
     ``positions[j]`` of ``x``, the kernel's convention; a term over no
-    positions adds ``table[0]`` everywhere. Sums are taken in ``dtype``,
-    exactly, and no assignment is built.
-
-    Each term is materialised over its positions above the lowest 8 bits and
-    all 256 assignments of those 8, and terms over the same positions above
-    them are summed first; each sum is then added into a view of ``out`` that
-    broadcasts it over the bits it does not read, with runs of 256 innermost.
-    """
-    inner = min(n_bits, 8)
-    lo_world = np.arange(1 << inner)
-    by_hi: dict[tuple[int, ...], np.ndarray] = {}
+    positions adds ``table[0]`` everywhere. The sums are exact, in ``dtype``,
+    and no assignment is built: each table is gathered into its ``_layout``
+    and the terms are added by ``_broadcast_sum``."""
+    laid = []
     for positions, table in terms:
-        lo_code = np.zeros(1 << inner, dtype=np.int64)
-        hi = []  # (position, table bit) above the inner bits
-        for j, p in enumerate(positions):
-            if p < inner:
-                lo_code |= (lo_world >> int(p) & 1) << j
-            else:
-                hi.append((int(p), j))
-        hi.sort()
-        h = np.arange(1 << len(hi))
-        hi_code = np.zeros(h.shape[0], dtype=np.int64)
-        for i, (_, j) in enumerate(hi):
-            hi_code |= (h >> i & 1) << j
-        term = np.take(table, hi_code[:, None] | lo_code)
-        key = tuple(p for p, _ in hi)
-        if key in by_hi:
-            by_hi[key] += term
-        else:
-            by_hi[key] = term
-    out = np.zeros(1 << n_bits, dtype=dtype)
-    for hi, term in by_hi.items():
-        # Bits from the top: a run of unread bits, then one read bit, per position.
-        shape, term_shape, top = [], [], n_bits
-        for p in reversed(hi):
-            shape += [1 << (top - p - 1), 2]
-            term_shape += [1, 2]
-            top = p
-        view = out.reshape(*shape, 1 << (top - inner), 1 << inner)
-        view += term.reshape(*term_shape, 1, 1 << inner)
-    return out
+        outer, index = _layout(n_bits, positions)
+        laid.append((outer, np.take(table, index)))
+    return _broadcast_sum(n_bits, laid, dtype)
 
 
 def _count_dtype(top: int) -> np.dtype:
@@ -473,15 +492,16 @@ class GroundingTable:
         sees a block only through the low atoms it touches, the ``shared``
         atoms, and the block's high bits, which are constant across the
         block. So world ``start + i`` has the key ``low[i] +
-        high[shared_code[i]]``, where each block sums its high groundings'
-        truth tables, scaled by their clause's stride, over the 2^|shared|
-        assignments into one small table ``high`` per word. A world's key
-        thus depends on its low bits only through the pair ``(low[i],
-        shared_code[i])``. The shared codes, and each high grounding's code
-        over the shared assignments, are table sums as well. The pairs are
-        deduped once, and each block gathers only its pairs' keys. Without
-        high groundings the pairs are the low-bit assignments, which are the
-        worlds of the first block, and ``inverse`` is ``None``.
+        high[shared_code[i]]``, where each block gathers its high groundings'
+        scaled truth tables at its high bits and sums them over the
+        2^|shared| shared assignments with ``_broadcast_sum``, into one small
+        table ``high`` per word; each grounding is laid out over the shared
+        assignments once. A world's key thus depends on its low bits only
+        through the pair ``(low[i], shared_code[i])``, and the shared codes
+        are a table sum too. The pairs are deduped once, and each block
+        gathers only its pairs' keys. Without high groundings the pairs are
+        the low-bit assignments, which are the worlds of the first block, and
+        ``inverse`` is ``None``.
         Keys take ``_count_dtype`` of the largest key; past int64 they raise
         ``ValueError``.
         """
@@ -513,31 +533,29 @@ class GroundingTable:
             return PairStream(None, None, n_worlds, blocks)
         shared = sorted({int(p) for _, row, _ in high for p in row if p < low_bits})
         slot = {p: j for j, p in enumerate(shared)}
-        # Each high grounding's truth-table code over the 2^|shared| shared
-        # assignments (bit j of an assignment is atom shared[j]), a sum of one
-        # term per low slot, with every high bit 0 until a block ORs its own in.
-        codes = []
-        for _, row, _ in high:
-            code_dtype = _count_dtype((1 << row.shape[0]) - 1)
-            terms = [
-                ([slot[int(p)]], np.array([0, 1 << j], dtype=code_dtype))
-                for j, p in enumerate(row)
-                if p < low_bits
-            ]
-            codes.append(_table_sums(len(shared), terms, code_dtype))
+        # Each high grounding's table index over the shared assignments, laid
+        # out for _broadcast_sum; its high atoms, with their table bits, are
+        # ORed in by each block.
+        reads = []  # (word, scaled table, high atoms, outer shared positions, index)
+        for w, row, table in high:
+            lows = [j for j, p in enumerate(row) if p < low_bits]
+            highs = [(int(p), j) for j, p in enumerate(row) if p >= low_bits]
+            outer, index = _layout(len(shared), [slot[int(row[j])] for j in lows], lows)
+            reads.append((w, table, highs, outer, index))
         code_dtype = _count_dtype((1 << len(shared)) - 1)
-        shared_code = _table_sums(n_bits, [(shared, np.arange(1 << len(shared), dtype=code_dtype))], code_dtype)
+        code_table = np.arange(1 << len(shared), dtype=code_dtype)
+        shared_code = _table_sums(n_bits, [(shared, code_table)], code_dtype)
         pair_base, pair_code, inverse = _pairs(base, shared_code, len(shared))
         del base, shared_code
 
         def blocks() -> Iterator[tuple[int, np.ndarray]]:
             for start in range(0, 1 << self.index.n_atoms, n_worlds):
-                high_keys = np.zeros((len(codes[0]), *strides.shape[1:]), dtype=dtype)
-                word_cols = high_keys.reshape(high_keys.shape[0], -1)
-                for (w, row, table), code in zip(high, codes):
-                    high_code = sum((start >> int(p) & 1) << j for j, p in enumerate(row))
-                    word_cols[:, w] += np.take(table, code | high_code)
-                keys = np.take(high_keys, pair_code, axis=0)
+                laid = [[] for _ in low]
+                for w, table, highs, outer, index in reads:
+                    high_code = sum((start >> p & 1) << j for p, j in highs)
+                    laid[w].append((outer, np.take(table, index | high_code)))
+                high_keys = np.stack([_broadcast_sum(len(shared), t, dtype) for t in laid], axis=-1)
+                keys = np.take(high_keys.reshape(-1, *strides.shape[1:]), pair_code, axis=0)
                 keys += pair_base
                 yield start, keys
 

@@ -745,6 +745,26 @@ class TestPairCounts:
             worlds = np.arange(start, start + chunk, dtype=np.uint64)
             assert np.array_equal(stream.per_world(keys), _count_kernel(gt.entries, worlds) @ strides)
 
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_shared_atoms_past_the_inner_bits(self, layout):
+        # WORDS_TEXT at p=4 (G=12, 40 clauses, three key words under
+        # mixed-radix strides) in blocks of 2^10 worlds: the high groundings
+        # read all ten low atoms, so their tables are laid out over shared
+        # positions above the lowest 8 bits.
+        model = model_from(WORDS_TEXT)
+        index = index_for(model, 4)
+        gt = GroundingTable(model.formulas(), index)
+        rows = [row for e in gt.entries for g in e.groups for row in g.cols if row.max() >= 10]
+        assert len({int(p) for row in rows for p in row if p < 10}) == 10
+        strides = LAYOUTS[layout](gt)
+        with mock.patch.object(model_module, "DEFAULT_CHUNK", 1 << 10):
+            stream = gt.pair_counts(strides)
+            blocks = list(stream.blocks)
+        assert len(blocks) == 4
+        for start, keys in blocks:
+            worlds = np.arange(start, start + (1 << 10), dtype=np.uint64)
+            assert np.array_equal(stream.per_world(keys), _count_kernel(gt.entries, worlds) @ strides)
+
     @pytest.mark.parametrize(("n", "split", "pairs"), [(4, (2, 2), 332), (4, (3, 1), 332)])
     def test_smokers_blocks_share_few_pairs(self, n, split, pairs):
         # G=24 smokers relaid for a bound split: the 2^18 worlds of a block
