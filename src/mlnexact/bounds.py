@@ -28,9 +28,9 @@ The sandwich's base, the sum of a world's two restriction weights, is read
 from an outer sum of the two halves' log weights over its low F+B bits.
 While F+B is at most log2(``DEFAULT_CHUNK``), which holds for every smokers
 split up to n+m=4, the base depends only on a world's offset ``i`` in the
-block, and so does its front bucket. The pass then reduces across blocks per pair: each pair keeps the
-max and min of its log weight, with the first block start at which each is
-reached, and a running log-sum-exp. One final pass over the offsets computes
+block, and so does its front bucket. The pass then reduces across blocks per
+pair: each pair keeps the max and min of its log weight, with the first
+block start at which each is reached, and a running log-sum-exp. One final pass over the offsets computes
 the upper slack from the max and the lower slack from the min, which are the
 same floats as the per-world minima because subtracting from a fixed base is
 monotone, and folds every offset's log-sum-exp into the front buckets through

@@ -217,18 +217,17 @@ def _row_code(bits: Mapping[int, np.ndarray], row: np.ndarray) -> np.ndarray:
     return code
 
 
-def _layout(n_bits: int, positions: Sequence[int], table_bits: Sequence[int] | None = None):
-    """``(outer, index)`` of a truth table read at ``positions`` of an
-    ``n_bits``-bit assignment: the positions at or above the lowest 8 bits,
-    ascending, and the (2^len(outer), 2^min(n_bits, 8)) table index of every
-    assignment of them (bit i is ``outer[i]``) and of the lowest bits. Bit
-    ``table_bits[j]`` of the index, by default bit j, is bit ``positions[j]``
-    of the assignment; its other bits are 0."""
+def _layout(n_bits: int, reads) -> tuple[tuple[int, ...], np.ndarray]:
+    """``(outer, index)`` of a truth table that reads ``(table bit, position)``
+    pairs of an ``n_bits``-bit assignment: its positions at or above the
+    lowest 8 bits, ascending, and the (2^len(outer), 2^min(n_bits, 8)) table
+    index of every assignment of them (bit i is ``outer[i]``) and of the
+    lowest bits. Table bits that read no position are 0."""
     inner = min(n_bits, 8)
     lo_world = np.arange(1 << inner)
     lo_code = np.zeros(1 << inner, dtype=np.int64)
     outer = []  # (position, table bit)
-    for j, p in zip(range(len(positions)) if table_bits is None else table_bits, positions):
+    for j, p in reads:
         if p < inner:
             lo_code |= (lo_world >> int(p) & 1) << j
         else:
@@ -278,7 +277,7 @@ def _table_sums(n_bits: int, terms, dtype: np.dtype) -> np.ndarray:
     and the terms are added by ``_broadcast_sum``."""
     laid = []
     for positions, table in terms:
-        outer, index = _layout(n_bits, positions)
+        outer, index = _layout(n_bits, enumerate(positions))
         laid.append((outer, np.take(table, index)))
     return _broadcast_sum(n_bits, laid, dtype)
 
@@ -538,10 +537,9 @@ class GroundingTable:
         # ORed in by each block.
         reads = []  # (word, scaled table, high atoms, outer shared positions, index)
         for w, row, table in high:
-            lows = [j for j, p in enumerate(row) if p < low_bits]
+            lows = [(j, slot[int(p)]) for j, p in enumerate(row) if p < low_bits]
             highs = [(int(p), j) for j, p in enumerate(row) if p >= low_bits]
-            outer, index = _layout(len(shared), [slot[int(row[j])] for j in lows], lows)
-            reads.append((w, table, highs, outer, index))
+            reads.append((w, table, highs, *_layout(len(shared), lows)))
         code_dtype = _count_dtype((1 << len(shared)) - 1)
         code_table = np.arange(1 << len(shared), dtype=code_dtype)
         shared_code = _table_sums(n_bits, [(shared, code_table)], code_dtype)

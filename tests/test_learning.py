@@ -335,6 +335,26 @@ class TestZeroWeights:
         _nll_grad_hessian(counts, counts.worlds[0], np.zeros(5), buf)
         assert np.array_equal(buf, counts.worlds / (1 << 10))
 
+    def test_fits_with_one_jacobian_share_one_projection(self, zero_evaluations):
+        # DA fits on other data and penalties share the projected table and
+        # its zero-weight evaluation; a tied fit's Jacobian gets its own.
+        model = smokers_model()
+        spec, index, data = smokers_data(model)
+        learning._counts_cached.cache_clear()
+        counts = _counts_for(model, index, LEARN_MAX_ATOMS)
+        _, jac = _parameter_map(model, spec, LearnConfig(da=True))
+        _, tied = _parameter_map(model, spec, LearnConfig(tie_split_weights=True))
+        assert not np.array_equal(jac, tied)
+        assert counts.project(jac) is counts.project(jac.copy())
+        assert counts.project(tied) is not counts.project(jac)
+        assert np.array_equal(counts.project(tied).worlds, counts.worlds @ tied)
+        other = World.from_true_atoms(index, [("S", (1,)), ("S", (2,)), ("F", (1, 2))])
+        configs = [LearnConfig(da=True), LearnConfig(da=True, regularizer="l2", lam=0.3)]
+        fits = [learn(model, spec, w, c) for w, c in zip([data, other], configs)]
+        assert learning._fit.cache_info().misses == 2
+        assert all(f.iterations > 1 for f in fits)
+        assert zero_evaluations == [counts.project(jac)]
+
     def test_a_projected_table_has_its_own(self, zero_evaluations):
         model = normalize_distinct(parse_mln(FRIENDS_SMOKERS_MLN))
         spec = DomainSpec({"person": 3})

@@ -491,7 +491,8 @@ class TestTableSums:
         terms = []
         for _ in range(int(rng.integers(0, 6))):
             positions = rng.permutation(n_bits)[: int(rng.integers(0, min(n_bits, 4) + 1))]
-            terms.append((positions, rng.integers(0, 9, size=1 << positions.shape[0]).astype(np.uint16)))
+            table = rng.integers(0, 9, size=1 << positions.shape[0]).astype(np.uint16)
+            terms.append((positions, table))
         got = model_module._table_sums(n_bits, terms, np.dtype(np.uint16))
         assert np.array_equal(got, _per_world_table_sums(n_bits, terms, np.uint16))
 
@@ -763,7 +764,8 @@ class TestPairCounts:
         assert len(blocks) == 4
         for start, keys in blocks:
             worlds = np.arange(start, start + (1 << 10), dtype=np.uint64)
-            assert np.array_equal(stream.per_world(keys), _count_kernel(gt.entries, worlds) @ strides)
+            expected = _count_kernel(gt.entries, worlds) @ strides
+            assert np.array_equal(stream.per_world(keys), expected)
 
     @pytest.mark.parametrize(("n", "split", "pairs"), [(4, (2, 2), 332), (4, (3, 1), 332)])
     def test_smokers_blocks_share_few_pairs(self, n, split, pairs):
