@@ -548,7 +548,7 @@ class GroundingTable:
 
         def blocks() -> Iterator[tuple[int, np.ndarray]]:
             for start in range(0, 1 << self.index.n_atoms, n_worlds):
-                laid = [[] for _ in low]
+                laid = [[] for _ in range(per_word.shape[1])]
                 for w, table, highs, outer, index in reads:
                     high_code = sum((start >> p & 1) << j for p, j in highs)
                     laid[w].append((outer, np.take(table, index | high_code)))
