@@ -924,7 +924,7 @@ class TestCountHistogram:
         assert hist.counts.shape == (44, 5)
         assert int(hist.mult.sum()) == 1 << 15
 
-    def test_smokers_g24_build_builds_no_world_block(self):
+    def test_cold_smokers_g24_build_stays_below_12_mb(self):
         # A cold G=24 build holds one block of low keys and shared codes, no
         # uint64 worlds, bit columns or count matrix: it peaked at 15.2 MB
         # traced with the per-world kernel on the first block, and 6.2 MB
