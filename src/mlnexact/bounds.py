@@ -30,19 +30,26 @@ While F+B is at most log2(``DEFAULT_CHUNK``), which holds for every smokers
 split up to n+m=4, the base depends only on a world's offset ``i`` in the
 block, and so does its front bucket. The pass then reduces across blocks per
 pair: each pair keeps the max and min of its log weight, with the first
-block start at which each is reached, and a running log-sum-exp. One final pass over the offsets computes
-the upper slack from the max and the lower slack from the min, which are the
-same floats as the per-world minima because subtracting from a fixed base is
-monotone, and folds every offset's log-sum-exp into the front buckets through
-the same accumulator as ``model.marginal_log_probs``. A slack's witness is the
-lowest offset attaining its minimum, in the first block where that offset's
-pair reaches its extreme.
+block start at which each is reached, and a running log-sum-exp. A final
+pass over the block's offsets, one tile of ``model.DEFAULT_TILE`` offsets
+(128 KB of float64) at a time, gathers the pair max and min to the tile and
+computes the upper slack from the max and the lower slack from the min
+against the tile's base. These are the same floats as the per-world minima,
+because subtracting from a fixed base is monotone. The running minima are
+strict and the tiles go in offset order, so a slack's witness is the lowest
+offset attaining its minimum, in the first block where that offset's pair
+reaches its extreme. The front buckets fold every offset's log-sum-exp with
+``model._fold_pair_buckets``, which ``model.marginal_log_probs`` shares: an
+exact per-bucket max, then a running sum in offset order, so neither result
+depends on the tile.
 
 Past that, the pass folds every block's worlds, ``per_world`` of the pair log
 weights, into the buckets and the two sandwich minima, and slices the base
-anew only when a block's low F+B bits change. A slack's witness is then the first
-world attaining it, in world order. Witnesses are mapped back to
-``AtomIndex`` order at the end.
+anew only when a block's low F+B bits change. A slack's witness is then the
+first world attaining it, in world order. This per-world pass, like
+``chunk_counts`` and ``chunk_log_weights``, holds whole blocks by design and
+is not tiled; no smokers split up to n+m=4 reaches it. Witnesses are mapped
+back to ``AtomIndex`` order at the end.
 """
 
 from __future__ import annotations
@@ -58,10 +65,12 @@ from .logic import MlnModel, arity_partition, normalize_distinct
 from .model import (
     DEFAULT_MAX_ATOMS,
     _fold_front_buckets,
+    _fold_pair_buckets,
     _logsumexp,
     _pair_extremes,
     _single_type,
     _table,
+    _tiles,
     dense_log_weights,
     log_weight,
 )
@@ -219,21 +228,22 @@ def _split_context(model: MlnModel, n: int, m: int, *, max_atoms: int = DEFAULT_
     gt, order = _table(model.formulas(), index).relaid(pos_n, pos_m)
     stream = gt.pair_log_weights(model.weights())
     split_mask = lw_n.shape[0] * lw_m.shape[0] - 1  # the low F+B bits
-    bucket_logs = np.full(lw_n.shape[0], -np.inf)
     worst = [math.inf, math.inf]  # upper, lower
     witness = [0, 0]
 
     def keep_minima(start: int, slacks, pair_starts=None) -> None:
         """Fold the upper and lower slacks of the block that starts at
         ``start`` into the running minima. With ``pair_starts``, the slacks
-        are per-pair minima over all blocks, and ``pair_starts[k][p]`` is the
-        start of the block in which pair ``p`` attains slack ``k``."""
+        are per-pair minima over all blocks at the block offsets from
+        ``start`` on, one tile of them, and ``pair_starts[k][p]`` is the start
+        of the block in which pair ``p`` attains slack ``k``. The minima are
+        strict, so the first offset attaining one keeps it."""
         for k, slack in enumerate(slacks):
             i = int(np.argmin(slack))
             if float(slack[i]) < worst[k]:
                 worst[k] = float(slack[i])
-                at = start if pair_starts is None else int(pair_starts[k][stream.pair_of(i)])
-                witness[k] = at + i
+                at = 0 if pair_starts is None else int(pair_starts[k][stream.pair_of(start + i)])
+                witness[k] = at + start + i
 
     def base_of(start: int, n_worlds: int) -> np.ndarray:
         """The base of the worlds ``start .. start + n_worlds - 1``: the outer
@@ -247,12 +257,14 @@ def _split_context(model: MlnModel, n: int, m: int, *, max_atoms: int = DEFAULT_
 
     if split_mask < stream.n_worlds:  # the F+B restriction bits lie in a block's low bits
         lse, hi, hi_at, lo, lo_at = _pair_extremes(stream)
-        _fold_front_buckets(bucket_logs, 0, stream.per_world(lse))
-        base = base_of(0, stream.n_worlds)
-        up = base + cross.log_m_max - stream.per_world(hi)
-        down = stream.per_world(lo) - base - cross.log_m_min
-        keep_minima(0, (up, down), (hi_at, lo_at))
+        bucket_logs = _fold_pair_buckets(stream, lse, lw_n.shape[0])
+        for start, stop in _tiles(stream.n_worlds):
+            base = base_of(start, stop - start)
+            up = base + cross.log_m_max - stream.per_world(hi, start, stop)
+            down = stream.per_world(lo, start, stop) - base - cross.log_m_min
+            keep_minima(start, (up, down), (hi_at, lo_at))
     else:
+        bucket_logs = np.full(lw_n.shape[0], -np.inf)
         base_at = None
         for start, pair_lw in stream.blocks:
             lw = stream.per_world(pair_lw)

@@ -28,8 +28,11 @@ for the 2^18 of G=24 smokers relaid for a bound split), and each block yields
 one key per pair, with ``inverse`` giving every low world's pair.
 ``chunk_counts`` is the per-world view ``keys[inverse]`` of the same stream.
 Passes that reduce across blocks per pair never look at single worlds until
-the end. The plain per-block kernel (``counts_matrix`` and ``log_weights``
-over ``world_chunks``) is the tests' oracle. A single world
+the end, and then one tile of ``DEFAULT_TILE`` offsets at a time
+(``_tiles``), as do the pair ranking and the pair multiplicities, so such a
+pass holds no 2^18-long temporary wider than the keys. The plain per-block
+kernel (``counts_matrix`` and ``log_weights`` over ``world_chunks``) is the
+tests' oracle. A single world
 (``counts_world``, ``log_weight``) is unpacked from its integer, so it may
 exceed 64 atoms, and each grounding group is counted with one gather into
 its truth table. The table memoizes the counts of the last
@@ -60,11 +63,12 @@ copy of the grounding table: the front-half atoms take the low F bits, in the
 front sub-index's order, so a world's restriction code is ``world & (2^F - 1)``.
 While F is at most log2(DEFAULT_CHUNK), a world's bucket is fixed by its
 offset in the block, so each pair's log-sum-exp over all blocks is computed
-first and folded into the buckets once. Otherwise every block's worlds are
+first and folded into the buckets once, tile by tile (``_fold_pair_buckets``,
+shared with the bound suite). Otherwise every block's worlds are
 folded: worlds and chunks are powers of two, so a chunk's log weights
 reshape to rows of front buckets (or one slice of them) and fold into a 2^F
-log-space accumulator. The bound suite folds its pass through the same
-accumulator. The public ``AtomIndex`` order is unchanged. The factorization
+log-space accumulator (``_fold_front_buckets``). The bound suite folds its
+pass through the same two helpers. The public ``AtomIndex`` order is unchanged. The factorization
 checks gather restriction codes with ``bit_codes``.
 """
 
@@ -102,6 +106,7 @@ from .worlds import (
 DEFAULT_MAX_ATOMS = 28
 DEFAULT_DENSE_MAX_ATOMS = 24
 DEFAULT_CHUNK = 1 << 18
+DEFAULT_TILE = 1 << 14  # block offsets per tile of a per-pair pass's per-world work
 WORLD_COUNTS_MEMO = 256  # single-world count vectors a grounding table keeps
 
 
@@ -109,6 +114,12 @@ def _logsumexp(log_values: np.ndarray) -> float:
     """log(sum(exp(v))) of a non-empty vector of finite values."""
     shift = float(log_values.max())
     return shift + math.log(float(np.exp(log_values - shift).sum()))
+
+
+def _tiles(n: int) -> Iterator[tuple[int, int]]:
+    """``(lo, hi)`` of consecutive tiles of ``DEFAULT_TILE`` offsets covering ``0 .. n - 1``."""
+    for lo in range(0, n, DEFAULT_TILE):
+        yield lo, min(lo + DEFAULT_TILE, n)
 
 
 def world_chunks(n_atoms: int) -> Iterator[np.ndarray]:
@@ -395,9 +406,12 @@ class PairStream:
     n_worlds: int  # worlds per block
     blocks: Iterator[tuple[int, np.ndarray]]  # (start, per-pair values), in start order
 
-    def per_world(self, values: np.ndarray) -> np.ndarray:
-        """Per-pair values gathered to the worlds of a block."""
-        return values if self.inverse is None else np.take(values, self.inverse, axis=0)
+    def per_world(self, values: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Per-pair values gathered to the worlds of a block, or to its offsets
+        ``lo .. hi - 1``."""
+        if self.inverse is None:
+            return values[lo:hi]
+        return np.take(values, self.inverse[lo:hi], axis=0)
 
     def pair_of(self, i: int) -> int:
         """The pair of the block's world at offset ``i``."""
@@ -412,24 +426,32 @@ def _pairs(
     pair count allows. ``low`` holds one key or a row of key words per world
     and ``code < 2^code_bits``. One-word pairs are ranked through a presence
     table over ``low << code_bits | code`` while that table is no longer than
-    ``low``; otherwise the rows are deduped by ``_unique_keys``."""
+    ``low``: it is filled, and its ranks gathered, one ``_tiles`` tile of
+    ``low`` at a time, with table positions in the narrowest dtype that
+    holds them, so no temporary is as long as ``low``. Otherwise the rows are
+    deduped by ``_unique_keys``."""
     table = (int(low.max()) + 1) << code_bits if low.ndim == 1 else math.inf
     if table <= low.shape[0]:
-        packed = low.astype(np.int64) << code_bits | code
+        position = _count_dtype(table - 1)
+
+        def packed(lo: int, hi: int) -> np.ndarray:
+            return low[lo:hi].astype(position) << code_bits | code[lo:hi]
+
         present = np.zeros(table, dtype=bool)
-        present[packed] = True
+        for lo, hi in _tiles(low.shape[0]):
+            present[packed(lo, hi)] = True
         pairs = np.flatnonzero(present)
-        inverse = np.take(np.cumsum(present, dtype=np.int64) - 1, packed)
+        ranks = np.cumsum(present, dtype=_count_dtype(pairs.shape[0]))
+        inverse = np.empty(low.shape[0], dtype=_count_dtype(pairs.shape[0] - 1))
+        for lo, hi in _tiles(low.shape[0]):
+            inverse[lo:hi] = np.take(ranks, packed(lo, hi)) - 1
         pair_low, pair_code = pairs >> code_bits, pairs & ((1 << code_bits) - 1)
     else:
         rows = np.column_stack([low.reshape(low.shape[0], -1).astype(np.int64), code])
         rows, inverse = _unique_keys(rows, return_inverse=True)
         pair_low, pair_code = rows[:, :-1].reshape(-1, *low.shape[1:]), rows[:, -1]
-    return (
-        pair_low.astype(low.dtype),
-        pair_code,
-        inverse.reshape(-1).astype(_count_dtype(pair_code.shape[0] - 1)),
-    )
+        inverse = inverse.reshape(-1).astype(_count_dtype(pair_code.shape[0] - 1))
+    return pair_low.astype(low.dtype), pair_code, inverse
 
 
 class GroundingTable:
@@ -557,7 +579,9 @@ class GroundingTable:
                 keys += pair_base
                 yield start, keys
 
-        mult = np.bincount(inverse, minlength=pair_code.shape[0])
+        mult = np.zeros(pair_code.shape[0], dtype=np.int64)
+        for lo, hi in _tiles(n_worlds):  # bincount casts its input to intp
+            mult += np.bincount(inverse[lo:hi], minlength=mult.shape[0])
         return PairStream(inverse, mult, n_worlds, blocks())
 
     def chunk_counts(
@@ -795,6 +819,34 @@ def _fold_front_buckets(acc: np.ndarray, start: int, lw: np.ndarray) -> None:
     np.logaddexp(acc[at : at + width], chunk_logs, out=acc[at : at + width])
 
 
+def _fold_pair_buckets(stream: PairStream, lse: np.ndarray, n_buckets: int) -> np.ndarray:
+    """The per-front-bucket log-sum-exp of a per-pair pass, one tile at a time.
+
+    Offset ``i`` of a block takes the value ``lse`` of its pair, its
+    log-sum-exp over all blocks, and falls in bucket ``i & (n_buckets - 1)``;
+    ``n_buckets`` is a power of two no larger than the block. A first pass
+    over the tiles takes each bucket's max, which is exact; a second adds
+    each offset's ``exp(value - max)`` into its bucket's sum in offset order.
+    So the result does not depend on the tile, and it is the one
+    ``_fold_front_buckets`` gives for the whole block, whose column sums add
+    the rows in order (numpy 2.4.6, for rows wider than one bucket).
+    """
+    shift = np.full(n_buckets, -np.inf)
+    total = np.zeros(n_buckets)
+    for fold in ("max", "sum"):
+        for lo, hi in _tiles(stream.n_worlds):
+            at = lo % n_buckets
+            cols = slice(at, at + min(hi - lo, n_buckets))
+            rows = stream.per_world(lse, lo, hi).reshape(-1, cols.stop - at)
+            if fold == "max":
+                np.maximum(shift[cols], rows.max(axis=0), out=shift[cols])
+                continue
+            terms = np.exp(rows - shift[cols])
+            terms[0] += total[cols]
+            total[cols] = np.add.accumulate(terms, axis=0, out=terms)[-1]
+    return shift + np.log(total)
+
+
 def _pair_extremes(stream: PairStream) -> tuple[np.ndarray, ...]:
     """``(lse, hi, hi_at, lo, lo_at)`` of a log-weight ``PairStream``, per
     pair over every block: the log-sum-exp of its log weights, their max and
@@ -820,8 +872,9 @@ def marginal_log_probs(model: MlnModel, spec: DomainSpec) -> tuple[AtomIndex, np
     is the log probability that a full-domain world restricts to the
     front-half world with bit vector ``b``. While the front-half bits lie in a
     block's low bits, a world's bucket depends only on its offset in the
-    block, so each pair's log-sum-exp over the blocks is folded once, gathered
-    to the block's worlds; otherwise every block's worlds are folded.
+    block, so each pair's log-sum-exp over the blocks is folded once by
+    ``_fold_pair_buckets``, one tile of offsets at a time; otherwise every
+    block's worlds are folded.
     """
     index = AtomIndex(model.signature, spec)
     _guard(index.n_atoms, DEFAULT_MAX_ATOMS)
@@ -829,11 +882,12 @@ def marginal_log_probs(model: MlnModel, spec: DomainSpec) -> tuple[AtomIndex, np
     sub_index, positions = restriction_positions(index, front)
     _guard(sub_index.n_atoms, DEFAULT_DENSE_MAX_ATOMS)
     gt, _ = _table(model.formulas(), index).relaid(positions)
-    bucket_logs = np.full(1 << sub_index.n_atoms, -np.inf)
+    n_buckets = 1 << sub_index.n_atoms
     stream = gt.pair_log_weights(model.weights())
-    if bucket_logs.shape[0] <= stream.n_worlds:
-        _fold_front_buckets(bucket_logs, 0, stream.per_world(_pair_extremes(stream)[0]))
+    if n_buckets <= stream.n_worlds:
+        bucket_logs = _fold_pair_buckets(stream, _pair_extremes(stream)[0], n_buckets)
     else:
+        bucket_logs = np.full(n_buckets, -np.inf)
         for start, lw in stream.blocks:
             _fold_front_buckets(bucket_logs, start, stream.per_world(lw))
     return sub_index, bucket_logs - _logsumexp(bucket_logs)

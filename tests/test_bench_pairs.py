@@ -81,3 +81,32 @@ def test_main_alternates_runs_and_merges_into_the_file(tmp_path):
     assert summary["pairs"] == 3 and summary["change_lower_wall_s"] == "3/3"
     with pytest.raises(SystemExit):
         bench_pairs.main(args[:-4] + ["--pairs", "0", "--out", str(out)], run=fake_run)
+
+
+def test_repeated_workloads_fill_one_file(tmp_path):
+    out = tmp_path / "bench.json"
+    calls = []
+
+    def fake_run(root, workload, seed, seconds):
+        calls.append((root.name, workload))
+        return record({"a": 1.0, "b": 2.0}[workload] * (0.5 if root.name == "new" else 1.0))
+
+    (tmp_path / "old").mkdir()
+    (tmp_path / "new").mkdir()
+    args = [str(tmp_path / "old"), "--change", str(tmp_path / "new"), "--workload", "a"]
+    args += ["--workload", "b", "--seed", "20240", "--pairs", "2", "--out", str(out)]
+    assert bench_pairs.main(args, run=fake_run) == 0
+    # Each workload runs all its pairs, alternating, before the next starts.
+    assert calls == [("old", "a"), ("new", "a"), ("new", "a"), ("old", "a")] + [
+        ("old", "b"),
+        ("new", "b"),
+        ("new", "b"),
+        ("old", "b"),
+    ]
+    data = json.loads(out.read_text())
+    assert sorted(data["workloads"]) == ["a", "b"]
+    for name, wall in (("a", 1.0), ("b", 2.0)):
+        summary = data["workloads"][name]["20240"]
+        assert summary["pairs"] == 2 and summary["change_lower_wall_s"] == "2/2"
+        assert summary["runs"]["parent"]["wall_s"] == [wall, wall]
+        assert summary["runs"]["change"]["wall_s"] == [wall / 2, wall / 2]

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -420,6 +421,79 @@ class TestSplitPassOracle:
 
         check()
         assert regimes == {True, False}
+
+    def test_tiles_keep_every_bit(self):
+        # The per-pair regime gathers its per-offset values one tile of
+        # DEFAULT_TILE offsets at a time. Tiles of 2^2..2^6 offsets must give
+        # the records (witnesses included), the KL and the marginal of one
+        # tile per block, under ==: with the front buckets wider and no wider
+        # than a tile, over several tiles and blocks, and past the per-pair
+        # regime, where only the marginal may run per pair.
+        reached = set()
+
+        @settings(max_examples=20, deadline=None)
+        @given(
+            seed=st.integers(0, 2**32 - 1),
+            split=st.sampled_from([(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1)]),
+            ternary=st.booleans(),
+            chunk_bits=st.integers(4, 10),
+            tile_bits=st.integers(2, 6),
+        )
+        # G=12: F=6, B=2 and F=2, B=6 per pair in blocks of 2^8; F+B=8 per
+        # world in blocks of 2^6, where the marginal's F=2 runs per pair.
+        @example(seed=0, split=(2, 1), ternary=False, chunk_bits=8, tile_bits=4)
+        @example(seed=0, split=(1, 2), ternary=False, chunk_bits=8, tile_bits=5)
+        @example(seed=0, split=(1, 2), ternary=False, chunk_bits=6, tile_bits=3)
+        # A bucket's max is mostly in its first rows; here 72 are not.
+        @example(seed=4, split=(2, 1), ternary=False, chunk_bits=8, tile_bits=2)
+        def check(seed, split, ternary, chunk_bits, tile_bits):
+            n, m = split
+            model = normalize_distinct(
+                random_raw_model(np.random.default_rng(seed), include_ternary_clause=ternary)
+            )
+            tau = model.signature.types[0][0]
+            spec = DomainSpec({tau: n + m}, split_type=tau, split_at=n)
+            index = AtomIndex(model.signature, spec)
+            front, back = split_subsets(spec)
+            front_bits = restriction_positions(index, front)[0].n_atoms
+            split_bits = front_bits + restriction_positions(index, back)[0].n_atoms
+            # At most 2^7 blocks per pass keeps the widest signatures (G=20) quick.
+            chunk = 1 << max(chunk_bits, index.n_atoms - 7)
+            n_worlds = min(chunk, 1 << index.n_atoms)
+
+            def run(tile: int):
+                with mock.patch.object(model_module, "DEFAULT_CHUNK", chunk), mock.patch.object(
+                    model_module, "DEFAULT_TILE", tile
+                ):
+                    return verify_all(model, n, m), marginal_log_probs(model, spec)[1]
+
+            tiled, tiled_marginal = run(1 << tile_bits)
+            whole, whole_marginal = run(n_worlds)
+            assert tiled.checks == whole.checks
+            assert tiled.kl == whole.kl
+            assert tiled_marginal.tobytes() == whole_marginal.tobytes()
+            if 1 << tile_bits < n_worlds < 1 << index.n_atoms:
+                per_pair = 1 << split_bits <= n_worlds
+                reached.add((per_pair, per_pair and front_bits > tile_bits))
+
+        check()
+        assert reached == {(True, True), (True, False), (False, False)}
+
+    def test_smokers_g24_verify_stays_below_4_5_mb(self):
+        # Both G=24 splits reduce per pair; the per-offset pass holds one tile
+        # of 2^14 offsets per array and the pair ranking no 2^18-long int64
+        # array. Untiled, the two calls peaked at 9.5 MB traced; tiled, 2.3 MB.
+        model = normalize_distinct(parse_mln(FRIENDS_SMOKERS_MLN))
+        model = model.with_weights(np.random.default_rng(7).uniform(-1.5, 1.5, len(model.clauses)))
+        _table.cache_clear()
+        tracemalloc.start()
+        try:
+            reports = [verify_all(model, 2, 2), verify_all(model, 3, 1)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(r.all_passed for r in reports)
+        assert peak <= 4.5e6
 
     @pytest.mark.parametrize("split", [(2, 2), (3, 1)])
     def test_smokers_witnesses_attain_their_slacks(self, split):

@@ -807,6 +807,35 @@ class TestPairCounts:
         assert np.array_equal(packed[0][packed[2]], low)
         assert np.array_equal(packed[1][packed[2]], code)
 
+    @pytest.mark.parametrize(
+        ("top", "code_bits"),
+        [(254, 0), (256, 0), (63, 2), (64, 2), (65534, 0), (65536, 0), (16383, 2), (16384, 2)],
+        ids=["2^8-1", "2^8+1", "2^8", "2^8+4", "2^16-1", "2^16+1", "2^16", "2^16+4"],
+    )
+    def test_tiled_presence_table_ranks_like_unique_keys(self, top, code_bits):
+        # A presence table of (top + 1) << code_bits entries, every one a pair,
+        # over 2^17 low keys: eight tiles of DEFAULT_TILE. The table positions,
+        # the ranks and the inverse each take the narrowest dtype, on both
+        # sides of the uint8 and uint16 limits, and at +4 the positions
+        # outgrow the low keys' dtype; _unique_keys is the oracle.
+        table = (top + 1) << code_bits
+        rng = np.random.default_rng(table)
+        fill = rng.integers(0, table, (1 << 17) - table)
+        packed = rng.permutation(np.concatenate([np.arange(table), fill]))
+        low = (packed >> code_bits).astype(model_module._count_dtype(top))
+        mask = (1 << code_bits) - 1
+        code = (packed & mask).astype(model_module._count_dtype(mask))
+        assert low.shape[0] > 4 * model_module.DEFAULT_TILE
+        tiled = model_module._pairs(low, code, code_bits)
+        sorted_ = model_module._pairs(low[:, None], code, code_bits)
+        assert tiled[0].shape == (table,)
+        assert np.array_equal(sorted_[0], tiled[0][:, None])
+        assert np.array_equal(sorted_[1], tiled[1])
+        assert tiled[2].dtype == sorted_[2].dtype == model_module._count_dtype(table - 1)
+        assert tiled[2].tobytes() == sorted_[2].tobytes()
+        assert np.array_equal(tiled[0][tiled[2]], low)
+        assert np.array_equal(tiled[1][tiled[2]], code)
+
     def test_learning_count_table_keeps_its_bytes(self):
         # G=15 smokers is one block: _distinct_counts is byte-identical to its
         # all-worlds np.unique, which this digest was taken from.
@@ -927,8 +956,9 @@ class TestCountHistogram:
     def test_cold_smokers_g24_build_stays_below_12_mb(self):
         # A cold G=24 build holds one block of low keys and shared codes, no
         # uint64 worlds, bit columns or count matrix: it peaked at 15.2 MB
-        # traced with the per-world kernel on the first block, and 6.2 MB
-        # with table sums.
+        # traced with the per-world kernel on the first block, 6.2 MB with
+        # table sums, and 2.0 MB with the pairs ranked tile by tile (see
+        # test_cold_smokers_g24_build_stays_below_4_mb).
         model = normalize_distinct(parse_mln(FRIENDS_SMOKERS_MLN))
         index = index_for(model, 4)
         _histogram.cache_clear()
@@ -941,6 +971,23 @@ class TestCountHistogram:
             _histogram.cache_clear()
         assert int(hist.mult.sum()) == 1 << 24
         assert peak <= 12e6
+
+    def test_cold_smokers_g24_build_stays_below_4_mb(self):
+        # The pairs are ranked and counted one tile of low keys at a time, in
+        # the narrowest dtypes, so no 2^18-long int64 array exists: the build
+        # peaked at 6.2 MB traced with whole-block int64 ranks, and 2.0 MB tiled.
+        model = normalize_distinct(parse_mln(FRIENDS_SMOKERS_MLN))
+        index = index_for(model, 4)
+        _histogram.cache_clear()
+        tracemalloc.start()
+        try:
+            hist = count_histogram(model, index)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            _histogram.cache_clear()
+        assert int(hist.mult.sum()) == 1 << 24
+        assert peak <= 4e6
 
     @pytest.mark.parametrize(("name", "n"), SPAN_CASES)
     def test_bincount_and_unique_tallies_match_on_both_sides_of_the_span(self, name, n):

@@ -1,12 +1,14 @@
 """Alternating parent/change runs of the benchmark harness, summarized as JSON.
 
-    python3 tools/bench_pairs.py PARENT_DIR --workload verify_fs24 --seed 7 \
-        --pairs 10 --out BENCH_17.json
+    python3 tools/bench_pairs.py PARENT_DIR --workload verify_fs24 \
+        --workload learn_sweep_n3 --seed 7 --pairs 10 --out BENCH_17.json
 
-Each pair runs ``python3 perfbench/run.py --workload W --seed S --seconds T
---trace 0`` once in the parent checkout and once in the change checkout (by
-default the checkout this script sits in), one after the other. The side that
-goes first alternates, the parent first in pair 0, so drift on the host falls
+``--workload`` may be given more than once; the workloads then run one after
+the other, each with its own pairs, into the same file. Each pair runs
+``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0``
+once in the parent checkout and once in the change checkout (by default the
+checkout this script sits in), one after the other. The side that goes first
+alternates, the parent first in pair 0, so drift on the host falls
 on both sides alike. Every run contributes its result line: the medians of
 ``wall_s``, ``setup_s`` and ``peak_rss_mb`` over its repetitions, and its
 ``correct``, ``attempted`` and ``failed`` counts.
@@ -91,7 +93,7 @@ def main(argv=None, run=run_once) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path, help="the parent checkout")
     ap.add_argument("--change", type=Path, default=CHECKOUT, help="the change checkout")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", action="append", required=True, help="repeatable")
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=40.0)
@@ -101,14 +103,16 @@ def main(argv=None, run=run_once) -> int:
         ap.error("--pairs must be at least 1")
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     first = first_in_pair(args.pairs)
-    records: dict[str, list[dict]] = {side: [] for side in SIDES}
-    for k, lead in enumerate(first):
-        for side in (lead, SIDES[1 - SIDES.index(lead)]):
-            record = run(roots[side], args.workload, args.seed, args.seconds)
-            records[side].append(record)
-            wall = record["metrics"]["wall_s"]["value"]
-            print(f"pair {k + 1}/{args.pairs} {side}: wall_s={wall:.6g}", file=sys.stderr)
-        write_summary(args.out, args.workload, args.seed, summarize(records, first[: k + 1]))
+    for workload in args.workload:
+        records: dict[str, list[dict]] = {side: [] for side in SIDES}
+        for k, lead in enumerate(first):
+            for side in (lead, SIDES[1 - SIDES.index(lead)]):
+                record = run(roots[side], workload, args.seed, args.seconds)
+                records[side].append(record)
+                wall = record["metrics"]["wall_s"]["value"]
+                pair = f"{workload} pair {k + 1}/{args.pairs} {side}"
+                print(f"{pair}: wall_s={wall:.6g}", file=sys.stderr)
+            write_summary(args.out, workload, args.seed, summarize(records, first[: k + 1]))
     return 0
 
 
