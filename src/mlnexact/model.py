@@ -63,13 +63,13 @@ copy of the grounding table: the front-half atoms take the low F bits, in the
 front sub-index's order, so a world's restriction code is ``world & (2^F - 1)``.
 While F is at most log2(DEFAULT_CHUNK), a world's bucket is fixed by its
 offset in the block, so each pair's log-sum-exp over all blocks is computed
-first and folded into the buckets once, tile by tile (``_fold_pair_buckets``,
-shared with the bound suite). Otherwise every block's worlds are
-folded: worlds and chunks are powers of two, so a chunk's log weights
-reshape to rows of front buckets (or one slice of them) and fold into a 2^F
-log-space accumulator (``_fold_front_buckets``). The bound suite folds its
-pass through the same two helpers. The public ``AtomIndex`` order is unchanged. The factorization
-checks gather restriction codes with ``bit_codes``.
+first and folded into the buckets once, tile by tile
+(``_fold_pair_buckets``). Otherwise every block's worlds are folded: worlds
+and chunks are powers of two, so a chunk's log weights reshape to rows of
+front buckets (or one slice of them) and fold into a 2^F log-space
+accumulator (``_fold_front_buckets``). The bound suite folds its pass
+through the same two helpers. The public ``AtomIndex`` order is unchanged.
+The factorization checks gather restriction codes with ``bit_codes``.
 """
 
 from __future__ import annotations
@@ -827,9 +827,10 @@ def _fold_pair_buckets(stream: PairStream, lse: np.ndarray, n_buckets: int) -> n
     ``n_buckets`` is a power of two no larger than the block. A first pass
     over the tiles takes each bucket's max, which is exact; a second adds
     each offset's ``exp(value - max)`` into its bucket's sum in offset order.
-    So the result does not depend on the tile, and it is the one
-    ``_fold_front_buckets`` gives for the whole block, whose column sums add
-    the rows in order (numpy 2.4.6, for rows wider than one bucket).
+    So the result does not depend on the tile. It is also the one
+    ``_fold_front_buckets`` gives for the whole block, because numpy 2.4.6's
+    column sums add the rows in order, except over a single bucket, whose
+    one column it sums pairwise.
     """
     shift = np.full(n_buckets, -np.inf)
     total = np.zeros(n_buckets)
