@@ -832,19 +832,22 @@ def _fold_pair_buckets(stream: PairStream, lse: np.ndarray, n_buckets: int) -> n
     column sums add the rows in order, except over a single bucket, whose
     one column it sums pairwise.
     """
-    shift = np.full(n_buckets, -np.inf)
-    total = np.zeros(n_buckets)
-    for fold in ("max", "sum"):
+
+    def tiles() -> Iterator[tuple[slice, np.ndarray]]:
+        """Each tile's buckets and its values as rows over them."""
         for lo, hi in _tiles(stream.n_worlds):
             at = lo % n_buckets
             cols = slice(at, at + min(hi - lo, n_buckets))
-            rows = stream.per_world(lse, lo, hi).reshape(-1, cols.stop - at)
-            if fold == "max":
-                np.maximum(shift[cols], rows.max(axis=0), out=shift[cols])
-                continue
-            terms = np.exp(rows - shift[cols])
-            terms[0] += total[cols]
-            total[cols] = np.add.accumulate(terms, axis=0, out=terms)[-1]
+            yield cols, stream.per_world(lse, lo, hi).reshape(-1, cols.stop - at)
+
+    shift = np.full(n_buckets, -np.inf)
+    for cols, rows in tiles():
+        np.maximum(shift[cols], rows.max(axis=0), out=shift[cols])
+    total = np.zeros(n_buckets)
+    for cols, rows in tiles():
+        terms = np.exp(rows - shift[cols])
+        terms[0] += total[cols]
+        total[cols] = np.add.accumulate(terms, axis=0, out=terms)[-1]
     return shift + np.log(total)
 
 
