@@ -85,9 +85,15 @@ class ExperimentConfig:
             ("target_sizes", min(self.target_sizes)),
             ("target_replicates", self.target_replicates),
             ("train_size", self.train_size),
+            ("max_iter", self.max_iter),
         ):
             if least < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # Each run would reject these, one error row per run; fail the config instead.
+        if not self.grid or not all(math.isfinite(x) and x >= 0 for x in self.grid):
+            raise ValueError(f"grid must be finite values >= 0, at least one, got {self.grid}")
+        if not self.tol >= 0:  # NaN fails too
+            raise ValueError(f"tol must be >= 0, got {self.tol}")
         if not self.train_dbs and self.train_size > self.train_population:
             raise ValueError(
                 f"train_size {self.train_size} exceeds train_population {self.train_population}"

@@ -18,12 +18,14 @@ of one world per row, so its product is the very BLAS call of the plain
 ``(counts * p[:, None]).T @ counts`` and rounds the same on any BLAS. A
 clause-major (k, 2^G) operand is multiplied faster, but it takes another
 kernel: OpenBLAS 0.3.31's small-matrix kernels on AVX-512 rounded it
-differently at 2 to 4, 9 to 12 and 17 clauses. Every fit starts at zero
-weights, where every world has probability 2^-G whatever the data, so the
-normalizer, the expected counts and the Hessian there are evaluated once per
-count table and shared by every fit on it; the data only shifts the
-gradient. The line search only accepts or rejects a step, with 1e-12 of
-slack, so its likelihood is a logsumexp over the histogram alone.
+differently at 2 to 4, 9 to 12 and 17 clauses. The data only shifts the
+gradient, and fits on one count table revisit the same weights: every fit
+starts at zero, and once L1 pins the penalized weights at zero, fits at the
+next penalty strengths retrace one Newton path. So each table keeps its last
+``_MEMO_SIZE`` evaluations, keyed by the weights' bytes, and a repeated point
+returns the floats that ``_moments`` computed there. The line search only
+accepts or rejects a step, with 1e-12 of slack, so its likelihood is a
+logsumexp over the histogram alone.
 
 The model is an exponential family, so the data enters the objective only
 through its count vector: a fit is a pure function of the clause structure
@@ -63,6 +65,10 @@ from .model import (
 from .worlds import AtomIndex, DomainSpec, World, _guard
 
 LEARN_MAX_ATOMS = 20
+# Evaluations kept per count table. On the smokers experiments at n=3 and 4,
+# 16 entries catch every repeat that 256 catch and 8 entries few; 64 leave
+# room for longer Newton paths. An entry holds k + k^2 floats.
+_MEMO_SIZE = 64
 GRID_DEFAULT = tuple(float(x) for x in np.logspace(-2.0, 2.0, 9))
 
 _REGULARIZERS = ("none", "l1", "l2")
@@ -81,10 +87,12 @@ class LearnConfig:
     def __post_init__(self):
         if self.regularizer not in _REGULARIZERS:
             raise ValueError(f"regularizer must be one of {_REGULARIZERS}")
-        if self.lam < 0:
-            raise ValueError("lambda must be >= 0")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not self.tol >= 0:  # NaN fails too
+            raise ValueError(f"tol must be >= 0, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -133,20 +141,19 @@ class _Counts:
     rows. The 2^G-row world matrix has no such block, so the padding makes
     ``(rows @ theta)[inverse]`` equal ``worlds @ theta`` to the bit.
 
-    ``at_zero`` is the objective's data-free part at zero weights, computed
-    on first use and kept with the table, so every fit on one table shares
-    its first evaluation. A projected table is a new object with its own,
-    and ``project`` keeps it per Jacobian, so fits with one Jacobian share
-    one projection and its zero-weight evaluation.
+    ``moments`` keeps the table's last ``_MEMO_SIZE`` evaluations, so fits
+    on one table share the points they revisit. A projected table is a new
+    object with its own memo, and ``project`` keeps it per Jacobian, so fits
+    with one Jacobian share one projection and its memo.
     """
 
     worlds: np.ndarray  # (2^G, k) float64, the count vector of every world
     rows: np.ndarray  # (n_padded, k) float64
     log_mult: np.ndarray  # (n_padded,) log of the worlds per row
     inverse: np.ndarray  # (2^G,) the row of every world: rows[inverse] == worlds
-    # at_zero's one entry and project's tables by jac bytes; not init fields,
-    # so a projected copy starts with both empty
-    _zero: list = field(default_factory=list, init=False, repr=False, compare=False)
+    # moments' entries, least recently used first, and project's tables by jac
+    # bytes; not init fields, so a projected copy starts with both empty
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _projected: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def project(self, jac: np.ndarray) -> _Counts:
@@ -156,18 +163,35 @@ class _Counts:
             self._projected[key] = replace(self, worlds=self.worlds @ jac, rows=self.rows @ jac)
         return self._projected[key]
 
-    def at_zero(self, buf: np.ndarray | None = None) -> tuple[float, np.ndarray, np.ndarray]:
-        """``(log Z, expected counts, Hessian)`` at zero weights, where every
-        world is equally likely; the arrays are read-only. The first call
-        computes them, with ``buf`` as in ``_moments``, so it holds no more
-        memory than any other Newton step."""
-        if not self._zero:
-            log_z, expected, covariance = _moments(self, np.zeros(self.rows.shape[1]), buf)
-            hessian = covariance()
-            for a in (expected, hessian):
-                a.setflags(write=False)
-            self._zero.append((log_z, expected, hessian))
-        return self._zero[0]
+    def moments(
+        self, theta: np.ndarray, buf: np.ndarray | None = None
+    ) -> tuple[np.float64, np.ndarray, Callable[[], np.ndarray]]:
+        """``_moments`` at ``theta``, through the memo keyed by its bytes.
+
+        An entry holds the read-only log Z and expected counts, and the
+        read-only Hessian once a call has computed it. It keeps no per-world
+        array, so a hit that lacks the Hessian runs ``_moments`` again, with
+        ``buf`` as there; a hit returns the same floats as a fresh call.
+        """
+        key = theta.tobytes()
+        entry = self._memo.pop(key, None)
+        covariance = None
+        if entry is None:
+            log_z, expected, covariance = _moments(self, theta, buf)
+            expected.setflags(write=False)
+            entry = [log_z, expected, None]
+        self._memo[key] = entry
+        if len(self._memo) > _MEMO_SIZE:
+            del self._memo[next(iter(self._memo))]
+
+        def hessian() -> np.ndarray:
+            if entry[2] is None:
+                cov = covariance if covariance is not None else _moments(self, theta, buf)[2]
+                entry[2] = cov()
+                entry[2].setflags(write=False)
+            return entry[2]
+
+        return entry[0], entry[1], hessian
 
 
 def _counts_for(model: MlnModel, index: AtomIndex, max_atoms: int) -> _Counts:
@@ -224,18 +248,11 @@ def _nll_grad_hessian(
 ) -> tuple[float, np.ndarray, Callable[[], np.ndarray]]:
     """Negative log-likelihood, its gradient, and a call that returns its exact
     Hessian (the covariance of the counts under the current distribution), so
-    a step that has converged does not pay for it.
-
-    The moments come from ``_moments``; at zero weights they are the table's
-    shared ``counts.at_zero(buf)``, which ``_moments`` computed with the same
-    operands, so every bit is as if evaluated afresh. The Hessian then
-    returned is that read-only array.
+    a step that has converged does not pay for it. The moments come through
+    the table's memo (``_Counts.moments``), so the arrays they hold are
+    read-only.
     """
-    if theta.any():
-        log_z, expected, hessian = _moments(counts, theta, buf)
-    else:
-        log_z, expected, hessian_0 = counts.at_zero(buf)
-        hessian = lambda: hessian_0
+    log_z, expected, hessian = counts.moments(theta, buf)
     return float(log_z - data_counts @ theta), expected - data_counts, hessian
 
 

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -59,6 +60,43 @@ def test_summary_of_synthetic_records():
     assert one["parent"]["wall_s"] == {"median": 1.0, "q1": 1.0, "q3": 1.0}
 
 
+def test_claim_needs_nine_in_ten_pairs_and_a_gap_past_the_parents_iqr():
+    parent_walls = (3.0, 3.2, 2.8, 3.1, 2.9) * 2  # median 3.0, quartiles 2.9 and 3.1
+    parent = [record(w, setup=0.3 + 0.01 * i) for i, w in enumerate(parent_walls)]
+    first = bench_pairs.first_in_pair(10)
+
+    def claims(change_walls):
+        # setup_s: lower in 9 of 10 pairs, by 0.01 against a parent IQR of 0.045.
+        change = [record(w, setup=0.3 + 0.01 * max(i - 1, 0)) for i, w in enumerate(change_walls)]
+        return bench_pairs.summarize({"parent": parent, "change": change}, first)
+
+    out = claims([2.5] * 10)
+    assert out["change_lower_wall_s"] == "10/10" and out["claim_holds_wall_s"] is True
+    assert out["change_lower_setup_s"] == "9/10" and out["claim_holds_setup_s"] is False
+    assert out["claim_holds_peak_rss_mb"] is False  # equal runs are never lower
+    assert claims([2.5] * 9 + [3.5])["claim_holds_wall_s"] is True  # 9/10 lower
+    assert claims([2.5] * 8 + [3.5] * 2)["claim_holds_wall_s"] is False  # 8/10 lower
+    out = claims([w - 0.15 for w in parent_walls])
+    assert out["change_lower_wall_s"] == "10/10"
+    assert out["claim_holds_wall_s"] is False  # a gap of 0.15 is inside the IQR of 0.2
+
+
+def test_commit_of_a_checkout(tmp_path):
+    assert bench_pairs.commit_of(tmp_path) is None  # not a git checkout
+    git = ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run(git + ["init", "-q"], check=True)
+    (tmp_path / "a.py").write_text("x = 1\n")
+    subprocess.run(git + ["add", "a.py"], check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "a"], check=True)
+    head = subprocess.run(git + ["rev-parse", "HEAD"], capture_output=True, text=True)
+    head = head.stdout.strip()
+    assert bench_pairs.commit_of(tmp_path) == head
+    (tmp_path / "bench.json").write_text("{}")  # an untracked output file
+    assert bench_pairs.commit_of(tmp_path) == head
+    (tmp_path / "a.py").write_text("x = 2\n")
+    assert bench_pairs.commit_of(tmp_path) == head + "-dirty"
+
+
 def test_main_alternates_runs_and_merges_into_the_file(tmp_path):
     out = tmp_path / "bench.json"
     out.write_text(json.dumps({"description": "kept", "workloads": {"w": {"9": {}}}}))
@@ -79,6 +117,9 @@ def test_main_alternates_runs_and_merges_into_the_file(tmp_path):
     assert data["description"] == "kept" and data["workloads"]["w"]["9"] == {}
     summary = data["workloads"]["w"]["7"]
     assert summary["pairs"] == 3 and summary["change_lower_wall_s"] == "3/3"
+    assert summary["claim_holds_wall_s"] is True
+    assert data["parent_commit"] is None and data["commit"] is None  # not git checkouts
+    assert data["host"] == bench_pairs.host() and "numpy" in data["host"]
     with pytest.raises(SystemExit):
         bench_pairs.main(args[:-4] + ["--pairs", "0", "--out", str(out)], run=fake_run)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 
 import pytest
@@ -322,6 +323,15 @@ class TestExperimentCommand:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        ("flags", "field"),
+        [(["--grid", "nan"], "grid"), (["--grid", "0.1,-1"], "grid"), (["--max-iter", "0"], "max_iter")],
+    )
+    def test_learner_settings_that_no_fit_accepts_exit_two(self, flags, field, tmp_path, capsys):
+        assert main(["experiment", "--out", str(tmp_path / "o"), *flags]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_every_flag_is_a_config_field(self):
         parsed = vars(build_parser().parse_args(["experiment"]))
         not_fields = {"config", "force_guard", "func", "command"}
@@ -413,6 +423,24 @@ class TestConfigParsing:
         ],
     )
     def test_sizes_and_counts_below_one_name_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("grid", ()),
+            ("grid", (math.nan,)),
+            ("grid", (-1.0,)),
+            ("grid", (0.1, math.inf)),
+            ("max_iter", 0),
+            ("tol", math.nan),
+            ("tol", -1e-9),
+        ],
+    )
+    def test_learner_settings_that_no_fit_accepts_name_the_field(self, field, value):
+        # Each used to pass here and turn every run into an error row, or,
+        # for grid=(nan,), into ok rows with lambda=nan and zero weights.
         with pytest.raises(ValueError, match=field):
             ExperimentConfig(**{field: value})
 

@@ -13,6 +13,7 @@ from mlnexact.learning import (
     GRID_DEFAULT,
     LEARN_MAX_ATOMS,
     LearnConfig,
+    LearnResult,
     _Counts,
     _counts_for,
     _nll,
@@ -271,7 +272,7 @@ class TestHessianOperand:
 
 class TestZeroWeights:
     """Every fit starts at zero weights, where the objective's moments do not
-    depend on the data: one evaluation per count table serves every fit."""
+    depend on the data: one evaluation in the table's memo serves every fit."""
 
     @pytest.fixture
     def zero_evaluations(self, monkeypatch):
@@ -323,16 +324,17 @@ class TestZeroWeights:
             assert value == want_value
             assert np.array_equal(grad, want_grad)
             assert np.array_equal(hessian_at(), want_hessian)
-            assert hessian_at() is counts.at_zero()[2]
-        _, expected, hessian = counts.at_zero()
-        assert not expected.flags.writeable and not hessian.flags.writeable
+            assert hessian_at() is counts.moments(zero)[2]()
+        _, expected, hessian_at = counts.moments(zero)
+        assert not expected.flags.writeable and not hessian_at().flags.writeable
 
     def test_the_first_evaluation_fills_the_callers_buffer(self):
         # The Hessian operand goes into the fit's buffer, so the step at zero
         # holds no more memory than any other step.
         counts = synthetic_counts(np.random.default_rng(3), 5, 1 << 10, 40)
         buf = np.full_like(counts.worlds, np.nan)
-        _nll_grad_hessian(counts, counts.worlds[0], np.zeros(5), buf)
+        _, _, hessian_at = _nll_grad_hessian(counts, counts.worlds[0], np.zeros(5), buf)
+        hessian_at()
         assert np.array_equal(buf, counts.worlds / (1 << 10))
 
     def test_fits_with_one_jacobian_share_one_projection(self, zero_evaluations):
@@ -361,17 +363,179 @@ class TestZeroWeights:
         index = AtomIndex(model.signature, spec)
         _, jac = _parameter_map(model, spec, LearnConfig(da=True))
         counts = _counts_for(model, index, LEARN_MAX_ATOMS)
-        base = counts.at_zero()
-        projected = counts.project(jac)
-        got = projected.at_zero()
-        assert zero_evaluations[-1] is projected
-        assert not np.array_equal(got[2], base[2])
         zero = np.zeros(jac.shape[1])
+        base = counts.moments(zero)
+        projected = counts.project(jac)
+        got = projected.moments(zero)
+        assert zero_evaluations[-1] is projected
+        assert not np.array_equal(got[2](), base[2]())
         data_counts = projected.worlds[5]
         _, want_grad, want_hessian = dense_nll_grad_hessian(projected.worlds, data_counts, zero)
         _, grad, hessian_at = _nll_grad_hessian(projected, data_counts, zero)
         assert np.array_equal(grad, want_grad)
         assert np.array_equal(hessian_at(), want_hessian)
+
+
+def smokers_training_worlds(n: int, seeds) -> list[World]:
+    """Worlds of ``n`` people subsampled from populations of 10."""
+    from mlnexact.datagen import SampleSpec, db_to_world, domain_spec_for
+    from mlnexact.datagen import generate_friends_smokers, subsample
+
+    worlds = []
+    for seed in seeds:
+        db = subsample(generate_friends_smokers(10, seed), SampleSpec("person", n, seed))
+        worlds.append(db_to_world(db, domain_spec_for(db)))
+    return worlds
+
+
+def held_arrays(obj, seen=None) -> list[np.ndarray]:
+    """Every array that ``obj`` holds, through containers, closures and objects."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj, *([] if obj.base is None else held_arrays(obj.base, seen))]
+    if isinstance(obj, dict):
+        children = [*obj.keys(), *obj.values()]
+    elif isinstance(obj, (list, tuple)):
+        children = list(obj)
+    elif callable(obj) and getattr(obj, "__closure__", None):
+        children = []
+        for cell in obj.__closure__:
+            try:
+                children.append(cell.cell_contents)
+            except ValueError:  # a cell not yet bound
+                pass
+    else:
+        children = list(getattr(obj, "__dict__", {}).values())
+    return [a for child in children for a in held_arrays(child, seen)]
+
+
+class TestMomentMemo:
+    """Each count table keeps its last ``_MEMO_SIZE`` evaluations by the
+    weights' bytes: fits that revisit a point read it instead of recomputing."""
+
+    SWEEPS = (
+        ("none", LearnConfig()),
+        ("l1", LearnConfig()),
+        ("l2", LearnConfig()),
+        ("l1", LearnConfig(da=True)),
+        ("l2", LearnConfig(tie_split_weights=True)),
+    )
+
+    @staticmethod
+    def sweep_fits(model, spec, train) -> list[LearnResult]:
+        """Every fit of the default-grid sweeps, in ``lambda_sweep``'s order,
+        run afresh on cold tables."""
+        learning._fit.cache_clear()
+        learning._counts_cached.cache_clear()
+        return [
+            learn(model, spec, w, replace(config, regularizer=regularizer, lam=lam))
+            for regularizer, config in TestMomentMemo.SWEEPS
+            for lam in GRID_DEFAULT
+            for w in train
+        ]
+
+    # Random models of 6, 5 and 9 clauses after normalization; the last one
+    # has fits that end at max_iter.
+    @pytest.mark.parametrize(
+        "seed, ternary",
+        [(None, False), (0, True), (1, False), (4, True)],
+        ids=["smokers", "random0", "random1", "random4"],
+    )
+    def test_fits_equal_fits_without_the_memo(self, seed, ternary, monkeypatch):
+        if seed is None:
+            model = normalize_distinct(parse_mln(FRIENDS_SMOKERS_MLN))
+            train = smokers_training_worlds(3, (0, 1))
+            spec = train[0].index.spec
+        else:
+            rng = np.random.default_rng(seed)
+            model = normalize_distinct(random_raw_model(rng, include_ternary_clause=ternary))
+            spec = DomainSpec({model.signature.types[0][0]: 3})
+            index = AtomIndex(model.signature, spec)
+            train = [World(index, int(b)) for b in rng.integers(0, 1 << index.n_atoms, size=2)]
+        with monkeypatch.context() as m:
+            m.setattr(learning, "_MEMO_SIZE", 0)  # every lookup misses
+            fresh = self.sweep_fits(model, spec, train)
+        memo = self.sweep_fits(model, spec, train)
+        assert len(memo) == len(fresh) == len(self.SWEEPS) * len(GRID_DEFAULT) * len(train)
+        for got, want in zip(memo, fresh):
+            assert got.weights.tobytes() == want.weights.tobytes()
+            assert got.trace == want.trace
+            assert (got.converged, got.iterations) == (want.converged, want.iterations)
+            assert (got.objective, got.model) == (want.objective, want.model)
+
+    @pytest.fixture
+    def l1_sweep(self, monkeypatch):
+        """A default-grid L1 sweep on one smokers world at n=3, from cold
+        tables: its table, its Newton evaluations and its ``_moments`` calls."""
+        calls = {"evaluations": 0, "moments": 0}
+        nll_grad_hessian, moments = learning._nll_grad_hessian, learning._moments
+
+        def counted(name, f):
+            def call(*args):
+                calls[name] += 1
+                return f(*args)
+
+            return call
+
+        monkeypatch.setattr(learning, "_nll_grad_hessian", counted("evaluations", nll_grad_hessian))
+        monkeypatch.setattr(learning, "_moments", counted("moments", moments))
+        learning._counts_cached.cache_clear()
+        model = normalize_distinct(parse_mln(FRIENDS_SMOKERS_MLN))
+        (data,) = smokers_training_worlds(3, (0,))
+        spec = data.index.spec
+        lambda_sweep(model, spec, [data], spec, [data], "l1")
+        counts = _counts_for(model, data.index, LEARN_MAX_ATOMS)
+        return counts, calls
+
+    def test_a_sweep_shares_its_evaluations(self, l1_sweep):
+        # Without the memo, the 9 fits' 132 evaluations took 124 calls: all
+        # but the 8 repeats of the zero point.
+        counts, calls = l1_sweep
+        assert calls == {"evaluations": 132, "moments": 68}
+        assert 0 < len(counts._memo) <= learning._MEMO_SIZE
+
+    def test_entries_hold_no_per_world_array(self, l1_sweep):
+        counts, _ = l1_sweep
+        k = counts.rows.shape[1]
+        arrays = held_arrays(counts._memo)
+        assert len(arrays) >= len(counts._memo)
+        for a in arrays:
+            assert a.size <= k * k and not a.flags.writeable
+
+    def test_memo_is_bounded(self):
+        counts = synthetic_counts(np.random.default_rng(4), 3, 64, 10)
+        for i in range(learning._MEMO_SIZE + 5):
+            counts.moments(np.full(3, float(i)))
+        assert len(counts._memo) == learning._MEMO_SIZE
+        # The oldest points went first; a lookup makes a point the newest.
+        assert np.full(3, 5.0).tobytes() == next(iter(counts._memo))
+        counts.moments(np.full(3, 5.0))
+        counts.moments(np.full(3, -1.0))
+        assert np.full(3, 5.0).tobytes() in counts._memo
+        assert np.full(3, 6.0).tobytes() not in counts._memo
+
+
+class TestLearnConfig:
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("lam", math.nan),
+            ("lam", math.inf),
+            ("lam", -0.5),
+            ("tol", math.nan),
+            ("tol", -1e-9),
+            ("max_iter", 0),
+        ],
+    )
+    def test_values_no_fit_can_use_name_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            LearnConfig(**{field: value})
+
+    def test_edge_values_are_accepted(self):
+        LearnConfig(lam=0.0, tol=0.0, max_iter=1)
 
 
 class TestLearn:

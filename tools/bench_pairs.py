@@ -17,17 +17,24 @@ The summary goes to ``workloads[W][S]`` of the output file, which is created
 or updated in place, so several invocations fill one file and its other keys
 are kept. It is rewritten after every pair. Per side it holds each metric's
 runs and their median and quartiles (inclusive method, as numpy's linear
-percentiles), and per metric how many pairs the change ran lower and the
-relative change of the medians.
+percentiles), and per metric how many pairs the change ran lower, the
+relative change of the medians, and whether a claim that the change lowers
+the metric holds: lower in at least 9 of 10 pairs, with the medians further
+apart than the parent's interquartile range. The file's ``parent_commit`` and
+``commit`` are ``git rev-parse HEAD`` of each checkout, with ``-dirty`` when
+tracked files differ from it, and ``host`` names the CPUs, Python and numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
+from importlib.metadata import version
 from pathlib import Path
 
 CHECKOUT = Path(__file__).resolve().parents[1]
@@ -48,6 +55,24 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0:
         raise SystemExit(f"{root}: run.py exited with {proc.returncode}\n{proc.stderr[-4000:]}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def commit_of(root: Path) -> str | None:
+    """``git rev-parse HEAD`` of the checkout, ``-dirty`` when a tracked file
+    differs from it; None outside a git checkout."""
+    git = ["git", "-C", str(root)]
+    head = subprocess.run(git + ["rev-parse", "HEAD"], capture_output=True, text=True)
+    if head.returncode != 0:
+        return None
+    status = subprocess.run(
+        git + ["status", "--porcelain", "--untracked-files=no"], capture_output=True, text=True
+    )
+    return head.stdout.strip() + ("-dirty" if status.stdout.strip() else "")
+
+
+def host() -> str:
+    cpus = len(os.sched_getaffinity(0))
+    return f"{cpus} CPUs, Python {platform.python_version()}, numpy {version('numpy')}"
 
 
 def first_in_pair(pairs: int) -> list[str]:
@@ -80,11 +105,15 @@ def summarize(records: dict[str, list[dict]], first: list[str]) -> dict:
         out[f"change_lower_{m}"] = f"{lower}/{len(parent)}"
         ratio = statistics.median(change) / statistics.median(parent) - 1.0
         out[f"median_ratio_{m}"] = round(ratio, 4)
+        gap = out["parent"][m]["median"] - out["change"][m]["median"]
+        iqr = out["parent"][m]["q3"] - out["parent"][m]["q1"]
+        out[f"claim_holds_{m}"] = 10 * lower >= 9 * len(parent) and gap > iqr
     return out
 
 
-def write_summary(path: Path, workload: str, seed: int, summary: dict) -> None:
+def write_summary(path: Path, workload: str, seed: int, summary: dict, stamp: dict) -> None:
     data = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+    data.update(stamp)
     data.setdefault("workloads", {}).setdefault(workload, {})[str(seed)] = summary
     path.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
 
@@ -103,6 +132,11 @@ def main(argv=None, run=run_once) -> int:
         ap.error("--pairs must be at least 1")
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     first = first_in_pair(args.pairs)
+    stamp = {
+        "parent_commit": commit_of(roots["parent"]),
+        "commit": commit_of(roots["change"]),
+        "host": host(),
+    }
     for workload in args.workload:
         records: dict[str, list[dict]] = {side: [] for side in SIDES}
         for k, lead in enumerate(first):
@@ -112,7 +146,8 @@ def main(argv=None, run=run_once) -> int:
                 wall = record["metrics"]["wall_s"]["value"]
                 pair = f"{workload} pair {k + 1}/{args.pairs} {side}"
                 print(f"{pair}: wall_s={wall:.6g}", file=sys.stderr)
-            write_summary(args.out, workload, args.seed, summarize(records, first[: k + 1]))
+            summary = summarize(records, first[: k + 1])
+            write_summary(args.out, workload, args.seed, summary, stamp)
     return 0
 
 
