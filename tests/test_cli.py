@@ -316,6 +316,7 @@ class TestExperimentCommand:
             (["--targets", "0"], "target_sizes"),
             (["--train-size", "0"], "train_size"),
             (["--train-size", "11"], "train_size"),
+            (["--max-iter", "0"], "max_iter"),
         ],
     )
     def test_out_of_range_sizes_exit_two(self, flags, field, tmp_path, capsys):
@@ -323,13 +324,10 @@ class TestExperimentCommand:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize(
-        ("flags", "field"),
-        [(["--grid", "nan"], "grid"), (["--grid", "0.1,-1"], "grid"), (["--max-iter", "0"], "max_iter")],
-    )
-    def test_learner_settings_that_no_fit_accepts_exit_two(self, flags, field, tmp_path, capsys):
-        assert main(["experiment", "--out", str(tmp_path / "o"), *flags]) == 2
-        assert field in capsys.readouterr().err
+    @pytest.mark.parametrize("grid", ["nan", "0.1,-1", "inf"])
+    def test_a_grid_no_fit_accepts_exits_two(self, grid, tmp_path, capsys):
+        assert main(["experiment", "--out", str(tmp_path / "o"), "--grid", grid]) == 2
+        assert "grid" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_every_flag_is_a_config_field(self):
@@ -420,6 +418,7 @@ class TestConfigParsing:
             ("target_replicates", 0),
             ("train_size", 0),
             ("train_size", -2),
+            ("max_iter", 0),
         ],
     )
     def test_sizes_and_counts_below_one_name_the_field(self, field, value):
@@ -433,7 +432,6 @@ class TestConfigParsing:
             ("grid", (math.nan,)),
             ("grid", (-1.0,)),
             ("grid", (0.1, math.inf)),
-            ("max_iter", 0),
             ("tol", math.nan),
             ("tol", -1e-9),
         ],

@@ -138,6 +138,18 @@ class TestLikelihoodAndGradient:
             log_probability(model, world)
 
 
+def smokers_training_worlds(n: int, seeds) -> list[World]:
+    """Worlds of ``n`` people subsampled from populations of 10."""
+    from mlnexact.datagen import SampleSpec, db_to_world, domain_spec_for
+    from mlnexact.datagen import generate_friends_smokers, subsample
+
+    worlds = []
+    for seed in seeds:
+        db = subsample(generate_friends_smokers(10, seed), SampleSpec("person", n, seed))
+        worlds.append(db_to_world(db, domain_spec_for(db)))
+    return worlds
+
+
 def dense_objective(counts, data_counts, theta, buf=None):
     """``learning._nll_grad_hessian``'s contract, from the dense oracle."""
     value, grad, hessian = dense_nll_grad_hessian(counts.worlds, data_counts, theta)
@@ -212,13 +224,8 @@ class TestHistogramObjective:
     def test_learned_smokers_weights_equal_the_dense_objective_bit_for_bit(
         self, config, monkeypatch
     ):
-        from mlnexact.datagen import SampleSpec, db_to_world, domain_spec_for
-        from mlnexact.datagen import generate_friends_smokers, subsample
-
         model = normalize_distinct(parse_mln(FRIENDS_SMOKERS_MLN))
-        for seed in (0, 1):
-            db = subsample(generate_friends_smokers(10, seed), SampleSpec("person", 3, seed))
-            data = db_to_world(db, domain_spec_for(db))
+        for data in smokers_training_worlds(3, (0, 1)):
             spec = data.index.spec
             fast = learn(model, spec, data, config)
             calls = []
@@ -374,18 +381,6 @@ class TestZeroWeights:
         _, grad, hessian_at = _nll_grad_hessian(projected, data_counts, zero)
         assert np.array_equal(grad, want_grad)
         assert np.array_equal(hessian_at(), want_hessian)
-
-
-def smokers_training_worlds(n: int, seeds) -> list[World]:
-    """Worlds of ``n`` people subsampled from populations of 10."""
-    from mlnexact.datagen import SampleSpec, db_to_world, domain_spec_for
-    from mlnexact.datagen import generate_friends_smokers, subsample
-
-    worlds = []
-    for seed in seeds:
-        db = subsample(generate_friends_smokers(10, seed), SampleSpec("person", n, seed))
-        worlds.append(db_to_world(db, domain_spec_for(db)))
-    return worlds
 
 
 def held_arrays(obj, seen=None) -> list[np.ndarray]:
