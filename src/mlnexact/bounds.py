@@ -189,20 +189,38 @@ def extremal_k_weights(model: MlnModel, k: int) -> KWeightExtrema:
     return KWeightExtrema(k, float(logs[hi]), float(logs[lo]), hi, lo)
 
 
+def _cross_exponents(n: int, m: int, d: int) -> tuple[int, ...]:
+    """How many arity-k tuples straddle the n|m split, for k = 1..d."""
+    return tuple(comb(n + m, k) - comb(n, k) - comb(m, k) for k in range(1, d + 1))
+
+
 def cross_weight_bounds(model: MlnModel, n: int, m: int) -> CrossBounds:
     """Log products of per-arity weight extrema over tuples straddling the n|m split."""
     model = normalize_distinct(model)
     d = model.max_arity
     per_arity = tuple(extremal_k_weights(model, k) for k in range(1, d + 1))
-    exponents = tuple(comb(n + m, k) - comb(n, k) - comb(m, k) for k in range(1, d + 1))
+    exponents = _cross_exponents(n, m, d)
     log_m_max = sum(e * x.log_max for e, x in zip(exponents, per_arity))
     log_m_min = sum(e * x.log_min for e, x in zip(exponents, per_arity))
     return CrossBounds(n, m, log_m_max, log_m_min, per_arity, exponents)
 
 
 def log_spread(model: MlnModel, n: int, m: int) -> float:
-    """Log ratio of the cross-bound extrema products; 0 iff the sandwich is tight."""
-    return cross_weight_bounds(model, n, m).log_spread
+    """Log ratio of the cross-bound extrema products; 0 iff the sandwich is tight.
+
+    With an empty half no tuple straddles the split: every exponent is zero,
+    and so is the spread. The extrema are then not computed, but the model
+    and the sizes are checked as ``cross_weight_bounds`` checks them.
+    """
+    if n != 0 and m != 0:
+        return cross_weight_bounds(model, n, m).log_spread
+    model = normalize_distinct(model)
+    d = model.max_arity
+    if d:
+        index = AtomIndex(model.signature, DomainSpec({_single_type(model): d}))
+        _guard(index.n_atoms, EXTREMAL_MAX_ATOMS)
+    _cross_exponents(n, m, d)
+    return 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields, replace
 from datetime import datetime, timezone
 from typing import Sequence
@@ -86,6 +85,7 @@ class ExperimentConfig:
             ("target_replicates", self.target_replicates),
             ("train_size", self.train_size),
             ("max_iter", self.max_iter),
+            ("workers", self.workers),
         ):
             if least < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -291,6 +291,10 @@ def run_experiment(
     n_runs = len(cfg.train_dbs) if cfg.train_dbs else cfg.train_sets
     run_ids = list(range(n_runs))
     if cfg.workers > 1:
+        # Imported here: it loads multiprocessing, which a serial run and
+        # every other command would pay for at start-up.
+        from concurrent.futures import ProcessPoolExecutor
+
         batches = [list(b) for b in np.array_split(run_ids, cfg.workers) if len(b)]
         rows: list[Row] = []
         models: dict[tuple[int, str], MlnModel] = {}

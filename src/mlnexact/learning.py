@@ -18,14 +18,22 @@ of one world per row, so its product is the very BLAS call of the plain
 ``(counts * p[:, None]).T @ counts`` and rounds the same on any BLAS. A
 clause-major (k, 2^G) operand is multiplied faster, but it takes another
 kernel: OpenBLAS 0.3.31's small-matrix kernels on AVX-512 rounded it
-differently at 2 to 4, 9 to 12 and 17 clauses. The data only shifts the
-gradient, and fits on one count table revisit the same weights: every fit
-starts at zero, and once L1 pins the penalized weights at zero, fits at the
-next penalty strengths retrace one Newton path. So each table keeps its last
-``_MEMO_SIZE`` evaluations, keyed by the weights' bytes, and a repeated point
-returns the floats that ``_moments`` computed there. The line search only
-accepts or rejects a step, with 1e-12 of slack, so its likelihood is a
-logsumexp over the histogram alone.
+differently at 2 to 4, 9 to 12 and 17 clauses. The operand is filled by one
+row gather: each distinct count vector is scaled by its probability, the
+same correctly rounded products as in every world that shares it, and
+``np.take(..., mode="clip")`` copies the scaled rows to the worlds. Clip
+mode writes straight into the caller's buffer, where the default mode
+gathers into a temporary and copies it; since clip would clamp a bad index
+silently, the row map is checked once, when the table is built. The BLAS
+product and the three world-order sums are unchanged.
+
+The data only shifts the gradient, and fits on one count table revisit the
+same weights: every fit starts at zero, and once L1 pins the penalized
+weights at zero, fits at the next penalty strengths retrace one Newton path.
+So each table keeps its last ``_MEMO_SIZE`` evaluations, keyed by the
+weights' bytes, and a repeated point returns the floats that ``_moments``
+computed there. The line search only accepts or rejects a step, with 1e-12
+of slack, so its likelihood is a logsumexp over the histogram alone.
 
 The model is an exponential family, so the data enters the objective only
 through its count vector: a fit is a pure function of the clause structure
@@ -141,6 +149,11 @@ class _Counts:
     rows. The 2^G-row world matrix has no such block, so the padding makes
     ``(rows @ theta)[inverse]`` equal ``worlds @ theta`` to the bit.
 
+    ``worlds`` is ``rows[inverse]``: ``_counts_cached`` and ``project`` gather
+    it from the rows, so ``_moments`` may read a world's counts off its row.
+    The constructor checks that ``inverse`` has one entry per world, each
+    naming one of the distinct rows (those whose ``log_mult`` is finite).
+
     ``moments`` keeps the table's last ``_MEMO_SIZE`` evaluations, so fits
     on one table share the points they revisit. A projected table is a new
     object with its own memo, and ``project`` keeps it per Jacobian, so fits
@@ -156,11 +169,24 @@ class _Counts:
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _projected: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    def __post_init__(self):
+        # _moments gathers rows with mode="clip", which clamps a bad index
+        # without a word, so the row map is checked here, once per table.
+        n_distinct = np.count_nonzero(self.log_mult > -np.inf)
+        inverse = self.inverse
+        if inverse.shape != self.worlds.shape[:1]:
+            raise ValueError(
+                f"inverse has shape {inverse.shape}, not one row per world ({len(self.worlds)})"
+            )
+        if inverse.size and not (0 <= inverse.min() and inverse.max() < n_distinct):
+            raise ValueError(f"inverse indexes rows outside the {n_distinct} distinct rows")
+
     def project(self, jac: np.ndarray) -> _Counts:
         """The counts in parameter space, where the clause weights are jac @ theta."""
         key = jac.tobytes()
         if key not in self._projected:
-            self._projected[key] = replace(self, worlds=self.worlds @ jac, rows=self.rows @ jac)
+            rows = self.rows @ jac
+            self._projected[key] = replace(self, worlds=rows[self.inverse], rows=rows)
         return self._projected[key]
 
     def moments(
@@ -225,19 +251,27 @@ def _moments(
 
     World weights are exponentiated per histogram row and gathered to the
     worlds; the normalizer and both moments sum over the worlds. The
-    covariance's left operand is world-major, ``counts.worlds`` scaled row by
-    row (into ``buf`` when given, shaped like ``counts.worlds``), and enters
-    its product transposed, as in the dense reference.
+    covariance's left operand is world-major: each row's counts times its
+    probability ``e / z``, gathered to the worlds (into ``buf`` when given,
+    shaped like ``counts.worlds``). A world's probability is ``fl(e_r / z)``
+    of its row ``r``, so the gather equals ``counts.worlds * p[:, None]`` to
+    the bit while it scales only the distinct rows. ``mode="clip"`` lets
+    ``np.take`` write ``buf`` in place (the default mode buffers and copies);
+    the table's constructor has checked every index. The operand enters its
+    product transposed, the dense reference's BLAS call, and the normalizer
+    and both moments are summed in world order as before.
     """
     logw = counts.rows @ theta
     shift = logw.max()
-    w = np.take(np.exp(logw - shift), counts.inverse)
+    e = np.exp(logw - shift)
+    w = np.take(e, counts.inverse)
     z = w.sum()
     p = np.divide(w, z, out=w)
     expected = p @ counts.worlds
 
     def covariance() -> np.ndarray:
-        weighted = np.multiply(counts.worlds, p[:, None], out=buf)
+        scaled = counts.rows * (e / z)[:, None]
+        weighted = np.take(scaled, counts.inverse, axis=0, out=buf, mode="clip")
         return weighted.T @ counts.worlds - np.outer(expected, expected)
 
     return shift + math.log(z), expected, covariance

@@ -151,3 +151,63 @@ def test_repeated_workloads_fill_one_file(tmp_path):
         assert summary["pairs"] == 2 and summary["change_lower_wall_s"] == "2/2"
         assert summary["runs"]["parent"]["wall_s"] == [wall, wall]
         assert summary["runs"]["change"]["wall_s"] == [wall / 2, wall / 2]
+
+
+def test_tier1_runs_alternate_before_the_workloads(tmp_path):
+    out = tmp_path / "bench.json"
+    calls = []
+
+    def fake_run(root, workload, seed, seconds):
+        calls.append((root.name, workload))
+        return record(1.0)
+
+    def fake_tier1(root):
+        calls.append((root.name, "tier1"))
+        k = len(calls)
+        return {"wall_s": 60.0 + k, "passed": 608 if root.name == "new" else 581}
+
+    (tmp_path / "old").mkdir()
+    (tmp_path / "new").mkdir()
+    args = [str(tmp_path / "old"), "--change", str(tmp_path / "new"), "--tier1", "3"]
+    assert bench_pairs.main(args + ["--out", str(out)], run=fake_run, run_tier1=fake_tier1) == 0
+    order = ["old", "new", "new", "old", "old", "new"]
+    assert calls == [(side, "tier1") for side in order]
+    tier1 = json.loads(out.read_text())["tier1"]
+    assert tier1["command"] == bench_pairs.TIER1_COMMAND and tier1["runs"] == 3
+    assert tier1["order"] == ["parent", "change", "change", "parent", "parent", "change"]
+    assert tier1["parent"] == {
+        "passed": [581] * 3,
+        "failed": [0] * 3,
+        "wall_s": [61.0, 64.0, 65.0],
+        "median_wall_s": 64.0,
+    }
+    assert tier1["change"]["wall_s"] == [62.0, 63.0, 66.0]
+    assert tier1["change"]["passed"] == [608] * 3
+
+    calls.clear()
+    args += ["--workload", "w", "--pairs", "1", "--out", str(out)]
+    assert bench_pairs.main(args, run=fake_run, run_tier1=fake_tier1) == 0
+    assert calls[:6] == [(side, "tier1") for side in order]
+    assert calls[6:] == [("old", "w"), ("new", "w")]
+    assert sorted(json.loads(out.read_text())) == [
+        "commit",
+        "host",
+        "parent_commit",
+        "tier1",
+        "workloads",
+    ]
+    with pytest.raises(SystemExit):  # neither a workload nor tier-1 runs
+        bench_pairs.main([str(tmp_path / "old"), "--out", str(out)], run=fake_run)
+
+
+def test_a_tier1_run_reads_the_suite_counts(tmp_path):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "helper.py").write_text("VALUE = 1\n")
+    (tmp_path / "test_a.py").write_text(
+        "import helper\n\n"
+        "def test_one():\n    assert helper.VALUE == 1\n\n"
+        "def test_two():\n    assert True\n\n"
+        "def test_three():\n    assert helper.VALUE == 2\n"
+    )
+    got = bench_pairs.run_tier1_once(tmp_path)
+    assert (got["passed"], got["failed"]) == (2, 1) and got["wall_s"] > 0

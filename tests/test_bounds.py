@@ -36,6 +36,7 @@ from mlnexact.model import (
 from mlnexact.worlds import (
     AtomIndex,
     DomainSpec,
+    DomainTooLargeError,
     World,
     cross_atom_count,
     enumerate_worlds,
@@ -137,6 +138,52 @@ class TestCrossBounds:
         )
         with pytest.raises(ValueError, match="single-type"):
             log_spread(model, 2, 1)
+
+
+class TestEmptyHalfSpread:
+    """With an empty half no tuple straddles the split, so ``log_spread``
+    returns 0.0 without the extrema, after the same checks."""
+
+    SPLITS = [(0, 0), (0, 1), (0, 3), (2, 0), (4, 0)]
+
+    @pytest.mark.parametrize(("n", "m"), SPLITS)
+    def test_equals_the_cross_bounds(self, n, m, example2_model, triangle_model, unary_model):
+        models = [example2_model, triangle_model, unary_model, model_from(FRIENDS_SMOKERS_MLN)]
+        models += [random_raw_model(np.random.default_rng(seed)) for seed in range(4)]
+        for model in models:
+            want = cross_weight_bounds(model, n, m).log_spread
+            assert log_spread(model, n, m) == want == 0.0
+            assert math.copysign(1.0, log_spread(model, n, m)) == 1.0
+
+    def test_skips_the_extrema(self, monkeypatch, example2_model):
+        monkeypatch.setattr(bounds, "extremal_k_weights", mock.Mock(side_effect=AssertionError))
+        assert log_spread(example2_model, 0, 3) == log_spread(example2_model, 3, 0) == 0.0
+        with pytest.raises(AssertionError):
+            log_spread(example2_model, 3, 1)
+
+    @pytest.mark.parametrize(("n", "m"), SPLITS)
+    def test_multi_type_rejected(self, n, m):
+        model = parse_mln(
+            "type a = 2\ntype b = 2\npredicate P(a)\npredicate Q(b)\n0.5 P(x)\n0.5 Q(y)"
+        )
+        with pytest.raises(ValueError, match="single-type"):
+            cross_weight_bounds(model, n, m)
+        with pytest.raises(ValueError, match="single-type"):
+            log_spread(model, n, m)
+
+    @pytest.mark.parametrize(("n", "m"), [(0, -1), (-2, 0)])
+    def test_negative_sizes_rejected(self, n, m, example2_model):
+        with pytest.raises(ValueError):
+            cross_weight_bounds(example2_model, n, m)
+        with pytest.raises(ValueError):
+            log_spread(example2_model, n, m)
+
+    def test_too_many_atoms_for_the_extrema_rejected(self):
+        model = model_from("type p = 4\npredicate R(p,p,p)\npredicate S(p)\n0.5 R(x,y,z) ^ S(x)")
+        with pytest.raises(DomainTooLargeError):
+            cross_weight_bounds(model, 0, 2)
+        with pytest.raises(DomainTooLargeError):
+            log_spread(model, 0, 2)
 
 
 class TestWeightSandwich:

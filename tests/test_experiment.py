@@ -1,6 +1,10 @@
 import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,6 +117,30 @@ class TestPipeline:
             for j in range(10):
                 seen.add(seed_target(7, si, j))
         assert len(seen) == 50 + 30
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_fewer_than_one_worker_is_rejected(self, workers, tmp_path, capsys):
+        with pytest.raises(ValueError, match="workers"):
+            ExperimentConfig(**{**TINY, "workers": workers})
+        out = tmp_path / "o"
+        assert main(["experiment", "--out", str(out), "--workers", str(workers)]) == 2
+        assert "workers" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_serial_run_loads_no_process_pool(self):
+        code = (
+            "import sys\n"
+            "from mlnexact import cli, experiment\n"
+            "experiment.run_experiment(experiment.ExperimentConfig("
+            "train_sets=1, target_sizes=(2,), target_replicates=1))\n"
+            "assert 'concurrent.futures.process' not in sys.modules\n"
+            "assert 'multiprocessing' not in sys.modules\n"
+        )
+        src = str(Path(experiment.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 class TestModelCheck:

@@ -277,6 +277,132 @@ class TestHessianOperand:
             assert np.array_equal(hessian_at(), want_hessian)
 
 
+def multiply_moments(counts, theta, buf=None):
+    """``learning._moments`` with the Hessian operand filled by scaling every
+    world's counts by its probability, the plain dense fill."""
+    logw = counts.rows @ theta
+    shift = logw.max()
+    w = np.take(np.exp(logw - shift), counts.inverse)
+    z = w.sum()
+    p = np.divide(w, z, out=w)
+    expected = p @ counts.worlds
+
+    def covariance():
+        weighted = np.multiply(counts.worlds, p[:, None], out=buf)
+        return weighted.T @ counts.worlds - np.outer(expected, expected)
+
+    return shift + math.log(z), expected, covariance
+
+
+JACOBIANS = {
+    "plain": LearnConfig(),
+    "da": LearnConfig(da=True),
+    "tied": LearnConfig(tie_split_weights=True),
+    "da_tied": LearnConfig(da=True, tie_split_weights=True),
+}
+
+
+class TestRowGatherOperand:
+    """The Hessian operand is gathered from per-row probability-weighted
+    counts, which equals the world-by-world product only while every table's
+    worlds are its rows gathered by ``inverse``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 3),
+        ternary=st.booleans(),
+        jacobian=st.sampled_from(sorted(JACOBIANS)),
+    )
+    def test_projected_tables_match_their_dense_objective_bit_for_bit(
+        self, seed, n, ternary, jacobian
+    ):
+        rng = np.random.default_rng(seed)
+        model = normalize_distinct(random_raw_model(rng, include_ternary_clause=ternary))
+        spec = DomainSpec({model.signature.types[0][0]: n})
+        _, jac = _parameter_map(model, spec, JACOBIANS[jacobian])
+        counts = _counts_for(model, AtomIndex(model.signature, spec), LEARN_MAX_ATOMS)
+        projected = counts.project(jac)
+        assert np.array_equal(projected.rows[projected.inverse], projected.worlds)
+        data_counts = projected.worlds[int(rng.integers(0, projected.worlds.shape[0]))]
+        theta = rng.uniform(-2.0, 2.0, size=jac.shape[1])
+        buf = np.empty_like(projected.worlds)
+        value, grad, hessian_at = _nll_grad_hessian(projected, data_counts, theta, buf)
+        want_value, want_grad, want_hessian = dense_nll_grad_hessian(
+            projected.worlds, data_counts, theta
+        )
+        assert value == want_value
+        assert np.array_equal(grad, want_grad)
+        assert np.array_equal(hessian_at(), want_hessian)
+
+    def test_every_table_holds_its_rows_gathered(self, monkeypatch):
+        tables = []
+        cached, project = learning._counts_cached, _Counts.project
+
+        def recorded(method):
+            def wrapper(*args):
+                tables.append(method(*args))
+                return tables[-1]
+
+            return wrapper
+
+        monkeypatch.setattr(learning, "_counts_cached", recorded(cached))
+        monkeypatch.setattr(_Counts, "project", recorded(project))
+        cached.cache_clear()
+        learning._fit.cache_clear()  # fits must run, so that they project
+        for text in (FRIENDS_SMOKERS_MLN, TEN_CLAUSE_TEXT):
+            model = normalize_distinct(parse_mln(text))
+            spec = DomainSpec({model.signature.types[0][0]: 2})
+            data = World(AtomIndex(model.signature, spec), 5)
+            for config in (*JACOBIANS.values(), LearnConfig(regularizer="l1", lam=0.3)):
+                learn(model, spec, data, config)
+        kinds = {(t.rows.shape[1], t.worlds.shape[0]) for t in tables}
+        assert len(tables) >= 8 and len(kinds) >= 4
+        for table in tables:
+            assert np.array_equal(table.rows[table.inverse], table.worlds)
+
+    @pytest.mark.parametrize(
+        "inverse",
+        [
+            np.arange(15) % 5,  # one world short
+            np.append(np.arange(15) % 5, -1),
+            np.append(np.arange(15) % 5, 5),  # the first padding row
+            np.append(np.arange(15) % 5, 8),  # past every row
+        ],
+        ids=["short", "negative", "padding", "past_the_rows"],
+    )
+    def test_an_inverse_outside_the_distinct_rows_is_rejected(self, inverse):
+        rows = np.arange(40, dtype=np.float64).reshape(8, 5)
+        log_mult = np.log(np.array([4, 3, 3, 3, 3, 1, 1, 1], dtype=np.float64))
+        log_mult[5:] = -np.inf
+        worlds = rows[np.append(np.arange(15) % 5, 0)]
+        assert _Counts(worlds, rows, log_mult, np.append(np.arange(15) % 5, 0)).inverse.size == 16
+        with pytest.raises(ValueError, match="inverse"):
+            _Counts(worlds, rows, log_mult, inverse)
+
+    def test_an_experiment_equals_one_with_the_multiplied_operand(self, monkeypatch):
+        from mlnexact.experiment import ExperimentConfig, rows_to_csv, run_experiment
+
+        cfg = ExperimentConfig(train_sets=1, target_sizes=(3,), target_replicates=2, seed=7)
+        calls = []
+
+        def run():
+            learning._fit.cache_clear()
+            learning._counts_cached.cache_clear()
+            rows, models = run_experiment(cfg)
+            weights = {k: np.array(m.weights()).tobytes() for k, m in models.items()}
+            return rows_to_csv(rows, "t"), weights
+
+        got = run()
+        monkeypatch.setattr(
+            learning, "_moments", lambda *args: calls.append(None) or multiply_moments(*args)
+        )
+        want = run()
+        assert len(calls) > 50
+        assert got[0] == want[0]
+        assert got[1] == want[1] and len(got[1]) >= 4
+
+
 class TestZeroWeights:
     """Every fit starts at zero weights, where the objective's moments do not
     depend on the data: one evaluation in the table's memo serves every fit."""

@@ -2,6 +2,7 @@
 
     python3 tools/bench_pairs.py PARENT_DIR --workload verify_fs24 \
         --workload learn_sweep_n3 --seed 7 --pairs 10 --out BENCH_17.json
+    python3 tools/bench_pairs.py PARENT_DIR --tier1 3 --out BENCH_17.json
 
 ``--workload`` may be given more than once; the workloads then run one after
 the other, each with its own pairs, into the same file. Each pair runs
@@ -12,6 +13,13 @@ alternates, the parent first in pair 0, so drift on the host falls
 on both sides alike. Every run contributes its result line: the medians of
 ``wall_s``, ``setup_s`` and ``peak_rss_mb`` over its repetitions, and its
 ``correct``, ``attempted`` and ``failed`` counts.
+
+``--tier1 RUNS`` also runs the tier-1 test command, ``TIER1_COMMAND`` with
+``src`` put first on ``PYTHONPATH``, RUNS times in each checkout, in the same
+alternation, before any workload. Each run records its wall time and the
+counts of the suite's last line, and the block goes to the file's ``tier1``:
+the command, the run order, and per side the passed and failed counts and the
+wall times with their median.
 
 The summary goes to ``workloads[W][S]`` of the output file, which is created
 or updated in place, so several invocations fill one file and its other keys
@@ -31,15 +39,18 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
+import time
 from importlib.metadata import version
 from pathlib import Path
 
 CHECKOUT = Path(__file__).resolve().parents[1]
 METRICS = ("wall_s", "setup_s", "peak_rss_mb")
 SIDES = ("parent", "change")
+TIER1_COMMAND = "PYTHONPATH=src python -m pytest -q --continue-on-collection-errors"
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -55,6 +66,38 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0:
         raise SystemExit(f"{root}: run.py exited with {proc.returncode}\n{proc.stderr[-4000:]}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def run_tier1_once(root: Path) -> dict:
+    """One tier-1 run in the checkout at ``root``: its wall time and the
+    outcome counts of pytest's last line, such as ``{"passed": 608}``."""
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": "src" + (os.pathsep + path if path else "")}
+    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+    start = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    found = re.findall(r"(\d+) (passed|failed|error)s?\b", lines[-1] if lines else "")
+    counts = {k: int(n) for n, k in found}
+    if not counts:
+        raise SystemExit(f"{root}: no test counts in pytest's output\n{proc.stdout[-4000:]}")
+    return {"wall_s": wall, **counts}
+
+
+def tier1_summary(records: dict[str, list[dict]], first: list[str]) -> dict:
+    """The ``tier1`` block of ``records[side]``, each side's runs in order."""
+    out: dict = {"command": TIER1_COMMAND, "runs": len(first)}
+    out["order"] = [side for lead in first for side in (lead, SIDES[1 - SIDES.index(lead)])]
+    for side in SIDES:
+        walls = [round(r["wall_s"], 2) for r in records[side]]
+        out[side] = {
+            "passed": [r.get("passed", 0) for r in records[side]],
+            "failed": [r.get("failed", 0) + r.get("error", 0) for r in records[side]],
+            "wall_s": walls,
+            "median_wall_s": round(statistics.median(walls), 2),
+        }
+    return out
 
 
 def commit_of(root: Path) -> str | None:
@@ -111,25 +154,34 @@ def summarize(records: dict[str, list[dict]], first: list[str]) -> dict:
     return out
 
 
-def write_summary(path: Path, workload: str, seed: int, summary: dict, stamp: dict) -> None:
+def write_summary(path: Path, keys: tuple[str, ...], summary: dict, stamp: dict) -> None:
+    """Put ``summary`` at ``data[keys[0]][keys[1]]...`` of the file's JSON."""
     data = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
     data.update(stamp)
-    data.setdefault("workloads", {}).setdefault(workload, {})[str(seed)] = summary
+    node = data
+    for key in keys[:-1]:
+        node = node.setdefault(key, {})
+    node[keys[-1]] = summary
     path.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
 
 
-def main(argv=None, run=run_once) -> int:
+def main(argv=None, run=run_once, run_tier1=run_tier1_once) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path, help="the parent checkout")
     ap.add_argument("--change", type=Path, default=CHECKOUT, help="the change checkout")
-    ap.add_argument("--workload", action="append", required=True, help="repeatable")
+    ap.add_argument("--workload", action="append", default=[], help="repeatable")
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=40.0)
+    ap.add_argument("--tier1", type=int, default=0, metavar="RUNS", help="tier-1 runs per side")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
+    if args.tier1 < 0:
+        ap.error("--tier1 must be at least 0")
+    if not args.workload and not args.tier1:
+        ap.error("give at least one --workload, or --tier1")
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     first = first_in_pair(args.pairs)
     stamp = {
@@ -137,6 +189,15 @@ def main(argv=None, run=run_once) -> int:
         "commit": commit_of(roots["change"]),
         "host": host(),
     }
+    if args.tier1:
+        order = first_in_pair(args.tier1)
+        runs: dict[str, list[dict]] = {side: [] for side in SIDES}
+        for k, lead in enumerate(order):
+            for side in (lead, SIDES[1 - SIDES.index(lead)]):
+                runs[side].append(run_tier1(roots[side]))
+                wall = runs[side][-1]["wall_s"]
+                print(f"tier1 run {k + 1}/{args.tier1} {side}: wall_s={wall:.4g}", file=sys.stderr)
+            write_summary(args.out, ("tier1",), tier1_summary(runs, order[: k + 1]), stamp)
     for workload in args.workload:
         records: dict[str, list[dict]] = {side: [] for side in SIDES}
         for k, lead in enumerate(first):
@@ -147,7 +208,7 @@ def main(argv=None, run=run_once) -> int:
                 pair = f"{workload} pair {k + 1}/{args.pairs} {side}"
                 print(f"{pair}: wall_s={wall:.6g}", file=sys.stderr)
             summary = summarize(records, first[: k + 1])
-            write_summary(args.out, workload, args.seed, summary, stamp)
+            write_summary(args.out, ("workloads", workload, str(args.seed)), summary, stamp)
     return 0
 
 
