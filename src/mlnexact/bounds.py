@@ -208,9 +208,8 @@ def cross_weight_bounds(model: MlnModel, n: int, m: int) -> CrossBounds:
 def log_spread(model: MlnModel, n: int, m: int) -> float:
     """Log ratio of the cross-bound extrema products; 0 iff the sandwich is tight.
 
-    With an empty half no tuple straddles the split: every exponent is zero,
-    and so is the spread. The extrema are then not computed, but the model
-    and the sizes are checked as ``cross_weight_bounds`` checks them.
+    With an empty half every exponent is zero, so the extrema are skipped
+    after the checks that ``cross_weight_bounds`` makes.
     """
     if n != 0 and m != 0:
         return cross_weight_bounds(model, n, m).log_spread
