@@ -88,7 +88,7 @@ def run_tier1_once(root: Path) -> dict:
 def tier1_summary(records: dict[str, list[dict]], first: list[str]) -> dict:
     """The ``tier1`` block of ``records[side]``, each side's runs in order."""
     out: dict = {"command": TIER1_COMMAND, "runs": len(first)}
-    out["order"] = [side for lead in first for side in (lead, SIDES[1 - SIDES.index(lead)])]
+    out["order"] = [side for lead in first for side in pair_order(lead)]
     for side in SIDES:
         walls = [round(r["wall_s"], 2) for r in records[side]]
         out[side] = {
@@ -120,6 +120,11 @@ def host() -> str:
 
 def first_in_pair(pairs: int) -> list[str]:
     return [SIDES[k % 2] for k in range(pairs)]
+
+
+def pair_order(lead: str) -> tuple[str, str]:
+    """The sides of one pair in the order they run."""
+    return lead, SIDES[1 - SIDES.index(lead)]
 
 
 def _quartiles(values: list[float]) -> dict:
@@ -193,7 +198,7 @@ def main(argv=None, run=run_once, run_tier1=run_tier1_once) -> int:
         order = first_in_pair(args.tier1)
         runs: dict[str, list[dict]] = {side: [] for side in SIDES}
         for k, lead in enumerate(order):
-            for side in (lead, SIDES[1 - SIDES.index(lead)]):
+            for side in pair_order(lead):
                 runs[side].append(run_tier1(roots[side]))
                 wall = runs[side][-1]["wall_s"]
                 print(f"tier1 run {k + 1}/{args.tier1} {side}: wall_s={wall:.4g}", file=sys.stderr)
@@ -201,7 +206,7 @@ def main(argv=None, run=run_once, run_tier1=run_tier1_once) -> int:
     for workload in args.workload:
         records: dict[str, list[dict]] = {side: [] for side in SIDES}
         for k, lead in enumerate(first):
-            for side in (lead, SIDES[1 - SIDES.index(lead)]):
+            for side in pair_order(lead):
                 record = run(roots[side], workload, args.seed, args.seconds)
                 records[side].append(record)
                 wall = record["metrics"]["wall_s"]["value"]
