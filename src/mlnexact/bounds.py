@@ -17,39 +17,39 @@ the *log spread*), and verifies by full enumeration that:
 
 ``verify_all`` builds all five records, plus the KL divergence itself, in
 place from one exhaustive pass over the (n+m)-worlds, ``_split_context``. The
-pass runs on a relaid copy of the grounding table: front-half atoms in the low
-F bits, back-half atoms in the next B bits, straddling atoms above, so a
-world's two restriction codes are the bit fields ``world & (2^F - 1)`` and
-``(world >> F) & (2^B - 1)``. It reads the log weights of
-``GroundingTable.pair_log_weights``: one per (low key, shared code) pair and
-block, where world ``start + i`` takes the value of pair ``inverse[i]``.
+pass runs on a relaid copy of the grounding table laid out by
+``model._split_runs``, with the split the front-half atoms then the back-half
+atoms: a world's split code packs its F front bits, then its B back bits, so
+its two restriction codes are the bit fields ``code & (2^F - 1)`` and ``(code
+>> F) & (2^B - 1)``. The split bits take a block's low bits, as many as fit,
+the C straddling atoms the next bits, and the split bits that did not fit the
+top bits. So the blocks come in runs of 2^C consecutive blocks that share
+their top bits, and offset ``i`` of every block of a run has the split code
+``code | i``. While F+B is at most log2(``DEFAULT_CHUNK``), which holds for
+every smokers split up to n+m=4 but 4|0 and 0|4, all blocks are one run of
+code 0. Each run reads the log weights of ``GroundingTable.pair_log_weights``:
+one per (low key, shared code) pair and block, where offset ``i`` takes the
+value of pair ``inverse[i]``.
 
 The sandwich's base, the sum of a world's two restriction weights, is read
-from an outer sum of the two halves' log weights over its low F+B bits.
-While F+B is at most log2(``DEFAULT_CHUNK``), which holds for every smokers
-split up to n+m=4, the base depends only on a world's offset ``i`` in the
-block, and so does its front bucket. The pass then reduces across blocks per
+from an outer sum of the two halves' log weights over the split codes a tile
+covers. Within a run, the base depends only on a world's offset in the block,
+and so does its front bucket. So the pass reduces across a run's blocks per
 pair: each pair keeps the max and min of its log weight, with the first
-block start at which each is reached, and a running log-sum-exp. A final
-pass over the block's offsets, one tile of ``model.DEFAULT_TILE`` offsets
-(128 KB of float64) at a time, gathers the pair max and min to the tile and
-computes the upper slack from the max and the lower slack from the min
-against the tile's base. These are the same floats as the per-world minima,
-because subtracting from a fixed base is monotone. The running minima are
-strict and the tiles go in offset order, so a slack's witness is the lowest
-offset attaining its minimum, in the first block where that offset's pair
-reaches its extreme. The front buckets fold every offset's log-sum-exp with
+block start at which each is reached, and a running log-sum-exp. A final pass
+over the block's offsets, one tile of ``model.DEFAULT_TILE`` offsets (128 KB
+of float64) at a time, gathers the pair max and min to the tile and computes
+the upper slack from the max and the lower slack from the min against the
+tile's base. These are the same floats as the per-world minima, because
+subtracting from a fixed base is monotone. The running minima are strict and
+the runs and their tiles go in order, so a slack's witness is the lowest
+offset attaining its minimum in the first run that attains it, in the first
+block of that run where the offset's pair reaches its extreme. The run's
+front buckets fold every offset's log-sum-exp with
 ``model._fold_pair_buckets``, which ``model.marginal_log_probs`` shares: an
 exact per-bucket max, then a running sum in offset order, so neither result
-depends on the tile.
-
-Past that, the pass folds every block's worlds, ``per_world`` of the pair log
-weights, into the buckets and the two sandwich minima, and slices the base
-anew only when a block's low F+B bits change. A slack's witness is then the
-first world attaining it, in world order. This per-world pass, like
-``chunk_counts`` and ``chunk_log_weights``, holds whole blocks by design and
-is not tiled; no smokers split up to n+m=4 reaches it. Witnesses are mapped
-back to ``AtomIndex`` order at the end.
+depends on the tile. The first run to reach a bucket writes it, and later runs
+add to it. Witnesses are mapped back to ``AtomIndex`` order at the end.
 """
 
 from __future__ import annotations
@@ -64,11 +64,11 @@ import numpy as np
 from .logic import MlnModel, arity_partition, normalize_distinct
 from .model import (
     DEFAULT_MAX_ATOMS,
-    _fold_front_buckets,
     _fold_pair_buckets,
     _logsumexp,
     _pair_extremes,
     _single_type,
+    _split_runs,
     _table,
     _tiles,
     dense_log_weights,
@@ -242,56 +242,37 @@ def _split_context(model: MlnModel, n: int, m: int, *, max_atoms: int = DEFAULT_
     lw_m = dense_log_weights(model, sub_m)
     cross = cross_weight_bounds(model, n, m)
 
-    gt, order = _table(model.formulas(), index).relaid(pos_n, pos_m)
-    stream = gt.pair_log_weights(model.weights())
-    split_mask = lw_n.shape[0] * lw_m.shape[0] - 1  # the low F+B bits
+    split = np.concatenate([pos_n, pos_m])
+    order, runs = _split_runs(_table(model.formulas(), index), split, model.weights())
+    split_mask = lw_n.shape[0] * lw_m.shape[0] - 1  # the F+B split bits
+    bucket_logs = np.empty(lw_n.shape[0])
     worst = [math.inf, math.inf]  # upper, lower
     witness = [0, 0]
 
-    def keep_minima(start: int, slacks, pair_starts=None) -> None:
-        """Fold the upper and lower slacks of the block that starts at
-        ``start`` into the running minima. With ``pair_starts``, the slacks
-        are per-pair minima over all blocks at the block offsets from
-        ``start`` on, one tile of them, and ``pair_starts[k][p]`` is the start
-        of the block in which pair ``p`` attains slack ``k``. The minima are
-        strict, so the first offset attaining one keeps it."""
-        for k, slack in enumerate(slacks):
-            i = int(np.argmin(slack))
-            if float(slack[i]) < worst[k]:
-                worst[k] = float(slack[i])
-                at = 0 if pair_starts is None else int(pair_starts[k][stream.pair_of(start + i)])
-                witness[k] = at + start + i
-
-    def base_of(start: int, n_worlds: int) -> np.ndarray:
-        """The base of the worlds ``start .. start + n_worlds - 1``: the outer
-        sum of the back and front log weights they read, back code major,
-        tiled when the block is longer than the F+B bits."""
+    def base_of(code: int, n_worlds: int) -> np.ndarray:
+        """The base of the split codes ``code .. code + n_worlds - 1``, taken
+        mod 2^(F+B): the outer sum of the back and front log weights they
+        read, back code major, repeated when ``n_worlds`` exceeds 2^(F+B)."""
         fronts = min(n_worlds, lw_n.shape[0])
         backs = min(n_worlds // fronts, lw_m.shape[0])
-        f0, b0 = start & (lw_n.shape[0] - 1), (start & split_mask) >> sub_n.n_atoms
+        f0, b0 = code & (lw_n.shape[0] - 1), (code & split_mask) >> sub_n.n_atoms
         base = np.add.outer(lw_m[b0 : b0 + backs], lw_n[f0 : f0 + fronts]).reshape(-1)
         return base if base.shape[0] == n_worlds else np.tile(base, n_worlds // base.shape[0])
 
-    if split_mask < stream.n_worlds:  # the F+B restriction bits lie in a block's low bits
-        lse, hi, hi_at, lo, lo_at = _pair_extremes(stream)
-        bucket_logs = _fold_pair_buckets(stream, lse, lw_n.shape[0])
-        for start, stop in _tiles(stream.n_worlds):
-            base = base_of(start, stop - start)
-            up = base + cross.log_m_max - stream.per_world(hi, start, stop)
-            down = stream.per_world(lo, start, stop) - base - cross.log_m_min
-            keep_minima(start, (up, down), (hi_at, lo_at))
-    else:
-        bucket_logs = np.full(lw_n.shape[0], -np.inf)
-        base_at = None
-        for start, pair_lw in stream.blocks:
-            lw = stream.per_world(pair_lw)
-            _fold_front_buckets(bucket_logs, start, lw)
-            if start & split_mask != base_at:  # the base reads only the low F+B bits
-                base_at = start & split_mask
-                base = base_of(start, lw.shape[0])
-                base_up = base + cross.log_m_max
-            keep_minima(start, (base_up - lw, lw - base - cross.log_m_min))
-            del lw  # freed before the next block is counted
+    for code, run in runs:
+        lse, hi, hi_at, lo, lo_at = _pair_extremes(run)
+        _fold_pair_buckets(run, lse, code, bucket_logs)
+        for start, stop in _tiles(run.n_worlds):
+            base = base_of(code | start, stop - start)
+            up = base + cross.log_m_max - run.per_world(hi, start, stop)
+            down = run.per_world(lo, start, stop) - base - cross.log_m_min
+            # The minima are strict, so the first offset attaining one keeps it,
+            # in the first block where its pair reaches its extreme.
+            for k, (slack, pair_starts) in enumerate(((up, hi_at), (down, lo_at))):
+                i = int(np.argmin(slack))
+                if float(slack[i]) < worst[k]:
+                    worst[k] = float(slack[i])
+                    witness[k] = int(pair_starts[run.pair_of(start + i)]) + start + i
 
     def _index_bits(relaid_bits: int) -> int:
         return sum(1 << int(p) for j, p in enumerate(order) if relaid_bits >> j & 1)
@@ -322,7 +303,10 @@ def verify_all(
     tol: float = DEFAULT_TOL,
     max_atoms: int = DEFAULT_MAX_ATOMS,
 ) -> BoundsReport:
-    """Run every bound check on one shared enumeration pass."""
+    """Run every bound check on one shared enumeration pass. ``tol`` must be
+    finite and at least 0."""
+    if not 0 <= tol < math.inf:  # NaN fails too
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     index, cross, lw_n, lw_m, bucket_logs, w_up, w_lo, up_witness, lo_witness = _split_context(
         model, n, m, max_atoms=max_atoms
     )

@@ -59,17 +59,18 @@ from ``_distinct_counts``, which dedupes the pair keys of all blocks at once
 in the same way; the key format stays inside this module.
 
 Restriction marginals make one pass over every world against a split-aware
-copy of the grounding table: the front-half atoms take the low F bits, in the
-front sub-index's order, so a world's restriction code is ``world & (2^F - 1)``.
-While F is at most log2(DEFAULT_CHUNK), a world's bucket is fixed by its
-offset in the block, so each pair's log-sum-exp over all blocks is computed
-first and folded into the buckets once, tile by tile
-(``_fold_pair_buckets``). Otherwise every block's worlds are folded: worlds
-and chunks are powers of two, so a chunk's log weights reshape to rows of
-front buckets (or one slice of them) and fold into a 2^F log-space
-accumulator (``_fold_front_buckets``). The bound suite folds its pass
-through the same two helpers. The public ``AtomIndex`` order is unchanged.
-The factorization checks gather restriction codes with ``bit_codes``.
+copy of the grounding table laid out by ``_split_runs``: the front-half atoms,
+in the front sub-index's order, take a block's low bits, as many as fit, the
+other atoms the next bits, and the front atoms that did not fit the top bits.
+So blocks come in runs that share their top bits, within which a world's
+bucket, its front code, depends only on its offset in the block. Each run
+reduces per pair across its blocks with ``_pair_extremes``, and its pairs'
+log-sum-exps are folded into the buckets once, tile by tile
+(``_fold_pair_buckets``): every bucket when they fit in a block, one
+block-wide slice of them otherwise. The bound suite runs its pass through the
+same three helpers, with the back-half atoms after the front. The public
+``AtomIndex`` order is unchanged. The factorization checks gather restriction
+codes with ``bit_codes``.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ import copy
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -803,42 +804,27 @@ def log_probability(model: MlnModel, world: World) -> float:
     return log_weight(model, world) - log_partition(model, index=world.index)
 
 
-def _fold_front_buckets(acc: np.ndarray, start: int, lw: np.ndarray) -> None:
-    """Fold one chunk's log weights into the per-front-world log-sum-exp ``acc``.
+def _fold_pair_buckets(run: PairStream, lse: np.ndarray, code: int, buckets: np.ndarray) -> None:
+    """Fold one run's per-pair log-sum-exp into the front buckets, one tile at a time.
 
-    The chunk holds the consecutive relaid worlds ``start .. start + len(lw) - 1``
-    and the front bucket of a world is ``world & (len(acc) - 1)``. Both lengths
-    are powers of two and chunks are aligned to their length, so the chunk is
-    either whole rows of every bucket or one contiguous slice of them.
+    Offset ``i`` of the run's blocks takes the value ``lse`` of its pair, its
+    log-sum-exp over the run, and falls in bucket ``(code | i) & (len(buckets)
+    - 1)``: every bucket while they fit in a block, one block-wide slice of
+    them otherwise. A first pass over the tiles takes each bucket's max,
+    which is exact; a second adds each offset's ``exp(value - max)`` into its
+    bucket's sum in offset order, so the fold does not depend on the tile.
+    Runs come in code order, so the first run to reach a bucket is the one
+    whose code is below ``len(buckets)``: it writes the bucket, and later runs
+    add to it with ``np.logaddexp``.
     """
-    width = min(acc.shape[0], lw.shape[0])
-    rows = lw.reshape(-1, width)
-    shift = rows.max(axis=0)
-    chunk_logs = shift + np.log(np.exp(rows - shift).sum(axis=0))
-    at = start % acc.shape[0]
-    np.logaddexp(acc[at : at + width], chunk_logs, out=acc[at : at + width])
-
-
-def _fold_pair_buckets(stream: PairStream, lse: np.ndarray, n_buckets: int) -> np.ndarray:
-    """The per-front-bucket log-sum-exp of a per-pair pass, one tile at a time.
-
-    Offset ``i`` of a block takes the value ``lse`` of its pair, its
-    log-sum-exp over all blocks, and falls in bucket ``i & (n_buckets - 1)``;
-    ``n_buckets`` is a power of two no larger than the block. A first pass
-    over the tiles takes each bucket's max, which is exact; a second adds
-    each offset's ``exp(value - max)`` into its bucket's sum in offset order.
-    So the result does not depend on the tile. It is also the one
-    ``_fold_front_buckets`` gives for the whole block, because numpy 2.4.6's
-    column sums add the rows in order, except over a single bucket, whose
-    one column it sums pairwise.
-    """
+    n_buckets = min(buckets.shape[0], run.n_worlds)
 
     def tiles() -> Iterator[tuple[slice, np.ndarray]]:
         """Each tile's buckets and its values as rows over them."""
-        for lo, hi in _tiles(stream.n_worlds):
+        for lo, hi in _tiles(run.n_worlds):
             at = lo % n_buckets
             cols = slice(at, at + min(hi - lo, n_buckets))
-            yield cols, stream.per_world(lse, lo, hi).reshape(-1, cols.stop - at)
+            yield cols, run.per_world(lse, lo, hi).reshape(-1, cols.stop - at)
 
     shift = np.full(n_buckets, -np.inf)
     for cols, rows in tiles():
@@ -848,19 +834,24 @@ def _fold_pair_buckets(stream: PairStream, lse: np.ndarray, n_buckets: int) -> n
         terms = np.exp(rows - shift[cols])
         terms[0] += total[cols]
         total[cols] = np.add.accumulate(terms, axis=0, out=terms)[-1]
-    return shift + np.log(total)
+    at = code & (buckets.shape[0] - 1)
+    out = buckets[at : at + n_buckets]
+    if code < buckets.shape[0]:
+        np.add(shift, np.log(total), out=out)
+    else:
+        np.logaddexp(out, shift + np.log(total), out=out)
 
 
-def _pair_extremes(stream: PairStream) -> tuple[np.ndarray, ...]:
+def _pair_extremes(run: PairStream) -> tuple[np.ndarray, ...]:
     """``(lse, hi, hi_at, lo, lo_at)`` of a log-weight ``PairStream``, per
-    pair over every block: the log-sum-exp of its log weights, their max and
+    pair over its blocks: the log-sum-exp of its log weights, their max and
     min, and the first block start at which each extreme is reached."""
-    for start, lw in stream.blocks:
-        if start == 0:
-            lse, hi, lo = lw.copy(), lw.copy(), lw
-            hi_at = np.zeros(lw.shape[0], dtype=np.int64)
-            lo_at = np.zeros(lw.shape[0], dtype=np.int64)
-            continue
+    blocks = iter(run.blocks)
+    start, lw = next(blocks)
+    lse, hi, lo = lw.copy(), lw.copy(), lw
+    hi_at = np.full(lw.shape[0], start, dtype=np.int64)
+    lo_at = hi_at.copy()
+    for start, lw in blocks:
         np.logaddexp(lse, lw, out=lse)
         for extreme, at, better in ((hi, hi_at, lw > hi), (lo, lo_at, lw < lo)):
             np.copyto(extreme, lw, where=better)
@@ -868,32 +859,57 @@ def _pair_extremes(stream: PairStream) -> tuple[np.ndarray, ...]:
     return lse, hi, hi_at, lo, lo_at
 
 
+def _split_runs(
+    gt: GroundingTable, split: np.ndarray, weights: Sequence[float]
+) -> tuple[np.ndarray, Iterator[tuple[int, PairStream]]]:
+    """The layout of a split pass over ``gt`` and its log weights, run by run.
+
+    The split positions take a block's low bits, as many as fit, the other
+    atoms the next bits, and the split positions that did not fit the top
+    bits. So the blocks come in runs of consecutive blocks that share their
+    top bits, and offset ``i`` of every block of a run has the split code
+    ``code | i``, where ``code`` is the run's top bits shifted past a block's
+    bits. While the split fits in a block, all blocks are one run of code 0,
+    the split code is the low bits of the offset, and the layout is that of
+    ``relaid(split)``. Returns ``(order, runs)``: the layout's order, and per
+    run, in start order, its code and the relaid table's
+    ``pair_log_weights`` over its blocks. Each run must be drained before the
+    next is read.
+    """
+    n_bits = min(DEFAULT_CHUNK.bit_length() - 1, gt.index.n_atoms)
+    other = np.ones(gt.index.n_atoms, dtype=bool)
+    other[split] = False
+    relaid, order = gt.relaid(split[:n_bits], np.flatnonzero(other), split[n_bits:])
+    stream = relaid.pair_log_weights(weights)
+    n_runs = 1 << max(0, split.shape[0] - n_bits)
+    per_run = (1 << gt.index.n_atoms) // stream.n_worlds // n_runs
+    runs = (
+        (r << n_bits, replace(stream, blocks=islice(stream.blocks, per_run)))
+        for r in range(n_runs)
+    )
+    return order, runs
+
+
 def marginal_log_probs(model: MlnModel, spec: DomainSpec) -> tuple[AtomIndex, np.ndarray]:
     """Log marginal probability of every front-half world under the split spec.
 
-    One pass over the full enumeration, with the front-half atoms in the low
-    bits, folds log-sum-exp per restriction bucket; entry ``b`` of the result
-    is the log probability that a full-domain world restricts to the
-    front-half world with bit vector ``b``. While the front-half bits lie in a
-    block's low bits, a world's bucket depends only on its offset in the
-    block, so each pair's log-sum-exp over the blocks is folded once by
-    ``_fold_pair_buckets``, one tile of offsets at a time; otherwise every
-    block's worlds are folded.
+    One pass over the full enumeration, laid out by ``_split_runs`` with the
+    front-half atoms as the split, folds log-sum-exp per restriction bucket;
+    entry ``b`` of the result is the log probability that a full-domain world
+    restricts to the front-half world with bit vector ``b``. Within a run a
+    world's bucket depends only on its offset in the block, so each pair's
+    log-sum-exp over the run is folded once by ``_fold_pair_buckets``, one
+    tile of offsets at a time.
     """
     index = AtomIndex(model.signature, spec)
     _guard(index.n_atoms, DEFAULT_MAX_ATOMS)
     front, _ = split_subsets(spec)
     sub_index, positions = restriction_positions(index, front)
     _guard(sub_index.n_atoms, DEFAULT_DENSE_MAX_ATOMS)
-    gt, _ = _table(model.formulas(), index).relaid(positions)
-    n_buckets = 1 << sub_index.n_atoms
-    stream = gt.pair_log_weights(model.weights())
-    if n_buckets <= stream.n_worlds:
-        bucket_logs = _fold_pair_buckets(stream, _pair_extremes(stream)[0], n_buckets)
-    else:
-        bucket_logs = np.full(n_buckets, -np.inf)
-        for start, lw in stream.blocks:
-            _fold_front_buckets(bucket_logs, start, stream.per_world(lw))
+    _, runs = _split_runs(_table(model.formulas(), index), positions, model.weights())
+    bucket_logs = np.empty(1 << sub_index.n_atoms)
+    for code, run in runs:
+        _fold_pair_buckets(run, _pair_extremes(run)[0], code, bucket_logs)
     return sub_index, bucket_logs - _logsumexp(bucket_logs)
 
 

@@ -313,6 +313,11 @@ class TestVerifyAll:
         assert report.kl <= TOL
         assert report.cross.log_spread > 0
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -0.5])
+    def test_a_tol_that_is_not_finite_and_nonnegative_names_tol(self, example2_model, tol):
+        with pytest.raises(ValueError, match="tol"):
+            verify_all(example2_model, 2, 1, tol=tol)
+
 
 def _lse(v: np.ndarray) -> float:
     shift = float(v.max())
@@ -407,20 +412,23 @@ class TestSplitPassOracle:
 
     def test_shrunken_chunks_match_dense_oracle(self):
         # Blocks of 2^2..2^5 worlds put groundings on both sides of the
-        # low/high boundary of GroundingTable.pair_counts. The bound pass
-        # reduces per pair while the F+B restriction bits lie in a block's low
-        # bits, and per world past them; the draws must reach both regimes
-        # over several blocks.
-        regimes = set()
+        # low/high boundary of GroundingTable.pair_counts. Each pass reduces
+        # per pair over runs of blocks that share their split bits: one run
+        # while the split bits lie in a block's low bits, 2^(bits past them)
+        # runs otherwise. The draws must reach one run and several runs over
+        # several blocks; an empty half gives runs of one block each.
+        runs = set()
 
         @settings(max_examples=20, deadline=None)
         @given(
             seed=st.integers(0, 2**32 - 1),
-            split=st.sampled_from([(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1)]),
+            split=st.sampled_from(
+                [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1), (0, 3), (3, 0), (0, 2), (2, 0)]
+            ),
             ternary=st.booleans(),
             chunk_bits=st.integers(2, 5),
         )
-        # G=20 at blocks of 2^13: F+B = 12 bits reduce per pair, 14 per world.
+        # G=20 at blocks of 2^13: F+B = 12 bits are one run, 14 bits are 2^1 runs.
         @example(seed=0, split=(2, 2), ternary=False, chunk_bits=2)
         @example(seed=0, split=(3, 1), ternary=False, chunk_bits=2)
         def check(seed, split, ternary, chunk_bits):
@@ -453,10 +461,11 @@ class TestSplitPassOracle:
                 _, marginal = marginal_log_probs(model, oracle["spec"])
                 _histogram.cache_clear()
                 hist = count_histogram(model, index)
-            assert per_pair.called is (1 << split_bits <= n_worlds)
-            assert marginal_per_pair.called is (1 << len(oracle["pos"][0]) <= n_worlds)
+            block_bits = n_worlds.bit_length() - 1
+            assert per_pair.call_count == 1 << max(0, split_bits - block_bits)
+            assert marginal_per_pair.call_count == 1 << max(0, len(oracle["pos"][0]) - block_bits)
             if blocks > 1:
-                regimes.add(per_pair.called)
+                runs.add(per_pair.call_count > 1)
             _assert_matches_oracle(report, marginal, oracle)
             assert count_histogram(model, index) is hist
             assert abs(log_partition(model, index=index) - oracle["log_z"]) <= 1e-9
@@ -467,27 +476,29 @@ class TestSplitPassOracle:
             assert abs(lo_at - sandwich["lower_slack"]) <= 1e-9
 
         check()
-        assert regimes == {True, False}
+        assert runs == {True, False}
 
     def test_tiles_keep_every_bit(self):
-        # The per-pair regime gathers its per-offset values one tile of
-        # DEFAULT_TILE offsets at a time. Tiles of 2^2..2^6 offsets must give
-        # the records (witnesses included), the KL and the marginal of one
-        # tile per block, under ==: with the front buckets wider and no wider
-        # than a tile, over several tiles and blocks, and past the per-pair
-        # regime, where only the marginal may run per pair.
+        # Each run gathers its per-offset values one tile of DEFAULT_TILE
+        # offsets at a time. Tiles of 2^2..2^6 offsets must give the records
+        # (witnesses included), the KL and the marginal of one tile per block,
+        # under ==: with the front buckets wider and no wider than a tile, over
+        # several tiles and blocks, in one run and in several runs, where the
+        # marginal may still be one run.
         reached = set()
 
         @settings(max_examples=20, deadline=None)
         @given(
             seed=st.integers(0, 2**32 - 1),
-            split=st.sampled_from([(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1)]),
+            split=st.sampled_from(
+                [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1), (0, 3), (3, 0), (0, 2), (2, 0)]
+            ),
             ternary=st.booleans(),
             chunk_bits=st.integers(4, 10),
             tile_bits=st.integers(2, 6),
         )
-        # G=12: F=6, B=2 and F=2, B=6 per pair in blocks of 2^8; F+B=8 per
-        # world in blocks of 2^6, where the marginal's F=2 runs per pair.
+        # G=12: F=6, B=2 and F=2, B=6 are one run in blocks of 2^8; F+B=8 is
+        # 2^2 runs in blocks of 2^6, where the marginal's F=2 is one run.
         @example(seed=0, split=(2, 1), ternary=False, chunk_bits=8, tile_bits=4)
         @example(seed=0, split=(1, 2), ternary=False, chunk_bits=8, tile_bits=5)
         @example(seed=0, split=(1, 2), ternary=False, chunk_bits=6, tile_bits=3)
@@ -520,8 +531,8 @@ class TestSplitPassOracle:
             assert tiled.kl == whole.kl
             assert tiled_marginal.tobytes() == whole_marginal.tobytes()
             if 1 << tile_bits < n_worlds < 1 << index.n_atoms:
-                per_pair = 1 << split_bits <= n_worlds
-                reached.add((per_pair, per_pair and front_bits > tile_bits))
+                one_run = 1 << split_bits <= n_worlds
+                reached.add((one_run, one_run and front_bits > tile_bits))
 
         check()
         assert reached == {(True, True), (True, False), (False, False)}

@@ -73,6 +73,13 @@ class TestVerify:
     def test_missing_file_exits_two(self, capsys):
         assert main(["verify", "--mln", "no_such.mln", "--n", "2", "--m", "1"]) == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-0.5"])
+    def test_a_tol_that_is_not_finite_and_nonnegative_exits_two(self, tol, unary_path, capsys):
+        argv = ["verify", "--mln", unary_path, "--n", "2", "--m", "1", "--tol", tol]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "tol" in captured.err and "FAIL" not in captured.out and "PASS" not in captured.out
+
     def test_max_atoms_above_the_hard_cap_exits_two(self, unary_path, capsys):
         argv = ["verify", "--mln", unary_path, "--n", "2", "--m", "1", "--max-atoms", "60"]
         with pytest.raises(SystemExit) as exc:

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mlnexact import bounds, learning
@@ -17,6 +17,7 @@ from mlnexact.model import (
     DaScaling,
     GroundingTable,
     apply_da_scaling,
+    bit_codes,
     count_histogram,
     count_true_groundings,
     da_scale_factors,
@@ -1227,6 +1228,66 @@ class TestMarginal:
             log_marginal(model, spec, World(wrong_index, 0))
         sub_index, logs = marginal_log_probs(model, spec)
         assert log_marginal(model, spec, World(sub_index, 3)) == pytest.approx(logs[3])
+
+
+class TestSplitRuns:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        split=st.sampled_from(
+            [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1), (0, 3), (3, 0), (0, 2), (2, 0)]
+        ),
+        ternary=st.booleans(),
+        chunk_bits=st.integers(2, 8),
+        front_only=st.booleans(),
+    )
+    # G=20 at blocks of 2^13: F+B=14 gives 2 runs of 2^6 blocks, F=12 one run.
+    @example(seed=0, split=(3, 1), ternary=False, chunk_bits=2, front_only=False)
+    @example(seed=0, split=(3, 1), ternary=False, chunk_bits=2, front_only=True)
+    # G=12 at blocks of 2^5, all split bits: 2^7 runs of one block.
+    @example(seed=0, split=(3, 0), ternary=False, chunk_bits=2, front_only=False)
+    def test_every_block_of_a_run_reads_its_split_code_at_each_offset(
+        self, seed, split, ternary, chunk_bits, front_only
+    ):
+        # A split pass reduces per pair within a run, so every block of run g
+        # must hold split code ``code | offset`` at each offset: 2^top runs of
+        # 2^C blocks, top the split bits past a block's and C the other atoms.
+        model = normalize_distinct(
+            random_raw_model(np.random.default_rng(seed), include_ternary_clause=ternary)
+        )
+        tau = model.signature.types[0][0]
+        spec = DomainSpec({tau: sum(split)}, split_type=tau, split_at=split[0])
+        index = AtomIndex(model.signature, spec)
+        halves = [restriction_positions(index, h)[1] for h in split_subsets(spec)]
+        if front_only:
+            halves = halves[:1]
+        positions = np.concatenate(halves)
+        gt = GroundingTable(model.formulas(), index)
+        chunk = 1 << max(chunk_bits, index.n_atoms - 7)
+        with mock.patch.object(model_module, "DEFAULT_CHUNK", chunk):
+            order, runs = model_module._split_runs(gt, positions, model.weights())
+            codes, starts = [], []
+            for code, run in runs:
+                codes.append(code)
+                starts.append([start for start, _ in run.blocks])
+        block_bits = min(chunk.bit_length() - 1, index.n_atoms)
+        top = max(0, positions.shape[0] - block_bits)
+        other = index.n_atoms - positions.shape[0]
+        assert codes == [g << block_bits for g in range(1 << top)]
+        blocks = [s for run_starts in starts for s in run_starts]
+        assert blocks == list(range(0, 1 << index.n_atoms, 1 << block_bits))
+        assert {len(s) for s in starts} == {1 << (index.n_atoms - block_bits - top)}
+        if top:
+            assert {len(s) for s in starts} == {1 << other}
+        relaid_at = np.argsort(order)[positions]  # the relaid bit of each split position
+        offsets = np.arange(1 << block_bits)
+        for code, run_starts in zip(codes, starts):
+            for start in run_starts:
+                worlds = np.arange(start, start + offsets.shape[0], dtype=np.uint64)
+                split_code = (code | offsets) & ((1 << positions.shape[0]) - 1)
+                assert np.array_equal(bit_codes(worlds, relaid_at), split_code)
+        if not top:
+            assert order.tolist() == gt.relaid(*halves)[1].tolist()
 
 
 class TestNormalizationPreservesSemantics:

@@ -5,6 +5,12 @@ multi-line string that is not a docstring count as code. Run it from any
 directory; it counts the package of the checkout it sits in:
 
     python3 tools/code_lines.py
+
+Given another checkout, it prints that checkout's count (before), this one's
+(after) and the delta, per module and in total; a module that one side lacks
+counts 0 there:
+
+    python3 tools/code_lines.py OTHER_CHECKOUT
 """
 
 from __future__ import annotations
@@ -55,13 +61,36 @@ def code_lines(source: str) -> int:
     return count
 
 
-def main() -> int:
-    total = 0
-    for path in sorted(PACKAGE.glob("*.py")):
-        n = code_lines(path.read_text(encoding="utf-8"))
-        total += n
-        print(f"{n:6d}  {path.name}")
-    print(f"{total:6d}  total")
+def package_counts(package: Path) -> dict[str, int]:
+    """Code lines of every module of a package directory, by file name."""
+    return {
+        path.name: code_lines(path.read_text(encoding="utf-8"))
+        for path in sorted(package.glob("*.py"))
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) > 1:
+        print("usage: code_lines.py [OTHER_CHECKOUT]", file=sys.stderr)
+        return 2
+    after = package_counts(PACKAGE)
+    if not args:
+        for name, n in after.items():
+            print(f"{n:6d}  {name}")
+        print(f"{sum(after.values()):6d}  total")
+        return 0
+    other = Path(args[0]) / "src" / "mlnexact"
+    if not other.is_dir():
+        print(f"error: no package at {other}", file=sys.stderr)
+        return 2
+    before = package_counts(other)
+    names = sorted(before.keys() | after.keys())
+    rows = [(name, before.get(name, 0), after.get(name, 0)) for name in names]
+    rows.append(("total", sum(before.values()), sum(after.values())))
+    print(f"{'before':>6}  {'after':>6}  {'delta':>6}  module")
+    for name, b, a in rows:
+        print(f"{b:6d}  {a:6d}  {a - b:+6d}  {name}")
     return 0
 
 
