@@ -3,8 +3,8 @@
 Clauses are compiled once per (formula, atom index) into grounding tables:
 for every grounding, the positions of the ground atoms it touches plus a
 truth table over their joint assignments. World enumeration is then integer
-counting, and one counts kernel turns a block of worlds into true-grounding
-counts; log weights are counts @ w. Groundings are grouped by the variable-identification pattern of the
+counting, and sums of those truth tables give every world's true-grounding
+counts. Groundings are grouped by the variable-identification pattern of the
 assignment, so raw clauses (repeated constants allowed) and distinct-constant
 normalized clauses share one code path.
 
@@ -24,39 +24,36 @@ groundings' stride-scaled truth tables over every assignment of the shared
 atoms into a small table, indexed by each world's shared-atom code. So a
 world's key depends on its low bits only through the pair (low key, shared
 code): the low-bit assignments are deduped into these pairs once (332 pairs
-for the 2^18 of G=24 smokers relaid for a bound split), and each block yields
-one key per pair, with ``inverse`` giving every low world's pair.
-``chunk_counts`` is the per-world view ``keys[inverse]`` of the same stream.
-Passes that reduce across blocks per pair never look at single worlds until
-the end, and then one tile of ``DEFAULT_TILE`` offsets at a time
-(``_tiles``), as do the pair ranking and the pair multiplicities, so such a
-pass holds no 2^18-long temporary wider than the keys. The plain per-block
-kernel (``counts_matrix`` and ``log_weights`` over ``world_chunks``) is the
-tests' oracle. A single world
-(``counts_world``, ``log_weight``) is unpacked from its integer, so it may
-exceed 64 atoms, and each grounding group is counted with one gather into
-its truth table. The table memoizes the counts of the last
-``WORLD_COUNTS_MEMO`` single worlds, so scoring fixed worlds under many
-weight vectors counts each of them once.
+for the 2^18 of G=24 smokers relaid for a bound split, 44 for the 2^15 of
+G=15 smokers, which has no high groundings), and each block yields one key
+per pair, with ``inverse`` giving every low world's pair. Passes that reduce
+across blocks per pair never look at single worlds until the end, and then
+one tile of ``DEFAULT_TILE`` offsets at a time (``_tiles``), as do the pair
+ranking and the pair multiplicities, so such a pass holds no 2^18-long
+temporary wider than the keys. A single world (``counts_world``,
+``log_weight``) is unpacked from its integer, so it may exceed 64 atoms, and
+each grounding group is counted with one gather into its truth table. The
+table memoizes the counts of the last ``WORLD_COUNTS_MEMO`` single worlds, so
+scoring fixed worlds under many weight vectors counts each of them once.
 
 A world's weight depends on it only through its count vector, whose count
 key is its mixed-radix code (radix = grounding total + 1, clause 0 most
-significant). While the key span fits in one block every weighted pass works
-in key space: ``pair_log_weights`` computes the log weight of each key in
-the span once and looks every pair's up, so no pass casts a block's counts
-to float64 and multiplies them by the weights; a wider span reads the keys
-under the identity layout, the counts, gathers them to the worlds and
-multiplies those by the weights. The partition function has one path: one
-enumeration per (clause structure, atom index) collapses all 2^G worlds into
-a cached histogram of distinct count vectors with multiplicities, and log Z
-for any weight vector is a logsumexp over that histogram. The build tallies
-every block's pair keys, weighted by the pairs' world counts, with one
-bincount per block; its memory is one block of low keys plus a count table no
-longer than a block. Past a block, the build dedupes every block's pair keys
-with ``_unique_keys`` (from 2^63, several int64 words, sorted by one lexsort)
-and merges them into the running distinct keys. Learning's count table comes
-from ``_distinct_counts``, which dedupes the pair keys of all blocks at once
-in the same way; the key format stays inside this module.
+significant). A count vector's log weight has one rule, ``_log_weights``:
+its counts times the weights, summed column by column in clause order, so a
+row's value does not depend on the rows computed with it. Every weighted pass
+reads ``pair_log_weights``, one log weight per pair and block, which are the
+floats of every world of the pair: while the key span fits in one block, the
+log weight of each key in the span is computed once and every pair's is
+looked up; past it, each block decodes its pairs' keys. No pass casts a
+block's counts to float64 and multiplies them by the weights. The partition
+function has one path: one enumeration per (clause structure, atom index)
+collapses all 2^G worlds into a cached histogram of distinct count vectors
+with multiplicities, and log Z for any weight vector is a logsumexp over that
+histogram. The build merges every block's pair keys, weighted by the pairs'
+world counts, into the running distinct keys with ``_unique_keys`` (from
+2^63, several int64 words, sorted by one lexsort). Learning's count table
+comes from ``_distinct_counts``, which dedupes the pair keys of all blocks at
+once in the same way; the key format stays inside this module.
 
 Restriction marginals make one pass over every world against a split-aware
 copy of the grounding table laid out by ``_split_runs``: the front-half atoms,
@@ -211,24 +208,6 @@ def _grounded_formula(formula: Formula, index: AtomIndex) -> _GroundedFormula:
     return _GroundedFormula(const_count, groups, total)
 
 
-def _bit_columns(worlds: np.ndarray, positions) -> dict[int, np.ndarray]:
-    """Bit ``p`` of every world, one uint8 column per position."""
-    one = np.uint64(1)
-    return {p: ((worlds >> np.uint64(p)) & one).astype(np.uint8) for p in positions}
-
-
-def _row_code(bits: Mapping[int, np.ndarray], row: np.ndarray) -> np.ndarray:
-    """Truth-table code of one grounding in every world: bit j is atom ``row[j]``.
-
-    Byte-wide while a grounding touches at most 8 atoms, int64 beyond.
-    """
-    code_dtype = np.uint8 if row.shape[0] <= 8 else np.int64
-    code = bits[int(row[0])].astype(code_dtype)
-    for j in range(1, row.shape[0]):
-        code |= bits[int(row[j])].astype(code_dtype, copy=False) << j
-    return code
-
-
 def _layout(n_bits: int, reads) -> tuple[tuple[int, ...], np.ndarray]:
     """``(outer, index)`` of a truth table that reads ``(table bit, position)``
     pairs of an ``n_bits``-bit assignment: its positions at or above the
@@ -369,29 +348,31 @@ def _world_atoms(world: int, entries: Sequence[_GroundedFormula]) -> np.ndarray:
     return np.unpackbits(packed, bitorder="little")
 
 
-def _count_kernel(entries: Sequence[_GroundedFormula], worlds: np.ndarray | int) -> np.ndarray:
-    """(n_worlds, n_entries) int32 true-grounding counts: the one counts kernel.
-    ``worlds`` is a uint64 block, or one world as an integer of any width."""
-    if not isinstance(worlds, np.ndarray):
-        atoms = _world_atoms(int(worlds), entries)
-        counts = [
-            e.const_count
-            + sum(
-                int(g.table[(atoms[g.cols] << np.arange(g.cols.shape[1])).sum(1)].sum())
-                for g in e.groups
-            )
-            for e in entries
-        ]
-        return np.array([counts], dtype=np.int32)
-    used = sorted({int(p) for e in entries for g in e.groups for p in g.cols.flat})
-    n_worlds, bits = worlds.shape[0], _bit_columns(worlds, used)
-    out = np.empty((n_worlds, len(entries)), dtype=np.int32)
-    for ci, entry in enumerate(entries):
-        acc = np.full(n_worlds, entry.const_count, dtype=np.int32)
-        for g in entry.groups:
-            for row in g.cols:
-                acc += np.take(g.table, _row_code(bits, row))
-        out[:, ci] = acc
+def _count_kernel(entries: Sequence[_GroundedFormula], world: int) -> np.ndarray:
+    """(n_entries,) int32 true-grounding counts of one world, an integer of
+    any width: each grounding group is counted with one gather into its
+    truth table."""
+    atoms = _world_atoms(world, entries)
+    counts = [
+        e.const_count
+        + sum(
+            int(g.table[(atoms[g.cols] << np.arange(g.cols.shape[1])).sum(1)].sum())
+            for g in e.groups
+        )
+        for e in entries
+    ]
+    return np.array(counts, dtype=np.int32)
+
+
+def _log_weights(counts: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The log weight ``counts @ weights`` of every row of a count matrix,
+    summed column by column in clause order. Each row's value depends only
+    on that row, so any subset of rows gets the same floats as the same rows
+    of the whole matrix; a BLAS product may round a row differently with
+    the number of rows."""
+    out = np.zeros(counts.shape[0])
+    for c in range(counts.shape[1]):
+        out += counts[:, c] * weights[c]
     return out
 
 
@@ -400,23 +381,21 @@ class PairStream:
     """One pass over all worlds, one value per (low key, shared code) pair
     and block (see ``GroundingTable.pair_counts``): world ``start + i`` of
     the block that starts at ``start`` takes the value of pair
-    ``inverse[i]``."""
+    ``inverse[i]``. Every stream has this shape, at every key span."""
 
-    inverse: np.ndarray | None  # (n_worlds,) narrow; None: the pairs are the worlds
-    mult: np.ndarray | None  # (n_pairs,) int64 worlds of a block per pair; None when inverse is
+    inverse: np.ndarray  # (n_worlds,) the pair of each offset, as narrow as the pair count
+    mult: np.ndarray  # (n_pairs,) int64 worlds of a block per pair
     n_worlds: int  # worlds per block
     blocks: Iterator[tuple[int, np.ndarray]]  # (start, per-pair values), in start order
 
     def per_world(self, values: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """Per-pair values gathered to the worlds of a block, or to its offsets
         ``lo .. hi - 1``."""
-        if self.inverse is None:
-            return values[lo:hi]
         return np.take(values, self.inverse[lo:hi], axis=0)
 
     def pair_of(self, i: int) -> int:
         """The pair of the block's world at offset ``i``."""
-        return i if self.inverse is None else int(self.inverse[i])
+        return int(self.inverse[i])
 
 
 def _pairs(
@@ -479,29 +458,18 @@ class GroundingTable:
         """
         counts = self._world_counts.pop(world.bits, None)
         if counts is None:
-            counts = _count_kernel(self.entries, world.bits)[0]
+            counts = _count_kernel(self.entries, world.bits)
             counts.setflags(write=False)
             if len(self._world_counts) >= WORLD_COUNTS_MEMO:
                 del self._world_counts[next(iter(self._world_counts))]
         self._world_counts[world.bits] = counts  # most recently used last
         return counts
 
-    def counts_matrix(self, worlds: np.ndarray) -> np.ndarray:
-        """(n_worlds, n_clauses) true-grounding counts, vectorized over worlds."""
-        return _count_kernel(self.entries, worlds)
-
-    def log_weights(self, worlds: np.ndarray, weights: Sequence[float]) -> np.ndarray:
-        """Per-world log weight: the weighted sum of true-grounding counts.
-
-        The plain per-block path; whole passes read ``pair_counts`` instead.
-        """
-        return _count_kernel(self.entries, worlds) @ np.asarray(weights, dtype=np.float64)
-
     def pair_counts(self, strides: Sequence[int] | np.ndarray) -> PairStream:
         """The count keys of every block of ``world_chunks``, one per (low
         key, shared code) pair: ``stream.per_world(keys)`` of the block that
-        starts at ``start`` equals ``counts_matrix(worlds) @ strides`` of its
-        worlds, where ``strides`` is one integer per clause, giving one key
+        starts at ``start`` equals ``counts @ strides`` of its worlds' count
+        matrix, where ``strides`` is one integer per clause, giving one key
         per world, or a (clauses, words) matrix of them, giving a row of key
         words per world. Under ``np.eye`` the keys are the counts.
 
@@ -521,10 +489,9 @@ class GroundingTable:
         assignments once. A world's key thus depends on its low bits only
         through the pair ``(low[i], shared_code[i])``, and the shared codes
         are a table sum too. The pairs are deduped once, and each block
-        gathers only its pairs' keys. Without high groundings the pairs are
-        the low-bit assignments, which are the worlds of the first block, and
-        ``inverse`` is ``None``.
-        Keys take ``_count_dtype`` of the largest key; past int64 they raise
+        gathers only its pairs' keys. Without high groundings every shared
+        code is 0 and the pairs are the distinct low keys. Keys take
+        ``_count_dtype`` of the largest key; past int64 they raise
         ``ValueError``.
         """
         low_bits = DEFAULT_CHUNK.bit_length() - 1
@@ -550,9 +517,6 @@ class GroundingTable:
         base = np.stack([_table_sums(n_bits, terms, dtype) for terms in low], axis=-1)
         base = base.reshape(base.shape[0], *strides.shape[1:])
         n_worlds = base.shape[0]
-        if not high:
-            blocks = ((start, base) for start in range(0, 1 << self.index.n_atoms, n_worlds))
-            return PairStream(None, None, n_worlds, blocks)
         shared = sorted({int(p) for _, row, _ in high for p in row if p < low_bits})
         slot = {p: j for j, p in enumerate(shared)}
         # Each high grounding's table index over the shared assignments, laid
@@ -585,43 +549,28 @@ class GroundingTable:
             mult += np.bincount(inverse[lo:hi], minlength=mult.shape[0])
         return PairStream(inverse, mult, n_worlds, blocks())
 
-    def chunk_counts(
-        self, strides: Sequence[int] | np.ndarray
-    ) -> Iterator[tuple[int, np.ndarray]]:
-        """``(start, keys)`` for every block of ``world_chunks``: the per-world
-        view of ``pair_counts``, so ``keys`` equals ``counts_matrix(worlds) @
-        strides`` of the block's worlds ``start .. start + len(keys) - 1``."""
-        stream = self.pair_counts(strides)
-        for start, keys in stream.blocks:
-            yield start, stream.per_world(keys)
-
     def pair_log_weights(self, weights: Sequence[float]) -> PairStream:
-        """The log weights of every block of ``pair_counts``, one per pair.
+        """The log weights of every block of ``pair_counts`` under the
+        mixed-radix strides, one per pair: ``_log_weights`` of the pair's
+        count vector, the floats of every world of the pair.
 
         While the count-key span fits in one block, the log weight of every
         key in the span is computed once and each block looks its pairs' keys
-        up. Past it, each block's keys under the identity layout, which are
-        its counts, are gathered to its worlds and multiplied by the weights,
-        so the pairs are the block's worlds: a product over fewer rows may
-        round differently in BLAS.
+        up. Past it, each block decodes its pairs' keys into count vectors,
+        one key word or several.
         """
         weights = np.asarray(weights, dtype=np.float64)
         span, strides, radix = _count_keys(self.entries)
-        if span > DEFAULT_CHUNK:
-            stream = self.pair_counts(np.eye(len(self.entries), dtype=np.int64))
-            lws = ((start, stream.per_world(c) @ weights) for start, c in stream.blocks)
-            return PairStream(None, None, stream.n_worlds, lws)
-        table = _decode_keys(np.arange(span), strides, radix) @ weights
         stream = self.pair_counts(strides)
-        return replace(stream, blocks=((start, np.take(table, k)) for start, k in stream.blocks))
-
-    def chunk_log_weights(self, weights: Sequence[float]) -> Iterator[tuple[int, np.ndarray]]:
-        """``(start, log weights)`` for every block of ``chunk_counts``, equal
-        to ``log_weights(worlds, weights)`` of the block's worlds: the
-        per-world view of ``pair_log_weights``."""
-        stream = self.pair_log_weights(weights)
-        for start, lw in stream.blocks:
-            yield start, stream.per_world(lw)
+        if span <= DEFAULT_CHUNK:
+            table = _log_weights(_decode_keys(np.arange(span), strides, radix), weights)
+            blocks = ((start, np.take(table, k)) for start, k in stream.blocks)
+        else:
+            blocks = (
+                (start, _log_weights(_decode_keys(k, strides, radix), weights))
+                for start, k in stream.blocks
+            )
+        return replace(stream, blocks=blocks)
 
     def relaid(self, *leading: np.ndarray) -> tuple[GroundingTable, np.ndarray]:
         """A copy over a permuted bit layout, plus that layout's ``order``.
@@ -659,7 +608,7 @@ def count_true_groundings(clause: Clause, world: World) -> int:
     distinct-constants form are counted over injective assignments only.
     """
     entry = _grounded_formula(clause.formula, world.index)
-    return int(_count_kernel([entry], world.bits)[0, 0])
+    return int(_count_kernel([entry], world.bits)[0])
 
 
 def log_weight(model: MlnModel, world: World) -> float:
@@ -692,8 +641,9 @@ def dense_log_weights(
     """Log weight of every world over the index, as one 2^G vector."""
     _guard(index.n_atoms, max_atoms)
     out = np.empty(1 << index.n_atoms, dtype=np.float64)
-    for start, lw in _table(model.formulas(), index).chunk_log_weights(model.weights()):
-        out[start : start + lw.shape[0]] = lw
+    stream = _table(model.formulas(), index).pair_log_weights(model.weights())
+    for start, lw in stream.blocks:
+        out[start : start + stream.n_worlds] = stream.per_world(lw)
     return out
 
 
@@ -725,28 +675,17 @@ def count_histogram(
 
 @lru_cache(maxsize=64)
 def _histogram(formulas: tuple[Formula, ...], index: AtomIndex) -> CountHistogram:
-    """Every block's pair keys are tallied, weighted by the pair
-    multiplicities: while the key span fits in one block, with one bincount
-    into a table of the span; past it, with one ``_unique_keys`` per block,
-    merged into the running distinct keys. Both give the distinct vectors in
-    lexicographic order. Float bincount sums are exact: multiplicities stay
-    below 2^53."""
+    """Every block's pair keys, weighted by the pair multiplicities, are
+    merged into the running distinct keys with one ``_unique_keys`` per
+    block, which gives the distinct vectors in lexicographic order. Float
+    bincount sums are exact: multiplicities stay below 2^53."""
     gt = GroundingTable(formulas, index)
-    span, strides, radix = _count_keys(gt.entries)
+    _, strides, radix = _count_keys(gt.entries)
     stream = gt.pair_counts(strides)
-    if span <= DEFAULT_CHUNK:
-        tally = np.zeros(span)
-        for _, key in stream.blocks:
-            tally += np.bincount(key, weights=stream.mult, minlength=span)
-        keys = np.flatnonzero(tally)
-        mult = tally[keys]
-    else:
-        keys, mult = np.zeros((0, *strides.shape[1:]), dtype=np.int64), np.zeros(0)
-        for _, key in stream.blocks:
-            k, inverse = _unique_keys(key, return_inverse=True)
-            m = np.bincount(inverse.reshape(-1), weights=stream.mult)
-            keys, inverse = _unique_keys(np.concatenate([keys, k]), return_inverse=True)
-            mult = np.bincount(inverse.reshape(-1), weights=np.concatenate([mult, m]))
+    keys, mult = np.zeros((0, *strides.shape[1:]), dtype=np.int64), np.zeros(0)
+    for _, key in stream.blocks:
+        keys, inverse = _unique_keys(np.concatenate([keys, key]), return_inverse=True)
+        mult = np.bincount(inverse.reshape(-1), weights=np.concatenate([mult, stream.mult]))
     mult = mult.astype(np.int64)
     rows = _decode_keys(keys, strides, radix)
     out = CountHistogram(rows.astype(np.float64), mult, np.log(mult))
@@ -769,11 +708,8 @@ def _distinct_counts(
     keys, inverse = _unique_keys(np.concatenate(blocks), return_inverse=True)
     # The inverse's shape varies across numpy 2.x releases.
     inverse = inverse.reshape(len(blocks), -1)
-    if stream.mult is None:
-        mult = np.bincount(inverse.reshape(-1))
-    else:
-        mult = np.bincount(inverse.reshape(-1), weights=np.tile(stream.mult, len(blocks)))
-        inverse = np.take(inverse, stream.inverse, axis=1)
+    mult = np.bincount(inverse.reshape(-1), weights=np.tile(stream.mult, len(blocks)))
+    inverse = np.take(inverse, stream.inverse, axis=1)
     return _decode_keys(keys, strides, radix), mult.astype(np.int64), inverse.reshape(-1)
 
 
@@ -979,8 +915,10 @@ def max_split_factorization_error(model: MlnModel, n: int, m: int) -> float:
             lw_k = dense_log_weights(replace(model, clauses=tuple(clauses)), sub_index)
         cross += [(restriction_positions(index, {tau: c})[1], lw_k) for c in tuples]
     worst = 0.0
-    for start, lw in _table(model.formulas(), index).chunk_log_weights(model.weights()):
-        worlds = np.arange(start, start + lw.shape[0], dtype=np.uint64)
+    stream = _table(model.formulas(), index).pair_log_weights(model.weights())
+    for start, pair_lw in stream.blocks:
+        lw = stream.per_world(pair_lw)
+        worlds = np.arange(start, start + stream.n_worlds, dtype=np.uint64)
         acc = lw_n[bit_codes(worlds, pos_n)] + lw_m[bit_codes(worlds, pos_m)]
         for pos_c, lw_c in cross:
             acc += lw_c[bit_codes(worlds, pos_c)]

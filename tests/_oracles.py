@@ -1,14 +1,21 @@
 """Independent brute-force references the engine is validated against.
 
-Everything here recomputes quantities from first principles with plain loops:
-no grounding tables, no restriction machinery, no vectorization. Slow on
-purpose; only usable at toy sizes.
+Everything here but the block kernel recomputes quantities from first
+principles with plain loops: no grounding tables, no restriction machinery,
+no vectorization. Slow on purpose; only usable at toy sizes.
+
+The block kernel (``counts_matrix``, ``log_weights``) is the plain path the
+engine's passes are checked against: it reads a grounding table's compiled
+groundings, but evaluates every grounding in every world of a block, one
+truth-table gather per grounding, where the engine counts each block's few
+(low key, shared code) pairs.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import product
+from typing import Mapping
 
 import numpy as np
 
@@ -112,3 +119,47 @@ def fd_gradient(fn, weights, h: float = 1e-5):
 
 def kl_reference(p_logs, q_logs) -> float:
     return sum(math.exp(p) * (p - q) for p, q in zip(p_logs, q_logs))
+
+
+def _bit_columns(worlds: np.ndarray, positions) -> dict[int, np.ndarray]:
+    """Bit ``p`` of every world, one uint8 column per position."""
+    one = np.uint64(1)
+    return {p: ((worlds >> np.uint64(p)) & one).astype(np.uint8) for p in positions}
+
+
+def _row_code(bits: Mapping[int, np.ndarray], row: np.ndarray) -> np.ndarray:
+    """Truth-table code of one grounding in every world: bit j is atom ``row[j]``.
+
+    Byte-wide while a grounding touches at most 8 atoms, int64 beyond.
+    """
+    code_dtype = np.uint8 if row.shape[0] <= 8 else np.int64
+    code = bits[int(row[0])].astype(code_dtype)
+    for j in range(1, row.shape[0]):
+        code |= bits[int(row[j])].astype(code_dtype, copy=False) << j
+    return code
+
+
+def counts_matrix(entries, worlds: np.ndarray) -> np.ndarray:
+    """(n_worlds, n_entries) int32 true-grounding counts of a uint64 block of
+    world integers, for a grounding table's ``entries``."""
+    used = sorted({int(p) for e in entries for g in e.groups for p in g.cols.flat})
+    n_worlds, bits = worlds.shape[0], _bit_columns(worlds, used)
+    out = np.empty((n_worlds, len(entries)), dtype=np.int32)
+    for ci, entry in enumerate(entries):
+        acc = np.full(n_worlds, entry.const_count, dtype=np.int32)
+        for g in entry.groups:
+            for row in g.cols:
+                acc += np.take(g.table, _row_code(bits, row))
+        out[:, ci] = acc
+    return out
+
+
+def log_weights(entries, worlds: np.ndarray, weights) -> np.ndarray:
+    """Per-world log weight of a block: its counts times the weights, summed
+    column by column in clause order, the engine's rule, so the engine's
+    values must equal these bit for bit."""
+    counts = counts_matrix(entries, worlds)
+    out = np.zeros(worlds.shape[0])
+    for c, w in enumerate(np.asarray(weights, dtype=np.float64)):
+        out += counts[:, c] * w
+    return out

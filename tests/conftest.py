@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mlnexact import learning
+from mlnexact.datagen import FRIENDS_SMOKERS_MLN
 from mlnexact.logic import (
     And,
     Atom,
@@ -17,6 +18,8 @@ from mlnexact.logic import (
     parse_mln,
 )
 from mlnexact.model import _table, bit_codes, world_chunks
+
+from _oracles import log_weights
 
 EXAMPLE2_TEXT = """\
 // contagion model: vaccines protect, contact spreads
@@ -45,6 +48,14 @@ predicate R(node,node)
 
 0.7 R(x,y) ^ R(y,z) ^ R(x,z)
 """
+
+# Smokers plus three Friends clauses: 11 clauses once normalized, with a
+# count-key span of 3.9e7 at n = 3 and 2.2e9 at n = 4, wider than a block.
+WIDE_SPAN_TEXT = FRIENDS_SMOKERS_MLN + (
+    "0.4 Friends(x,y) => Friends(y,x)\n"
+    "-0.3 Friends(x,y) ^ Cancer(x) => Cancer(y)\n"
+    "0.2 Friends(x,y) ^ Smokes(y)\n"
+)
 
 UNARY_ONLY_TEXT = """\
 type item = 3
@@ -140,12 +151,19 @@ def random_raw_model(
 
 
 def plain_log_weights(model: MlnModel, index) -> np.ndarray:
-    """Log weight of every world over the index, from the plain per-block
-    kernel (``GroundingTable.log_weights``) over ``world_chunks``."""
-    gt = _table(model.formulas(), index)
+    """Log weight of every world over the index, from the plain block kernel
+    (``_oracles.log_weights``) over ``world_chunks``."""
+    entries = _table(model.formulas(), index).entries
     return np.concatenate(
-        [gt.log_weights(worlds, model.weights()) for worlds in world_chunks(index.n_atoms)]
+        [log_weights(entries, worlds, model.weights()) for worlds in world_chunks(index.n_atoms)]
     )
+
+
+def world_blocks(stream):
+    """``(start, values)`` of every block of a ``PairStream``, its per-pair
+    values gathered to the block's worlds ``start .. start + len(values) - 1``."""
+    for start, values in stream.blocks:
+        yield start, stream.per_world(values)
 
 
 def dense_restriction_oracle(model: MlnModel, index, positions) -> tuple[np.ndarray, np.ndarray]:

@@ -23,7 +23,6 @@ from mlnexact.bounds import (
 from mlnexact.datagen import FRIENDS_SMOKERS_MLN
 from mlnexact.logic import normalize_distinct, parse_mln
 from mlnexact.model import (
-    _count_kernel,
     _histogram,
     _table,
     bit_codes,
@@ -44,8 +43,14 @@ from mlnexact.worlds import (
     split_subsets,
 )
 
-from _oracles import kl_reference
-from conftest import dense_restriction_oracle, plain_log_weights, random_raw_model
+from _oracles import counts_matrix, kl_reference
+from conftest import (
+    WIDE_SPAN_TEXT,
+    dense_restriction_oracle,
+    plain_log_weights,
+    random_raw_model,
+    world_blocks,
+)
 
 TOL = 1e-9
 
@@ -450,11 +455,12 @@ class TestSplitPassOracle:
                 model_module, "_pair_extremes", wraps=extremes
             ) as marginal_per_pair:
                 blocks = 0
-                for start, counts in gt.chunk_counts(np.eye(len(gt.entries), dtype=np.int64)):
+                stream = gt.pair_counts(np.eye(len(gt.entries), dtype=np.int64))
+                for start, counts in world_blocks(stream):
                     assert counts.shape[0] == n_worlds
                     assert start == blocks * chunk
                     worlds = np.arange(start, start + counts.shape[0], dtype=np.uint64)
-                    assert np.array_equal(counts, _count_kernel(gt.entries, worlds))
+                    assert np.array_equal(counts, counts_matrix(gt.entries, worlds))
                     blocks += 1
                 assert blocks == max(1, (1 << index.n_atoms) // chunk)
                 report = verify_all(model, n, m)
@@ -477,6 +483,26 @@ class TestSplitPassOracle:
 
         check()
         assert runs == {True, False}
+
+    @pytest.mark.parametrize("chunk_bits", [18, 10])
+    @pytest.mark.parametrize("split", [(2, 1), (1, 2)])
+    def test_a_span_wider_than_a_block_matches_dense_oracle(self, split, chunk_bits):
+        # Smokers plus three Friends clauses at n+m=3: 11 clauses whose
+        # count-key span, 3.9e7, is past a block of 2^18 worlds and of 2^10,
+        # so every block of both passes decodes its pair keys.
+        model = normalize_distinct(parse_mln(WIDE_SPAN_TEXT))
+        weights = np.random.default_rng(11).uniform(-1.5, 1.5, len(model.clauses))
+        model = model.with_weights(weights)
+        n, m = split
+        oracle = _split_pass_oracle(model, n, m)
+        gt = _table(model.formulas(), oracle["index"])
+        assert len(gt.entries) == 11
+        assert model_module._count_keys(gt.entries)[0] > 1 << 18
+        with mock.patch.object(model_module, "DEFAULT_CHUNK", 1 << chunk_bits):
+            report = verify_all(model, n, m)
+            _, marginal = marginal_log_probs(model, oracle["spec"])
+        _assert_matches_oracle(report, marginal, oracle)
+        assert report.all_passed
 
     def test_tiles_keep_every_bit(self):
         # Each run gathers its per-offset values one tile of DEFAULT_TILE

@@ -49,8 +49,20 @@ from mlnexact.worlds import (
     split_subsets,
 )
 
-from _oracles import count_groundings_direct, raw_log_probs, raw_log_weight
-from conftest import dense_restriction_oracle, plain_log_weights, random_raw_model
+from _oracles import (
+    count_groundings_direct,
+    counts_matrix,
+    log_weights,
+    raw_log_probs,
+    raw_log_weight,
+)
+from conftest import (
+    WIDE_SPAN_TEXT,
+    dense_restriction_oracle,
+    plain_log_weights,
+    random_raw_model,
+    world_blocks,
+)
 
 
 # Each x != y grounding touches 9 ground atoms, past byte-wide codes.
@@ -61,8 +73,7 @@ NINE_ATOM_TEXT = (
 
 
 # Nine clauses over eight unary predicates: a count-key span of 3^9, which is
-# not a multiple of four, so the span's log-weight product ends in a partial
-# block of rows.
+# not a power of two, so a block as long as the span is longer than it.
 NINE_CLAUSE_TEXT = (
     "type p = 2\n"
     + "".join(f"predicate {c}(p)\n" for c in "ABCDEFGH")
@@ -248,7 +259,7 @@ class TestWorldCountsMemo:
         for bits in map(int, rng.integers(0, 1 << index.n_atoms, size=8)):
             for _ in range(2):  # a miss, then a hit
                 counts = gt.counts_world(World(index, bits))
-                assert counts.tobytes() == _count_kernel(gt.entries, bits)[0].tobytes()
+                assert counts.tobytes() == _count_kernel(gt.entries, bits).tobytes()
                 assert not counts.flags.writeable
                 with pytest.raises(ValueError):
                     counts[0] = 0
@@ -289,7 +300,7 @@ class TestWorldCountsMemo:
             world = World(index, bits)
             gt = _table(model.formulas(), index)
             counts = gt.counts_world(world)
-            assert counts.tobytes() == _count_kernel(gt.entries, bits)[0].tobytes()
+            assert counts.tobytes() == _count_kernel(gt.entries, bits).tobytes()
             assert log_weight(model, world) == pytest.approx(
                 raw_log_weight(model, world), abs=1e-12
             )
@@ -307,7 +318,7 @@ class TestWorldCountsMemo:
             world = World(index, bits)
             original = gt.counts_world(world).tolist()
             copied = relaid.counts_world(world)
-            assert copied.tobytes() == _count_kernel(relaid.entries, bits)[0].tobytes()
+            assert copied.tobytes() == _count_kernel(relaid.entries, bits).tobytes()
             differ += copied.tolist() != original
         assert differ > 0
 
@@ -422,8 +433,8 @@ class TestCountKernel:
         index = index_for(model, 3)
         gt = GroundingTable(model.formulas(), index)
         worlds = next(world_chunks(index.n_atoms))
-        counts = gt.counts_matrix(worlds)
-        lw = gt.log_weights(worlds, model.weights())
+        counts = counts_matrix(gt.entries, worlds)
+        lw = log_weights(gt.entries, worlds, model.weights())
         assert np.abs(lw - counts @ np.array(model.weights())).max() <= 1e-12
         for bits in (0, 5, int(worlds[-1])):
             world = World(index, bits)
@@ -436,13 +447,13 @@ class TestCountKernel:
         index = index_for(model, 2)
         gt = GroundingTable(model.formulas(), index)
         assert max(g.cols.shape[1] for e in gt.entries for g in e.groups) == 9
-        counts = gt.counts_matrix(next(world_chunks(index.n_atoms)))
+        counts = counts_matrix(gt.entries, next(world_chunks(index.n_atoms)))
         direct = [raw_log_weight(model, World(index, b)) for b in range(1 << index.n_atoms)]
         assert counts[:, 0].tolist() == direct
 
 
 def _block_worlds(start: int, keys: np.ndarray) -> np.ndarray:
-    """The worlds of the ``chunk_counts`` block that starts at ``start``."""
+    """The worlds of the ``world_blocks`` block that starts at ``start``."""
     return np.arange(start, start + keys.shape[0], dtype=np.uint64)
 
 
@@ -510,7 +521,8 @@ class TestChunkCounts:
         index = index_for(model, n)
         gt = GroundingTable(model.formulas(), index)
         with mock.patch.object(model_module, "DEFAULT_CHUNK", 1 << chunk_bits):
-            counts = np.concatenate([c for _, c in gt.chunk_counts(LAYOUTS["identity"](gt))])
+            stream = gt.pair_counts(LAYOUTS["identity"](gt))
+            counts = np.concatenate([c for _, c in world_blocks(stream)])
         assert counts.dtype == dtype
         assert int(counts.max()) == n * (n - 1) * (n - 2)
         clause = model.clauses[0]
@@ -530,7 +542,7 @@ class TestChunkCounts:
         index = index_for(model, 18)
         gt = GroundingTable(model.formulas(), index)
         with mock.patch.object(model_module, "DEFAULT_CHUNK", 1 << 4):
-            start, counts = next(gt.chunk_counts(LAYOUTS["identity"](gt)))
+            start, counts = next(world_blocks(gt.pair_counts(LAYOUTS["identity"](gt))))
         assert start == 0 and counts.shape == (16, 1)
         assert counts.dtype == np.int32
         assert counts[0, 0] == count_true_groundings(model.clauses[0], World(index, 0)) == 73440
@@ -560,13 +572,13 @@ class TestChunkCounts:
         gt = GroundingTable(model.formulas(), index)
         a, b = top // 2, top - top // 2
         with mock.patch.object(model_module, "DEFAULT_CHUNK", 1 << chunk_bits):
-            blocks = list(gt.chunk_counts(np.array([a, b])))
+            blocks = list(world_blocks(gt.pair_counts(np.array([a, b]))))
         assert [start for start, _ in blocks] == list(range(0, 4, 1 << chunk_bits))
         keys = np.concatenate([k for _, k in blocks])
         assert keys.dtype == dtype
         assert keys.tolist() == [0, a, b, top]
         with pytest.raises(ValueError, match="int64"):
-            next(gt.chunk_counts(np.array([1 << 62, 1 << 62])))
+            next(world_blocks(gt.pair_counts(np.array([1 << 62, 1 << 62]))))
 
     def test_wide_groundings_straddle_a_shrunken_block(self):
         # Groundings over 9 atoms take int64 codes; blocks of 16 worlds split
@@ -578,9 +590,9 @@ class TestChunkCounts:
         assert cols.shape[1] == 9
         assert ((cols.min(axis=1) < 4) & (cols.max(axis=1) >= 4)).any()
         with mock.patch.object(model_module, "DEFAULT_CHUNK", 1 << 4):
-            for start, counts in gt.chunk_counts(LAYOUTS["identity"](gt)):
+            for start, counts in world_blocks(gt.pair_counts(LAYOUTS["identity"](gt))):
                 worlds = _block_worlds(start, counts)
-                assert np.array_equal(counts, _count_kernel(gt.entries, worlds))
+                assert np.array_equal(counts, counts_matrix(gt.entries, worlds))
                 direct = [raw_log_weight(model, World(index, int(b))) for b in worlds]
                 assert counts[:, 0].tolist() == direct
 
@@ -592,12 +604,12 @@ class TestChunkCounts:
         gt = GroundingTable(model.formulas(), index)
         strides = np.arange(len(gt.entries), dtype=np.int64) * 7 + 3
         with mock.patch.object(model_module, "DEFAULT_CHUNK", 1 << 4):
-            blocks = list(gt.chunk_counts(strides))
+            blocks = list(world_blocks(gt.pair_counts(strides)))
         assert len(blocks) == 1 << (index.n_atoms - 4)
         for start, key in blocks:
             assert key.shape == (16,)
             worlds = _block_worlds(start, key)
-            assert np.array_equal(key, _count_kernel(gt.entries, worlds) @ strides)
+            assert np.array_equal(key, counts_matrix(gt.entries, worlds) @ strides)
 
     @pytest.mark.parametrize(
         ("text", "n", "shared"),
@@ -620,10 +632,10 @@ class TestChunkCounts:
         assert {"none": 0, "some": 2, "all": 4}[shared] == len(low_atoms)
         strides = LAYOUTS[layout](gt)
         with mock.patch.object(model_module, "DEFAULT_CHUNK", 1 << 4):
-            blocks = list(gt.chunk_counts(strides))
+            blocks = list(world_blocks(gt.pair_counts(strides)))
         assert len(blocks) == 1 << (index.n_atoms - 4)
         for start, keys in blocks:
-            expected = _count_kernel(gt.entries, _block_worlds(start, keys)) @ strides
+            expected = counts_matrix(gt.entries, _block_worlds(start, keys)) @ strides
             assert np.array_equal(keys, expected)
 
     def test_key_words_hold_their_own_clauses(self):
@@ -633,18 +645,18 @@ class TestChunkCounts:
         gt = GroundingTable(model.formulas(), index)
         strides = np.array([[9, 0], [3, 0], [1, 0], [0, 3], [0, 1]])
         with mock.patch.object(model_module, "DEFAULT_CHUNK", 1 << 4):
-            blocks = list(gt.chunk_counts(strides))
+            blocks = list(world_blocks(gt.pair_counts(strides)))
         assert len(blocks) == 1 << (index.n_atoms - 4)
         for start, key in blocks:
             assert key.shape == (16, 2)
-            counts = _count_kernel(gt.entries, _block_worlds(start, key))
+            counts = counts_matrix(gt.entries, _block_worlds(start, key))
             assert np.array_equal(key, counts @ strides)
             assert np.array_equal(model_module._decode_keys(key, strides, np.full(5, 3)), counts)
 
     @pytest.mark.parametrize("chunk_bits", [18, 4])
     def test_blocks_tile_the_worlds_and_only_the_first_builds_them(self, chunk_bits):
         # Smokers at n=3 (G=15) over two layouts and every pass built on
-        # pair_counts, whose per-world view is chunk_counts: the block starts
+        # pair_counts, gathered to the worlds by world_blocks: the block starts
         # are 0, chunk, 2 chunk, ... below 2^G, and no pass builds a block's
         # worlds with world_chunks.
         model = normalize_distinct(parse_mln(FRIENDS_SMOKERS_MLN))
@@ -659,10 +671,10 @@ class TestChunkCounts:
             model_module, "world_chunks", wraps=world_chunks
         ) as made, passes as counted:
             for layout in LAYOUTS.values():
-                blocks = list(gt.chunk_counts(layout(gt)))
+                blocks = list(world_blocks(gt.pair_counts(layout(gt))))
                 assert [start for start, _ in blocks] == tiles
                 assert all(keys.shape[0] == min(chunk, 1 << index.n_atoms) for _, keys in blocks)
-            assert [s for s, _ in gt.chunk_log_weights(model.weights())] == tiles
+            assert [s for s, _ in gt.pair_log_weights(model.weights()).blocks] == tiles
             assert counted.call_count == 3
             _histogram.cache_clear()
             learning._counts_cached.cache_clear()
@@ -745,7 +757,8 @@ class TestPairCounts:
         for start, keys in blocks:
             assert keys.shape[0] == pairs
             worlds = np.arange(start, start + chunk, dtype=np.uint64)
-            assert np.array_equal(stream.per_world(keys), _count_kernel(gt.entries, worlds) @ strides)
+            expected = counts_matrix(gt.entries, worlds) @ strides
+            assert np.array_equal(stream.per_world(keys), expected)
 
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     def test_shared_atoms_past_the_inner_bits(self, layout):
@@ -765,7 +778,7 @@ class TestPairCounts:
         assert len(blocks) == 4
         for start, keys in blocks:
             worlds = np.arange(start, start + (1 << 10), dtype=np.uint64)
-            expected = _count_kernel(gt.entries, worlds) @ strides
+            expected = counts_matrix(gt.entries, worlds) @ strides
             assert np.array_equal(stream.per_world(keys), expected)
 
     @pytest.mark.parametrize(("n", "split", "pairs"), [(4, (2, 2), 332), (4, (3, 1), 332)])
@@ -783,14 +796,21 @@ class TestPairCounts:
         assert int(stream.mult.sum()) == stream.n_worlds
         assert stream.inverse.dtype == np.uint16
 
-    def test_a_single_block_is_its_own_pair_table(self):
+    def test_a_single_block_without_high_groundings_is_deduped_into_pairs(self):
+        # G=15 smokers is one block, so no grounding reaches the high bits:
+        # the pairs are the distinct low keys, one per distinct count vector.
         model = model_from(FRIENDS_SMOKERS_MLN)
         index = index_for(model, 3)
-        stream = GroundingTable(model.formulas(), index).pair_counts(
-            model_module._count_keys(_table(model.formulas(), index).entries)[1]
-        )
-        assert stream.inverse is None and stream.mult is None
-        assert stream.n_worlds == 1 << index.n_atoms
+        gt = GroundingTable(model.formulas(), index)
+        strides = model_module._count_keys(gt.entries)[1]
+        stream = gt.pair_counts(strides)
+        ((start, keys),) = list(stream.blocks)
+        assert stream.n_worlds == 1 << index.n_atoms == 2**15
+        assert stream.mult.shape == keys.shape == (44,)
+        assert int(stream.mult.sum()) == 2**15
+        assert stream.inverse.dtype == np.uint8
+        worlds = _block_worlds(start, stream.inverse)
+        assert np.array_equal(stream.per_world(keys), counts_matrix(gt.entries, worlds) @ strides)
 
     @pytest.mark.parametrize("words", [1, 2])
     def test_presence_table_and_unique_keys_rank_pairs_alike(self, words):
@@ -877,12 +897,13 @@ class TestPairCounts:
         assert order.dtype == want.dtype and order.tolist() == want.tolist()
 
 
-class TestChunkLogWeights:
+class TestPairLogWeights:
     @pytest.mark.parametrize(("name", "n"), SPAN_CASES)
     def test_key_lookup_matches_plain_log_weights_on_both_sides_of_the_span(self, name, n):
         # A block as long as the count-key span looks log weights up by key;
-        # one shorter multiplies counts by the weights. Both must equal the
-        # plain kernel's log weights, bit for bit.
+        # one shorter decodes its pair keys. Both give one value per pair,
+        # and gathered to the worlds they equal the plain kernel's log
+        # weights, bit for bit.
         rng = np.random.default_rng(5)
         model = span_case_model(name, rng)
         model = model.with_weights(rng.uniform(-1.5, 1.5, len(model.clauses)))
@@ -894,12 +915,63 @@ class TestChunkLogWeights:
         for keyed, chunk in ((True, above), (False, above >> 1)):
             with mock.patch.object(model_module, "DEFAULT_CHUNK", chunk):
                 assert (model_module._count_keys(gt.entries)[0] <= chunk) is keyed
-                blocks = list(gt.chunk_log_weights(model.weights()))
+                stream = gt.pair_log_weights(model.weights())
+                blocks = list(stream.blocks)
             assert len(blocks) == max(1, (1 << index.n_atoms) // chunk)
-            lw = np.concatenate([lw for _, lw in blocks])
+            assert all(values.shape == stream.mult.shape for _, values in blocks)
+            lw = np.concatenate([stream.per_world(values) for _, values in blocks])
             assert lw.dtype == np.float64
-            assert np.array_equal(lw, expected)
+            assert lw.tobytes() == expected.tobytes()
             assert [start for start, _ in blocks] == list(range(0, lw.shape[0], chunk))
+
+    @pytest.mark.parametrize("chunk_bits", [18, 10, 4])
+    @pytest.mark.parametrize(
+        ("text", "n", "words"), [(WIDE_SPAN_TEXT, 3, 1), (WORDS_TEXT, 4, 3)], ids=["wide", "words"]
+    )
+    def test_a_span_wider_than_a_block_gives_one_value_per_pair(self, text, n, words, chunk_bits):
+        # Past the span each block decodes its pair keys, of one key word or
+        # several, so it yields one log weight per pair; gathered to the
+        # worlds they are the plain kernel's, bit for bit.
+        model = model_from(text)
+        rng = np.random.default_rng(n)
+        model = model.with_weights(rng.uniform(-1.5, 1.5, len(model.clauses)))
+        index = index_for(model, n)
+        gt = GroundingTable(model.formulas(), index)
+        span, strides, _ = model_module._count_keys(gt.entries)
+        assert span > 1 << chunk_bits
+        assert strides.reshape(len(gt.entries), -1).shape[1] == words
+        with mock.patch.object(model_module, "DEFAULT_CHUNK", 1 << chunk_bits):
+            stream = gt.pair_log_weights(model.weights())
+            blocks = list(stream.blocks)
+        assert len(blocks) == max(1, (1 << index.n_atoms) >> chunk_bits)
+        assert int(stream.mult.sum()) == stream.n_worlds
+        for start, values in blocks:
+            assert len(values) == len(stream.mult)
+            worlds = np.arange(start, start + stream.n_worlds, dtype=np.uint64)
+            expected = log_weights(gt.entries, worlds, model.weights())
+            assert stream.per_world(values).tobytes() == expected.tobytes()
+
+
+class TestLogWeightRule:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 40),
+        length=st.one_of(st.sampled_from([1, 3, 17, 4097]), st.integers(1, 1 << 13)),
+    )
+    # Row counts at which a BLAS product A[idx] @ w rounded unlike (A @ w)[idx].
+    @example(seed=0, k=3, length=1)
+    @example(seed=0, k=3, length=3)
+    @example(seed=0, k=40, length=17)
+    @example(seed=0, k=40, length=4097)
+    def test_a_row_subset_gets_the_rows_of_the_whole(self, seed, k, length):
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(0, 1 << 12, size=(1 << 13, k))
+        weights = rng.uniform(-1.5, 1.5, k)
+        whole = model_module._log_weights(counts, weights)
+        rows = rng.integers(0, counts.shape[0], size=length)
+        assert model_module._log_weights(counts[rows], weights).tobytes() == whole[rows].tobytes()
+        assert np.allclose(whole, counts @ weights, rtol=1e-12, atol=1e-9)
 
 
 class TestCountHistogram:
@@ -991,30 +1063,25 @@ class TestCountHistogram:
         assert peak <= 4e6
 
     @pytest.mark.parametrize(("name", "n"), SPAN_CASES)
-    def test_bincount_and_unique_tallies_match_on_both_sides_of_the_span(self, name, n):
-        # The span is the product of (grounding total + 1) over the clauses.
-        # A block as long as the span tallies count keys with bincount; one
-        # shorter takes np.unique of every block's keys. Both must give the
-        # same histogram, bit for bit.
+    def test_one_block_and_many_blocks_tally_alike(self, name, n):
+        # Every block's pair keys are merged into the running distinct keys.
+        # One block of every world and blocks of 16 worlds, with groundings
+        # on both sides of the low/high boundary, must give the same
+        # histogram, bit for bit.
         model = span_case_model(name, np.random.default_rng(1))
         index = index_for(model, n)
-        span = math.prod(e.total + 1 for e in GroundingTable(model.formulas(), index).entries)
-        above = 1 << (span - 1).bit_length()
-        results = {}
-        for keyed, chunk in ((True, above), (False, above >> 1)):
-            assert (span <= chunk) is keyed
+        assert index.n_atoms > 4
+        results = []
+        for chunk in (model_module.DEFAULT_CHUNK, 1 << 4):
             _histogram.cache_clear()
-            with mock.patch.object(model_module, "DEFAULT_CHUNK", chunk), mock.patch.object(
-                np, "unique", wraps=np.unique
-            ) as unique:
-                results[keyed] = count_histogram(model, index)
-            assert unique.called is not keyed
+            with mock.patch.object(model_module, "DEFAULT_CHUNK", chunk):
+                results.append(count_histogram(model, index))
         _histogram.cache_clear()
-        keyed, deduped = results[True], results[False]
-        assert np.array_equal(keyed.counts, deduped.counts)
-        assert np.array_equal(keyed.mult, deduped.mult)
-        assert keyed.log_mult.tobytes() == deduped.log_mult.tobytes()
-        assert int(keyed.mult.sum()) == 1 << index.n_atoms
+        whole, blocked = results
+        assert whole.counts.tobytes() == blocked.counts.tobytes()
+        assert whole.mult.tobytes() == blocked.mult.tobytes()
+        assert whole.log_mult.tobytes() == blocked.log_mult.tobytes()
+        assert int(whole.mult.sum()) == 1 << index.n_atoms
 
     @pytest.mark.parametrize(("name", "n"), SPAN_CASES)
     def test_learning_count_table_is_the_histogram(self, name, n):
@@ -1028,8 +1095,9 @@ class TestCountHistogram:
         assert counts.rows[:rows].tobytes() == hist.counts.tobytes()
         assert counts.log_mult[:rows].tobytes() == hist.log_mult.tobytes()
         assert np.all(counts.log_mult[rows:] == -np.inf)
+        entries = _table(model.formulas(), index).entries
         worlds = np.concatenate(
-            [_table(model.formulas(), index).counts_matrix(w) for w in world_chunks(index.n_atoms)]
+            [counts_matrix(entries, w) for w in world_chunks(index.n_atoms)]
         ).astype(np.float64)
         assert counts.rows[counts.inverse].tobytes() == worlds.tobytes()
         assert counts.worlds.tobytes() == worlds.tobytes()
@@ -1041,7 +1109,7 @@ class TestCountHistogram:
         span, strides, radix = model_module._count_keys(gt.entries)
         assert (len(model.clauses), index.n_atoms, span.bit_length()) == (40, 12, 145)
         assert strides.shape == (40, 3) and (np.count_nonzero(strides, axis=1) == 1).all()
-        counts = gt.counts_matrix(next(world_chunks(index.n_atoms)))
+        counts = counts_matrix(gt.entries, next(world_chunks(index.n_atoms)))
         tally: dict[tuple[int, ...], int] = {}
         for row in map(tuple, counts.tolist()):
             tally[row] = tally.get(row, 0) + 1
