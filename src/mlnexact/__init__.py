@@ -54,7 +54,6 @@ from .logic import (
     serialize_mln,
 )
 from .model import (
-    DaScaling,
     GroundingTable,
     apply_da_scaling,
     count_true_groundings,

@@ -272,7 +272,7 @@ def _split_context(model: MlnModel, n: int, m: int, *, max_atoms: int = DEFAULT_
                 i = int(np.argmin(slack))
                 if float(slack[i]) < worst[k]:
                     worst[k] = float(slack[i])
-                    witness[k] = int(pair_starts[run.pair_of(start + i)]) + start + i
+                    witness[k] = int(pair_starts[run.inverse[start + i]]) + start + i
 
     def _index_bits(relaid_bits: int) -> int:
         return sum(1 << int(p) for j, p in enumerate(order) if relaid_bits >> j & 1)
@@ -349,7 +349,7 @@ def verify_all(
     )
 
     # KL(marginal || direct) <= log spread.
-    kl = float(np.exp(marginal) @ ratio)
+    kl = float(np.sum(np.exp(marginal) * ratio))  # a BLAS dot's bits vary with its threads
     if -1e-12 < kl < 0.0:
         kl = 0.0
     kl_bound = check("kl_bound", spread - kl, kl=kl)

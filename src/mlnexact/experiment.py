@@ -44,7 +44,7 @@ from .learning import (
     target_log_likelihoods,
 )
 from .logic import MlnModel, normalize_distinct, parse_mln, serialize_mln
-from .model import DEFAULT_MAX_ATOMS, apply_da_scaling, count_histogram, da_scale_factors
+from .model import DEFAULT_MAX_ATOMS, apply_da_scaling, count_histogram
 from .worlds import AtomIndex, DomainSpec, World
 
 SCHEMA = "mlnexact-experiment schema=1"
@@ -372,7 +372,7 @@ def _run_one(cfg, model, tau, run, targets, smallest):
             scored = res.model
             if method == "da":
                 da_sizes = {t: size if t == tau else s for t, s in model.signature.types}
-                scored = apply_da_scaling(res.model, da_scale_factors(res.model, da_sizes))
+                scored = apply_da_scaling(res.model, da_sizes)
                 models[(run, f"da_eff{size}")] = scored
             lls = target_log_likelihoods(
                 scored, targets[size][0].index.spec, targets[size], max_atoms=cfg.max_atoms

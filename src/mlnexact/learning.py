@@ -312,7 +312,7 @@ def _parameter_map(
     n_clauses = len(model.clauses)
     scale = np.ones(n_clauses)
     if config.da:
-        scale = np.array(da_scale_factors(model, dict(spec.sizes)).factors)
+        scale = np.array(da_scale_factors(model, dict(spec.sizes)))
 
     if config.tie_split_weights:
         origins = [c.origin if c.origin is not None else -1 - i for i, c in enumerate(model.clauses)]
@@ -515,7 +515,7 @@ def target_log_likelihoods(
     """Log likelihoods of several worlds at one target size, sharing one partition pass."""
     scaled = model
     if da_sizes is not None:
-        scaled = apply_da_scaling(model, da_scale_factors(model, da_sizes))
+        scaled = apply_da_scaling(model, da_sizes)
     index = AtomIndex(scaled.signature, target_spec)
     for w in target_worlds:
         if w.index != index:

@@ -66,8 +66,13 @@ log-sum-exps are folded into the buckets once, tile by tile
 (``_fold_pair_buckets``): every bucket when they fit in a block, one
 block-wide slice of them otherwise. The bound suite runs its pass through the
 same three helpers, with the back-half atoms after the front. The public
-``AtomIndex`` order is unchanged. The factorization checks gather restriction
-codes with ``bit_codes``.
+``AtomIndex`` order is unchanged.
+
+The factorization checks read ``pair_log_weights`` too (``_max_gap``): each
+block sums the restriction tables of the identity's terms over its offsets
+with ``_broadcast_sum``, a term's positions past the block's low bits fixed
+from the block's start (``_block_terms``, which ``pair_counts`` uses for its
+high groundings), and compares the sum with the block's log weights.
 """
 
 from __future__ import annotations
@@ -118,24 +123,6 @@ def _tiles(n: int) -> Iterator[tuple[int, int]]:
     """``(lo, hi)`` of consecutive tiles of ``DEFAULT_TILE`` offsets covering ``0 .. n - 1``."""
     for lo in range(0, n, DEFAULT_TILE):
         yield lo, min(lo + DEFAULT_TILE, n)
-
-
-def world_chunks(n_atoms: int) -> Iterator[np.ndarray]:
-    """World integers 0..2^G-1 in consecutive uint64 blocks of DEFAULT_CHUNK
-    (one block of 2^G when that is smaller), so every block is a power of two
-    aligned to its length."""
-    total = 1 << n_atoms
-    for start in range(0, total, DEFAULT_CHUNK):
-        yield np.arange(start, min(start + DEFAULT_CHUNK, total), dtype=np.uint64)
-
-
-def bit_codes(worlds: np.ndarray, positions: Sequence[int]) -> np.ndarray:
-    """Pack the given bit positions of each world integer into dense codes."""
-    code = np.zeros(worlds.shape[0], dtype=np.int64)
-    one = np.uint64(1)
-    for j, p in enumerate(positions):
-        code |= ((worlds >> np.uint64(int(p))) & one).astype(np.int64) << j
-    return code
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +260,32 @@ def _table_sums(n_bits: int, terms, dtype: np.dtype) -> np.ndarray:
     return _broadcast_sum(n_bits, laid, dtype)
 
 
+def _block_terms(n_bits: int, terms, slot: Mapping[int, int] | None = None):
+    """The ``_broadcast_sum`` terms of a block, as a function of its start.
+
+    A term ``(positions, table)`` reads bit j of its table code from
+    ``positions[j]``, the kernel's convention. Its positions in a block's
+    low log2(DEFAULT_CHUNK) bits read bit ``slot[p]`` of an ``n_bits``-bit
+    assignment (bit ``p`` without a slot map) and are laid out once with
+    ``_layout``. The others are constant across a block, so each block
+    takes them from its start and gathers the table at them."""
+    low_bits = DEFAULT_CHUNK.bit_length() - 1
+    laid = []  # (table, (position, table bit) of the high positions, outer, index)
+    for positions, table in terms:
+        reads = [(j, int(p)) for j, p in enumerate(positions)]
+        lows = [(j, p if slot is None else slot[p]) for j, p in reads if p < low_bits]
+        highs = [(p, j) for j, p in reads if p >= low_bits]
+        laid.append((table, highs, *_layout(n_bits, lows)))
+
+    def at(start: int) -> list[tuple[tuple[int, ...], np.ndarray]]:
+        return [
+            (outer, np.take(table, index | sum((start >> p & 1) << j for p, j in highs)))
+            for table, highs, outer, index in laid
+        ]
+
+    return at
+
+
 def _count_dtype(top: int) -> np.dtype:
     """The narrowest count-key dtype that holds ``top``."""
     for dtype in (np.uint8, np.uint16, np.int32, np.int64):
@@ -393,10 +406,6 @@ class PairStream:
         ``lo .. hi - 1``."""
         return np.take(values, self.inverse[lo:hi], axis=0)
 
-    def pair_of(self, i: int) -> int:
-        """The pair of the block's world at offset ``i``."""
-        return int(self.inverse[i])
-
 
 def _pairs(
     low: np.ndarray, code: np.ndarray, code_bits: int
@@ -466,8 +475,8 @@ class GroundingTable:
         return counts
 
     def pair_counts(self, strides: Sequence[int] | np.ndarray) -> PairStream:
-        """The count keys of every block of ``world_chunks``, one per (low
-        key, shared code) pair: ``stream.per_world(keys)`` of the block that
+        """The count keys of every block of ``DEFAULT_CHUNK`` worlds, one per
+        (low key, shared code) pair: ``stream.per_world(keys)`` of the block that
         starts at ``start`` equals ``counts @ strides`` of its worlds' count
         matrix, where ``strides`` is one integer per clause, giving one key
         per world, or a (clauses, words) matrix of them, giving a row of key
@@ -501,10 +510,10 @@ class GroundingTable:
         dtype = _count_dtype(
             max(sum(int(s) * e.total for s, e in zip(w, self.entries)) for w in per_word.T)
         )
-        # Per key word, (atoms, stride-scaled table) terms of the low groundings;
-        # a clause's always-true groundings are a term over no atoms.
+        # Per key word, (atoms, stride-scaled table) terms of the low and the
+        # high groundings; a clause's always-true groundings are a term over no atoms.
         low: list[list[tuple[Sequence[int], np.ndarray]]] = [[] for _ in per_word.T]
-        high: list[tuple[int, np.ndarray, np.ndarray]] = []  # (word, atoms, scaled table)
+        high: list[list[tuple[Sequence[int], np.ndarray]]] = [[] for _ in per_word.T]
         for e, clause_strides in zip(self.entries, per_word):
             for w in np.flatnonzero(clause_strides):
                 stride = dtype.type(clause_strides[w])
@@ -513,20 +522,13 @@ class GroundingTable:
                     table = g.table.astype(dtype) * stride
                     reach = g.cols.max(axis=1) >= low_bits
                     low[w].extend((row, table) for row in g.cols[~reach])
-                    high.extend((w, row, table) for row in g.cols[reach])
+                    high[w].extend((row, table) for row in g.cols[reach])
         base = np.stack([_table_sums(n_bits, terms, dtype) for terms in low], axis=-1)
         base = base.reshape(base.shape[0], *strides.shape[1:])
         n_worlds = base.shape[0]
-        shared = sorted({int(p) for _, row, _ in high for p in row if p < low_bits})
+        shared = sorted({int(p) for terms in high for row, _ in terms for p in row if p < low_bits})
         slot = {p: j for j, p in enumerate(shared)}
-        # Each high grounding's table index over the shared assignments, laid
-        # out for _broadcast_sum; its high atoms, with their table bits, are
-        # ORed in by each block.
-        reads = []  # (word, scaled table, high atoms, outer shared positions, index)
-        for w, row, table in high:
-            lows = [(j, slot[int(p)]) for j, p in enumerate(row) if p < low_bits]
-            highs = [(int(p), j) for j, p in enumerate(row) if p >= low_bits]
-            reads.append((w, table, highs, *_layout(len(shared), lows)))
+        high_terms = [_block_terms(len(shared), terms, slot) for terms in high]
         code_dtype = _count_dtype((1 << len(shared)) - 1)
         code_table = np.arange(1 << len(shared), dtype=code_dtype)
         shared_code = _table_sums(n_bits, [(shared, code_table)], code_dtype)
@@ -535,11 +537,9 @@ class GroundingTable:
 
         def blocks() -> Iterator[tuple[int, np.ndarray]]:
             for start in range(0, 1 << self.index.n_atoms, n_worlds):
-                laid = [[] for _ in range(per_word.shape[1])]
-                for w, table, highs, outer, index in reads:
-                    high_code = sum((start >> p & 1) << j for p, j in highs)
-                    laid[w].append((outer, np.take(table, index | high_code)))
-                high_keys = np.stack([_broadcast_sum(len(shared), t, dtype) for t in laid], axis=-1)
+                high_keys = np.stack(
+                    [_broadcast_sum(len(shared), at(start), dtype) for at in high_terms], axis=-1
+                )
                 keys = np.take(high_keys.reshape(-1, *strides.shape[1:]), pair_code, axis=0)
                 keys += pair_base
                 yield start, keys
@@ -870,6 +870,37 @@ def _single_type(model: MlnModel) -> str:
     return model.signature.types[0][0]
 
 
+def _max_gap(model: MlnModel, index: AtomIndex, terms) -> float:
+    """The worst ``|log weight - sum(table[code])|`` over every world of the
+    index, where a ``(positions, table)`` term reads its code from the
+    world's bits at ``positions``, bit j from ``positions[j]``. Each block of
+    ``pair_log_weights`` sums the terms over its offsets with
+    ``_block_terms`` and ``_broadcast_sum``, so no 2^G vector is built."""
+    stream = _table(model.formulas(), index).pair_log_weights(model.weights())
+    n_bits = stream.n_worlds.bit_length() - 1
+    at = _block_terms(n_bits, terms)
+    worst = 0.0
+    for start, pair_lw in stream.blocks:
+        total = _broadcast_sum(n_bits, at(start), np.float64)
+        worst = max(worst, float(np.abs(stream.per_world(pair_lw) - total).max()))
+    return worst
+
+
+def _tuple_terms(model: MlnModel, index: AtomIndex, tuples_of) -> list:
+    """One ``(positions, table)`` term per tuple ``tuples_of(k)`` of each
+    arity k: the tuple's restriction positions and the dense log weights of
+    the arity-k clauses at k constants, computed once per arity."""
+    tau = _single_type(model)
+    terms = []
+    for k, clauses in arity_partition(model).items():
+        tuples = tuples_of(k)
+        if tuples:  # every k-tuple restricts to the same k-constant sub-index
+            sub_index = AtomIndex(model.signature, DomainSpec({tau: k}))
+            lw_k = dense_log_weights(replace(model, clauses=tuple(clauses)), sub_index)
+            terms += [(restriction_positions(index, {tau: c})[1], lw_k) for c in tuples]
+    return terms
+
+
 def max_tuple_factorization_error(model: MlnModel, n: int) -> float:
     """Worst absolute gap between each world's log weight and the sum of the
     per-tuple arity-k log weights of its restrictions, over all worlds at size n."""
@@ -877,20 +908,8 @@ def max_tuple_factorization_error(model: MlnModel, n: int) -> float:
     if not model.normalized:
         raise ValueError("factorization identities require a normalized model")
     index = AtomIndex(model.signature, DomainSpec({tau: n}))
-    full = dense_log_weights(model, index)
-    total = np.zeros_like(full)
-    for k, clauses in arity_partition(model).items():
-        tuples = ordered_tuples(n, k)
-        if tuples:  # every k-tuple restricts to the same k-constant sub-index
-            sub_index = AtomIndex(model.signature, DomainSpec({tau: k}))
-            lw_k = dense_log_weights(replace(model, clauses=tuple(clauses)), sub_index)
-        for c in tuples:
-            _, positions = restriction_positions(index, {tau: c})
-            for worlds in world_chunks(index.n_atoms):
-                start = int(worlds[0])
-                codes = bit_codes(worlds, positions)
-                total[start : start + worlds.shape[0]] += lw_k[codes]
-    return float(np.abs(full - total).max())
+    _guard(index.n_atoms, DEFAULT_MAX_ATOMS)
+    return _max_gap(model, index, _tuple_terms(model, index, lambda k: ordered_tuples(n, k)))
 
 
 def max_split_factorization_error(model: MlnModel, n: int, m: int) -> float:
@@ -902,28 +921,12 @@ def max_split_factorization_error(model: MlnModel, n: int, m: int) -> float:
     spec = DomainSpec({tau: n + m}, split_type=tau, split_at=n)
     index = AtomIndex(model.signature, spec)
     _guard(index.n_atoms, DEFAULT_MAX_ATOMS)
-    front, back = split_subsets(spec)
-    sub_n, pos_n = restriction_positions(index, front)
-    sub_m, pos_m = restriction_positions(index, back)
-    lw_n = dense_log_weights(model, sub_n)
-    lw_m = dense_log_weights(model, sub_m)
-    cross: list[tuple[np.ndarray, np.ndarray]] = []
-    for k, clauses in arity_partition(model).items():
-        tuples = cross_tuples(n, m, k)
-        if tuples:  # every k-tuple restricts to the same k-constant sub-index
-            sub_index = AtomIndex(model.signature, DomainSpec({tau: k}))
-            lw_k = dense_log_weights(replace(model, clauses=tuple(clauses)), sub_index)
-        cross += [(restriction_positions(index, {tau: c})[1], lw_k) for c in tuples]
-    worst = 0.0
-    stream = _table(model.formulas(), index).pair_log_weights(model.weights())
-    for start, pair_lw in stream.blocks:
-        lw = stream.per_world(pair_lw)
-        worlds = np.arange(start, start + stream.n_worlds, dtype=np.uint64)
-        acc = lw_n[bit_codes(worlds, pos_n)] + lw_m[bit_codes(worlds, pos_m)]
-        for pos_c, lw_c in cross:
-            acc += lw_c[bit_codes(worlds, pos_c)]
-        worst = max(worst, float(np.abs(lw - acc).max()))
-    return worst
+    halves = []
+    for half in split_subsets(spec):
+        sub_index, positions = restriction_positions(index, half)
+        halves.append((positions, dense_log_weights(model, sub_index)))
+    cross = _tuple_terms(model, index, lambda k: cross_tuples(n, m, k))
+    return _max_gap(model, index, halves + cross)
 
 
 # ---------------------------------------------------------------------------
@@ -931,14 +934,7 @@ def max_split_factorization_error(model: MlnModel, n: int, m: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DaScaling:
-    """Per-clause scale-down factors for a target domain size."""
-
-    factors: tuple[float, ...]
-
-
-def da_scale_factors(model: MlnModel, target_sizes: Mapping[str, int]) -> DaScaling:
+def da_scale_factors(model: MlnModel, target_sizes: Mapping[str, int]) -> tuple[float, ...]:
     """Scale-down factor per clause: the largest, over the clause's atoms, of the
     product of target-domain sizes of the clause variables missing from that atom."""
     factors = []
@@ -956,13 +952,10 @@ def da_scale_factors(model: MlnModel, target_sizes: Mapping[str, int]) -> DaScal
                         raise ValueError(f"no target size for type {t}") from None
             s = max(s, prod)
         factors.append(s)
-    return DaScaling(tuple(factors))
+    return tuple(factors)
 
 
-def apply_da_scaling(model: MlnModel, scaling: DaScaling) -> MlnModel:
-    """Divide each clause weight by its scale factor."""
-    if len(scaling.factors) != len(model.clauses):
-        raise ValueError("scaling was computed for a different clause list")
-    return model.with_weights(
-        [c.weight / s for c, s in zip(model.clauses, scaling.factors)]
-    )
+def apply_da_scaling(model: MlnModel, target_sizes: Mapping[str, int]) -> MlnModel:
+    """Divide each clause weight by its ``da_scale_factors`` factor."""
+    factors = da_scale_factors(model, target_sizes)
+    return model.with_weights([c.weight / s for c, s in zip(model.clauses, factors)])

@@ -1,24 +1,28 @@
 """Independent brute-force references the engine is validated against.
 
-Everything here but the block kernel recomputes quantities from first
-principles with plain loops: no grounding tables, no restriction machinery,
-no vectorization. Slow on purpose; only usable at toy sizes.
+Everything here but the block kernel and its world primitives recomputes
+quantities from first principles with plain loops: no grounding tables, no
+restriction machinery, no vectorization. Slow on purpose; only usable at toy
+sizes.
 
 The block kernel (``counts_matrix``, ``log_weights``) is the plain path the
 engine's passes are checked against: it reads a grounding table's compiled
 groundings, but evaluates every grounding in every world of a block, one
 truth-table gather per grounding, where the engine counts each block's few
-(low key, shared code) pairs.
+(low key, shared code) pairs. ``world_chunks`` builds the blocks' world
+integers and ``bit_codes`` packs their bits at given positions, the codes the
+engine's passes read without building a world.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import product
-from typing import Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
+from mlnexact import model as model_module
 from mlnexact.logic import And, Atom, Iff, Implies, MlnModel, Not, Or
 from mlnexact.worlds import World
 
@@ -119,6 +123,24 @@ def fd_gradient(fn, weights, h: float = 1e-5):
 
 def kl_reference(p_logs, q_logs) -> float:
     return sum(math.exp(p) * (p - q) for p, q in zip(p_logs, q_logs))
+
+
+def world_chunks(n_atoms: int) -> Iterator[np.ndarray]:
+    """World integers 0..2^G-1 in consecutive uint64 blocks of DEFAULT_CHUNK
+    (one block of 2^G when that is smaller), so every block is a power of two
+    aligned to its length."""
+    total = 1 << n_atoms
+    for start in range(0, total, model_module.DEFAULT_CHUNK):
+        yield np.arange(start, min(start + model_module.DEFAULT_CHUNK, total), dtype=np.uint64)
+
+
+def bit_codes(worlds: np.ndarray, positions: Sequence[int]) -> np.ndarray:
+    """Pack the given bit positions of each world integer into dense codes."""
+    code = np.zeros(worlds.shape[0], dtype=np.int64)
+    one = np.uint64(1)
+    for j, p in enumerate(positions):
+        code |= ((worlds >> np.uint64(int(p))) & one).astype(np.int64) << j
+    return code
 
 
 def _bit_columns(worlds: np.ndarray, positions) -> dict[int, np.ndarray]:

@@ -17,9 +17,9 @@ from mlnexact.logic import (
     Signature,
     parse_mln,
 )
-from mlnexact.model import _table, bit_codes, world_chunks
+from mlnexact.model import _table
 
-from _oracles import log_weights
+from _oracles import bit_codes, log_weights, world_chunks
 
 EXAMPLE2_TEXT = """\
 // contagion model: vaccines protect, contact spreads

@@ -23,7 +23,6 @@ from mlnexact.learning import gradient
 from mlnexact.logic import normalize_distinct, parse_mln
 from mlnexact.model import (
     apply_da_scaling,
-    da_scale_factors,
     dense_log_weights,
     log_partition,
     log_probability,
@@ -221,7 +220,7 @@ def test_criterion_08_regularization_reduces_spread(pipeline):
     da_ok = 0
     for r in runs:
         raw = models[(r, "da")]
-        effective = apply_da_scaling(raw, da_scale_factors(raw, {"person": 4}))
+        effective = apply_da_scaling(raw, {"person": 4})
         if log_spread(effective, 3, 1) <= log_spread(raw, 3, 1) + TOL:
             da_ok += 1
     all_converged = all(converged.values())

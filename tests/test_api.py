@@ -15,7 +15,6 @@ PUBLIC = [
     "CheckRecord",
     "Clause",
     "CrossBounds",
-    "DaScaling",
     "Database",
     "DbParseError",
     "DomainSpec",
@@ -103,7 +102,6 @@ PARAMETERS = {
     "CheckRecord": ("name", "n", "m", "log_spread", "worst_slack", "passed", "details"),
     "Clause": ("formula", "weight", "origin"),
     "CrossBounds": ("n", "m", "log_m_max", "log_m_min", "per_arity", "exponents"),
-    "DaScaling": ("factors",),
     "Database": ("signature",),
     "DbParseError": ("message", "line"),
     "DomainSpec": ("sizes", "split_type", "split_at"),
@@ -120,7 +118,7 @@ PARAMETERS = {
     "Signature": ("types", "predicates"),
     "SweepResult": ("best_lam", "entries", "fits"),
     "World": ("index", "bits"),
-    "apply_da_scaling": ("model", "scaling"),
+    "apply_da_scaling": ("model", "target_sizes"),
     "arity_partition": ("model",),
     "count_true_groundings": ("clause", "world"),
     "cross_atom_count": ("index",),

@@ -25,7 +25,6 @@ from mlnexact.logic import normalize_distinct, parse_mln
 from mlnexact.model import (
     _histogram,
     _table,
-    bit_codes,
     count_histogram,
     dense_log_weights,
     log_k_weight,
@@ -43,7 +42,7 @@ from mlnexact.worlds import (
     split_subsets,
 )
 
-from _oracles import counts_matrix, kl_reference
+from _oracles import bit_codes, counts_matrix, kl_reference
 from conftest import (
     WIDE_SPAN_TEXT,
     dense_restriction_oracle,
@@ -277,6 +276,30 @@ class TestKl:
     def test_bound_holds_on_random_models(self, seed):
         model = normalize_distinct(random_raw_model(np.random.default_rng(1000 + seed)))
         assert named_check("kl_bound", model, 2, 2).passed
+
+    def test_kl_does_not_depend_on_the_blas_threads(self):
+        # As a BLAS dot, the 3|1 KL of smokers at seed 7 read
+        # 0.0010104862655162354 under one OpenBLAS thread and ...632 under two.
+        code = (
+            "import numpy as np\n"
+            "from mlnexact import bounds\n"
+            "from mlnexact.datagen import FRIENDS_SMOKERS_MLN\n"
+            "from mlnexact.logic import normalize_distinct, parse_mln\n"
+            "model = normalize_distinct(parse_mln(FRIENDS_SMOKERS_MLN))\n"
+            "rng = np.random.default_rng(7)\n"
+            "model = model.with_weights(rng.uniform(-1.5, 1.5, len(model.clauses)))\n"
+            "print(repr(bounds.verify_all(model, 3, 1).kl))\n"
+        )
+        src = str(Path(bounds.__file__).resolve().parents[1])
+        kls = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            out = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+            )
+            kls.append(out.stdout.strip())
+        assert kls[0] == kls[1]
+        assert 0.0 < float(kls[0]) < 1e-2
 
 
 class TestLoglikBound:

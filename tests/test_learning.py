@@ -845,7 +845,7 @@ class TestDomainAwareTraining:
         assert scaled.trace[-1].neg_log_likelihood == pytest.approx(
             plain.trace[-1].neg_log_likelihood, abs=1e-8
         )
-        factors = da_scale_factors(model, dict(spec.sizes)).factors
+        factors = da_scale_factors(model, dict(spec.sizes))
         assert factors == (1.0, 1.0, 3.0)
         assert scaled.weights[0] == pytest.approx(plain.weights[0], abs=1e-4)
         assert scaled.weights[2] / 3.0 == pytest.approx(plain.weights[2], abs=1e-4)
@@ -855,7 +855,7 @@ class TestDomainAwareTraining:
         spec4 = DomainSpec({"p": 4})
         index4 = AtomIndex(model.signature, spec4)
         world = World(index4, 12345)
-        scaled = apply_da_scaling(model, da_scale_factors(model, {"p": 4}))
+        scaled = apply_da_scaling(model, {"p": 4})
         expected = log_probability(scaled, world)
         got = target_log_likelihoods(model, spec4, [world], da_sizes={"p": 4})[0]
         assert got == pytest.approx(expected, abs=1e-12)
@@ -997,7 +997,5 @@ class TestSpreadReduction:
             assert reg_result.converged
             assert log_spread(reg_result.model, 3, 1) <= reference + 1e-9
         da_result = learn(model, spec, data, LearnConfig(da=True, max_iter=2000))
-        effective = apply_da_scaling(
-            da_result.model, da_scale_factors(da_result.model, {"person": 4})
-        )
+        effective = apply_da_scaling(da_result.model, {"person": 4})
         assert log_spread(effective, 3, 1) <= log_spread(da_result.model, 3, 1) + 1e-9

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+from dataclasses import replace
 from itertools import permutations
 from unittest import mock
 
@@ -12,12 +13,10 @@ from hypothesis import strategies as st
 from mlnexact import bounds, learning
 from mlnexact import model as model_module
 from mlnexact.datagen import FRIENDS_SMOKERS_MLN
-from mlnexact.logic import MlnModel, normalize_distinct, parse_mln
+from mlnexact.logic import MlnModel, arity_partition, normalize_distinct, parse_mln
 from mlnexact.model import (
-    DaScaling,
     GroundingTable,
     apply_da_scaling,
-    bit_codes,
     count_histogram,
     count_true_groundings,
     da_scale_factors,
@@ -34,13 +33,13 @@ from mlnexact.model import (
     _grounded_formula,
     _histogram,
     _table,
-    world_chunks,
 )
 from mlnexact.worlds import (
     AtomIndex,
     DomainSpec,
     DomainTooLargeError,
     World,
+    cross_tuples,
     enumerate_worlds,
     ordered_tuples,
     permute,
@@ -50,11 +49,13 @@ from mlnexact.worlds import (
 )
 
 from _oracles import (
+    bit_codes,
     count_groundings_direct,
     counts_matrix,
     log_weights,
     raw_log_probs,
     raw_log_weight,
+    world_chunks,
 )
 from conftest import (
     WIDE_SPAN_TEXT,
@@ -376,6 +377,93 @@ class TestKWeights:
         assert max_split_factorization_error(model, 2, 2) <= 1e-9
 
 
+def _identity_terms(model: MlnModel, index: AtomIndex, tuples) -> list:
+    """The factorization identity's ``(positions, table)`` terms from the
+    plain block kernel: one per k-tuple of ``tuples``, over the tuple's
+    restriction positions, with the arity-k clauses' log weights at k constants."""
+    tau = model.signature.types[0][0]
+    terms = []
+    for k, clauses in arity_partition(model).items():
+        sub_index = index_for(model, k)
+        lw_k = plain_log_weights(replace(model, clauses=tuple(clauses)), sub_index)
+        terms += [(restriction_positions(index, {tau: c})[1], lw_k) for c in tuples(k)]
+    return terms
+
+
+def _gap_oracle(model: MlnModel, index: AtomIndex, terms) -> float:
+    """Worst per-world ``|log weight - sum(table[code])|``, every world's
+    code gathered with ``bit_codes``."""
+    lw = plain_log_weights(model, index)
+    total = np.zeros_like(lw)
+    for worlds in world_chunks(index.n_atoms):
+        at = slice(int(worlds[0]), int(worlds[0]) + worlds.shape[0])
+        for positions, table in terms:
+            total[at] += table[bit_codes(worlds, positions)]
+    return float(np.abs(lw - total).max())
+
+
+class TestFactorizationGap:
+    """``_max_gap`` sums restriction tables per block of the pair stream. In
+    blocks of 16 worlds every term has positions past a block's low bits,
+    which each block fixes from its start."""
+
+    @pytest.mark.parametrize("ternary", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_checks_match_the_per_world_oracle(self, seed, ternary):
+        model = normalize_distinct(
+            random_raw_model(np.random.default_rng(700 + seed), include_ternary_clause=ternary)
+        )
+        index3 = index_for(model, 3)
+        tau = model.signature.types[0][0]
+        spec = DomainSpec({tau: 3}, split_type=tau, split_at=2)
+        split_index = AtomIndex(model.signature, spec)
+        halves = []
+        for half in split_subsets(spec):
+            sub_index, positions = restriction_positions(split_index, half)
+            halves.append((positions, plain_log_weights(model, sub_index)))
+        tuple_oracle = _gap_oracle(
+            model, index3, _identity_terms(model, index3, lambda k: ordered_tuples(3, k))
+        )
+        cross = _identity_terms(model, split_index, lambda k: cross_tuples(2, 1, k))
+        split_oracle = _gap_oracle(model, split_index, halves + cross)
+        with mock.patch.object(model_module, "DEFAULT_CHUNK", 1 << 4):
+            assert max_tuple_factorization_error(model, 3) == pytest.approx(tuple_oracle, abs=1e-12)
+            assert max_split_factorization_error(model, 2, 1) == pytest.approx(
+                split_oracle, abs=1e-12
+            )
+        assert max(tuple_oracle, split_oracle) <= 1e-9
+
+    @pytest.mark.parametrize("chunk_bits", [18, 4])
+    def test_a_shifted_table_entry_shows_as_the_gap(self, chunk_bits):
+        # The exact identity's gap is rounding; shifting one table entry of
+        # one term by 0.25 moves every world that reads that entry by 0.25.
+        model = normalize_distinct(random_raw_model(np.random.default_rng(701)))
+        index = index_for(model, 3)
+        terms = model_module._tuple_terms(model, index, lambda k: ordered_tuples(3, k))
+        positions, table = terms[-1]
+        shifted = table.copy()
+        shifted[table.shape[0] // 2] += 0.25
+        terms[-1] = (positions, shifted)
+        with mock.patch.object(model_module, "DEFAULT_CHUNK", 1 << chunk_bits):
+            assert model_module._max_gap(model, index, terms) == pytest.approx(0.25, abs=1e-12)
+        assert _gap_oracle(model, index, terms) == pytest.approx(0.25, abs=1e-12)
+
+    def test_smokers_g24_tuple_check_stays_below_32_mb(self):
+        # The check held two 2^24 float64 vectors (268 MB) and their
+        # difference: it peaked at 541 MB traced, and 7 MB per block.
+        model = normalize_distinct(parse_mln(FRIENDS_SMOKERS_MLN))
+        index = index_for(model, 4)
+        assert index.n_atoms == 24
+        tracemalloc.start()
+        try:
+            gap = max_tuple_factorization_error(model, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gap <= 1e-9
+        assert peak <= 32e6
+
+
 class TestPartition:
     def test_zero_weights_binary(self):
         model = model_from("type p = 2\npredicate R(p,p)\n0 R(x,y)")
@@ -657,8 +745,10 @@ class TestChunkCounts:
     def test_blocks_tile_the_worlds_and_only_the_first_builds_them(self, chunk_bits):
         # Smokers at n=3 (G=15) over two layouts and every pass built on
         # pair_counts, gathered to the worlds by world_blocks: the block starts
-        # are 0, chunk, 2 chunk, ... below 2^G, and no pass builds a block's
-        # worlds with world_chunks.
+        # are 0, chunk, 2 chunk, ... below 2^G. No pass builds a block's
+        # worlds: the engine has no world_chunks or bit_codes to build them with.
+        assert not hasattr(model_module, "world_chunks")
+        assert not hasattr(model_module, "bit_codes")
         model = normalize_distinct(parse_mln(FRIENDS_SMOKERS_MLN))
         index = index_for(model, 3)
         gt = GroundingTable(model.formulas(), index)
@@ -667,9 +757,7 @@ class TestChunkCounts:
         passes = mock.patch.object(
             GroundingTable, "pair_counts", autospec=True, side_effect=GroundingTable.pair_counts
         )
-        with mock.patch.object(model_module, "DEFAULT_CHUNK", chunk), mock.patch.object(
-            model_module, "world_chunks", wraps=world_chunks
-        ) as made, passes as counted:
+        with mock.patch.object(model_module, "DEFAULT_CHUNK", chunk), passes as counted:
             for layout in LAYOUTS.values():
                 blocks = list(world_blocks(gt.pair_counts(layout(gt))))
                 assert [start for start, _ in blocks] == tiles
@@ -682,10 +770,10 @@ class TestChunkCounts:
             learning._counts_cached(model.formulas(), index)
             dense_log_weights(model, index)
             marginal_log_probs(model, DomainSpec({"person": 3}, split_type="person", split_at=2))
+            max_tuple_factorization_error(model, 3)
             max_split_factorization_error(model, 2, 1)
             bounds.verify_all(model, 2, 1)
             assert counted.call_count > 3
-            assert made.call_count == 0
         _histogram.cache_clear()
         learning._counts_cached.cache_clear()
 
@@ -1373,32 +1461,30 @@ class TestNormalizationPreservesSemantics:
 
 class TestDaScaling:
     def test_every_atom_full_vars_gives_one(self, example3_model):
-        scaling = da_scale_factors(normalize_distinct(example3_model), {"person": 500})
-        assert all(s == 1.0 for s in scaling.factors)
+        factors = da_scale_factors(normalize_distinct(example3_model), {"person": 500})
+        assert all(s == 1.0 for s in factors)
 
     def test_contagion_rule_scales_with_missing_variable(self, example2_model):
-        factors = da_scale_factors(example2_model, {"person": 500}).factors
+        factors = da_scale_factors(example2_model, {"person": 500})
         # antecedent-only atoms miss one variable each: factor 500
         assert factors == (1.0, 500.0)
 
     def test_unary_clause(self):
         model = parse_mln("type p = 9\npredicate S(p)\n0.5 S(x)")
-        assert da_scale_factors(model, {"p": 9}).factors == (1.0,)
+        assert da_scale_factors(model, {"p": 9}) == (1.0,)
 
     def test_identity_scaling_keeps_model(self, example3_model):
         model = normalize_distinct(example3_model)
-        scaled = apply_da_scaling(model, da_scale_factors(model, {"person": 10}))
+        scaled = apply_da_scaling(model, {"person": 10})
         assert scaled == model
 
     def test_weight_division(self):
         model = parse_mln("type p = 4\npredicate R(p,p)\npredicate S(p)\n2.0 R(x,y) ^ S(x)")
-        scaled = apply_da_scaling(model, da_scale_factors(model, {"p": 4}))
+        scaled = apply_da_scaling(model, {"p": 4})
         assert scaled.clauses[0].weight == pytest.approx(0.5)
-
-    def test_mismatched_scaling_rejected(self, example2_model):
-        with pytest.raises(ValueError, match="different clause list"):
-            apply_da_scaling(example2_model, DaScaling((1.0,)))
 
     def test_missing_type_size(self, example2_model):
         with pytest.raises(ValueError, match="no target size"):
             da_scale_factors(example2_model, {})
+        with pytest.raises(ValueError, match="no target size"):
+            apply_da_scaling(example2_model, {})

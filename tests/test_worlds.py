@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlnexact.logic import Signature
-from mlnexact.model import bit_codes
 from mlnexact.worlds import (
     AtomIndex,
     DomainSpec,
@@ -22,6 +21,8 @@ from mlnexact.worlds import (
     restriction_positions,
     split_subsets,
 )
+
+from _oracles import bit_codes
 
 
 def single_pred_index(arity: int, n: int, name: str = "R") -> AtomIndex:
