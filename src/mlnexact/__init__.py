@@ -15,7 +15,6 @@ from .bounds import (
     extremal_k_weights,
     log_spread,
     verify_all,
-    weight_sandwich_slacks,
 )
 from .datagen import (
     Database,
@@ -47,7 +46,6 @@ from .logic import (
     Signature,
     arity_partition,
     formula_to_text,
-    is_sigma_determinate,
     normalize_distinct,
     parse_formula,
     parse_mln,
@@ -58,7 +56,6 @@ from .model import (
     apply_da_scaling,
     count_true_groundings,
     da_scale_factors,
-    log_k_weight,
     log_marginal,
     log_partition,
     log_probability,
@@ -76,7 +73,6 @@ from .worlds import (
     cross_tuples,
     enumerate_worlds,
     ordered_tuples,
-    permute,
     restrict,
     restriction_positions,
     split_subsets,

@@ -72,15 +72,12 @@ from .model import (
     _table,
     _tiles,
     dense_log_weights,
-    log_weight,
 )
 from .worlds import (
     AtomIndex,
     DomainSpec,
-    World,
     _guard,
     cross_atom_count,
-    restrict,
     restriction_positions,
     split_subsets,
 )
@@ -279,20 +276,6 @@ def _split_context(model: MlnModel, n: int, m: int, *, max_atoms: int = DEFAULT_
 
     witnesses = _index_bits(witness[0]), _index_bits(witness[1])
     return index, cross, lw_n, lw_m, bucket_logs, *worst, *witnesses
-
-
-def weight_sandwich_slacks(model: MlnModel, n: int, m: int, world: World) -> tuple[float, float]:
-    """(upper, lower) sandwich slack for one world over the split domain."""
-    model = normalize_distinct(model)
-    tau = _single_type(model)
-    spec = DomainSpec({tau: n + m}, split_type=tau, split_at=n)
-    if world.index != AtomIndex(model.signature, spec):
-        raise ValueError("world is not over the split domain spec")
-    cross = cross_weight_bounds(model, n, m)
-    front, back = split_subsets(spec)
-    base = log_weight(model, restrict(world, front)) + log_weight(model, restrict(world, back))
-    lw = log_weight(model, world)
-    return base + cross.log_m_max - lw, lw - base - cross.log_m_min
 
 
 def verify_all(

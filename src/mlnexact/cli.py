@@ -66,15 +66,8 @@ def cmd_learn(args) -> int:
     db = _load_db(args.db, model.signature)
     spec = _spec_for(model, args.n) if args.n is not None else domain_spec_for(db)
     data = db_to_world(db, spec)
-    config = LearnConfig(
-        regularizer=args.reg,
-        lam=args.lam,
-        da=args.da,
-        max_iter=args.max_iter,
-        tol=args.tol,
-        tie_split_weights=args.tie_split_weights,
-        max_atoms=args.max_atoms,
-    )
+    # Every learn flag but the inputs and outputs is a config field.
+    config = LearnConfig(**{f.name: getattr(args, f.name) for f in fields(LearnConfig)})
     result = learn(model, spec, data, config)
     print(f"converged: {result.converged} after {result.iterations} iterations")
     print(f"final objective (penalized negative log-likelihood): {result.objective:.12g}")
@@ -162,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mln", required=True)
     p.add_argument("--db", required=True)
     p.add_argument("--n", type=int, help="domain size (defaults to database constants)")
-    p.add_argument("--reg", choices=("none", "l1", "l2"), default="none")
+    p.add_argument("--reg", choices=("none", "l1", "l2"), default="none", dest="regularizer")
     p.add_argument("--lambda", type=float, default=0.0, dest="lam")
     p.add_argument("--da", action="store_true", help="scale weights by train-size factors")
     p.add_argument("--max-iter", type=int, default=500, dest="max_iter")

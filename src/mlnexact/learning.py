@@ -410,23 +410,8 @@ def _fit(
             return float(lam_vec @ theta**2)
         return 0.0
 
-    def prox(x: np.ndarray, t: np.ndarray | float) -> np.ndarray:
-        if not l1:
-            return x
-        return np.sign(x) * np.maximum(np.abs(x) - t * lam_vec, 0.0)
-
     theta = np.zeros(n_params)
     trace: list[IterStats] = []
-    converged = False
-    iterations = 0
-
-    def stats_at(point: np.ndarray, value: float, smooth_grad: np.ndarray) -> IterStats:
-        if l1:
-            residual = float(np.abs(point - prox(point - smooth_grad, 1.0)).max(initial=0.0))
-        else:
-            residual = float(np.abs(smooth_grad).max(initial=0.0))
-        return IterStats(value, penalty(point), residual)
-
     armijo = 1e-4
     penalized_coords = lam_vec > 0.0
 
@@ -440,15 +425,21 @@ def _fit(
         pg_zero[np.abs(smooth_grad) <= lam_vec] = 0.0
         return np.where(at_zero, pg_zero, pg)
 
-    for _ in range(config.max_iter):
-        iterations += 1
+    # Every iterate is evaluated and recorded here, the last one too: the
+    # extra pass after max_iter steps records the final iterate and stops.
+    for iterations in range(1, config.max_iter + 2):
         value, grad, hessian_at = _nll_grad_hessian(counts_p, data_counts_p, theta, buf)
-        objective = value + penalty(theta)
+        current_penalty = penalty(theta)
+        objective = value + current_penalty
         smooth_grad = grad + (2.0 * lam_vec * theta if l2 else 0.0)
-        stats = stats_at(theta, value, smooth_grad)
-        trace.append(stats)
-        if stats.grad_norm <= config.tol:
-            converged = True
+        if l1:  # distance to the proximal (soft-threshold) step
+            x = theta - smooth_grad
+            prox = np.sign(x) * np.maximum(np.abs(x) - lam_vec, 0.0)
+            residual = float(np.abs(theta - prox).max(initial=0.0))
+        else:
+            residual = float(np.abs(smooth_grad).max(initial=0.0))
+        trace.append(IterStats(value, current_penalty, residual))
+        if residual <= config.tol or iterations > config.max_iter:
             break
         hessian = hessian_at()
         if l2:
@@ -462,13 +453,10 @@ def _fit(
         # For L1, coordinates pinned at zero by the threshold stay inactive.
         if l1:
             direction[(theta == 0.0) & (pg == 0.0)] = 0.0
-        descent = float(pg @ direction)
-        if descent >= 0.0:
+        if float(pg @ direction) >= 0.0:
             direction = -pg
-            descent = -float(pg @ pg)
 
         alpha = 1.0
-        stalled = False
         orthant = np.sign(np.where(theta == 0.0, -pg, theta))
         while True:
             cand = theta + alpha * direction
@@ -482,18 +470,13 @@ def _fit(
                 break
             alpha *= 0.5
             if alpha < 1e-14:
-                stalled = True
                 break
-        if stalled or not np.any(cand != theta):
+        # An accepted step has alpha >= 2^-46, so a smaller one is a stall.
+        if alpha < 1e-14 or not np.any(cand != theta):
             break
         theta = cand
-    else:
-        # Loop exhausted max_iter with a final update; record the last iterate.
-        value, grad, _ = _nll_grad_hessian(counts_p, data_counts_p, theta, buf)
-        smooth_grad = grad + (2.0 * lam_vec * theta if l2 else 0.0)
-        stats = stats_at(theta, value, smooth_grad)
-        trace.append(stats)
-        converged = stats.grad_norm <= config.tol
+    converged = trace[-1].grad_norm <= config.tol
+    iterations = min(iterations, config.max_iter)
 
     rows = [(t.neg_log_likelihood, t.penalty, t.grad_norm) for t in trace]
     return _Fit((tie @ theta).tobytes(), converged, iterations, np.array(rows).tobytes())

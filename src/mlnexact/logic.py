@@ -619,12 +619,3 @@ def arity_partition(model: MlnModel) -> dict[int, list[Clause]]:
     for clause in model.clauses:
         parts.setdefault(clause.formula.arity, []).append(clause)
     return dict(sorted(parts.items()))
-
-
-def is_sigma_determinate(model: MlnModel) -> bool:
-    """True iff in every clause all atoms mention exactly the same variable set."""
-    for clause in model.clauses:
-        sets = {frozenset(a.args) for a in atoms_in(clause.formula.ast)}
-        if len(sets) > 1:
-            return False
-    return True

@@ -319,29 +319,24 @@ def _count_keys(entries: Sequence[_GroundedFormula]) -> tuple[int, np.ndarray, n
     return span, strides[:, 0] if strides.shape[1] == 1 else strides, radix
 
 
-def _unique_keys(keys: np.ndarray, return_inverse: bool = False, return_counts: bool = False):
-    """``np.unique(keys, axis=0, ...)`` of count keys, one word or several.
+def _unique_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, axis=0, return_inverse=True)`` of count keys, one
+    word or several.
 
     One-word keys go to ``np.unique``. On several words it sorts the rows as a
     structured view, so they are sorted here with one ``np.lexsort``, word 0
-    most significant, which gives the same distinct keys in the same order
-    with the same counts; the inverse comes back flat.
+    most significant, which gives the same distinct keys in the same order;
+    the inverse comes back flat.
     """
     if keys.ndim == 1:
-        return np.unique(keys, axis=0, return_inverse=return_inverse, return_counts=return_counts)
+        return np.unique(keys, axis=0, return_inverse=True)
     order = np.lexsort(keys.T[::-1])
     ordered = keys[order]
     first = np.ones(order.shape[0], dtype=bool)
     first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    starts = np.flatnonzero(first)
-    out = [ordered[starts]]
-    if return_inverse:
-        inverse = np.empty_like(order)
-        inverse[order] = np.cumsum(first) - 1
-        out.append(inverse)
-    if return_counts:
-        out.append(np.diff(np.append(starts, order.shape[0])))
-    return tuple(out) if len(out) > 1 else out[0]
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[np.flatnonzero(first)], inverse
 
 
 def _decode_keys(keys: np.ndarray, strides: np.ndarray, radix: np.ndarray) -> np.ndarray:
@@ -437,7 +432,7 @@ def _pairs(
         pair_low, pair_code = pairs >> code_bits, pairs & ((1 << code_bits) - 1)
     else:
         rows = np.column_stack([low.reshape(low.shape[0], -1).astype(np.int64), code])
-        rows, inverse = _unique_keys(rows, return_inverse=True)
+        rows, inverse = _unique_keys(rows)
         pair_low, pair_code = rows[:, :-1].reshape(-1, *low.shape[1:]), rows[:, -1]
         inverse = inverse.reshape(-1).astype(_count_dtype(pair_code.shape[0] - 1))
     return pair_low.astype(low.dtype), pair_code, inverse
@@ -450,13 +445,6 @@ class GroundingTable:
         self.index = index
         self.entries = [_grounded_formula(f, index) for f in formulas]
         self._world_counts: dict[int, np.ndarray] = {}
-
-    def _with_entries(self, entries: list[_GroundedFormula]) -> GroundingTable:
-        """A copy over other groundings, with its own empty world-count memo."""
-        out = copy.copy(self)
-        out.entries = entries
-        out._world_counts = {}
-        return out
 
     def counts_world(self, world: World) -> np.ndarray:
         """True-grounding count of every clause in a single world, read-only.
@@ -584,11 +572,13 @@ class GroundingTable:
         rest[lead] = False
         order = np.concatenate([lead, np.flatnonzero(rest)])
         new_pos = np.argsort(order)
-        entries = [
+        out = copy.copy(self)  # with its own empty world-count memo
+        out.entries = [
             replace(e, groups=[_Group(new_pos[g.cols], g.table) for g in e.groups])
             for e in self.entries
         ]
-        return self._with_entries(entries), order
+        out._world_counts = {}
+        return out, order
 
 
 @lru_cache(maxsize=256)
@@ -620,19 +610,6 @@ def log_weight(model: MlnModel, world: World) -> float:
     """
     counts = _table(model.formulas(), world.index).counts_world(world)
     return float(np.dot(np.array(model.weights()), counts))
-
-
-def log_k_weight(model: MlnModel, partial: World, k: int) -> float:
-    """Log weight restricted to the arity-k clause group, on a k-constant sub-world."""
-    if not model.normalized:
-        raise ValueError("log_k_weight requires a normalized model")
-    spec = partial.index.spec
-    if len(spec.sizes) != 1 or spec.sizes[0][1] != k:
-        raise ValueError("partial world must cover exactly k constants of a single type")
-    clauses = tuple(arity_partition(model).get(k, ()))
-    if not clauses:
-        return 0.0
-    return log_weight(replace(model, clauses=clauses), partial)
 
 
 def dense_log_weights(
@@ -684,7 +661,7 @@ def _histogram(formulas: tuple[Formula, ...], index: AtomIndex) -> CountHistogra
     stream = gt.pair_counts(strides)
     keys, mult = np.zeros((0, *strides.shape[1:]), dtype=np.int64), np.zeros(0)
     for _, key in stream.blocks:
-        keys, inverse = _unique_keys(np.concatenate([keys, key]), return_inverse=True)
+        keys, inverse = _unique_keys(np.concatenate([keys, key]))
         mult = np.bincount(inverse.reshape(-1), weights=np.concatenate([mult, stream.mult]))
     mult = mult.astype(np.int64)
     rows = _decode_keys(keys, strides, radix)
@@ -705,7 +682,7 @@ def _distinct_counts(
     _, strides, radix = _count_keys(gt.entries)
     stream = gt.pair_counts(strides)
     blocks = [k for _, k in stream.blocks]
-    keys, inverse = _unique_keys(np.concatenate(blocks), return_inverse=True)
+    keys, inverse = _unique_keys(np.concatenate(blocks))
     # The inverse's shape varies across numpy 2.x releases.
     inverse = inverse.reshape(len(blocks), -1)
     mult = np.bincount(inverse.reshape(-1), weights=np.tile(stream.mult, len(blocks)))

@@ -147,6 +147,10 @@ class World:
     index: AtomIndex
     bits: int
 
+    def __post_init__(self):
+        if not 0 <= self.bits < 1 << self.index.n_atoms:
+            raise ValueError(f"world bits {self.bits} outside [0, 2^{self.index.n_atoms})")
+
     def truth(self, pred: str, args: tuple[int, ...]) -> bool:
         return bool(self.bits >> self.index.index_of(pred, args) & 1)
 
@@ -225,33 +229,6 @@ def restrict(world: World, keep: Mapping[str, Iterable[int]] | Iterable[int]) ->
         if world.bits >> int(p) & 1:
             bits |= 1 << j
     return World(sub_index, bits)
-
-
-def permute(world: World, mapping: Mapping[str, Mapping[int, int]] | Mapping[int, int]) -> World:
-    """Rename constants by per-type bijections; atom truth follows the renaming."""
-    spec = world.index.spec
-    if mapping and not isinstance(next(iter(mapping.values())), Mapping):
-        if len(spec.sizes) != 1:
-            raise ValueError("bare permutation only allowed for single-type domains")
-        mapping = {spec.sizes[0][0]: mapping}  # type: ignore[dict-item]
-    perms: dict[str, dict[int, int]] = {}
-    for t, size in spec.sizes:
-        sigma = dict(mapping.get(t, {}))  # type: ignore[union-attr]
-        for c in range(1, size + 1):
-            sigma.setdefault(c, c)
-        if sorted(sigma) != list(range(1, size + 1)) or sorted(sigma.values()) != list(
-            range(1, size + 1)
-        ):
-            raise ValueError(f"not a bijection on constants of type {t}")
-        perms[t] = sigma
-    bits = 0
-    for i, (pred_name, args) in enumerate(world.index.atoms):
-        if not world.bits >> i & 1:
-            continue
-        arg_types = world.index.signature.predicate(pred_name).arg_types
-        image = tuple(perms[t][a] for a, t in zip(args, arg_types))
-        bits |= 1 << world.index.index_of(pred_name, image)
-    return World(world.index, bits)
 
 
 def ordered_tuples(n: int, d: int) -> list[tuple[int, ...]]:

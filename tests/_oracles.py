@@ -2,8 +2,9 @@
 
 Everything here but the block kernel and its world primitives recomputes
 quantities from first principles with plain loops: no grounding tables, no
-restriction machinery, no vectorization. Slow on purpose; only usable at toy
-sizes.
+vectorization. Slow on purpose; only usable at toy sizes. Only
+``weight_sandwich_slacks`` reads the engine, for its cross extrema and the
+half restrictions of a world.
 
 The block kernel (``counts_matrix``, ``log_weights``) is the plain path the
 engine's passes are checked against: it reads a grounding table's compiled
@@ -23,8 +24,9 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from mlnexact import model as model_module
+from mlnexact.bounds import cross_weight_bounds
 from mlnexact.logic import And, Atom, Iff, Implies, MlnModel, Not, Or
-from mlnexact.worlds import World
+from mlnexact.worlds import World, restrict, split_subsets
 
 
 def eval_ground(node, env: dict, world: World) -> bool:
@@ -61,6 +63,33 @@ def count_groundings_direct(clause, world: World) -> int:
 
 def raw_log_weight(model: MlnModel, world: World) -> float:
     return sum(c.weight * count_groundings_direct(c, world) for c in model.clauses)
+
+
+def log_k_weight(model: MlnModel, partial: World, k: int) -> float:
+    """The arity-k clauses' part of ``raw_log_weight``, on a k-constant sub-world
+    of a normalized model."""
+    clauses = [c for c in model.clauses if c.formula.arity == k]
+    return sum(c.weight * count_groundings_direct(c, partial) for c in clauses)
+
+
+def weight_sandwich_slacks(model: MlnModel, n: int, m: int, world: World) -> tuple[float, float]:
+    """(upper, lower) weight-sandwich slack of one world over the n|m split
+    domain: the engine's cross extrema against direct counts of the world and
+    of its two half restrictions."""
+    cross = cross_weight_bounds(model, n, m)
+    front, back = split_subsets(world.index.spec)
+    base = sum(raw_log_weight(model, restrict(world, half)) for half in (front, back))
+    lw = raw_log_weight(model, world)
+    return base + cross.log_m_max - lw, lw - base - cross.log_m_min
+
+
+def permute(world: World, mapping: Mapping[int, int]) -> World:
+    """Rename a single-type world's constants by a bijection (constants it
+    leaves out stay put); atom truth follows the renaming."""
+    bits = 0
+    for pred, args in world.true_atoms():
+        bits |= 1 << world.index.index_of(pred, tuple(mapping.get(a, a) for a in args))
+    return World(world.index, bits)
 
 
 def raw_log_probs(model: MlnModel, index) -> list[float]:

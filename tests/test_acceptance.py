@@ -8,11 +8,7 @@ import numpy as np
 import pytest
 
 from mlnexact import learning
-from mlnexact.bounds import (
-    log_spread,
-    verify_all,
-    weight_sandwich_slacks,
-)
+from mlnexact.bounds import log_spread, verify_all
 from mlnexact.experiment import (
     ExperimentConfig,
     rows_to_csv,
@@ -32,7 +28,7 @@ from mlnexact.model import (
 )
 from mlnexact.worlds import AtomIndex, DomainSpec, World
 
-from _oracles import fd_gradient, raw_log_probs
+from _oracles import fd_gradient, raw_log_probs, weight_sandwich_slacks
 from conftest import EXAMPLE2_TEXT, EXAMPLE3_TEXT, TRIANGLE_TEXT, random_raw_model
 
 TOL = 1e-9

@@ -45,10 +45,8 @@ PUBLIC = [
     "formula_to_text",
     "generate_friends_smokers",
     "gradient",
-    "is_sigma_determinate",
     "lambda_sweep",
     "learn",
-    "log_k_weight",
     "log_marginal",
     "log_partition",
     "log_probability",
@@ -62,7 +60,6 @@ PUBLIC = [
     "parse_db",
     "parse_formula",
     "parse_mln",
-    "permute",
     "restrict",
     "restriction_positions",
     "serialize_db",
@@ -71,7 +68,6 @@ PUBLIC = [
     "subsample",
     "target_log_likelihoods",
     "verify_all",
-    "weight_sandwich_slacks",
 ]
 
 
@@ -132,7 +128,6 @@ PARAMETERS = {
     "formula_to_text": ("formula",),
     "generate_friends_smokers": ("population", "seed"),
     "gradient": ("model", "spec", "data"),
-    "is_sigma_determinate": ("model",),
     "lambda_sweep": (
         "model",
         "spec",
@@ -145,7 +140,6 @@ PARAMETERS = {
         "max_atoms",
     ),
     "learn": ("model", "spec", "data", "config"),
-    "log_k_weight": ("model", "partial", "k"),
     "log_marginal": ("model", "spec", "sub_world"),
     "log_partition": ("model", "spec", "index", "max_atoms"),
     "log_probability": ("model", "world"),
@@ -159,7 +153,6 @@ PARAMETERS = {
     "parse_db": ("text", "signature"),
     "parse_formula": ("text", "signature", "line"),
     "parse_mln": ("text",),
-    "permute": ("world", "mapping"),
     "restrict": ("world", "keep"),
     "restriction_positions": ("index", "keep"),
     "serialize_db": ("db",),
@@ -168,7 +161,6 @@ PARAMETERS = {
     "subsample": ("db", "sample"),
     "target_log_likelihoods": ("model", "target_spec", "target_worlds", "da_sizes", "max_atoms"),
     "verify_all": ("model", "n", "m", "tol", "max_atoms"),
-    "weight_sandwich_slacks": ("model", "n", "m", "world"),
 }
 
 FIELDS = {

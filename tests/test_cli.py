@@ -205,6 +205,36 @@ class TestLearnEval:
         eval_out = capsys.readouterr().out
         assert "log-likelihood:" in eval_out
 
+    def test_every_learn_flag_is_a_config_field(self):
+        argv = ["learn", "--mln", "m", "--db", "d"]
+        parsed = vars(build_parser().parse_args(argv))
+        not_fields = {"mln", "db", "n", "out", "force_guard", "func", "command"}
+        names = {f.name for f in dataclasses.fields(learning.LearnConfig)}
+        assert set(parsed) - not_fields == names
+
+    def test_learn_flags_reach_the_config(self, tmp_path, monkeypatch):
+        seen = []
+
+        def stop(model, spec, data, config):
+            seen.append(config)
+            raise RuntimeError("stop before fitting")
+
+        monkeypatch.setattr(cli, "learn", stop)
+        mln = tmp_path / "s.mln"
+        mln.write_text("type p = 2\npredicate S(p)\n0 S(x)\n")
+        db = tmp_path / "s.db"
+        db.write_text("S(a)\n")
+        flags = ["--reg", "l1", "--lambda", "0.25", "--da", "--max-iter", "7", "--tol", "1e-3"]
+        argv = ["learn", "--mln", str(mln), "--db", str(db), *flags, "--tie-split-weights"]
+        with pytest.raises(RuntimeError, match="stop"):
+            main(argv + ["--max-atoms", "9"])
+        assert seen == [
+            learning.LearnConfig(
+                regularizer="l1", lam=0.25, da=True, max_iter=7, tol=1e-3,
+                tie_split_weights=True, max_atoms=9,
+            )
+        ]
+
     def test_learn_max_atoms_sets_the_guard(self, tmp_path, capsys):
         # G=22 exceeds both guards, so each run fails before any learning.
         mln = tmp_path / "wide.mln"

@@ -1,5 +1,6 @@
+import hashlib
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -734,6 +735,51 @@ class TestLearn:
         assert result.weights[0] == pytest.approx(result.weights[1])
         untied = learn(model, spec, data, LearnConfig())
         assert abs(untied.weights[0] - untied.weights[1]) > 1e-3
+
+
+def newton_pin_fits() -> list[tuple[int, LearnResult]]:
+    """``(max_iter, fit)`` for fits that end at ``max_iter``, at convergence
+    and at a line-search stall."""
+    model = normalize_distinct(parse_mln(FRIENDS_SMOKERS_MLN))
+    (data,) = smokers_training_worlds(3, [0])
+    configs = [
+        LearnConfig(max_iter=max_iter, **options)
+        for options in ({}, dict(regularizer="l1", lam=0.3, da=True, tie_split_weights=True),
+                        dict(regularizer="l2", lam=0.5))
+        for max_iter in (1, 2, 5, 500)
+    ]
+    fits = [(c.max_iter, learn(model, data.index.spec, data, c)) for c in configs]
+    # The one fit of a sweep over random models whose line search stalls.
+    stall = random_raw_model(np.random.default_rng(1), include_ternary_clause=True)
+    index = AtomIndex(stall.signature, DomainSpec({"t": 3}))
+    config = LearnConfig(regularizer="l1", lam=0.3, da=True)
+    fits.append((config.max_iter, learn(stall, index.spec, World(index, 0), config)))
+    return fits
+
+
+class TestNewtonLoop:
+    # sha256 of every pinned fit's weights, converged flag, iteration count
+    # and trace, recorded before the loop was rewritten.
+    PINNED = "1dd98bb866dd64ae524625b240a693df008826f9218d7ebc46aea88163b6d497"
+
+    def test_fits_keep_their_bytes(self):
+        digest = hashlib.sha256()
+        for _, fit in newton_pin_fits():
+            digest.update(fit.weights.tobytes())
+            digest.update(bytes([fit.converged]) + fit.iterations.to_bytes(4, "little"))
+            digest.update(np.array([astuple(t) for t in fit.trace]).tobytes())
+        assert digest.hexdigest() == self.PINNED
+
+    def test_fits_end_every_way(self):
+        ends = [(max_iter, fit.converged, fit.iterations) for max_iter, fit in newton_pin_fits()]
+        assert [e for e in ends if e[0] < 500] == [(m, False, m) for m in (1, 2, 5)] * 3
+        assert all(converged and iterations < 500 for _, converged, iterations in ends[3:12:4])
+        assert ends[-1] == (500, False, 17)  # stalled
+
+    def test_a_fit_ending_at_max_iter_records_the_last_iterate(self):
+        for max_iter, fit in newton_pin_fits():
+            at_max_iter = not fit.converged and fit.iterations == max_iter
+            assert len(fit.trace) == fit.iterations + at_max_iter
 
 
 class TestFitMemo:

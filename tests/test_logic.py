@@ -8,12 +8,10 @@ import pytest
 
 from mlnexact.logic import (
     Atom,
-    MlnModel,
     MlnParseError,
     Signature,
     arity_partition,
     formula_to_text,
-    is_sigma_determinate,
     normalize_distinct,
     parse_formula,
     parse_mln,
@@ -183,18 +181,6 @@ class TestArityPartition:
         assert sorted(parts) == [1, 2]
         assert len(parts[1]) == 2  # the unary clause plus the x=y collapse
         assert len(parts[2]) == 1
-
-
-class TestSigmaDeterminate:
-    def test_projective_example(self, example3_model):
-        assert is_sigma_determinate(example3_model)
-
-    def test_contagion_example(self, example2_model):
-        assert not is_sigma_determinate(example2_model)
-
-    def test_empty_model(self):
-        sig = Signature.make({"p": 2}, {"S": ("p",)})
-        assert is_sigma_determinate(MlnModel(sig, ()))
 
 
 class TestSerialization:
