@@ -771,10 +771,11 @@ class TestNewtonLoop:
         assert digest.hexdigest() == self.PINNED
 
     def test_fits_end_every_way(self):
-        ends = [(max_iter, fit.converged, fit.iterations) for max_iter, fit in newton_pin_fits()]
-        assert [e for e in ends if e[0] < 500] == [(m, False, m) for m in (1, 2, 5)] * 3
-        assert all(converged and iterations < 500 for _, converged, iterations in ends[3:12:4])
-        assert ends[-1] == (500, False, 17)  # stalled
+        *smokers, (_, stall) = newton_pin_fits()
+        for max_iter, fit in smokers:
+            assert fit.converged == (max_iter == 500)
+            assert fit.converged or fit.iterations == max_iter
+        assert (stall.converged, stall.iterations) == (False, 17)
 
     def test_a_fit_ending_at_max_iter_records_the_last_iterate(self):
         for max_iter, fit in newton_pin_fits():

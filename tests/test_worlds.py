@@ -76,8 +76,8 @@ class TestEnumeration:
 
 class TestWorldBits:
     def test_bits_outside_the_index_are_rejected(self, graph_index):
-        # The count kernel reads only the low G bits, so such a world would
-        # score as another one.
+        # The count kernel reads only a world's low G bits, so it would
+        # score such a world as another one.
         for bits in (1 << graph_index.n_atoms, -1):
             with pytest.raises(ValueError, match="world bits"):
                 World(graph_index, bits)
