@@ -232,12 +232,15 @@ def _split_context(model: MlnModel, n: int, m: int, *, max_atoms: int = DEFAULT_
     spec = DomainSpec({tau: n + m}, split_type=tau, split_at=n)
     index = AtomIndex(model.signature, spec)
     _guard(index.n_atoms, max_atoms)
+    cross = cross_weight_bounds(model, n, m)
+    if n == 0 or m == 0:  # W = W_n * W_m: one-entry zero tables make every slack 0
+        zero = np.zeros(1)
+        return index, cross, zero, zero, zero, 0.0, 0.0, 0, 0
     front, back = split_subsets(spec)
     sub_n, pos_n = restriction_positions(index, front)
     sub_m, pos_m = restriction_positions(index, back)
     lw_n = dense_log_weights(model, sub_n)
     lw_m = dense_log_weights(model, sub_m)
-    cross = cross_weight_bounds(model, n, m)
 
     split = np.concatenate([pos_n, pos_m])
     order, runs = _split_runs(_table(model.formulas(), index), split, model.weights())

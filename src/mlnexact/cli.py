@@ -26,7 +26,7 @@ from .datagen import (
 from .experiment import ExperimentConfig, run_experiment, write_outputs
 from .learning import LEARN_MAX_ATOMS, LearnConfig, learn, target_log_likelihoods
 from .logic import MlnParseError, formula_to_text, normalize_distinct, parse_mln, serialize_mln
-from .model import DEFAULT_MAX_ATOMS
+from .model import DEFAULT_MAX_ATOMS, apply_da_scaling
 from .worlds import FORCED_MAX_ATOMS, DomainSpec, DomainTooLargeError
 
 
@@ -68,7 +68,7 @@ def cmd_learn(args) -> int:
     data = db_to_world(db, spec)
     # Every learn flag but the inputs and outputs is a config field.
     config = LearnConfig(**{f.name: getattr(args, f.name) for f in fields(LearnConfig)})
-    result = learn(model, spec, data, config)
+    result = learn(model, data, config)
     print(f"converged: {result.converged} after {result.iterations} iterations")
     print(f"final objective (penalized negative log-likelihood): {result.objective:.12g}")
     print(f"train log-likelihood: {-result.trace[-1].neg_log_likelihood:.12g}")
@@ -86,8 +86,9 @@ def cmd_eval(args) -> int:
     db = _load_db(args.db, model.signature)
     spec = _spec_for(model, args.n) if args.n is not None else domain_spec_for(db)
     data = db_to_world(db, spec)
-    da_sizes = dict(spec.sizes) if args.da else None
-    lls = target_log_likelihoods(model, spec, [data], da_sizes=da_sizes, max_atoms=args.max_atoms)
+    if args.da:
+        model = apply_da_scaling(model, dict(spec.sizes))
+    lls = target_log_likelihoods(model, [data], max_atoms=args.max_atoms)
     print(f"log-likelihood: {lls[0]:.17g}")
     return 0
 

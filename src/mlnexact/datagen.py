@@ -240,10 +240,9 @@ def domain_spec_for(db: Database) -> DomainSpec:
     return DomainSpec({t: len(cs) for t, cs in db.constants.items()})
 
 
-def db_to_world(db: Database, spec: DomainSpec, index: AtomIndex | None = None) -> World:
-    """Closed-world truth vector over the atom index for ``spec``."""
-    if index is None:
-        index = AtomIndex(db.signature, spec)
+def db_to_world(db: Database, spec: DomainSpec) -> World:
+    """Closed-world truth vector over the database's signature at ``spec``."""
+    index = AtomIndex(db.signature, spec)
     ids = {t: db.constant_ids(t) for t, _ in db.signature.types}
     for t, _ in db.signature.types:
         if len(db.constants[t]) > spec.size(t):

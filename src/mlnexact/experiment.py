@@ -29,6 +29,7 @@ from . import bounds as _bounds
 from .datagen import (
     FRIENDS_SMOKERS_MLN,
     PERSON,
+    Database,
     SampleSpec,
     db_to_world,
     domain_spec_for,
@@ -43,9 +44,9 @@ from .learning import (
     learn,
     target_log_likelihoods,
 )
-from .logic import MlnModel, normalize_distinct, parse_mln, serialize_mln
+from .logic import MlnModel, Signature, normalize_distinct, parse_mln, serialize_mln
 from .model import DEFAULT_MAX_ATOMS, apply_da_scaling, count_histogram
-from .worlds import AtomIndex, DomainSpec, World
+from .worlds import DomainSpec, World
 
 SCHEMA = "mlnexact-experiment schema=1"
 METHODS_ALL = ("none", "l1", "l2", "da")
@@ -256,19 +257,27 @@ def training_world(cfg: ExperimentConfig, model: MlnModel, run: int) -> World:
     return db_to_world(db, domain_spec_for(db))
 
 
+def _over(db: Database, signature: Signature) -> Database:
+    """The database over a signature that declares each of its predicates."""
+    out = Database(signature)
+    for t, names in db.constants.items():
+        for name in names:
+            out.add_constant(t, name)
+    for pred, args in db.atoms:
+        out.add_atom(pred, args, register=False)
+    return out
+
+
 def target_worlds(cfg: ExperimentConfig, model: MlnModel) -> dict[int, list[World]]:
+    """Generated target worlds per size, over the model's signature."""
     out: dict[int, list[World]] = {}
     tau = _sample_type(model)
     for si, size in enumerate(cfg.target_sizes):
         spec = DomainSpec({t: size if t == tau else s for t, s in model.signature.types})
-        index = AtomIndex(model.signature, spec)
+        seeds = [seed_target(cfg.seed, si, j) for j in range(cfg.target_replicates)]
         out[size] = [
-            db_to_world(
-                generate_friends_smokers(size, seed_target(cfg.seed, si, j)),
-                spec,
-                index,
-            )
-            for j in range(cfg.target_replicates)
+            db_to_world(_over(generate_friends_smokers(size, seed), model.signature), spec)
+            for seed in seeds
         ]
     return out
 
@@ -331,8 +340,7 @@ def _run_batch(args: tuple[ExperimentConfig, list[int]]) -> tuple[list[Row], dic
 
 def _run_one(cfg, model, tau, run, targets, smallest):
     data = training_world(cfg, model, run)
-    train_spec = data.index.spec
-    train_n = train_spec.size(tau)
+    train_n = data.index.spec.size(tau)
     base_cfg = LearnConfig(
         max_iter=cfg.max_iter, tol=cfg.tol, tie_split_weights=cfg.tie_split_weights
     )
@@ -342,17 +350,13 @@ def _run_one(cfg, model, tau, run, targets, smallest):
     best_lams: dict[str, float | None] = {m: None for m in methods}
     for method in methods:
         if method == "none":
-            results[method] = learn(model, train_spec, data, base_cfg)
+            results[method] = learn(model, data, base_cfg)
         elif method == "da":
-            results[method] = learn(
-                model, train_spec, data, replace(base_cfg, da=not cfg.da_eval_only)
-            )
+            results[method] = learn(model, data, replace(base_cfg, da=not cfg.da_eval_only))
         else:
             sweep = lambda_sweep(
                 model,
-                train_spec,
                 [data],
-                targets[smallest][0].index.spec,
                 targets[smallest],
                 method,
                 grid=cfg.grid,
@@ -371,12 +375,9 @@ def _run_one(cfg, model, tau, run, targets, smallest):
         for size in cfg.target_sizes:
             scored = res.model
             if method == "da":
-                da_sizes = {t: size if t == tau else s for t, s in model.signature.types}
-                scored = apply_da_scaling(res.model, da_sizes)
+                scored = apply_da_scaling(res.model, dict(targets[size][0].index.spec.sizes))
                 models[(run, f"da_eff{size}")] = scored
-            lls = target_log_likelihoods(
-                scored, targets[size][0].index.spec, targets[size], max_atoms=cfg.max_atoms
-            )
+            lls = target_log_likelihoods(scored, targets[size], max_atoms=cfg.max_atoms)
             spread = _spread_at(model, scored.weights(), train_n, size - train_n)
             for j, ll in enumerate(lls):
                 if method == "none":

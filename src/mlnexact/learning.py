@@ -48,7 +48,7 @@ Penalties apply only to clauses of arity above one; L1 uses orthant-wise
 pseudo-gradients with zero-clamping projection so penalized weights reach
 exact zeros. A halving Armijo line search keeps the objective monotone.
 Domain-size-aware scaling divides clause weights by their per-size factors
-during both training and target evaluation.
+in training; target callers scale with ``apply_da_scaling`` first.
 """
 
 from __future__ import annotations
@@ -222,6 +222,8 @@ class _Counts:
 
 def _counts_for(model: MlnModel, index: AtomIndex, max_atoms: int) -> _Counts:
     """The counts of every world over the index, cached by clause structure."""
+    if index.signature != model.signature:
+        raise ValueError("data world is not over the model's signature")
     _guard(index.n_atoms, max_atoms)
     return _counts_cached(model.formulas(), index)
 
@@ -235,13 +237,6 @@ def _counts_cached(formulas: tuple[Formula, ...], index: AtomIndex) -> _Counts:
     log_mult = np.log(mult[pad])
     log_mult[n:] = -np.inf
     return _Counts(rows[inverse], rows[pad], log_mult, inverse)
-
-
-def _validate_data(model: MlnModel, spec: DomainSpec, data: World) -> AtomIndex:
-    index = AtomIndex(model.signature, spec)
-    if data.index != index:
-        raise ValueError("data world is not over the given signature and domain spec")
-    return index
 
 
 def _moments(
@@ -295,11 +290,10 @@ def _nll(counts: _Counts, data_counts: np.ndarray, theta: np.ndarray) -> float:
     return float(_logsumexp(counts.rows @ theta + counts.log_mult) - data_counts @ theta)
 
 
-def gradient(model: MlnModel, spec: DomainSpec, data: World) -> np.ndarray:
+def gradient(model: MlnModel, data: World) -> np.ndarray:
     """Log-likelihood gradient: observed minus expected true-grounding counts."""
     model = normalize_distinct(model)
-    index = _validate_data(model, spec, data)
-    counts = _counts_for(model, index, LEARN_MAX_ATOMS)
+    counts = _counts_for(model, data.index, LEARN_MAX_ATOMS)
     _, grad, _ = _nll_grad_hessian(counts, counts.worlds[data.bits], np.array(model.weights()))
     return -grad
 
@@ -341,12 +335,7 @@ class _Fit(NamedTuple):
     trace: bytes  # float64 (len(trace), 3): the IterStats fields in order
 
 
-def learn(
-    model: MlnModel,
-    spec: DomainSpec,
-    data: World,
-    config: LearnConfig = LearnConfig(),
-) -> LearnResult:
+def learn(model: MlnModel, data: World, config: LearnConfig = LearnConfig()) -> LearnResult:
     """Maximize exact data log-likelihood minus the configured penalty.
 
     Returns the best (last) iterate with its trace; ``converged`` is False when
@@ -354,11 +343,10 @@ def learn(
     Fits are shared by the data's count vector (see the module docstring).
     """
     model = normalize_distinct(model)
-    index = _validate_data(model, spec, data)
-    counts = _counts_for(model, index, config.max_atoms)
+    counts = _counts_for(model, data.index, config.max_atoms)
     origins = tuple(c.origin for c in model.clauses)  # Clause equality ignores them
     data_counts = counts.worlds[data.bits].tobytes()
-    fit = _fit(model.formulas(), origins, model.signature, spec, data_counts, config)
+    fit = _fit(model.formulas(), origins, model.signature, data.index.spec, data_counts, config)
     weights = np.frombuffer(fit.weights)
     trace = tuple(IterStats(*row) for row in np.frombuffer(fit.trace).reshape(-1, 3).tolist())
     return LearnResult(
@@ -488,30 +476,19 @@ def _fit(
 
 
 def target_log_likelihoods(
-    model: MlnModel,
-    target_spec: DomainSpec,
-    target_worlds: Sequence[World],
-    *,
-    da_sizes: dict[str, int] | None = None,
-    max_atoms: int = DEFAULT_MAX_ATOMS,
+    model: MlnModel, target_worlds: Sequence[World], *, max_atoms: int = DEFAULT_MAX_ATOMS
 ) -> list[float]:
-    """Log likelihoods of several worlds at one target size, sharing one partition pass."""
-    scaled = model
-    if da_sizes is not None:
-        scaled = apply_da_scaling(model, da_sizes)
-    index = AtomIndex(scaled.signature, target_spec)
-    for w in target_worlds:
-        if w.index != index:
-            raise ValueError("target world is not over the target domain spec")
-    log_z = log_partition(scaled, index=index, max_atoms=max_atoms)
-    return [log_weight(scaled, w) - log_z for w in target_worlds]
+    """Log likelihoods of several worlds over one atom index, sharing one partition pass."""
+    indexes = {w.index for w in target_worlds}
+    if len(indexes) != 1:
+        raise ValueError(f"target worlds must share one atom index, got {len(indexes)}")
+    log_z = log_partition(model, indexes.pop(), max_atoms=max_atoms)
+    return [log_weight(model, w) - log_z for w in target_worlds]
 
 
 def lambda_sweep(
     model: MlnModel,
-    spec: DomainSpec,
     train_worlds: Sequence[World],
-    target_spec: DomainSpec,
     target_worlds: Sequence[World],
     regularizer: str,
     grid: Sequence[float] | None = None,
@@ -541,16 +518,11 @@ def lambda_sweep(
         lls: list[float] = []
         fits: list[LearnResult] = []
         for tw in train_worlds:
-            fits.append(learn(model, spec, tw, cfg))
-            lls.extend(
-                target_log_likelihoods(
-                    fits[-1].model,
-                    target_spec,
-                    target_worlds,
-                    da_sizes=dict(target_spec.sizes) if cfg.da else None,
-                    max_atoms=max_atoms,
-                )
-            )
+            fits.append(learn(model, tw, cfg))
+            scored = fits[-1].model
+            if cfg.da:
+                scored = apply_da_scaling(scored, dict(target_worlds[0].index.spec.sizes))
+            lls.extend(target_log_likelihoods(scored, target_worlds, max_atoms=max_atoms))
         score = float(np.mean(lls))
         entries.append(SweepEntry(lam, score))
         if score >= best_score:

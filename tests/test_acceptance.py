@@ -166,7 +166,7 @@ def test_criterion_06_gradient_matches_finite_differences():
         weights = rng.uniform(-1.5, 1.5, size=len(model.clauses))
         model = model.with_weights(weights)
         data = World(index, int(rng.integers(0, 1 << index.n_atoms)))
-        analytic = gradient(model, spec, data)
+        analytic = gradient(model, data)
         numeric = fd_gradient(
             lambda w: log_probability(model.with_weights(w), data), weights, h=1e-5
         )

@@ -121,27 +121,25 @@ PARAMETERS = {
     "cross_tuples": ("n", "m", "d"),
     "cross_weight_bounds": ("model", "n", "m"),
     "da_scale_factors": ("model", "target_sizes"),
-    "db_to_world": ("db", "spec", "index"),
+    "db_to_world": ("db", "spec"),
     "domain_spec_for": ("db",),
     "enumerate_worlds": ("index",),
     "extremal_k_weights": ("model", "k"),
     "formula_to_text": ("formula",),
     "generate_friends_smokers": ("population", "seed"),
-    "gradient": ("model", "spec", "data"),
+    "gradient": ("model", "data"),
     "lambda_sweep": (
         "model",
-        "spec",
         "train_worlds",
-        "target_spec",
         "target_worlds",
         "regularizer",
         "grid",
         "config",
         "max_atoms",
     ),
-    "learn": ("model", "spec", "data", "config"),
+    "learn": ("model", "data", "config"),
     "log_marginal": ("model", "spec", "sub_world"),
-    "log_partition": ("model", "spec", "index", "max_atoms"),
+    "log_partition": ("model", "index", "max_atoms"),
     "log_probability": ("model", "world"),
     "log_spread": ("model", "n", "m"),
     "log_weight": ("model", "world"),
@@ -159,7 +157,7 @@ PARAMETERS = {
     "serialize_mln": ("model",),
     "split_subsets": ("spec",),
     "subsample": ("db", "sample"),
-    "target_log_likelihoods": ("model", "target_spec", "target_worlds", "da_sizes", "max_atoms"),
+    "target_log_likelihoods": ("model", "target_worlds", "max_atoms"),
     "verify_all": ("model", "n", "m", "tol", "max_atoms"),
 }
 

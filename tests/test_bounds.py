@@ -442,7 +442,8 @@ class TestSplitPassOracle:
         # per pair over runs of blocks that share their split bits: one run
         # while the split bits lie in a block's low bits, 2^(bits past them)
         # runs otherwise. The draws must reach one run and several runs over
-        # several blocks; an empty half gives runs of one block each.
+        # several blocks. At an empty half verify_all runs no pass, and the
+        # marginal's runs are one block each.
         runs = set()
 
         @settings(max_examples=20, deadline=None)
@@ -489,7 +490,8 @@ class TestSplitPassOracle:
                 _histogram.cache_clear()
                 hist = count_histogram(model, index)
             block_bits = n_worlds.bit_length() - 1
-            assert per_pair.call_count == 1 << max(0, split_bits - block_bits)
+            passes = 0 if 0 in split else 1 << max(0, split_bits - block_bits)
+            assert per_pair.call_count == passes
             assert marginal_per_pair.call_count == 1 << max(0, len(oracle["pos"][0]) - block_bits)
             if blocks > 1:
                 runs.add(per_pair.call_count > 1)
@@ -583,6 +585,49 @@ class TestSplitPassOracle:
 
         check()
         assert reached == {(True, True), (True, False), (False, False)}
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        split=st.sampled_from([(1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3)]),
+        ternary=st.booleans(),
+    )
+    def test_empty_halves_match_dense_oracle(self, seed, split, ternary):
+        # No tuple straddles an empty half and one half is the whole domain,
+        # so every slack is 0 and the witnesses are the all-false world.
+        n, m = split
+        smokers = normalize_distinct(parse_mln(FRIENDS_SMOKERS_MLN))
+        rng = np.random.default_rng(seed)
+        for model in (
+            smokers.with_weights(rng.uniform(-1.5, 1.5, len(smokers.clauses))),
+            normalize_distinct(random_raw_model(rng, include_ternary_clause=ternary)),
+        ):
+            oracle = _split_pass_oracle(model, n, m)
+            report = verify_all(model, n, m)
+            _, marginal = marginal_log_probs(model, oracle["spec"])
+            _assert_matches_oracle(report, marginal, oracle)
+            sandwich = report.checks[0].details
+            assert sandwich["upper_witness"] == sandwich["lower_witness"] == 0
+            assert all(c.worst_slack == 0.0 for c in report.checks)
+            assert report.kl == 0.0
+
+    def test_smokers_empty_halves_stay_below_32_mb(self):
+        # At 4|0 the whole domain is one half: its dense log weights alone
+        # are 2^24 float64 (134 MB), and the pass reads every world.
+        model = normalize_distinct(parse_mln(FRIENDS_SMOKERS_MLN))
+        model = model.with_weights(np.random.default_rng(7).uniform(-1.5, 1.5, len(model.clauses)))
+        for run in (
+            lambda: verify_all(model, 4, 0).all_passed,
+            lambda: verify_all(model, 0, 4).all_passed,
+            lambda: model_module.max_split_factorization_error(model, 4, 0) == 0.0,
+        ):
+            tracemalloc.start()
+            try:
+                assert run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 32e6
 
     def test_smokers_g24_verify_stays_below_4_5_mb(self):
         # Both G=24 splits reduce per pair; the per-offset pass holds one tile

@@ -215,7 +215,7 @@ class TestLearnEval:
     def test_learn_flags_reach_the_config(self, tmp_path, monkeypatch):
         seen = []
 
-        def stop(model, spec, data, config):
+        def stop(model, data, config):
             seen.append(config)
             raise RuntimeError("stop before fitting")
 
@@ -263,14 +263,26 @@ class TestLearnEval:
         )
 
     def test_eval_with_da_scaling(self, tmp_path, capsys):
+        # --da scores the model scaled at the evaluation domain's sizes.
+        from mlnexact import apply_da_scaling, db_to_world, log_probability, parse_db
+        from mlnexact.datagen import FRIENDS_SMOKERS_MLN
+        from mlnexact.logic import serialize_mln
+        from mlnexact.worlds import DomainSpec
+
         data_dir = tmp_path / "d"
         main(["generate", "--population", "3", "--seeds", "4", "--out", str(data_dir)])
         db = str(data_dir / "fs_pop3_seed4.db")
+        model = normalize_distinct(parse_mln(FRIENDS_SMOKERS_MLN))
+        model = model.with_weights([0.5, 1.2, 0.3, -0.4, 0.8])
         mln = tmp_path / "fs.mln"
-        from mlnexact.datagen import FRIENDS_SMOKERS_MLN
-
-        mln.write_text(FRIENDS_SMOKERS_MLN)
+        mln.write_text(serialize_mln(model))
+        capsys.readouterr()
         assert main(["eval", "--mln", str(mln), "--db", db, "--n", "3", "--da"]) == 0
+        spec = DomainSpec({"person": 3})
+        with open(db, encoding="utf-8") as fh:
+            world = db_to_world(parse_db(fh.read(), model.signature), spec)
+        expected = log_probability(apply_da_scaling(model, dict(spec.sizes)), world)
+        assert capsys.readouterr().out == f"log-likelihood: {expected:.17g}\n"
 
 
 class TestExperimentCommand:

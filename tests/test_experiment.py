@@ -22,7 +22,7 @@ from mlnexact.experiment import (
 )
 from mlnexact.learning import target_log_likelihoods
 from mlnexact.model import dense_log_weights
-from mlnexact.worlds import DomainSpec, DomainTooLargeError
+from mlnexact.worlds import DomainTooLargeError
 
 TINY = dict(train_sets=2, target_sizes=(3,), target_replicates=2, seed=13, out="unused")
 
@@ -179,6 +179,13 @@ class TestModelCheck:
         )
         model = load_experiment_model(ExperimentConfig(mln=str(path)))
         assert model.signature.has_predicate("Lives")
+        # The generated target worlds are over the model's signature, Lives
+        # all false, so a model with extra predicates scores them.
+        db = tmp_path / "train.db"
+        db.write_text("Smokes(A)\nCancer(A)\nFriends(A,B)\nLives(A,C1)\n")
+        cfg = {**TINY, "mln": str(path), "train_dbs": (str(db),), "methods": ("none", "da")}
+        rows, _ = run_experiment(ExperimentConfig(**{**cfg, "target_sizes": (2,)}))
+        assert [r.status for r in rows] == ["ok"] * 4
 
 
 class TestTargetScoring:
@@ -186,7 +193,6 @@ class TestTargetScoring:
         """Target scoring through the cached count histogram matches the
         per-world log weights normalized by direct summation."""
         model = load_experiment_model(ExperimentConfig())
-        spec = DomainSpec({"person": 3})
         weights = [0.4, -0.3, 0.7, 0.0, 1.2]
         worlds = target_worlds(ExperimentConfig(**TINY), model)[3]
         scored = model.with_weights(weights)
@@ -194,9 +200,9 @@ class TestTargetScoring:
         shift = per_world.max()
         log_z = shift + math.log(np.exp(per_world - shift).sum())
         expected = [per_world[w.bits] - log_z for w in worlds]
-        cached = target_log_likelihoods(scored, spec, worlds)
+        cached = target_log_likelihoods(scored, worlds)
         assert cached == pytest.approx(expected, abs=1e-12)
-        direct = [target_log_likelihoods(scored, spec, [w])[0] for w in worlds]
+        direct = [target_log_likelihoods(scored, [w])[0] for w in worlds]
         assert cached == pytest.approx(direct, abs=1e-12)
 
     def test_target_over_the_guard_fails_before_any_run(self):

@@ -90,7 +90,7 @@ class TestLikelihoodAndGradient:
     def test_gradient_sign_matches_local_likelihood_change(self):
         model = smokers_model()
         spec, index, data = smokers_data(model)
-        g = gradient(model, spec, data)
+        g = gradient(model, data)
         h = 1e-4
         for i, gi in enumerate(g):
             if abs(gi) < 1e-9:
@@ -103,7 +103,7 @@ class TestLikelihoodAndGradient:
         model = normalize_distinct(parse_mln("type p = 3\npredicate S(p)\n0 S(x)"))
         spec = DomainSpec({"p": 3})
         index = AtomIndex(model.signature, spec)
-        g = gradient(model, spec, World(index, 0))
+        g = gradient(model, World(index, 0))
         # observed count 0 minus the uniform expectation n/2
         assert g == pytest.approx([-1.5])
 
@@ -117,17 +117,11 @@ class TestLikelihoodAndGradient:
         weights = rng.uniform(-1.0, 1.0, size=len(model.clauses))
         model = model.with_weights(weights)
         data = World(index, int(rng.integers(0, 1 << index.n_atoms)))
-        analytic = gradient(model, spec, data)
+        analytic = gradient(model, data)
         numeric = fd_gradient(
             lambda w: log_probability(model.with_weights(w), data), weights
         )
         assert np.abs(analytic - np.array(numeric)).max() <= 1e-5
-
-    def test_data_world_validated(self):
-        model = smokers_model()
-        wrong_index = AtomIndex(model.signature, DomainSpec({"p": 2}))
-        with pytest.raises(ValueError, match="domain spec"):
-            gradient(model, DomainSpec({"p": 3}), World(wrong_index, 0))
 
     def test_log_probability_rejects_world_over_another_signature(self):
         model = smokers_model()
@@ -137,6 +131,32 @@ class TestLikelihoodAndGradient:
         world = World(AtomIndex(wider, DomainSpec({"p": 3})), 0)
         with pytest.raises(ValueError, match="signature"):
             log_probability(model, world)
+
+    def test_learning_and_scoring_reject_world_over_another_signature(self):
+        # The world's index names the domain; its signature must be the model's.
+        model = smokers_model()
+        wider = Signature(
+            model.signature.types, model.signature.predicates + (Predicate("C", ("p",)),)
+        )
+        world = World(AtomIndex(wider, DomainSpec({"p": 3})), 0)
+        for score in (gradient, learn, lambda m, w: target_log_likelihoods(m, [w])):
+            with pytest.raises(ValueError, match="signature"):
+                score(model, world)
+
+    def test_target_worlds_must_share_one_index(self):
+        model = smokers_model()
+        _, index, world = smokers_data(model)
+        _, _, other = smokers_data(model, n=4)
+        with pytest.raises(ValueError, match="one atom index"):
+            target_log_likelihoods(model, [world, other])
+        with pytest.raises(ValueError, match="one atom index"):
+            target_log_likelihoods(model, [])
+        # Equal indexes are one index, whichever objects hold them.
+        again = World(AtomIndex(model.signature, DomainSpec({"p": 3})), world.bits)
+        assert again.index is not index
+        assert target_log_likelihoods(model, [world, again]) == target_log_likelihoods(
+            model, [world, world]
+        )
 
 
 def smokers_training_worlds(n: int, seeds) -> list[World]:
@@ -227,8 +247,7 @@ class TestHistogramObjective:
     ):
         model = normalize_distinct(parse_mln(FRIENDS_SMOKERS_MLN))
         for data in smokers_training_worlds(3, (0, 1)):
-            spec = data.index.spec
-            fast = learn(model, spec, data, config)
+            fast = learn(model, data, config)
             calls = []
 
             def counted_dense_objective(*args):
@@ -240,7 +259,7 @@ class TestHistogramObjective:
                 m.setattr(learning, "_fit", learning._fit.__wrapped__)
                 m.setattr(learning, "_nll_grad_hessian", counted_dense_objective)
                 m.setattr(learning, "_nll", lambda c, d, t: dense_nll(c.worlds, d, t))
-                slow = learn(model, spec, data, config)
+                slow = learn(model, data, config)
             assert len(calls) >= slow.iterations
             assert np.array_equal(fast.weights, slow.weights)
             assert (fast.iterations, fast.objective) == (slow.iterations, slow.objective)
@@ -356,7 +375,7 @@ class TestRowGatherOperand:
             spec = DomainSpec({model.signature.types[0][0]: 2})
             data = World(AtomIndex(model.signature, spec), 5)
             for config in (*JACOBIANS.values(), LearnConfig(regularizer="l1", lam=0.3)):
-                learn(model, spec, data, config)
+                learn(model, data, config)
         kinds = {(t.rows.shape[1], t.worlds.shape[0]) for t in tables}
         assert len(tables) >= 8 and len(kinds) >= 4
         for table in tables:
@@ -437,7 +456,7 @@ class TestZeroWeights:
         ]
         counts = _counts_for(model, index, LEARN_MAX_ATOMS)
         assert len({counts.worlds[w.bits].tobytes() for w in [data, *others]}) == 3
-        fits = [learn(model, spec, w, c) for w, c in zip([data, *others], configs)]
+        fits = [learn(model, w, c) for w, c in zip([data, *others], configs)]
         assert learning._fit.cache_info().misses == 3
         assert all(f.iterations > 1 for f in fits)  # each one took a step from zero
         assert len(zero_evaluations) == 1 and zero_evaluations[0] is counts
@@ -486,7 +505,7 @@ class TestZeroWeights:
         assert np.array_equal(counts.project(tied).worlds, counts.worlds @ tied)
         other = World.from_true_atoms(index, [("S", (1,)), ("S", (2,)), ("F", (1, 2))])
         configs = [LearnConfig(da=True), LearnConfig(da=True, regularizer="l2", lam=0.3)]
-        fits = [learn(model, spec, w, c) for w, c in zip([data, other], configs)]
+        fits = [learn(model, w, c) for w, c in zip([data, other], configs)]
         assert learning._fit.cache_info().misses == 2
         assert all(f.iterations > 1 for f in fits)
         assert zero_evaluations == [counts.project(jac)]
@@ -547,13 +566,13 @@ class TestMomentMemo:
     )
 
     @staticmethod
-    def sweep_fits(model, spec, train) -> list[LearnResult]:
+    def sweep_fits(model, train) -> list[LearnResult]:
         """Every fit of the default-grid sweeps, in ``lambda_sweep``'s order,
         run afresh on cold tables."""
         learning._fit.cache_clear()
         learning._counts_cached.cache_clear()
         return [
-            learn(model, spec, w, replace(config, regularizer=regularizer, lam=lam))
+            learn(model, w, replace(config, regularizer=regularizer, lam=lam))
             for regularizer, config in TestMomentMemo.SWEEPS
             for lam in GRID_DEFAULT
             for w in train
@@ -570,7 +589,6 @@ class TestMomentMemo:
         if seed is None:
             model = normalize_distinct(parse_mln(FRIENDS_SMOKERS_MLN))
             train = smokers_training_worlds(3, (0, 1))
-            spec = train[0].index.spec
         else:
             rng = np.random.default_rng(seed)
             model = normalize_distinct(random_raw_model(rng, include_ternary_clause=ternary))
@@ -579,8 +597,8 @@ class TestMomentMemo:
             train = [World(index, int(b)) for b in rng.integers(0, 1 << index.n_atoms, size=2)]
         with monkeypatch.context() as m:
             m.setattr(learning, "_MEMO_SIZE", 0)  # every lookup misses
-            fresh = self.sweep_fits(model, spec, train)
-        memo = self.sweep_fits(model, spec, train)
+            fresh = self.sweep_fits(model, train)
+        memo = self.sweep_fits(model, train)
         assert len(memo) == len(fresh) == len(self.SWEEPS) * len(GRID_DEFAULT) * len(train)
         for got, want in zip(memo, fresh):
             assert got.weights.tobytes() == want.weights.tobytes()
@@ -607,8 +625,7 @@ class TestMomentMemo:
         learning._counts_cached.cache_clear()
         model = normalize_distinct(parse_mln(FRIENDS_SMOKERS_MLN))
         (data,) = smokers_training_worlds(3, (0,))
-        spec = data.index.spec
-        lambda_sweep(model, spec, [data], spec, [data], "l1")
+        lambda_sweep(model, [data], [data], "l1")
         counts = _counts_for(model, data.index, LEARN_MAX_ATOMS)
         return counts, calls
 
@@ -664,7 +681,7 @@ class TestLearn:
     def test_unregularized_reaches_stationarity(self):
         model = smokers_model()
         spec, _, data = smokers_data(model)
-        result = learn(model, spec, data, LearnConfig(max_iter=500))
+        result = learn(model, data, LearnConfig(max_iter=500))
         assert result.converged
         assert result.trace[-1].grad_norm <= 1e-6
 
@@ -672,14 +689,14 @@ class TestLearn:
         model = smokers_model()
         spec, _, data = smokers_data(model)
         for reg, lam in (("none", 0.0), ("l1", 0.3), ("l2", 0.3)):
-            result = learn(model, spec, data, LearnConfig(regularizer=reg, lam=lam))
+            result = learn(model, data, LearnConfig(regularizer=reg, lam=lam))
             objective = [t.neg_log_likelihood + t.penalty for t in result.trace]
             assert all(b <= a + 1e-9 for a, b in zip(objective, objective[1:]))
 
     def test_huge_l1_zeroes_higher_arity_weights_exactly(self):
         model = smokers_model()
         spec, _, data = smokers_data(model)
-        result = learn(model, spec, data, LearnConfig(regularizer="l1", lam=1e6))
+        result = learn(model, data, LearnConfig(regularizer="l1", lam=1e6))
         assert result.converged
         for clause, w in zip(result.model.clauses, result.weights):
             if clause.formula.arity > 1:
@@ -688,8 +705,8 @@ class TestLearn:
     def test_l2_shrinks_higher_arity_weights(self):
         model = smokers_model()
         spec, _, data = smokers_data(model)
-        free = learn(model, spec, data, LearnConfig())
-        shrunk = learn(model, spec, data, LearnConfig(regularizer="l2", lam=1.0))
+        free = learn(model, data, LearnConfig())
+        shrunk = learn(model, data, LearnConfig(regularizer="l2", lam=1.0))
         for clause, w0, w1 in zip(model.clauses, free.weights, shrunk.weights):
             if clause.formula.arity > 1:
                 assert abs(w1) <= abs(w0) + 1e-9
@@ -700,7 +717,7 @@ class TestLearn:
         mask = np.array([c.formula.arity > 1 for c in model.clauses])
         previous = math.inf
         for lam in (0.1, 1.0, 10.0):
-            result = learn(model, spec, data, LearnConfig(regularizer="l2", lam=lam))
+            result = learn(model, data, LearnConfig(regularizer="l2", lam=lam))
             assert result.converged
             current = float((np.array(result.weights)[mask] ** 2).sum())
             assert current <= previous + 1e-9
@@ -711,14 +728,14 @@ class TestLearn:
         spec = DomainSpec({"p": 3})
         index = AtomIndex(model.signature, spec)
         data = World.from_true_atoms(index, [("S", (1,)), ("S", (2,))])
-        free = learn(model, spec, data, LearnConfig())
-        l1 = learn(model, spec, data, LearnConfig(regularizer="l1", lam=1e3))
+        free = learn(model, data, LearnConfig())
+        l1 = learn(model, data, LearnConfig(regularizer="l1", lam=1e3))
         assert l1.weights == pytest.approx(free.weights, abs=1e-5)
 
     def test_non_convergence_flagged(self):
         model = smokers_model()
         spec, _, data = smokers_data(model)
-        result = learn(model, spec, data, LearnConfig(max_iter=1))
+        result = learn(model, data, LearnConfig(max_iter=1))
         assert not result.converged
         assert result.iterations == 1
 
@@ -729,11 +746,11 @@ class TestLearn:
         data = World.from_true_atoms(
             index, [("R", (1, 1)), ("R", (2, 2)), ("R", (1, 2)), ("R", (2, 1))]
         )
-        result = learn(model, spec, data, LearnConfig(tie_split_weights=True))
+        result = learn(model, data, LearnConfig(tie_split_weights=True))
         origins = [c.origin for c in result.model.clauses]
         assert origins == [0, 0]
         assert result.weights[0] == pytest.approx(result.weights[1])
-        untied = learn(model, spec, data, LearnConfig())
+        untied = learn(model, data, LearnConfig())
         assert abs(untied.weights[0] - untied.weights[1]) > 1e-3
 
 
@@ -748,12 +765,12 @@ def newton_pin_fits() -> list[tuple[int, LearnResult]]:
                         dict(regularizer="l2", lam=0.5))
         for max_iter in (1, 2, 5, 500)
     ]
-    fits = [(c.max_iter, learn(model, data.index.spec, data, c)) for c in configs]
+    fits = [(c.max_iter, learn(model, data, c)) for c in configs]
     # The one fit of a sweep over random models whose line search stalls.
     stall = random_raw_model(np.random.default_rng(1), include_ternary_clause=True)
     index = AtomIndex(stall.signature, DomainSpec({"t": 3}))
     config = LearnConfig(regularizer="l1", lam=0.3, da=True)
-    fits.append((config.max_iter, learn(stall, index.spec, World(index, 0), config)))
+    fits.append((config.max_iter, learn(stall, World(index, 0), config)))
     return fits
 
 
@@ -799,9 +816,9 @@ class TestFitMemo:
         counts = _counts_for(model, index, LEARN_MAX_ATOMS)
         assert data.bits != relabelled.bits
         assert np.array_equal(counts.worlds[data.bits], counts.worlds[relabelled.bits])
-        first = learn(model, spec, data)
+        first = learn(model, data)
         assert misses() == 1
-        second = learn(model, spec, relabelled)
+        second = learn(model, relabelled)
         assert misses() == 1
         assert first.weights.tobytes() == second.weights.tobytes()
 
@@ -813,11 +830,11 @@ class TestFitMemo:
     def test_hit_equals_a_fresh_fit(self, config, misses):
         model = smokers_model()
         spec, _, data = smokers_data(model)
-        learn(model, spec, data, config)
-        hit = learn(model, spec, data, config)
+        learn(model, data, config)
+        hit = learn(model, data, config)
         assert learning._fit.cache_info().hits == 1
         learning._fit.cache_clear()
-        fresh = learn(model, spec, data, config)
+        fresh = learn(model, data, config)
         assert misses() == 1  # emptying the memo also resets its counts
         assert hit.weights.tobytes() == fresh.weights.tobytes()
         assert hit.iterations == fresh.iterations
@@ -838,8 +855,8 @@ class TestFitMemo:
             index, [("R", (1, 1)), ("R", (2, 2)), ("R", (1, 2)), ("R", (2, 1))]
         )
         config = LearnConfig(tie_split_weights=True)
-        tied = learn(shared, spec, data, config)
-        untied = learn(separate, spec, data, config)
+        tied = learn(shared, data, config)
+        untied = learn(separate, data, config)
         assert misses() == 2
         assert tied.weights[0] == tied.weights[1]
         assert abs(untied.weights[0] - untied.weights[1]) > 1e-3
@@ -853,8 +870,8 @@ class TestFitMemo:
         wide_data = World.from_true_atoms(
             AtomIndex(wider.signature, spec), [("S", (1,)), ("F", (1, 2)), ("F", (2, 3))]
         )
-        small = learn(plain, spec, data)
-        wide = learn(wider, spec, wide_data)
+        small = learn(plain, data)
+        wide = learn(wider, wide_data)
         assert misses() == 2
         # Three free Q atoms double the partition function three times.
         assert wide.objective == pytest.approx(small.objective + 3 * math.log(2), abs=1e-9)
@@ -862,19 +879,19 @@ class TestFitMemo:
     def test_returned_weights_are_the_callers_own(self):
         model = smokers_model()
         spec, _, data = smokers_data(model)
-        first = learn(model, spec, data)
+        first = learn(model, data)
         want = first.weights.tobytes()
         first.weights[:] = 99.0
-        again = learn(model, spec, data)
+        again = learn(model, data)
         assert again.weights.tobytes() == want
         assert again.weights is not first.weights
 
     def test_a_warm_memo_keeps_the_guard(self):
         model = smokers_model()
         spec, index, data = smokers_data(model)
-        learn(model, spec, data)
+        learn(model, data)
         with pytest.raises(DomainTooLargeError):
-            learn(model, spec, data, LearnConfig(max_atoms=index.n_atoms - 1))
+            learn(model, data, LearnConfig(max_atoms=index.n_atoms - 1))
 
     def test_memo_is_bounded(self):
         assert learning._fit.cache_info().maxsize == 1024
@@ -884,8 +901,8 @@ class TestDomainAwareTraining:
     def test_da_learn_scales_objective(self):
         model = smokers_model()
         spec, _, data = smokers_data(model)
-        plain = learn(model, spec, data, LearnConfig())
-        scaled = learn(model, spec, data, LearnConfig(da=True))
+        plain = learn(model, data, LearnConfig())
+        scaled = learn(model, data, LearnConfig(da=True))
         # same optimum in effective-weight space: equal likelihood, and the
         # scaled raw parameter is the plain one times its factor (skipping the
         # collapsed tautology clause, whose weight is unidentifiable)
@@ -897,22 +914,22 @@ class TestDomainAwareTraining:
         assert scaled.weights[0] == pytest.approx(plain.weights[0], abs=1e-4)
         assert scaled.weights[2] / 3.0 == pytest.approx(plain.weights[2], abs=1e-4)
 
-    def test_da_evaluation_uses_target_factors(self):
-        model = smokers_model().with_weights([0.5, 1.2, 0.3])
-        spec4 = DomainSpec({"p": 4})
-        index4 = AtomIndex(model.signature, spec4)
-        world = World(index4, 12345)
-        scaled = apply_da_scaling(model, {"p": 4})
+    def test_da_sweep_scores_at_the_target_factors(self):
+        model = smokers_model()
+        _, _, data = smokers_data(model)
+        world = World(AtomIndex(model.signature, DomainSpec({"p": 4})), 12345)
+        config = LearnConfig(da=True)
+        sweep = lambda_sweep(model, [data], [world], "l2", grid=[0.5], config=config)
+        scaled = apply_da_scaling(sweep.fits[0].model, {"p": 4})
         expected = log_probability(scaled, world)
-        got = target_log_likelihoods(model, spec4, [world], da_sizes={"p": 4})[0]
-        assert got == pytest.approx(expected, abs=1e-12)
+        assert sweep.entries[0].mean_target_ll == pytest.approx(expected, abs=1e-12)
 
 
 class TestTargetEvaluation:
     def test_same_spec_equals_training_likelihood(self):
         model = smokers_model().with_weights([0.3, -0.2, 0.5])
         spec, index, data = smokers_data(model)
-        assert target_log_likelihoods(model, spec, [data])[0] == pytest.approx(
+        assert target_log_likelihoods(model, [data])[0] == pytest.approx(
             log_probability(model, data)
         )
 
@@ -920,7 +937,7 @@ class TestTargetEvaluation:
         model = smokers_model()
         spec4 = DomainSpec({"p": 4})
         index4 = AtomIndex(model.signature, spec4)
-        assert target_log_likelihoods(model, spec4, [World(index4, 99)])[0] == pytest.approx(
+        assert target_log_likelihoods(model, [World(index4, 99)])[0] == pytest.approx(
             -index4.n_atoms * math.log(2)
         )
 
@@ -928,8 +945,8 @@ class TestTargetEvaluation:
         model = smokers_model().with_weights([0.3, -0.2, 0.5])
         spec, index, _ = smokers_data(model)
         worlds = [World(index, b) for b in (0, 5, 77)]
-        batch = target_log_likelihoods(model, spec, worlds)
-        singles = [target_log_likelihoods(model, spec, [w])[0] for w in worlds]
+        batch = target_log_likelihoods(model, worlds)
+        singles = [target_log_likelihoods(model, [w])[0] for w in worlds]
         assert batch == pytest.approx(singles)
 
 
@@ -947,7 +964,7 @@ class TestMarginalObjective:
         spec2 = DomainSpec({"p": 2})
         index2 = AtomIndex(model.signature, spec2)
         data = World.from_true_atoms(index2, [("S", (1,)), ("F", (1, 2))])
-        result = learn(model, spec2, data, LearnConfig(regularizer="l2", lam=0.5))
+        result = learn(model, data, LearnConfig(regularizer="l2", lam=0.5))
         learned = result.model
         split = DomainSpec({"p": 4}, split_type="p", split_at=2)
         neg_marginal = -log_marginal(learned, split, data)
@@ -959,7 +976,7 @@ class TestLambdaSweep:
     def test_single_point_grid(self):
         model = smokers_model()
         spec, index, data = smokers_data(model)
-        sweep = lambda_sweep(model, spec, [data], spec, [data], "l2", grid=[0.5])
+        sweep = lambda_sweep(model, [data], [data], "l2", grid=[0.5])
         assert sweep.best_lam == 0.5
         assert len(sweep.entries) == 1
 
@@ -967,10 +984,10 @@ class TestLambdaSweep:
         model = smokers_model()
         spec, _, data = smokers_data(model)
         for reg in ("l1", "l2"):
-            sweep = lambda_sweep(model, spec, [data], spec, [data], reg, grid=[0.1, 1.0, 10.0])
+            sweep = lambda_sweep(model, [data], [data], reg, grid=[0.1, 1.0, 10.0])
             (kept,) = sweep.fits
             learning._fit.cache_clear()  # a real refit, not the sweep's memoized one
-            fresh = learn(model, spec, data, LearnConfig(regularizer=reg, lam=sweep.best_lam))
+            fresh = learn(model, data, LearnConfig(regularizer=reg, lam=sweep.best_lam))
             assert kept.weights.tobytes() == fresh.weights.tobytes()
             assert kept.trace == fresh.trace
             assert (kept.converged, kept.iterations) == (fresh.converged, fresh.iterations)
@@ -989,7 +1006,7 @@ class TestLambdaSweep:
         data = World.from_true_atoms(
             index, [("S", (1,)), ("F", (1, 2)), ("F", (2, 1)), ("F", (3, 1))]
         )
-        sweep = lambda_sweep(model, spec, [data], spec, [data], "l2")
+        sweep = lambda_sweep(model, [data], [data], "l2")
         assert sweep.best_lam == GRID_DEFAULT[0]
         scores = [e.mean_target_ll for e in sweep.entries]
         assert all(b <= a + 1e-12 for a, b in zip(scores, scores[1:]))
@@ -1000,26 +1017,26 @@ class TestLambdaSweep:
         spec = DomainSpec({"item": 3})
         index = AtomIndex(model.signature, spec)
         data = World(index, 21)
-        sweep = lambda_sweep(model, spec, [data], spec, [data], "l1", grid=[0.1, 1.0, 10.0])
+        sweep = lambda_sweep(model, [data], [data], "l1", grid=[0.1, 1.0, 10.0])
         assert sweep.best_lam == 10.0
 
     def test_empty_grid_rejected(self):
         model = smokers_model()
         spec, _, data = smokers_data(model)
         with pytest.raises(ValueError, match="empty"):
-            lambda_sweep(model, spec, [data], spec, [data], "l1", grid=[])
+            lambda_sweep(model, [data], [data], "l1", grid=[])
 
     def test_no_training_worlds_rejected(self):
         model = smokers_model()
         spec, _, data = smokers_data(model)
         with pytest.raises(ValueError, match="training"):
-            lambda_sweep(model, spec, [], spec, [data], "l1", grid=[0.1, 1.0])
+            lambda_sweep(model, [], [data], "l1", grid=[0.1, 1.0])
 
     def test_no_target_worlds_rejected(self):
         model = smokers_model()
         spec, _, data = smokers_data(model)
         with pytest.raises(ValueError, match="target"):
-            lambda_sweep(model, spec, [data], spec, [], "l1", grid=[0.1, 1.0])
+            lambda_sweep(model, [data], [], "l1", grid=[0.1, 1.0])
 
 
 class TestSpreadReduction:
@@ -1032,17 +1049,15 @@ class TestSpreadReduction:
         model = load_experiment_model(ExperimentConfig())
         db = subsample(generate_friends_smokers(10, 50 + seed), SampleSpec("person", 3, seed))
         data = db_to_world(db, domain_spec_for(db))
-        spec = data.index.spec
-        free = learn(model, spec, data, LearnConfig(max_iter=2000))
+        free = learn(model, data, LearnConfig(max_iter=2000))
         assert free.converged
         reference = log_spread(free.model, 3, 1)
         for reg in ("l1", "l2"):
-            best = lambda_sweep(model, spec, [data], spec, [data], reg, config=LearnConfig(max_iter=2000)).best_lam
-            reg_result = learn(
-                model, spec, data, LearnConfig(regularizer=reg, lam=best, max_iter=2000)
-            )
+            config = LearnConfig(max_iter=2000)
+            best = lambda_sweep(model, [data], [data], reg, config=config).best_lam
+            reg_result = learn(model, data, LearnConfig(regularizer=reg, lam=best, max_iter=2000))
             assert reg_result.converged
             assert log_spread(reg_result.model, 3, 1) <= reference + 1e-9
-        da_result = learn(model, spec, data, LearnConfig(da=True, max_iter=2000))
+        da_result = learn(model, data, LearnConfig(da=True, max_iter=2000))
         effective = apply_da_scaling(da_result.model, {"person": 4})
         assert log_spread(effective, 3, 1) <= log_spread(da_result.model, 3, 1) + 1e-9

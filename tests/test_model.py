@@ -462,46 +462,38 @@ class TestFactorizationGap:
 class TestPartition:
     def test_zero_weights_binary(self):
         model = model_from("type p = 2\npredicate R(p,p)\n0 R(x,y)")
-        assert log_partition(model, DomainSpec({"p": 2})) == pytest.approx(math.log(16))
+        assert log_partition(model, index_for(model, 2)) == pytest.approx(math.log(16))
 
     def test_unary_closed_form(self):
         a = 0.85
         model = model_from(f"type p = 3\npredicate S(p)\n{a} S(x)")
         expected = 3 * math.log1p(math.exp(a))
-        assert log_partition(model, DomainSpec({"p": 3})) == pytest.approx(expected, abs=1e-12)
+        assert log_partition(model, index_for(model, 3)) == pytest.approx(expected, abs=1e-12)
 
     def test_projective_example_closed_form(self, example3_model):
         """Independence across persons and pairs factorizes the sum exactly."""
         a1, a2 = 0.6, 0.9
         model = normalize_distinct(example3_model)
         expected = math.log((1 + math.exp(a1)) ** 2 * (3 + math.exp(2 * a2)) * 4)
-        assert log_partition(model, DomainSpec({"person": 2})) == pytest.approx(
+        assert log_partition(model, index_for(model, 2)) == pytest.approx(
             expected, abs=1e-12
         )
 
     def test_guard(self):
         model = model_from("type p = 8\npredicate R(p,p)\n0.5 R(x,y)")
         with pytest.raises(DomainTooLargeError):
-            log_partition(model, DomainSpec({"p": 8}), max_atoms=28)
+            log_partition(model, index_for(model, 8), max_atoms=28)
 
     def test_index_over_another_signature_is_rejected(self):
         # Scored over S(p) and R(p,p), this model would give log Z 4.7207, not 1.9482.
         model = model_from("type p = 2\npredicate S(p)\n0.5 S(x)")
         other = model_from("type p = 2\npredicate S(p)\npredicate R(p,p)\n0.5 S(x)")
         index = AtomIndex(other.signature, DomainSpec({"p": 2}))
-        assert log_partition(model, DomainSpec({"p": 2})) == pytest.approx(1.9482, abs=1e-4)
+        assert log_partition(model, index_for(model, 2)) == pytest.approx(1.9482, abs=1e-4)
         with pytest.raises(ValueError, match="signature"):
             log_partition(model, index=index)
         with pytest.raises(ValueError, match="signature"):
             count_histogram(model, index)
-
-    def test_spec_that_differs_from_the_index_is_rejected(self):
-        model = model_from("type p = 2\npredicate S(p)\n0.5 S(x)")
-        spec, index = DomainSpec({"p": 2}), index_for(model, 3)
-        with pytest.raises(ValueError, match="spec"):
-            log_partition(model, spec, index=index)
-        same = log_partition(model, DomainSpec({"p": 3}), index=index)
-        assert same == log_partition(model, index=index)
 
 
 def _logsumexp(x: np.ndarray) -> float:
@@ -1267,7 +1259,7 @@ class TestNonFiniteWeights:
     def test_rejected_before_any_pass(self, bad):
         model = normalize_distinct(parse_mln(FRIENDS_SMOKERS_MLN))
         with pytest.raises(ValueError, match="finite"):
-            log_partition(model.with_weights([bad, 0, 0, 0, 0]), DomainSpec({"person": 2}))
+            log_partition(model.with_weights([bad, 0, 0, 0, 0]), index_for(model, 2))
 
     def test_rejected_by_the_parser(self):
         with pytest.raises(ValueError, match="finite"):
