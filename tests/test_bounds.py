@@ -586,22 +586,20 @@ class TestSplitPassOracle:
         check()
         assert reached == {(True, True), (True, False), (False, False)}
 
-    @settings(max_examples=25, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        split=st.sampled_from([(1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3)]),
-        ternary=st.booleans(),
-    )
-    def test_empty_halves_match_dense_oracle(self, seed, split, ternary):
+    @pytest.mark.parametrize("ternary", [False, True])
+    @pytest.mark.parametrize("split", [(1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3)])
+    def test_empty_halves_match_dense_oracle(self, split, ternary):
         # No tuple straddles an empty half and one half is the whole domain,
         # so every slack is 0 and the witnesses are the all-false world.
         n, m = split
         smokers = normalize_distinct(parse_mln(FRIENDS_SMOKERS_MLN))
-        rng = np.random.default_rng(seed)
-        for model in (
-            smokers.with_weights(rng.uniform(-1.5, 1.5, len(smokers.clauses))),
-            normalize_distinct(random_raw_model(rng, include_ternary_clause=ternary)),
-        ):
+        rng = np.random.default_rng(sum(split) + 10 * ternary)
+        models = [smokers.with_weights(rng.uniform(-1.5, 1.5, len(smokers.clauses)))]
+        models += [
+            normalize_distinct(random_raw_model(rng, include_ternary_clause=ternary))
+            for _ in range(3)
+        ]
+        for model in models:
             oracle = _split_pass_oracle(model, n, m)
             report = verify_all(model, n, m)
             _, marginal = marginal_log_probs(model, oracle["spec"])
