@@ -1,9 +1,10 @@
-"""Cross-domain-size bound quantities and their exhaustive numerical verification.
+"""Cross-domain-size bound quantities and their exact numerical verification.
 
 For a model in distinct-constants form over a single domain type, computes the
 extrema of the per-arity weight functions, the products of those extrema over
 straddling tuples (the cross bounds ``M_max``/``M_min`` and their log ratio,
-the *log spread*), and verifies by full enumeration that:
+the *log spread*), and verifies exactly, by full enumeration or from lifted
+cell tables, that:
 
 - every world's weight is sandwiched between its two half-restriction weights
   times the cross extrema (``weight_sandwich``),
@@ -15,9 +16,51 @@ the *log spread*), and verifies by full enumeration that:
 - the negative log likelihood transfers across sizes with at most ``log_spread``
   slack (``loglik_bound``).
 
-``verify_all`` builds all five records, plus the KL divergence itself, in
-place from one exhaustive pass over the (n+m)-worlds, ``_split_context``. The
-pass runs on a relaid copy of the grounding table laid out by
+``verify_all`` builds all five records, plus the KL divergence itself, from
+one ``_split_context``: the per-front-world tables below, and the two
+sandwich slacks with their witnesses.
+
+*The lifted path.* A two-variable (FO²) model has one type, and every
+predicate and normalized clause has arity 1 or 2. For such a model with both
+halves nonempty, the tables come from cell tables, not from the 2^G worlds.
+A cell is one constant's unary and reflexive atoms, bit j for the j-th
+predicate (smokers has 8). ``w1[c]`` is the arity-1 clauses' log weight at
+one constant of cell c, and ``phi[c, c', x]`` that of the arity-2 clauses at
+two constants of cells c and c' with pair atoms x: the table that
+``extremal_k_weights(model, 2)`` maximizes. ``log r[c, c']`` sums x out. Given
+the cells, the pairs are independent, so a world's weight summed over its
+pair atoms depends only on its cells, and the n-constant mass of one
+cell-count vector k (a lifted row, kept as a sorted tuple of n cells) is
+``log multinomial + k·w1 + Σ_c C(k_c, 2) log r_cc + Σ_{c<c'} k_c k_c' log
+r_cc'``. The same holds for a front world's marginal: it is its direct
+weight times ``F(k) = Σ_l W_m(l) exp(k·log r·l)`` over the back rows l, so
+the front table holds one entry per front row, ``lw_n(k) + log F(k)``, and
+the ratio of marginal to direct probability is ``log F(k) + log Z_n − log
+Z_{n+m}``, the same for every world of the row. Its extremes are the
+marginal slacks, the KL is its mean under the marginal, and the three log Z
+of the partition sandwich are the log-sum-exps of the row tables. The cross
+table is reduced in tiles of front rows, so a tile holds at most
+``DEFAULT_CHUNK`` entries.
+
+Both weight-sandwich slacks are 0 on this path. No arity-1 tuple straddles
+a split, so ``log M_max`` is ``n·m·max phi``, the nm straddling pairs at the
+arity-2 extreme. A world's weight over its halves' is the sum of ``phi`` over
+those pairs, at most ``n·m·max phi``, and the bound is reached: the upper
+slack is ``log M_max − n·m·max phi`` and the lower one ``n·m·min phi − log
+M_min``, both the same float products. The witness of the upper slack is
+built from the two-constant world of the first ``max phi`` in index order:
+every front constant takes its constant-1 cell, every back constant its
+constant-2 cell, every straddling pair its pair atoms, and all other pair
+atoms are false; the lower witness likewise from the first ``min phi``. Each
+two-constant atom stands for a disjoint set of these atoms, in the same
+order, so this is the lowest world in ``AtomIndex`` order of that form. The
+``max_atoms`` guard on the (n+m)-index still applies. Lifting it needs the
+cross table reduced in tiles of back rows as well, and the row tables built
+at sizes no enumeration reaches; that is left for later.
+
+*The enumeration pass.* Every other model, and every model at an empty half,
+takes ``_pair_pass``, which is also the lifted path's test oracle. The pass
+runs on a relaid copy of the grounding table laid out by
 ``model._split_runs``, with the split the front-half atoms then the back-half
 atoms: a world's split code packs its F front bits, then its B back bits, so
 its two restriction codes are the bit fields ``code & (2^F - 1)`` and ``(code
@@ -56,6 +99,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import combinations_with_replacement
 from math import comb
 from typing import Mapping
 
@@ -63,6 +107,7 @@ import numpy as np
 
 from .logic import MlnModel, arity_partition, normalize_distinct
 from .model import (
+    DEFAULT_CHUNK,
     DEFAULT_MAX_ATOMS,
     _fold_pair_buckets,
     _logsumexp,
@@ -174,16 +219,25 @@ def extremal_k_weights(model: MlnModel, k: int) -> KWeightExtrema:
     arity-k clauses have constant weight 1 (log 0).
     """
     model = normalize_distinct(model)
-    tau = _single_type(model)
-    clauses = tuple(arity_partition(model).get(k, ()))
-    if not clauses:
+    _single_type(model)
+    if k not in arity_partition(model):
         return KWeightExtrema(k, 0.0, 0.0, None, None)
-    sub_model = replace(model, clauses=clauses)
-    index = AtomIndex(model.signature, DomainSpec({tau: k}))
-    logs = dense_log_weights(sub_model, index, max_atoms=EXTREMAL_MAX_ATOMS)
+    logs = _arity_logs(model, k)[1]
     hi = int(np.argmax(logs))
     lo = int(np.argmin(logs))
     return KWeightExtrema(k, float(logs[hi]), float(logs[lo]), hi, lo)
+
+
+def _arity_logs(model: MlnModel, k: int) -> tuple[AtomIndex, np.ndarray]:
+    """The index of one canonical k-tuple and the dense log weights of the
+    model's arity-k clauses over its worlds (all 0 without such clauses)."""
+    index = AtomIndex(model.signature, DomainSpec({_single_type(model): k}))
+    _guard(index.n_atoms, EXTREMAL_MAX_ATOMS)
+    clauses = tuple(arity_partition(model).get(k, ()))
+    if not clauses:
+        return index, np.zeros(1 << index.n_atoms)
+    sub_model = replace(model, clauses=clauses)
+    return index, dense_log_weights(sub_model, index, max_atoms=EXTREMAL_MAX_ATOMS)
 
 
 def _cross_exponents(n: int, m: int, d: int) -> tuple[int, ...]:
@@ -224,19 +278,102 @@ def log_spread(model: MlnModel, n: int, m: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _split_context(model: MlnModel, n: int, m: int, *, max_atoms: int = DEFAULT_MAX_ATOMS):
-    """The one pass over all (n+m)-worlds: ``(index, cross, lw_n, lw_m,
-    bucket_logs, upper, lower, upper_witness, lower_witness)``."""
-    model = normalize_distinct(model)
+def _split_index(model: MlnModel, n: int, m: int, max_atoms: int) -> tuple[AtomIndex, CrossBounds]:
+    """The validated (n+m)-index split at n, and the cross bounds."""
     tau = _single_type(model)
-    spec = DomainSpec({tau: n + m}, split_type=tau, split_at=n)
-    index = AtomIndex(model.signature, spec)
+    index = AtomIndex(model.signature, DomainSpec({tau: n + m}, split_type=tau, split_at=n))
     _guard(index.n_atoms, max_atoms)
-    cross = cross_weight_bounds(model, n, m)
+    return index, cross_weight_bounds(model, n, m)
+
+
+def _fo2(model: MlnModel) -> bool:
+    """One type, every predicate and normalized clause of arity 1 or 2, and a
+    two-constant table within the extrema's guard."""
+    preds = model.signature.predicates
+    return (
+        len(model.signature.types) == 1
+        and all(p.arity in (1, 2) for p in preds)
+        and all(c.formula.arity in (1, 2) for c in model.clauses)
+        and sum(2**p.arity for p in preds) <= EXTREMAL_MAX_ATOMS
+    )
+
+
+def _split_context(model: MlnModel, n: int, m: int, *, max_atoms: int = DEFAULT_MAX_ATOMS):
+    """``(index, cross, lw_n, lw_m, bucket_logs, upper, lower, upper_witness,
+    lower_witness)`` of an n|m split: from the cell tables for an FO² model
+    with two nonempty halves, else from ``_pair_pass``."""
+    model = normalize_distinct(model)
+    if n == 0 or m == 0 or not _fo2(model):
+        return _pair_pass(model, n, m, max_atoms=max_atoms)
+    index, cross = _split_index(model, n, m, max_atoms)
+    w1 = _arity_logs(model, 1)[1]
+    two, logs = _arity_logs(model, 2)
+
+    # phi[c, c', x], with bit j of cell c the j-th predicate's atom on constant
+    # 1, of c' on constant 2, and x the pair atoms; log r sums x out.
+    axes = [
+        two.n_atoms - 1 - two.index_of(p.name, (i,) * p.arity)
+        for i in (1, 2)
+        for p in model.signature.predicates[::-1]
+    ]
+    phi = logs.reshape((2,) * two.n_atoms)
+    phi = phi.transpose(axes + [a for a in range(two.n_atoms) if a not in axes])
+    log_r = np.logaddexp.reduce(phi.reshape(w1.shape[0], w1.shape[0], -1), axis=2)
+
+    rows_n, lw_n = _lifted_rows(w1, log_r, n)
+    rows_m, lw_m = _lifted_rows(w1, log_r, m)
+    bucket_logs = np.empty_like(lw_n)
+    step = max(1, DEFAULT_CHUNK // lw_m.shape[0])  # front rows per tile of the cross table
+    for start in range(0, lw_n.shape[0], step):
+        tile = slice(start, start + step)
+        front = rows_n[tile, :, None]
+        cross_logs = lw_m + sum(log_r[front[:, i], rows_m[:, j]] for i in range(n) for j in range(m))
+        bucket_logs[tile] = lw_n[tile] + np.logaddexp.reduce(cross_logs, axis=1)
+
+    # Atom q of the two-constant index stands for the atoms whose arguments
+    # map 1 to a front constant and 2 to a back one. These sets are disjoint
+    # and their highest atoms keep the order of q, so the first extreme of the
+    # table builds the lowest world attaining it.
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(n + 1, n + m + 1)]
+    masks = [
+        sum({1 << index.index_of(pred, tuple(pair[a - 1] for a in args)) for pair in pairs})
+        for pred, args in two.atoms
+    ]
+    hi, lo = int(np.argmax(logs)), int(np.argmin(logs))
+
+    def witness(bits: int) -> int:
+        return sum(mask for q, mask in enumerate(masks) if bits >> q & 1)
+
+    upper = cross.log_m_max - n * m * float(logs[hi])
+    lower = n * m * float(logs[lo]) - cross.log_m_min
+    return index, cross, lw_n, lw_m, bucket_logs, upper, lower, witness(hi), witness(lo)
+
+
+def _lifted_rows(w1: np.ndarray, log_r: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lifted rows at n constants, one per cell-count vector, as sorted
+    ``(rows, n)`` cell tuples, and their log weights: the log multinomial
+    plus ``w1`` of each constant's cell plus ``log_r`` of each pair's cells."""
+    rows = np.array(list(combinations_with_replacement(range(w1.shape[0]), n)), dtype=np.intp)
+    lw = np.zeros(rows.shape[0])
+    run = np.ones(rows.shape[0])  # each cell's place in its run of equal cells
+    for j in range(n):
+        if j:
+            run = np.where(rows[:, j] == rows[:, j - 1], run + 1.0, 1.0)
+        lw += math.log(j + 1) - np.log(run) + w1[rows[:, j]]
+        for i in range(j):
+            lw += log_r[rows[:, i], rows[:, j]]
+    return rows, lw
+
+
+def _pair_pass(model: MlnModel, n: int, m: int, *, max_atoms: int = DEFAULT_MAX_ATOMS):
+    """``_split_context``'s tuple from one pass over all (n+m)-worlds, for every
+    model: the pass of models that do not lift, and the lifted path's oracle."""
+    model = normalize_distinct(model)
+    index, cross = _split_index(model, n, m, max_atoms)
     if n == 0 or m == 0:  # W = W_n * W_m: one-entry zero tables make every slack 0
         zero = np.zeros(1)
         return index, cross, zero, zero, zero, 0.0, 0.0, 0, 0
-    front, back = split_subsets(spec)
+    front, back = split_subsets(index.spec)
     sub_n, pos_n = restriction_positions(index, front)
     sub_m, pos_m = restriction_positions(index, back)
     lw_n = dense_log_weights(model, sub_n)
@@ -289,13 +426,17 @@ def verify_all(
     tol: float = DEFAULT_TOL,
     max_atoms: int = DEFAULT_MAX_ATOMS,
 ) -> BoundsReport:
-    """Run every bound check on one shared enumeration pass. ``tol`` must be
-    finite and at least 0."""
+    """Run every bound check on one ``_split_context``: the lifted tables of an
+    FO² model, one enumeration pass otherwise. ``tol`` must be finite and at
+    least 0."""
     if not 0 <= tol < math.inf:  # NaN fails too
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
-    index, cross, lw_n, lw_m, bucket_logs, w_up, w_lo, up_witness, lo_witness = _split_context(
-        model, n, m, max_atoms=max_atoms
-    )
+    return _report(n, m, tol, _split_context(model, n, m, max_atoms=max_atoms))
+
+
+def _report(n: int, m: int, tol: float, context: tuple) -> BoundsReport:
+    """The five records and the KL of a ``_split_context`` tuple."""
+    index, cross, lw_n, lw_m, bucket_logs, w_up, w_lo, up_witness, lo_witness = context
     spread = cross.log_spread
 
     def check(name: str, worst: float, **details) -> CheckRecord:

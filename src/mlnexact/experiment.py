@@ -248,13 +248,14 @@ def training_world(cfg: ExperimentConfig, model: MlnModel, run: int) -> World:
 
         with open(cfg.train_dbs[run], encoding="utf-8") as fh:
             db = parse_db(fh.read(), model.signature)
-    else:
-        db = generate_friends_smokers(cfg.train_population, seed_train_generation(cfg.seed, run))
-        if cfg.train_size < cfg.train_population:
-            db = subsample(
-                db, SampleSpec(tau, cfg.train_size, seed_train_subsample(cfg.seed, run))
-            )
-    return db_to_world(db, domain_spec_for(db))
+        return db_to_world(db, domain_spec_for(db))
+    db = generate_friends_smokers(cfg.train_population, seed_train_generation(cfg.seed, run))
+    if cfg.train_size < cfg.train_population:
+        db = subsample(db, SampleSpec(tau, cfg.train_size, seed_train_subsample(cfg.seed, run)))
+    # Over the model's signature, at the model's sizes for the types the generator lacks.
+    size = len(db.constants[tau])
+    spec = DomainSpec({t: size if t == tau else s for t, s in model.signature.types})
+    return db_to_world(_over(db, model.signature), spec)
 
 
 def _over(db: Database, signature: Signature) -> Database:

@@ -62,6 +62,11 @@ def model_from(text: str):
     return normalize_distinct(parse_mln(text))
 
 
+def enumerated(model, n: int, m: int):
+    """``verify_all``'s report from the enumeration pass, which every model can take."""
+    return bounds._report(n, m, bounds.DEFAULT_TOL, bounds._pair_pass(model, n, m))
+
+
 def named_check(name: str, model, n: int, m: int):
     """The named CheckRecord of the full bound suite at the n|m split."""
     (record,) = [c for c in verify_all(model, n, m).checks if c.name == name]
@@ -442,8 +447,8 @@ class TestSplitPassOracle:
         # per pair over runs of blocks that share their split bits: one run
         # while the split bits lie in a block's low bits, 2^(bits past them)
         # runs otherwise. The draws must reach one run and several runs over
-        # several blocks. At an empty half verify_all runs no pass, and the
-        # marginal's runs are one block each.
+        # several blocks. At an empty half the pair pass runs no pass, and
+        # the marginal's runs are one block each.
         runs = set()
 
         @settings(max_examples=20, deadline=None)
@@ -485,7 +490,7 @@ class TestSplitPassOracle:
                     assert np.array_equal(counts, counts_matrix(gt.entries, worlds))
                     blocks += 1
                 assert blocks == max(1, (1 << index.n_atoms) // chunk)
-                report = verify_all(model, n, m)
+                report = enumerated(model, n, m)
                 _, marginal = marginal_log_probs(model, oracle["spec"])
                 _histogram.cache_clear()
                 hist = count_histogram(model, index)
@@ -522,7 +527,7 @@ class TestSplitPassOracle:
         assert len(gt.entries) == 11
         assert model_module._count_keys(gt.entries)[0] > 1 << 18
         with mock.patch.object(model_module, "DEFAULT_CHUNK", 1 << chunk_bits):
-            report = verify_all(model, n, m)
+            report = enumerated(model, n, m)
             _, marginal = marginal_log_probs(model, oracle["spec"])
         _assert_matches_oracle(report, marginal, oracle)
         assert report.all_passed
@@ -572,7 +577,7 @@ class TestSplitPassOracle:
                 with mock.patch.object(model_module, "DEFAULT_CHUNK", chunk), mock.patch.object(
                     model_module, "DEFAULT_TILE", tile
                 ):
-                    return verify_all(model, n, m), marginal_log_probs(model, spec)[1]
+                    return enumerated(model, n, m), marginal_log_probs(model, spec)[1]
 
             tiled, tiled_marginal = run(1 << tile_bits)
             whole, whole_marginal = run(n_worlds)
@@ -636,7 +641,7 @@ class TestSplitPassOracle:
         _table.cache_clear()
         tracemalloc.start()
         try:
-            reports = [verify_all(model, 2, 2), verify_all(model, 3, 1)]
+            reports = [enumerated(model, 2, 2), enumerated(model, 3, 1)]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -652,7 +657,7 @@ class TestSplitPassOracle:
         model = normalize_distinct(parse_mln(FRIENDS_SMOKERS_MLN))
         model = model.with_weights(np.random.default_rng(7).uniform(-1.5, 1.5, len(model.clauses)))
         with mock.patch.object(bounds, "_pair_extremes", wraps=model_module._pair_extremes) as per_pair:
-            report = verify_all(model, n, m)
+            report = enumerated(model, n, m)
         assert per_pair.call_count == 1
         index = AtomIndex(model.signature, DomainSpec({"person": 4}, split_type="person", split_at=n))
         assert index.n_atoms == 24
@@ -674,6 +679,8 @@ class TestSplitPassOracle:
             "assert 'numpy.ma' not in sys.modules\n"
             "bounds.verify_all(model, 2, 2)\n"
             "bounds.verify_all(model, 3, 1)\n"
+            "bounds._pair_pass(model, 2, 2)\n"
+            "bounds._pair_pass(model, 3, 1)\n"
             "print('numpy.ma' in sys.modules)\n"
         )
         src = str(Path(bounds.__file__).resolve().parents[1])
@@ -682,3 +689,110 @@ class TestSplitPassOracle:
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
         )
         assert out.stdout.strip() == "False"
+
+
+# Every split with n + m <= 4, empty halves included.
+SMALL_SPLITS = [(n, t - n) for t in range(1, 5) for n in range(t + 1)]
+
+
+def _fo2_model(seed: int, smokers: bool, weights: str = "uniform"):
+    """A hypothesis-drawn FO² model: smokers or a random raw model without a
+    ternary clause, with uniform, integer (many ties) or zero weights."""
+    rng = np.random.default_rng(seed)
+    if smokers:
+        model = normalize_distinct(parse_mln(FRIENDS_SMOKERS_MLN))
+        model = model.with_weights(rng.uniform(-1.5, 1.5, len(model.clauses)))
+    else:
+        model = normalize_distinct(random_raw_model(rng))
+    if weights == "integer":
+        model = model.with_weights(np.round(model.weights()))
+    elif weights == "zero":
+        model = model.with_weights(np.zeros(len(model.clauses)))
+    assert bounds._fo2(model)
+    return model
+
+
+class TestLiftedPass:
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), smokers=st.booleans())
+    def test_records_match_the_pair_pass(self, seed, smokers):
+        model = _fo2_model(seed, smokers)
+        for n, m in SMALL_SPLITS:
+            lifted, oracle = verify_all(model, n, m), enumerated(model, n, m)
+            assert lifted.cross == oracle.cross
+            assert lifted.log2_extensions == oracle.log2_extensions
+            assert abs(lifted.kl - oracle.kl) <= 1e-9
+            assert [c.name for c in lifted.checks] == [c.name for c in oracle.checks]
+            for got, want in zip(lifted.checks, oracle.checks):
+                assert abs(got.worst_slack - want.worst_slack) <= 1e-9, got.name
+                assert got.passed == want.passed
+                assert got.details.keys() == want.details.keys()
+                for key, value in want.details.items():
+                    if not key.endswith("witness"):
+                        assert abs(got.details[key] - value) <= 1e-9, (got.name, key)
+            # Each witness attains its slack.
+            tau = model.signature.types[0][0]
+            spec = DomainSpec({tau: n + m}, split_type=tau, split_at=n)
+            index = AtomIndex(model.signature, spec)
+            sandwich = lifted.checks[0].details
+            up_at, _ = weight_sandwich_slacks(model, n, m, World(index, sandwich["upper_witness"]))
+            _, lo_at = weight_sandwich_slacks(model, n, m, World(index, sandwich["lower_witness"]))
+            assert abs(up_at - sandwich["upper_slack"]) <= 1e-9
+            assert abs(lo_at - sandwich["lower_slack"]) <= 1e-9
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        split=st.sampled_from([(1, 1), (1, 2), (2, 1)]),
+        weights=st.sampled_from(["uniform", "integer", "zero"]),
+    )
+    def test_witnesses_are_the_lowest_worlds_attaining_their_slacks(self, seed, split, weights):
+        # Integer and zero weights tie many worlds at a slack's extreme.
+        n, m = split
+        model = _fo2_model(seed, False, weights)
+        oracle = _split_pass_oracle(model, n, m)
+        index = oracle["index"]
+        worlds = np.arange(1 << index.n_atoms, dtype=np.uint64)
+        base = 0.0
+        for half, pos in zip(split_subsets(oracle["spec"]), oracle["pos"]):
+            sub = restriction_positions(index, half)[0]
+            base = base + plain_log_weights(model, sub)[bit_codes(worlds, pos)]
+        lw = plain_log_weights(model, index)
+        cross = cross_weight_bounds(model, n, m)
+        sandwich = verify_all(model, n, m).checks[0].details
+        assert sandwich["upper_witness"] == np.flatnonzero(base + cross.log_m_max - lw <= 1e-9)[0]
+        assert sandwich["lower_witness"] == np.flatnonzero(lw - base - cross.log_m_min <= 1e-9)[0]
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), smokers=st.booleans())
+    def test_lifted_log_partitions_match_enumeration(self, seed, smokers):
+        # A split context's lifted rows give log Z at n, at m and, through the
+        # cross table, at n + m.
+        model = _fo2_model(seed, smokers)
+        tau = model.signature.types[0][0]
+
+        def log_z(size: int) -> float:
+            return log_partition(model, AtomIndex(model.signature, DomainSpec({tau: size})))
+
+        for n, m in [(1, 1), (1, 2), (1, 3), (2, 2), (3, 1)]:
+            _, _, lw_n, lw_m, bucket_logs, *_ = bounds._split_context(model, n, m)
+            assert abs(model_module._logsumexp(lw_n) - log_z(n)) <= 1e-9
+            assert abs(model_module._logsumexp(lw_m) - log_z(m)) <= 1e-9
+            assert abs(model_module._logsumexp(bucket_logs) - log_z(n + m)) <= 1e-9
+
+    def test_only_fo2_models_lift(self, triangle_model):
+        smokers = normalize_distinct(parse_mln(FRIENDS_SMOKERS_MLN))
+        ternary = normalize_distinct(
+            random_raw_model(np.random.default_rng(3), include_ternary_clause=True)
+        )
+        for model, lifts in [(smokers, True), (triangle_model, False), (ternary, False)]:
+            with mock.patch.object(
+                bounds, "_pair_extremes", wraps=model_module._pair_extremes
+            ) as per_pair, mock.patch.object(
+                bounds, "_lifted_rows", wraps=bounds._lifted_rows
+            ) as rows:
+                for n, m in [(2, 2), (3, 1)]:
+                    verify_all(model, n, m)
+            assert bounds._fo2(normalize_distinct(model)) == lifts
+            assert (per_pair.call_count == 0) == lifts
+            assert (rows.call_count == 4) == lifts

@@ -104,13 +104,16 @@ class TestVerify:
 
     def test_forced_guard_error_drops_the_override_hint(self, tmp_path, capsys):
         # G=30 passes the forced pass guard; the 25-atom front half exceeds the
-        # fixed 2^24 dense-vector limit, which --force-guard does not lift.
+        # fixed 2^24 dense-vector limit, which --force-guard does not lift. The
+        # three-variable clause keeps the model off the lifted path, which
+        # builds no dense front vector.
         preds = "ABCDE"
         path = tmp_path / "five.mln"
         path.write_text(
             "type p = 6\n"
             + "".join(f"predicate {q}(p)\n" for q in preds)
             + "".join(f"0.5 {q}(x)\n" for q in preds)
+            + "0.5 A(x) ^ B(y) ^ C(z)\n"
         )
         argv = ["verify", "--mln", str(path), "--n", "5", "--m", "1"]
         assert main(argv + ["--force-guard"]) == 2

@@ -187,6 +187,26 @@ class TestModelCheck:
         rows, _ = run_experiment(ExperimentConfig(**{**cfg, "target_sizes": (2,)}))
         assert [r.status for r in rows] == ["ok"] * 4
 
+    def test_generated_training_worlds_are_over_the_model_signature(self, tmp_path):
+        # The generator knows only the smokers predicates and the person
+        # type; the training world takes Lives all false and the model's city
+        # count.
+        path = tmp_path / "model.mln"
+        path.write_text(
+            "type person = 3\ntype city = 2\npredicate Smokes(person)\n"
+            "predicate Cancer(person)\npredicate Friends(person,person)\n"
+            "predicate Lives(person,city)\n0 Smokes(x) => Cancer(x)\n"
+        )
+        cfg = ExperimentConfig(
+            mln=str(path), train_sets=1, train_size=2, train_population=2, target_sizes=(2,)
+        )
+        model = load_experiment_model(cfg)
+        world = experiment.training_world(cfg, model, 0)
+        assert world.index.signature == model.signature
+        assert world.index.spec.sizes == (("person", 2), ("city", 2))
+        rows, _ = run_experiment(cfg)
+        assert rows and all(r.status == "ok" for r in rows)
+
 
 class TestTargetScoring:
     def test_histogram_scoring_matches_dense_summation(self):
