@@ -27,7 +27,11 @@ A cell is one constant's unary and reflexive atoms, bit j for the j-th
 predicate (smokers has 8). ``w1[c]`` is the arity-1 clauses' log weight at
 one constant of cell c, and ``phi[c, c', x]`` that of the arity-2 clauses at
 two constants of cells c and c' with pair atoms x: the table that
-``extremal_k_weights(model, 2)`` maximizes. ``log r[c, c']`` sums x out. Given
+``extremal_k_weights(model, 2)`` maximizes. The path builds the two tables
+once, with one ``dense_log_weights`` each, and reads the cross bounds from
+them through ``_extrema``, the helper of ``extremal_k_weights``; their
+grounding tables keep their pair setups, so a call at another split of the
+same model only recomputes the log weights. ``log r[c, c']`` sums x out. Given
 the cells, the pairs are independent, so a world's weight summed over its
 pair atoms depends only on its cells, and the n-constant mass of one
 cell-count vector k (a lifted row, kept as a sorted tuple of n cells) is
@@ -220,11 +224,17 @@ def extremal_k_weights(model: MlnModel, k: int) -> KWeightExtrema:
     """
     model = normalize_distinct(model)
     _single_type(model)
+    logs = _arity_logs(model, k)[1] if k in arity_partition(model) else None
+    return _extrema(model, k, logs)
+
+
+def _extrema(model: MlnModel, k: int, logs: np.ndarray | None) -> KWeightExtrema:
+    """The extrema of ``_arity_logs(model, k)``'s table ``logs`` and their
+    first positions; without arity-k clauses the weight is 1 and there are
+    no positions."""
     if k not in arity_partition(model):
         return KWeightExtrema(k, 0.0, 0.0, None, None)
-    logs = _arity_logs(model, k)[1]
-    hi = int(np.argmax(logs))
-    lo = int(np.argmin(logs))
+    hi, lo = int(np.argmax(logs)), int(np.argmin(logs))
     return KWeightExtrema(k, float(logs[hi]), float(logs[lo]), hi, lo)
 
 
@@ -248,9 +258,13 @@ def _cross_exponents(n: int, m: int, d: int) -> tuple[int, ...]:
 def cross_weight_bounds(model: MlnModel, n: int, m: int) -> CrossBounds:
     """Log products of per-arity weight extrema over tuples straddling the n|m split."""
     model = normalize_distinct(model)
-    d = model.max_arity
-    per_arity = tuple(extremal_k_weights(model, k) for k in range(1, d + 1))
-    exponents = _cross_exponents(n, m, d)
+    per_arity = tuple(extremal_k_weights(model, k) for k in range(1, model.max_arity + 1))
+    return _cross_bounds(n, m, per_arity)
+
+
+def _cross_bounds(n: int, m: int, per_arity: tuple[KWeightExtrema, ...]) -> CrossBounds:
+    """The n|m split's cross bounds from the extrema of arities 1 .. d."""
+    exponents = _cross_exponents(n, m, len(per_arity))
     log_m_max = sum(e * x.log_max for e, x in zip(exponents, per_arity))
     log_m_min = sum(e * x.log_min for e, x in zip(exponents, per_arity))
     return CrossBounds(n, m, log_m_max, log_m_min, per_arity, exponents)
@@ -278,12 +292,12 @@ def log_spread(model: MlnModel, n: int, m: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _split_index(model: MlnModel, n: int, m: int, max_atoms: int) -> tuple[AtomIndex, CrossBounds]:
-    """The validated (n+m)-index split at n, and the cross bounds."""
+def _split_index(model: MlnModel, n: int, m: int, max_atoms: int) -> AtomIndex:
+    """The validated (n+m)-index split at n."""
     tau = _single_type(model)
     index = AtomIndex(model.signature, DomainSpec({tau: n + m}, split_type=tau, split_at=n))
     _guard(index.n_atoms, max_atoms)
-    return index, cross_weight_bounds(model, n, m)
+    return index
 
 
 def _fo2(model: MlnModel) -> bool:
@@ -305,9 +319,11 @@ def _split_context(model: MlnModel, n: int, m: int, *, max_atoms: int = DEFAULT_
     model = normalize_distinct(model)
     if n == 0 or m == 0 or not _fo2(model):
         return _pair_pass(model, n, m, max_atoms=max_atoms)
-    index, cross = _split_index(model, n, m, max_atoms)
+    index = _split_index(model, n, m, max_atoms)
     w1 = _arity_logs(model, 1)[1]
     two, logs = _arity_logs(model, 2)
+    per_arity = zip(range(1, model.max_arity + 1), (w1, logs))
+    cross = _cross_bounds(n, m, tuple(_extrema(model, k, t) for k, t in per_arity))
 
     # phi[c, c', x], with bit j of cell c the j-th predicate's atom on constant
     # 1, of c' on constant 2, and x the pair atoms; log r sums x out.
@@ -369,7 +385,8 @@ def _pair_pass(model: MlnModel, n: int, m: int, *, max_atoms: int = DEFAULT_MAX_
     """``_split_context``'s tuple from one pass over all (n+m)-worlds, for every
     model: the pass of models that do not lift, and the lifted path's oracle."""
     model = normalize_distinct(model)
-    index, cross = _split_index(model, n, m, max_atoms)
+    index = _split_index(model, n, m, max_atoms)
+    cross = cross_weight_bounds(model, n, m)
     if n == 0 or m == 0:  # W = W_n * W_m: one-entry zero tables make every slack 0
         zero = np.zeros(1)
         return index, cross, zero, zero, zero, 0.0, 0.0, 0, 0

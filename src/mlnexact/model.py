@@ -26,10 +26,12 @@ world's key depends on its low bits only through the pair (low key, shared
 code): the low-bit assignments are deduped into these pairs once (332 pairs
 for the 2^18 of G=24 smokers relaid for a bound split, 44 for the 2^15 of
 G=15 smokers, which has no high groundings), and each block yields one key
-per pair, with ``inverse`` giving every low world's pair. Passes that reduce
-across blocks per pair never look at single worlds until the end, and then
-one tile of ``DEFAULT_TILE`` offsets at a time (``_tiles``), as do the pair
-ranking and the pair multiplicities, so such a pass holds no 2^18-long
+per pair, with ``inverse`` giving every low world's pair. None of this
+depends on the weights, so a table keeps it per (strides, ``DEFAULT_CHUNK``)
+and every later stream over it only gathers its blocks' keys. Passes that
+reduce across blocks per pair never look at single worlds until the end, and
+then one tile of ``DEFAULT_TILE`` offsets at a time (``_tiles``), as do the
+pair ranking and the pair multiplicities, so such a pass holds no 2^18-long
 temporary wider than the keys. A single world (``counts_world``,
 ``log_weight``) is unpacked from its integer, so it may exceed 64 atoms, and
 each grounding group is counted with one gather into its truth table. The
@@ -42,18 +44,20 @@ significant). A count vector's log weight has one rule, ``_log_weights``:
 its counts times the weights, summed column by column in clause order, so a
 row's value does not depend on the rows computed with it. Every weighted pass
 reads ``pair_log_weights``, one log weight per pair and block, which are the
-floats of every world of the pair: while the key span fits in one block, the
-log weight of each key in the span is computed once and every pair's is
-looked up; past it, each block decodes its pairs' keys. No pass casts a
-block's counts to float64 and multiplies them by the weights. The partition
-function has one path: one enumeration per (clause structure, atom index)
-collapses all 2^G worlds into a cached histogram of distinct count vectors
-with multiplicities, and log Z for any weight vector is a logsumexp over that
-histogram. The build merges every block's pair keys, weighted by the pairs'
-world counts, into the running distinct keys with ``_unique_keys`` (from
-2^63, several int64 words, sorted by one lexsort). Learning's count table
-comes from ``_distinct_counts``, which dedupes the pair keys of all blocks at
-once in the same way; the key format stays inside this module.
+floats of every world of the pair. Its pairs are the table's kept setup, so
+only the log-weight table and its gather depend on the weights: while the
+key span fits in one block, the log weight of each key in the span is
+computed once and every pair's is looked up; past it, each block decodes its
+pairs' keys. No pass casts a block's counts to float64 and multiplies them
+by the weights. The partition function has one path: one enumeration per
+(clause structure, atom index) collapses all 2^G worlds into a cached
+histogram of distinct count vectors with multiplicities, and log Z for any
+weight vector is a logsumexp over that histogram. The build merges every
+block's pair keys, weighted by the pairs' world counts, into the running
+distinct keys with ``_unique_keys`` (from 2^63, several int64 words, sorted
+by one lexsort). Learning's count table comes from ``_distinct_counts``,
+which dedupes the pair keys of all blocks at once in the same way; the key
+format stays inside this module.
 
 Restriction marginals make one pass over every world against a split-aware
 copy of the grounding table laid out by ``_split_runs``: the front-half atoms,
@@ -445,6 +449,7 @@ class GroundingTable:
         self.index = index
         self.entries = [_grounded_formula(f, index) for f in formulas]
         self._world_counts: dict[int, np.ndarray] = {}
+        self._pair_setups: dict[tuple, tuple] = {}
 
     def counts_world(self, world: World) -> np.ndarray:
         """True-grounding count of every clause in a single world, read-only.
@@ -490,10 +495,30 @@ class GroundingTable:
         code is 0 and the pairs are the distinct low keys. Keys take
         ``_count_dtype`` of the largest key; past int64 they raise
         ``ValueError``.
+
+        All of this but the blocks' keys is independent of the weights, so
+        the table keeps it, read-only, per (strides, ``DEFAULT_CHUNK``) of
+        the call, and each call makes a fresh ``blocks`` generator from it.
+        One kept setup is the inverse (one entry per world of a block, at
+        most 2^18, as narrow as the pair count: 512 KB at uint16), a few
+        words per pair (the multiplicities, pair keys and pair codes), and
+        each high grounding's ``_layout`` index over the shared atoms (2^8
+        int64 per assignment of the shared atoms it reads past the lowest 8).
+        The G=24 smokers table keeps 0.54 MB, all but 15 KB of it the
+        inverse; no block's keys are kept.
         """
+        strides = np.asarray(strides, dtype=np.int64)
+        key = (strides.shape, strides.tobytes(), DEFAULT_CHUNK)
+        if key not in self._pair_setups:
+            self._pair_setups[key] = self._pair_setup(strides)
+        inverse, mult, blocks = self._pair_setups[key]
+        return PairStream(inverse, mult, inverse.shape[0], blocks())
+
+    def _pair_setup(self, strides: np.ndarray):
+        """``(inverse, mult, blocks)`` of ``pair_counts``, where ``blocks()``
+        makes a generator of the stream's blocks; the arrays are read-only."""
         low_bits = DEFAULT_CHUNK.bit_length() - 1
         n_bits = min(self.index.n_atoms, low_bits)
-        strides = np.asarray(strides, dtype=np.int64)
         per_word = strides if strides.ndim == 2 else strides[:, None]
         dtype = _count_dtype(
             max(sum(int(s) * e.total for s, e in zip(w, self.entries)) for w in per_word.T)
@@ -522,9 +547,10 @@ class GroundingTable:
         shared_code = _table_sums(n_bits, [(shared, code_table)], code_dtype)
         pair_base, pair_code, inverse = _pairs(base, shared_code, len(shared))
         del base, shared_code
+        n_total = 1 << self.index.n_atoms  # not ``self``: the kept setup holds no cycle
 
         def blocks() -> Iterator[tuple[int, np.ndarray]]:
-            for start in range(0, 1 << self.index.n_atoms, n_worlds):
+            for start in range(0, n_total, n_worlds):
                 high_keys = np.stack(
                     [_broadcast_sum(len(shared), at(start), dtype) for at in high_terms], axis=-1
                 )
@@ -535,17 +561,21 @@ class GroundingTable:
         mult = np.zeros(pair_code.shape[0], dtype=np.int64)
         for lo, hi in _tiles(n_worlds):  # bincount casts its input to intp
             mult += np.bincount(inverse[lo:hi], minlength=mult.shape[0])
-        return PairStream(inverse, mult, n_worlds, blocks())
+        for a in (inverse, mult, pair_base, pair_code):
+            a.setflags(write=False)
+        return inverse, mult, blocks
 
     def pair_log_weights(self, weights: Sequence[float]) -> PairStream:
         """The log weights of every block of ``pair_counts`` under the
         mixed-radix strides, one per pair: ``_log_weights`` of the pair's
         count vector, the floats of every world of the pair.
 
-        While the count-key span fits in one block, the log weight of every
-        key in the span is computed once and each block looks its pairs' keys
-        up. Past it, each block decodes its pairs' keys into count vectors,
-        one key word or several.
+        The stream's setup is the one the table keeps for these strides, so
+        only the log weights and their gather depend on ``weights``: while
+        the count-key span fits in one block, the log weight of every key in
+        the span is computed once and each block looks its pairs' keys up.
+        Past it, each block decodes its pairs' keys into count vectors, one
+        key word or several.
         """
         weights = np.asarray(weights, dtype=np.float64)
         span, strides, radix = _count_keys(self.entries)
@@ -572,12 +602,12 @@ class GroundingTable:
         rest[lead] = False
         order = np.concatenate([lead, np.flatnonzero(rest)])
         new_pos = np.argsort(order)
-        out = copy.copy(self)  # with its own empty world-count memo
+        out = copy.copy(self)  # with its own empty memos
         out.entries = [
             replace(e, groups=[_Group(new_pos[g.cols], g.table) for g in e.groups])
             for e in self.entries
         ]
-        out._world_counts = {}
+        out._world_counts, out._pair_setups = {}, {}
         return out, order
 
 
@@ -656,6 +686,9 @@ def _histogram(formulas: tuple[Formula, ...], index: AtomIndex) -> CountHistogra
     merged into the running distinct keys with one ``_unique_keys`` per
     block, which gives the distinct vectors in lexicographic order. Float
     bincount sums are exact: multiplicities stay below 2^53."""
+    # A private table, not the cached ``_table``: this function is cached, so
+    # its stream's setup is built once anyway, and the shared table would
+    # keep that setup alive after the histogram is built (0.5 MB at G=24).
     gt = GroundingTable(formulas, index)
     _, strides, radix = _count_keys(gt.entries)
     stream = gt.pair_counts(strides)

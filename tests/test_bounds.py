@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -796,3 +797,43 @@ class TestLiftedPass:
             assert bounds._fo2(normalize_distinct(model)) == lifts
             assert (per_pair.call_count == 0) == lifts
             assert (rows.call_count == 4) == lifts
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        smokers=st.booleans(),
+        arities=st.sampled_from([(1, 2), (2,), (1,), ()]),
+    )
+    def test_cross_bounds_equal_the_extrema_path(self, seed, smokers, arities):
+        # The lifted path reads its cross bounds from its own cell tables;
+        # they equal cross_weight_bounds' field for field, witnesses
+        # included, also when an arity has no clauses.
+        model = _fo2_model(seed, smokers)
+        kept = tuple(c for c in model.clauses if c.formula.arity in arities)
+        model = replace(model, clauses=kept)
+        assert bounds._fo2(model)
+        for n, m in [(1, 1), (1, 2), (2, 2), (3, 1)]:
+            lifted, want = verify_all(model, n, m).cross, cross_weight_bounds(model, n, m)
+            assert lifted == want
+            for k, extrema in enumerate(lifted.per_arity, start=1):
+                assert (extrema.argmax_bits is None) == (k not in arities)
+                assert (extrema.argmin_bits is None) == (k not in arities)
+
+    def test_a_split_builds_each_cell_table_once(self):
+        # One dense_log_weights per cell table: w1 at one constant and phi at
+        # two. The next split of the same model reuses both tables' pair
+        # setups, so it only recomputes their log weights.
+        model = model_from(FRIENDS_SMOKERS_MLN)
+        _table.cache_clear()
+        try:
+            with mock.patch.object(
+                bounds, "dense_log_weights", wraps=dense_log_weights
+            ) as dense, mock.patch.object(
+                model_module, "_pairs", wraps=model_module._pairs
+            ) as pairs:
+                verify_all(model, 2, 2)
+                assert (dense.call_count, pairs.call_count) == (2, 2)
+                verify_all(model, 3, 1)
+                assert (dense.call_count, pairs.call_count) == (4, 2)
+        finally:
+            _table.cache_clear()

@@ -972,6 +972,130 @@ class TestPairCounts:
         assert order.dtype == want.dtype and order.tolist() == want.tolist()
 
 
+class TestPairSetupMemo:
+    """A grounding table keeps ``pair_counts``' setup per (strides, block
+    size); only the blocks' keys and the log weights are made per call."""
+
+    def test_one_setup_per_strides_and_block_size(self):
+        model = model_from(FRIENDS_SMOKERS_MLN)
+        gt = GroundingTable(model.formulas(), index_for(model, 3))
+        weights = np.random.default_rng(3).uniform(-1.5, 1.5, len(model.clauses))
+        with mock.patch.object(model_module, "_pairs", wraps=model_module._pairs) as pairs:
+            for _ in range(3):
+                for chunk in (model_module.DEFAULT_CHUNK, 1 << 10):
+                    with mock.patch.object(model_module, "DEFAULT_CHUNK", chunk):
+                        for layout in LAYOUTS.values():
+                            list(gt.pair_counts(layout(gt)).blocks)
+                        list(gt.pair_log_weights(weights).blocks)  # the mixed-radix setup
+        assert pairs.call_count == 4
+        assert len(gt._pair_setups) == 4
+
+    def test_a_table_first_used_in_small_blocks_streams_like_a_fresh_one(self):
+        # The setup of blocks of 16 worlds must not serve the full block size:
+        # its inverse and per-block layouts belong to that size.
+        model = model_from(FRIENDS_SMOKERS_MLN)
+        model = model.with_weights(np.random.default_rng(4).uniform(-1.5, 1.5, len(model.clauses)))
+        index = index_for(model, 3)
+        strides = LAYOUTS["mixed_radix"](GroundingTable(model.formulas(), index))
+        _table.cache_clear()
+        try:
+            with mock.patch.object(model_module, "DEFAULT_CHUNK", 1 << 4):
+                small = dense_log_weights(model, index)
+            used = _table(model.formulas(), index).pair_counts(strides)
+            fresh = GroundingTable(model.formulas(), index).pair_counts(strides)
+            assert used.n_worlds == fresh.n_worlds == 1 << index.n_atoms
+            assert used.inverse.tobytes() == fresh.inverse.tobytes()
+            assert used.mult.tobytes() == fresh.mult.tobytes()
+            for (s, a), (t, b) in zip(used.blocks, fresh.blocks, strict=True):
+                assert s == t and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            full = dense_log_weights(model, index)
+            assert small.tobytes() == full.tobytes() == plain_log_weights(model, index).tobytes()
+        finally:
+            _table.cache_clear()
+
+    def test_kept_arrays_are_read_only_and_block_keys_are_not_kept(self):
+        model = model_from(FRIENDS_SMOKERS_MLN)
+        gt = GroundingTable(model.formulas(), index_for(model, 3))
+        strides = LAYOUTS["mixed_radix"](gt)
+        first, second = gt.pair_counts(strides), gt.pair_counts(strides)
+        assert first.inverse is second.inverse and first.mult is second.mult
+        for kept in (first.inverse, first.mult):
+            assert not kept.flags.writeable
+            with pytest.raises(ValueError):
+                kept[0] = 1
+        ((_, keys),), ((_, again),) = list(first.blocks), list(second.blocks)
+        assert keys is not again and keys.flags.writeable
+        before = again.copy()
+        keys += 1
+        assert again.tobytes() == before.tobytes()
+
+    def test_a_relaid_copy_keeps_its_own_setups(self):
+        model = model_from(FRIENDS_SMOKERS_MLN)
+        index = index_for(model, 3)
+        gt = GroundingTable(model.formulas(), index)
+        strides = LAYOUTS["mixed_radix"](gt)
+        original = gt.pair_counts(strides)
+        relaid, _ = gt.relaid(np.arange(index.n_atoms)[::-1].copy())
+        assert relaid._pair_setups == {} and len(gt._pair_setups) == 1
+        stream = relaid.pair_counts(strides)
+        assert stream.inverse is not original.inverse
+        assert stream.inverse.tobytes() != original.inverse.tobytes()
+        ((start, keys),) = list(world_blocks(stream))
+        worlds = _block_worlds(start, keys)
+        assert np.array_equal(keys, counts_matrix(relaid.entries, worlds) @ strides)
+        assert len(gt._pair_setups) == 1
+
+    @pytest.mark.parametrize(
+        ("text", "n"), [(FRIENDS_SMOKERS_MLN, 3), (WIDE_SPAN_TEXT, 3)], ids=["smokers", "wide"]
+    )
+    @pytest.mark.parametrize("chunk_bits", [18, 10])
+    def test_weight_vectors_through_one_table_match_fresh_tables(self, text, n, chunk_bits):
+        # Smokers' key span fits a block, so its log weights are looked up by
+        # key; the wide span's are decoded per block. A second weight vector
+        # reuses the first one's setup and gets a fresh table's floats.
+        base = model_from(text)
+        index = index_for(base, n)
+        rng = np.random.default_rng(chunk_bits)
+        models = [base.with_weights(rng.uniform(-1.5, 1.5, len(base.clauses))) for _ in range(2)]
+        with mock.patch.object(model_module, "DEFAULT_CHUNK", 1 << chunk_bits):
+            _table.cache_clear()
+            fresh = []
+            for model in models:
+                fresh.append(dense_log_weights(model, index))
+                _table.cache_clear()
+            with mock.patch.object(model_module, "_pairs", wraps=model_module._pairs) as pairs:
+                shared = [dense_log_weights(model, index) for model in models + models]
+            _table.cache_clear()
+        assert pairs.call_count == 1
+        for got, want in zip(shared, fresh + fresh):
+            assert got.tobytes() == want.tobytes()
+        assert fresh[0].tobytes() != fresh[1].tobytes()
+
+    def test_smokers_g24_table_keeps_below_0_75_mb(self):
+        # The kept setup of the G=24 table is its 2^18-entry uint16 inverse
+        # (0.5 MB) and a few per-pair and per-grounding arrays: 0.54 MB. A
+        # kept array of one entry per world of a block, at one byte, would
+        # add 0.26 MB.
+        model = model_from(FRIENDS_SMOKERS_MLN)
+        index = index_for(model, 4)
+        assert index.n_atoms == 24
+        _table.cache_clear()
+        try:
+            _table(model.formulas(), index)  # the compiled groundings are not the memo's
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                lw = dense_log_weights(model, index)
+                del lw
+                kept = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert len(_table(model.formulas(), index)._pair_setups) == 1
+        finally:
+            _table.cache_clear()
+        assert kept <= 0.75e6
+
+
 class TestPairLogWeights:
     @pytest.mark.parametrize(("name", "n"), SPAN_CASES)
     def test_key_lookup_matches_plain_log_weights_on_both_sides_of_the_span(self, name, n):
