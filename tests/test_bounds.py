@@ -804,6 +804,8 @@ class TestLiftedPass:
         smokers=st.booleans(),
         arities=st.sampled_from([(1, 2), (2,), (1,), ()]),
     )
+    @example(seed=0, smokers=True, arities=(2,))
+    @example(seed=0, smokers=True, arities=(1,))
     def test_cross_bounds_equal_the_extrema_path(self, seed, smokers, arities):
         # The lifted path reads its cross bounds from its own cell tables;
         # they equal cross_weight_bounds' field for field, witnesses
@@ -812,12 +814,14 @@ class TestLiftedPass:
         kept = tuple(c for c in model.clauses if c.formula.arity in arities)
         model = replace(model, clauses=kept)
         assert bounds._fo2(model)
+        present = {c.formula.arity for c in kept}
         for n, m in [(1, 1), (1, 2), (2, 2), (3, 1)]:
             lifted, want = verify_all(model, n, m).cross, cross_weight_bounds(model, n, m)
             assert lifted == want
+            assert len(lifted.per_arity) == max(present, default=0)
             for k, extrema in enumerate(lifted.per_arity, start=1):
-                assert (extrema.argmax_bits is None) == (k not in arities)
-                assert (extrema.argmin_bits is None) == (k not in arities)
+                assert (extrema.argmax_bits is None) == (k not in present)
+                assert (extrema.argmin_bits is None) == (k not in present)
 
     def test_a_split_builds_each_cell_table_once(self):
         # One dense_log_weights per cell table: w1 at one constant and phi at
