@@ -46,7 +46,7 @@ from .learning import (
 )
 from .logic import MlnModel, Signature, normalize_distinct, parse_mln, serialize_mln
 from .model import DEFAULT_MAX_ATOMS, apply_da_scaling, count_histogram
-from .worlds import DomainSpec, World
+from .worlds import FORCED_MAX_ATOMS, DomainSpec, World
 
 SCHEMA = "mlnexact-experiment schema=1"
 METHODS_ALL = ("none", "l1", "l2", "da")
@@ -79,8 +79,12 @@ class ExperimentConfig:
             raise ValueError("the unregularized baseline 'none' is required for deltas")
         if self.train_sets < 1 and not self.train_dbs:
             raise ValueError("need at least one training set")
-        if not self.target_sizes:
-            raise ValueError("target_sizes must name at least one size")
+        if not self.target_sizes or len(set(self.target_sizes)) < len(self.target_sizes):
+            raise ValueError(f"target_sizes must be distinct and not empty: {self.target_sizes}")
+        if self.max_atoms > FORCED_MAX_ATOMS:
+            raise ValueError(
+                f"max_atoms {self.max_atoms} exceeds the hard cap of {FORCED_MAX_ATOMS}"
+            )
         for name, least in (
             ("target_sizes", min(self.target_sizes)),
             ("target_replicates", self.target_replicates),

@@ -8,11 +8,14 @@ flat valleys where first-order steps crawl.
 
 A world's weight depends on it only through its count vector, so each Newton
 step computes log weights and exponentiates once per distinct count vector
-(the count histogram, deduped by every world's count key), then gathers the
-weights to the 2^G worlds. Three reductions still run over all 2^G worlds:
-the normalizer, the expected counts and the Hessian product. Their rounding
-depends on summation order; run over the histogram they would move learned
-weights in the last bits, which saturated directions amplify. The Hessian's
+(``model.count_histogram``, with ``model._world_rows`` naming every world's
+row), then gathers the weights to the 2^G worlds. These log weights are the
+BLAS products ``rows @ theta``, the one exception to the engine's log-weight
+rule, ``model._log_weights``: the learned weights' bytes are pinned to them.
+Three reductions still run over all 2^G worlds: the normalizer, the
+expected counts and the Hessian product. Their rounding depends on
+summation order; run over the histogram they would move learned weights in
+the last bits, which saturated directions amplify. The Hessian's
 left operand stays world-major, (2^G, k) with the probability-weighted counts
 of one world per row, so its product is the very BLAS call of the plain
 ``(counts * p[:, None]).T @ counts`` and rounds the same on any BLAS. A
@@ -63,14 +66,16 @@ import numpy as np
 from .logic import Clause, Formula, MlnModel, Signature, normalize_distinct
 from .model import (
     DEFAULT_MAX_ATOMS,
+    _histogram,
     _logsumexp,
-    _distinct_counts,
+    _world_rows,
     apply_da_scaling,
+    count_histogram,
     da_scale_factors,
     log_partition,
     log_weight,
 )
-from .worlds import AtomIndex, DomainSpec, World, _guard
+from .worlds import AtomIndex, DomainSpec, World
 
 LEARN_MAX_ATOMS = 20
 # Evaluations kept per count table. On the smokers experiments at n=3 and 4,
@@ -221,22 +226,22 @@ class _Counts:
 
 
 def _counts_for(model: MlnModel, index: AtomIndex, max_atoms: int) -> _Counts:
-    """The counts of every world over the index, cached by clause structure."""
-    if index.signature != model.signature:
-        raise ValueError("data world is not over the model's signature")
-    _guard(index.n_atoms, max_atoms)
+    """The counts of every world over the index, cached by clause structure;
+    ``count_histogram`` checks the index's signature and the guard."""
+    count_histogram(model, index, max_atoms=max_atoms)
     return _counts_cached(model.formulas(), index)
 
 
 @lru_cache(maxsize=8)
 def _counts_cached(formulas: tuple[Formula, ...], index: AtomIndex) -> _Counts:
-    rows, mult, inverse = _distinct_counts(formulas, index)
-    rows = rows.astype(np.float64)
-    n = rows.shape[0]
+    """The count histogram's rows and log multiplicities, padded, and every
+    world's row."""
+    hist = _histogram(formulas, index)
+    n = hist.counts.shape[0]
     pad = np.minimum(np.arange(-(-n // 4) * 4), n - 1)
-    log_mult = np.log(mult[pad])
-    log_mult[n:] = -np.inf
-    return _Counts(rows[inverse], rows[pad], log_mult, inverse)
+    log_mult = np.concatenate([hist.log_mult, np.full(pad.shape[0] - n, -np.inf)])
+    inverse = _world_rows(formulas, index)
+    return _Counts(hist.counts[inverse], hist.counts[pad], log_mult, inverse)
 
 
 def _moments(
@@ -245,7 +250,9 @@ def _moments(
     """``(log Z, expected counts, covariance call)`` of the model at ``theta``.
 
     World weights are exponentiated per histogram row and gathered to the
-    worlds; the normalizer and both moments sum over the worlds. The
+    worlds; the normalizer and both moments sum over the worlds. The row log
+    weights are ``counts.rows @ theta``, not ``model._log_weights``: the
+    learned weights' bytes are pinned to this product. The
     covariance's left operand is world-major: each row's counts times its
     probability ``e / z``, gathered to the worlds (into ``buf`` when given,
     shaped like ``counts.worlds``). A world's probability is ``fl(e_r / z)``
@@ -286,7 +293,8 @@ def _nll_grad_hessian(
 
 
 def _nll(counts: _Counts, data_counts: np.ndarray, theta: np.ndarray) -> float:
-    """Negative log-likelihood from the histogram alone."""
+    """Negative log-likelihood from the histogram alone, with the log
+    weights of ``_moments``."""
     return float(_logsumexp(counts.rows @ theta + counts.log_mult) - data_counts @ theta)
 
 

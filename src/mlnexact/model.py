@@ -52,12 +52,15 @@ pairs' keys. No pass casts a block's counts to float64 and multiplies them
 by the weights. The partition function has one path: one enumeration per
 (clause structure, atom index) collapses all 2^G worlds into a cached
 histogram of distinct count vectors with multiplicities, and log Z for any
-weight vector is a logsumexp over that histogram. The build merges every
-block's pair keys, weighted by the pairs' world counts, into the running
-distinct keys with ``_unique_keys`` (from 2^63, several int64 words, sorted
-by one lexsort). Learning's count table comes from ``_distinct_counts``,
-which dedupes the pair keys of all blocks at once in the same way; the key
-format stays inside this module.
+weight vector is a logsumexp of ``_log_weights`` over that histogram. The
+build merges every block's pair keys, weighted by the pairs' world counts,
+into the running distinct keys with ``_unique_keys`` (from 2^63, several
+int64 words, sorted by one lexsort). Learning's count table is that
+histogram: ``_world_rows`` finds every block's pair keys among the
+histogram's keys the same way and gathers each world's row, so the key
+format stays inside this module. The learner's ``rows @ theta`` products
+(``learning._moments``) are the one exception to the log-weight rule: the
+learned weights' bytes are pinned to them.
 
 Restriction marginals make one pass over every world against a split-aware
 copy of the grounding table laid out by ``_split_runs``: the front-half atoms,
@@ -376,12 +379,12 @@ def _count_kernel(entries: Sequence[_GroundedFormula], world: int) -> np.ndarray
     return np.array(counts, dtype=np.int32)
 
 
-def _log_weights(counts: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _log_weights(counts: np.ndarray, weights: Sequence[float]) -> np.ndarray:
     """The log weight ``counts @ weights`` of every row of a count matrix,
-    summed column by column in clause order. Each row's value depends only
-    on that row, so any subset of rows gets the same floats as the same rows
-    of the whole matrix; a BLAS product may round a row differently with
-    the number of rows."""
+    in float64, summed column by column in clause order. Each row's value
+    depends only on that row, so any subset of rows gets the same floats as
+    the same rows of the whole matrix; a BLAS product may round a row
+    differently with the number of rows."""
     out = np.zeros(counts.shape[0])
     for c in range(counts.shape[1]):
         out += counts[:, c] * weights[c]
@@ -397,8 +400,12 @@ class PairStream:
 
     inverse: np.ndarray  # (n_worlds,) the pair of each offset, as narrow as the pair count
     mult: np.ndarray  # (n_pairs,) int64 worlds of a block per pair
-    n_worlds: int  # worlds per block
     blocks: Iterator[tuple[int, np.ndarray]]  # (start, per-pair values), in start order
+
+    @property
+    def n_worlds(self) -> int:
+        """Worlds per block."""
+        return self.inverse.shape[0]
 
     def per_world(self, values: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """Per-pair values gathered to the worlds of a block, or to its offsets
@@ -512,7 +519,7 @@ class GroundingTable:
         if key not in self._pair_setups:
             self._pair_setups[key] = self._pair_setup(strides)
         inverse, mult, blocks = self._pair_setups[key]
-        return PairStream(inverse, mult, inverse.shape[0], blocks())
+        return PairStream(inverse, mult, blocks())
 
     def _pair_setup(self, strides: np.ndarray):
         """``(inverse, mult, blocks)`` of ``pair_counts``, where ``blocks()``
@@ -577,7 +584,6 @@ class GroundingTable:
         Past it, each block decodes its pairs' keys into count vectors, one
         key word or several.
         """
-        weights = np.asarray(weights, dtype=np.float64)
         span, strides, radix = _count_keys(self.entries)
         stream = self.pair_counts(strides)
         if span <= DEFAULT_CHUNK:
@@ -636,10 +642,12 @@ def log_weight(model: MlnModel, world: World) -> float:
 
     The counts come from the clause structure's cached grounding table, which
     memoizes the counts of the worlds it has seen (``counts_world``): scoring
-    the same worlds under many weight vectors counts each world once.
+    the same worlds under many weight vectors counts each world once. The
+    weight is ``_log_weights`` of the counts, so it is the world's entry of
+    ``dense_log_weights`` to the bit.
     """
     counts = _table(model.formulas(), world.index).counts_world(world)
-    return float(np.dot(np.array(model.weights()), counts))
+    return float(_log_weights(counts[None], model.weights())[0])
 
 
 def dense_log_weights(
@@ -704,39 +712,33 @@ def _histogram(formulas: tuple[Formula, ...], index: AtomIndex) -> CountHistogra
     return out
 
 
-def _distinct_counts(
-    formulas: tuple[Formula, ...], index: AtomIndex
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(rows, mult, inverse)``: the distinct count vectors over all 2^G
-    worlds as int64 rows in ``count_histogram`` order, their multiplicities,
-    and each world's row, so ``rows[inverse]`` is every world's count vector.
-    The pair keys of all blocks are deduped at once."""
+def _world_rows(formulas: tuple[Formula, ...], index: AtomIndex) -> np.ndarray:
+    """Each world's row in ``_histogram(formulas, index)``, as int64: every
+    block's pair keys are found among the histogram's keys, the tail of one
+    ``_unique_keys`` inverse over both, and gathered to the block's worlds."""
+    hist = _histogram(formulas, index)
     gt = _table(formulas, index)
-    _, strides, radix = _count_keys(gt.entries)
+    strides = _count_keys(gt.entries)[1]
+    keys = hist.counts.astype(np.int64) @ strides  # exact, one key word or several
     stream = gt.pair_counts(strides)
-    blocks = [k for _, k in stream.blocks]
-    keys, inverse = _unique_keys(np.concatenate(blocks))
     # The inverse's shape varies across numpy 2.x releases.
-    inverse = inverse.reshape(len(blocks), -1)
-    mult = np.bincount(inverse.reshape(-1), weights=np.tile(stream.mult, len(blocks)))
-    inverse = np.take(inverse, stream.inverse, axis=1)
-    return _decode_keys(keys, strides, radix), mult.astype(np.int64), inverse.reshape(-1)
+    merged = (_unique_keys(np.concatenate([keys, k]))[1].reshape(-1) for _, k in stream.blocks)
+    return np.concatenate([stream.per_world(inverse[keys.shape[0] :]) for inverse in merged])
 
 
 def log_partition(
     model: MlnModel, index: AtomIndex, *, max_atoms: int = DEFAULT_MAX_ATOMS
 ) -> float:
-    """Log of the normalization constant over the index: logsumexp(U @ w + log
-    mult) over the cached count histogram."""
+    """Log of the normalization constant over the index: the logsumexp of
+    ``_log_weights`` plus log mult over the cached count histogram."""
     hist = count_histogram(model, index, max_atoms=max_atoms)
-    return _logsumexp(hist.counts @ np.array(model.weights(), dtype=np.float64) + hist.log_mult)
+    return _logsumexp(_log_weights(hist.counts, model.weights()) + hist.log_mult)
 
 
 def log_probability(model: MlnModel, world: World) -> float:
     """Exact log probability of one world, which must be over the model's signature."""
-    if world.index.signature != model.signature:
-        raise ValueError("world is not over the model's signature")
-    return log_weight(model, world) - log_partition(model, world.index)
+    log_z = log_partition(model, world.index)
+    return log_weight(model, world) - log_z
 
 
 def _fold_pair_buckets(run: PairStream, lse: np.ndarray, code: int, buckets: np.ndarray) -> None:

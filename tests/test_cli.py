@@ -497,3 +497,27 @@ class TestConfigParsing:
     def test_bad_bool(self):
         with pytest.raises(ValueError, match="boolean"):
             ExperimentConfig.from_mapping({"da_eval_only": "maybe"})
+
+    def test_a_repeated_target_size_is_rejected(self, tmp_path, capsys):
+        # A repeated size used to write every row of that size twice, all
+        # scored on the worlds generated for its last entry.
+        with pytest.raises(ValueError, match="target_sizes"):
+            ExperimentConfig(
+                train_sets=1, target_sizes=(2, 2), target_replicates=1, methods=("none",)
+            )
+        out = tmp_path / "o"
+        assert main(["experiment", "--out", str(out), "--targets", "2,3,2"]) == 2
+        assert "target_sizes" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_config_file_max_atoms_above_the_hard_cap_is_rejected(self, tmp_path, capsys):
+        # --max-atoms stops at the hard cap; a config file must not pass it.
+        out = tmp_path / "o"
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"max_atoms = 40\nout = {out}\n")
+        with pytest.raises(ValueError, match="exceeds the hard cap of 34"):
+            ExperimentConfig.from_file(str(path))
+        assert ExperimentConfig(max_atoms=34).max_atoms == 34
+        assert main(["experiment", "--config", str(path)]) == 2
+        assert "max_atoms 40 exceeds the hard cap of 34" in capsys.readouterr().err
+        assert not out.exists()

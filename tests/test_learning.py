@@ -27,7 +27,9 @@ from mlnexact.learning import (
 )
 from mlnexact.logic import Predicate, Signature, normalize_distinct, parse_mln
 from mlnexact.model import (
+    _histogram,
     apply_da_scaling,
+    count_histogram,
     da_scale_factors,
     log_marginal,
     log_probability,
@@ -210,6 +212,28 @@ class TestHistogramObjective:
         assert _nll(counts.project(jac), data_counts, theta) == pytest.approx(
             dense_nll(dense, data_counts, theta), rel=1e-9, abs=1e-9
         )
+
+    def test_one_histogram_build_per_clause_structure_and_index(self):
+        # The learner's count table is the histogram: learning, scoring and
+        # the gradient over one clause structure and index build it once.
+        model = smokers_model()
+        _histogram.cache_clear()
+        learning._counts_cached.cache_clear()
+        learning._fit.cache_clear()
+        try:
+            for n in (2, 3):
+                index = AtomIndex(model.signature, DomainSpec({"p": n}))
+                fitted = learn(model, World(index, 5)).model
+                assert _histogram.cache_info().misses == n - 1  # the learner built it
+                count_histogram(fitted, index)
+                gradient(fitted, World(index, 6))
+                target_log_likelihoods(fitted, [World(index, 5)])
+                learn(model, World(index, 6), LearnConfig(regularizer="l2", lam=0.5))
+                assert _histogram.cache_info().misses == n - 1
+        finally:
+            _histogram.cache_clear()
+            learning._counts_cached.cache_clear()
+            learning._fit.cache_clear()
 
     def test_wide_model_matches_dense_oracle_bit_for_bit(self):
         # Ten clauses after normalization, and 118 distinct count vectors: a

@@ -933,32 +933,49 @@ class TestPairCounts:
         assert np.array_equal(tiled[1][tiled[2]], code)
 
     def test_learning_count_table_keeps_its_bytes(self):
-        # G=15 smokers is one block: _distinct_counts is byte-identical to its
-        # all-worlds np.unique, which this digest was taken from.
+        # G=15 smokers is one block: the histogram's rows and multiplicities
+        # and every world's row are byte-identical to the all-worlds
+        # np.unique this digest was taken from, and so is the learner's table.
         model = model_from(FRIENDS_SMOKERS_MLN)
-        rows, mult, inverse = model_module._distinct_counts(model.formulas(), index_for(model, 3))
-        assert (rows.dtype, mult.dtype, inverse.dtype) == (np.int64,) * 3
+        index = index_for(model, 3)
+        hist = count_histogram(model, index)
+        rows, mult = hist.counts.astype(np.int64), hist.mult
+        inverse = model_module._world_rows(model.formulas(), index)
+        assert (mult.dtype, inverse.dtype) == (np.int64,) * 2
         digest = hashlib.sha256(rows.tobytes() + mult.tobytes() + inverse.tobytes()).hexdigest()
         assert digest == "fa26512d1ed7c1b9ae3b821325e461248ce43857687d5dc2cad72ae2e58eec73"
+        table = learning._counts_cached(model.formulas(), index)
+        assert table.inverse.tobytes() == inverse.tobytes()
+        assert table.rows[: rows.shape[0]].tobytes() == hist.counts.tobytes()
 
     @pytest.mark.parametrize(
         ("text", "n"),
-        [(FRIENDS_SMOKERS_MLN, 2), (NINE_ATOM_TEXT, 2)],
-        ids=["smokers-2", "nine_atoms-2"],
+        [(FRIENDS_SMOKERS_MLN, 2), (NINE_ATOM_TEXT, 2), (WORDS_TEXT, 4)],
+        ids=["smokers-2", "nine_atoms-2", "words-4"],
     )
     def test_learning_count_table_is_the_same_over_many_blocks(self, text, n):
-        # Blocks of 16 worlds: the pair keys of every block, deduped at once
-        # and gathered to the worlds, give the one-block table byte for byte.
+        # Blocks of 16 worlds: every block's pair keys, found among the
+        # histogram's keys and gathered to the worlds, give the one-block
+        # table byte for byte, over one key word or three, and every world's
+        # row is its count vector.
         model = model_from(text)
         index = index_for(model, n)
-        whole = model_module._distinct_counts(model.formulas(), index)
-        _table.cache_clear()
-        with mock.patch.object(model_module, "DEFAULT_CHUNK", 1 << 4):
-            blocked = model_module._distinct_counts(model.formulas(), index)
-        _table.cache_clear()
+        tables = []
+        for chunk in (model_module.DEFAULT_CHUNK, 1 << 4):
+            _histogram.cache_clear()
+            learning._counts_cached.cache_clear()
+            with mock.patch.object(model_module, "DEFAULT_CHUNK", chunk):
+                tables.append(learning._counts_cached(model.formulas(), index))
+        _histogram.cache_clear()
+        learning._counts_cached.cache_clear()
         assert index.n_atoms > 4
-        for a, b in zip(whole, blocked):
+        whole, blocked = tables
+        for name in ("worlds", "rows", "log_mult", "inverse"):
+            a, b = getattr(whole, name), getattr(blocked, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        entries = GroundingTable(model.formulas(), index).entries
+        worlds = np.concatenate([counts_matrix(entries, w) for w in world_chunks(index.n_atoms)])
+        assert np.array_equal(blocked.rows[blocked.inverse], worlds)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_relaid_order_equals_setdiff1d(self, seed):
@@ -1171,6 +1188,43 @@ class TestLogWeightRule:
         rows = rng.integers(0, counts.shape[0], size=length)
         assert model_module._log_weights(counts[rows], weights).tobytes() == whole[rows].tobytes()
         assert np.allclose(whole, counts @ weights, rtol=1e-12, atol=1e-9)
+
+    def test_log_weight_is_the_dense_entry_of_every_smokers_world(self):
+        # A BLAS dot product of the weights and the counts rounded about a
+        # quarter of these worlds one ulp away from their dense entry.
+        model = model_from(FRIENDS_SMOKERS_MLN)
+        model = model.with_weights(np.random.default_rng(3).uniform(-1.5, 1.5, len(model.clauses)))
+        index = index_for(model, 3)
+        dense = dense_log_weights(model, index)
+        got = np.array([log_weight(model, World(index, b)) for b in range(1 << index.n_atoms)])
+        assert got.tobytes() == dense.tobytes()
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 3),
+        normalized=st.booleans(),
+        ternary=st.booleans(),
+    )
+    def test_single_worlds_and_log_z_follow_the_dense_rule(self, seed, n, normalized, ternary):
+        # log_weight is every world's dense entry to the bit, and log Z is the
+        # logsumexp of one dense entry per histogram row plus its log mult.
+        rng = np.random.default_rng(seed)
+        model = random_raw_model(rng, include_ternary_clause=ternary)
+        if normalized:
+            model = normalize_distinct(model)
+        index = index_for(model, n)
+        dense = dense_log_weights(model, index)
+        got = np.array([log_weight(model, World(index, b)) for b in range(1 << index.n_atoms)])
+        assert got.tobytes() == dense.tobytes()
+        hist = count_histogram(model, index)
+        rows = model_module._world_rows(model.formulas(), index)
+        first = np.unique(rows, return_index=True)[1]
+        assert first.shape == hist.mult.shape
+        log_z = log_partition(model, index)
+        assert log_z == model_module._logsumexp(dense[first] + hist.log_mult)
+        for bits in rng.integers(0, 1 << index.n_atoms, size=8).tolist():
+            assert log_probability(model, World(index, bits)) == dense[bits] - log_z
 
 
 class TestCountHistogram:
@@ -1391,6 +1445,15 @@ class TestNonFiniteWeights:
 
 
 class TestProbability:
+    def test_is_the_dense_entry_minus_log_z_to_the_bit(self):
+        model = model_from(FRIENDS_SMOKERS_MLN)
+        model = model.with_weights(np.random.default_rng(5).uniform(-1.5, 1.5, len(model.clauses)))
+        index = index_for(model, 3)
+        dense = dense_log_weights(model, index)
+        log_z = log_partition(model, index)
+        for bits in np.random.default_rng(6).integers(0, 1 << index.n_atoms, size=500).tolist():
+            assert log_probability(model, World(index, bits)) == dense[bits] - log_z
+
     def test_uniform_at_zero_weights(self):
         model = model_from("type p = 2\npredicate R(p,p)\n0 R(x,y)")
         index = index_for(model, 2)
