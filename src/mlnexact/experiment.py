@@ -11,8 +11,10 @@ Each CSV column is one field of ``Row``, in field order; ``rows_to_csv`` and
 
 Target worlds are scored with ``learning.target_log_likelihoods``. Every run
 and method at one target size shares that size's cached count histogram
-(``model.count_histogram``), so the 2^G enumeration happens once per size and
-each further weight vector costs one small logsumexp.
+(``model.count_histogram``) and its target set's cached count rows, so the
+2^G enumeration and the target worlds' counting happen once per size, and
+each further weight vector costs one small logsumexp and one log-weight call
+over the set's rows.
 """
 
 from __future__ import annotations

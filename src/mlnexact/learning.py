@@ -67,13 +67,14 @@ from .logic import Clause, Formula, MlnModel, Signature, normalize_distinct
 from .model import (
     DEFAULT_MAX_ATOMS,
     _histogram,
+    _log_weights,
     _logsumexp,
+    _table,
     _world_rows,
     apply_da_scaling,
     count_histogram,
     da_scale_factors,
     log_partition,
-    log_weight,
 )
 from .worlds import AtomIndex, DomainSpec, World
 
@@ -486,12 +487,32 @@ def _fit(
 def target_log_likelihoods(
     model: MlnModel, target_worlds: Sequence[World], *, max_atoms: int = DEFAULT_MAX_ATOMS
 ) -> list[float]:
-    """Log likelihoods of several worlds over one atom index, sharing one partition pass."""
+    """Log likelihoods of several worlds over one atom index: one ``log_partition``
+    and one ``_log_weights`` call over the worlds' count rows.
+
+    Each world's value is ``log_weight(model, w) - log_partition(model,
+    w.index)`` to the bit, since ``_log_weights`` computes a row from that
+    row alone. The rows of a target set are kept (``_target_counts``), so
+    scoring one set under many weight vectors counts each world once.
+    """
     indexes = {w.index for w in target_worlds}
     if len(indexes) != 1:
         raise ValueError(f"target worlds must share one atom index, got {len(indexes)}")
-    log_z = log_partition(model, indexes.pop(), max_atoms=max_atoms)
-    return [log_weight(model, w) - log_z for w in target_worlds]
+    index = indexes.pop()
+    log_z = log_partition(model, index, max_atoms=max_atoms)
+    rows = _target_counts(model.formulas(), index, tuple(w.bits for w in target_worlds))
+    return (_log_weights(rows, model.weights()) - log_z).tolist()
+
+
+@lru_cache(maxsize=16)  # an experiment scores one fixed set per target size
+def _target_counts(
+    formulas: tuple[Formula, ...], index: AtomIndex, bits: tuple[int, ...]
+) -> np.ndarray:
+    """The read-only count rows of a target set, one per world in order."""
+    table = _table(formulas, index)
+    rows = np.stack([table.counts_world(World(index, b)) for b in bits])
+    rows.setflags(write=False)
+    return rows
 
 
 def lambda_sweep(

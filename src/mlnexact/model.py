@@ -34,9 +34,8 @@ then one tile of ``DEFAULT_TILE`` offsets at a time (``_tiles``), as do the
 pair ranking and the pair multiplicities, so such a pass holds no 2^18-long
 temporary wider than the keys. A single world (``counts_world``,
 ``log_weight``) is unpacked from its integer, so it may exceed 64 atoms, and
-each grounding group is counted with one gather into its truth table. The
-table memoizes the counts of the last ``WORLD_COUNTS_MEMO`` single worlds, so
-scoring fixed worlds under many weight vectors counts each of them once.
+each grounding group is counted with one gather into its truth table. A
+table holds no per-world state.
 
 A world's weight depends on it only through its count vector, whose count
 key is its mixed-radix code (radix = grounding total + 1, clause 0 most
@@ -45,14 +44,15 @@ its counts times the weights, summed column by column in clause order, so a
 row's value does not depend on the rows computed with it. Every weighted pass
 reads ``pair_log_weights``, one log weight per pair and block, which are the
 floats of every world of the pair. Its pairs are the table's kept setup, so
-only the log-weight table and its gather depend on the weights: while the
-key span fits in one block, the log weight of each key in the span is
-computed once and every pair's is looked up; past it, each block decodes its
-pairs' keys. No pass casts a block's counts to float64 and multiplies them
-by the weights. The partition function has one path: one enumeration per
-(clause structure, atom index) collapses all 2^G worlds into a cached
-histogram of distinct count vectors with multiplicities, and log Z for any
-weight vector is a logsumexp of ``_log_weights`` over that histogram. The
+only the log weights depend on the weights: each block decodes its pairs'
+keys into count vectors and applies ``_log_weights``, at any key span. No
+pass casts a block's worlds' counts to float64 and multiplies them by the
+weights. A fixed set of single worlds is scored with one ``_log_weights``
+call over its count rows (``learning.target_log_likelihoods``). The
+partition function has one path: one enumeration per (clause structure,
+atom index) collapses all 2^G worlds into a cached histogram of distinct
+count vectors with multiplicities, and log Z for any weight vector is a
+logsumexp of ``_log_weights`` over that histogram. The
 build merges every block's pair keys, weighted by the pairs' world counts,
 into the running distinct keys with ``_unique_keys`` (from 2^63, several
 int64 words, sorted by one lexsort). Learning's count table is that
@@ -117,7 +117,6 @@ DEFAULT_MAX_ATOMS = 28
 DEFAULT_DENSE_MAX_ATOMS = 24
 DEFAULT_CHUNK = 1 << 18
 DEFAULT_TILE = 1 << 14  # block offsets per tile of a per-pair pass's per-world work
-WORLD_COUNTS_MEMO = 256  # single-world count vectors a grounding table keeps
 
 
 def _logsumexp(log_values: np.ndarray) -> float:
@@ -455,24 +454,12 @@ class GroundingTable:
     def __init__(self, formulas: Sequence[Formula], index: AtomIndex):
         self.index = index
         self.entries = [_grounded_formula(f, index) for f in formulas]
-        self._world_counts: dict[int, np.ndarray] = {}
         self._pair_setups: dict[tuple, tuple] = {}
 
     def counts_world(self, world: World) -> np.ndarray:
-        """True-grounding count of every clause in a single world, read-only.
-
-        The table keeps the counts of the last ``WORLD_COUNTS_MEMO`` worlds
-        it was asked for, keyed by their bits; a table belongs to one atom
-        index, so the bits name one world.
-        """
-        counts = self._world_counts.pop(world.bits, None)
-        if counts is None:
-            counts = _count_kernel(self.entries, world.bits)
-            counts.setflags(write=False)
-            if len(self._world_counts) >= WORLD_COUNTS_MEMO:
-                del self._world_counts[next(iter(self._world_counts))]
-        self._world_counts[world.bits] = counts  # most recently used last
-        return counts
+        """True-grounding count of every clause in a single world, counted
+        afresh by ``_count_kernel``."""
+        return _count_kernel(self.entries, world.bits)
 
     def pair_counts(self, strides: Sequence[int] | np.ndarray) -> PairStream:
         """The count keys of every block of ``DEFAULT_CHUNK`` worlds, one per
@@ -578,22 +565,16 @@ class GroundingTable:
         count vector, the floats of every world of the pair.
 
         The stream's setup is the one the table keeps for these strides, so
-        only the log weights and their gather depend on ``weights``: while
-        the count-key span fits in one block, the log weight of every key in
-        the span is computed once and each block looks its pairs' keys up.
-        Past it, each block decodes its pairs' keys into count vectors, one
-        key word or several.
+        only the log weights depend on ``weights``: each block decodes its
+        pairs' keys, one key word or several, into count vectors and applies
+        ``_log_weights``, whose rows do not depend on each other.
         """
-        span, strides, radix = _count_keys(self.entries)
+        _, strides, radix = _count_keys(self.entries)
         stream = self.pair_counts(strides)
-        if span <= DEFAULT_CHUNK:
-            table = _log_weights(_decode_keys(np.arange(span), strides, radix), weights)
-            blocks = ((start, np.take(table, k)) for start, k in stream.blocks)
-        else:
-            blocks = (
-                (start, _log_weights(_decode_keys(k, strides, radix), weights))
-                for start, k in stream.blocks
-            )
+        blocks = (
+            (start, _log_weights(_decode_keys(k, strides, radix), weights))
+            for start, k in stream.blocks
+        )
         return replace(stream, blocks=blocks)
 
     def relaid(self, *leading: np.ndarray) -> tuple[GroundingTable, np.ndarray]:
@@ -608,12 +589,12 @@ class GroundingTable:
         rest[lead] = False
         order = np.concatenate([lead, np.flatnonzero(rest)])
         new_pos = np.argsort(order)
-        out = copy.copy(self)  # with its own empty memos
+        out = copy.copy(self)
         out.entries = [
             replace(e, groups=[_Group(new_pos[g.cols], g.table) for g in e.groups])
             for e in self.entries
         ]
-        out._world_counts, out._pair_setups = {}, {}
+        out._pair_setups = {}  # the setups belong to the old layout
         return out, order
 
 
@@ -640,11 +621,11 @@ def count_true_groundings(clause: Clause, world: World) -> int:
 def log_weight(model: MlnModel, world: World) -> float:
     """Weighted true-grounding count of all clauses (the log of the world weight).
 
-    The counts come from the clause structure's cached grounding table, which
-    memoizes the counts of the worlds it has seen (``counts_world``): scoring
-    the same worlds under many weight vectors counts each world once. The
-    weight is ``_log_weights`` of the counts, so it is the world's entry of
-    ``dense_log_weights`` to the bit.
+    The world is counted once per call by its clause structure's cached
+    grounding table (``counts_world``); ``learning.target_log_likelihoods``
+    keeps the counts of fixed target sets. The weight is ``_log_weights`` of
+    the counts, so it is the world's entry of ``dense_log_weights`` to the
+    bit.
     """
     counts = _table(model.formulas(), world.index).counts_world(world)
     return float(_log_weights(counts[None], model.weights())[0])
@@ -736,9 +717,11 @@ def log_partition(
 
 
 def log_probability(model: MlnModel, world: World) -> float:
-    """Exact log probability of one world, which must be over the model's signature."""
-    log_z = log_partition(model, world.index)
-    return log_weight(model, world) - log_z
+    """Exact log probability of one world, which must be over the model's
+    signature: ``learning.target_log_likelihoods`` of the world alone."""
+    from .learning import target_log_likelihoods  # learning imports this module
+
+    return target_log_likelihoods(model, [world])[0]
 
 
 def _fold_pair_buckets(run: PairStream, lse: np.ndarray, code: int, buckets: np.ndarray) -> None:

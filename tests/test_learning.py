@@ -1,6 +1,8 @@
+import functools
 import hashlib
 import math
 from dataclasses import astuple, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlnexact import learning
+from mlnexact import model as model_module
 from mlnexact.bounds import log_spread
 from mlnexact.datagen import FRIENDS_SMOKERS_MLN
+from mlnexact.experiment import ExperimentConfig, load_experiment_model, target_worlds
 from mlnexact.learning import (
     GRID_DEFAULT,
     LEARN_MAX_ATOMS,
@@ -32,7 +36,9 @@ from mlnexact.model import (
     count_histogram,
     da_scale_factors,
     log_marginal,
+    log_partition,
     log_probability,
+    log_weight,
     marginal_log_probs,
 )
 from mlnexact.worlds import AtomIndex, DomainSpec, DomainTooLargeError, World
@@ -63,6 +69,14 @@ def smokers_model():
             "0 S(x)\n0 F(x,y) ^ S(x) => S(y)"
         )
     )
+
+
+@functools.cache
+def experiment_targets() -> tuple:
+    """The smokers experiment's model and its target worlds at n = 3 and 4."""
+    cfg = ExperimentConfig(target_sizes=(3, 4))
+    model = load_experiment_model(cfg)
+    return model, target_worlds(cfg, model)
 
 
 def smokers_data(model, n=3):
@@ -965,13 +979,48 @@ class TestTargetEvaluation:
             -index4.n_atoms * math.log(2)
         )
 
-    def test_batch_shares_partition(self):
-        model = smokers_model().with_weights([0.3, -0.2, 0.5])
-        spec, index, _ = smokers_data(model)
-        worlds = [World(index, b) for b in (0, 5, 77)]
-        batch = target_log_likelihoods(model, worlds)
-        singles = [target_log_likelihoods(model, [w])[0] for w in worlds]
-        assert batch == pytest.approx(singles)
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), normalized=st.booleans())
+    def test_batch_shares_partition(self, seed, n, normalized):
+        # One call over a set gives each world its log weight minus log Z,
+        # bit for bit, as does scoring the world alone: on random models at
+        # n <= 3 and on the smokers experiment's target worlds at n = 3, 4.
+        rng = np.random.default_rng(seed)
+        model = random_raw_model(rng)
+        if normalized:
+            model = normalize_distinct(model)
+        index = AtomIndex(model.signature, DomainSpec({"t": n}))
+        bits = rng.integers(0, 1 << index.n_atoms, size=6).tolist()
+        cases = [(model, [World(index, b) for b in bits])]
+        smokers, targets = experiment_targets()
+        weights = rng.uniform(-1.5, 1.5, len(smokers.clauses))
+        cases += [(smokers.with_weights(weights), worlds) for worlds in targets.values()]
+        for scored, worlds in cases:
+            batch = target_log_likelihoods(scored, worlds)
+            log_z = log_partition(scored, worlds[0].index)
+            assert batch == [log_weight(scored, w) - log_z for w in worlds]
+            assert batch == [target_log_likelihoods(scored, [w])[0] for w in worlds]
+            assert batch == [log_probability(scored, w) for w in worlds]
+
+    def test_a_target_set_is_counted_once(self):
+        model = smokers_model()
+        _, index, _ = smokers_data(model)
+        bits = (3, 17, 99, 260, 511)
+        worlds = [World(index, b) for b in bits]
+        rng = np.random.default_rng(11)
+        learning._target_counts.cache_clear()
+        counting = mock.patch.object(
+            model_module, "_count_kernel", wraps=model_module._count_kernel
+        )
+        with counting as kernel:
+            for _ in range(9):
+                weights = rng.uniform(-1.5, 1.5, len(model.clauses))
+                target_log_likelihoods(model.with_weights(weights), worlds)
+        assert kernel.call_count == 5
+        rows = learning._target_counts(model.formulas(), index, bits)
+        assert rows.shape == (5, len(model.clauses))
+        with pytest.raises(ValueError):
+            rows[0, 0] = 0
 
 
 class TestMarginalObjective:

@@ -250,45 +250,7 @@ class TestLogWeight:
 
 
 class TestWorldCountsMemo:
-    """A grounding table keeps the counts of the single worlds it was asked for."""
-
-    def test_memo_equals_the_kernel_and_is_read_only(self):
-        model = normalize_distinct(parse_mln(FRIENDS_SMOKERS_MLN))
-        index = index_for(model, 3)
-        gt = GroundingTable(model.formulas(), index)
-        rng = np.random.default_rng(5)
-        for bits in map(int, rng.integers(0, 1 << index.n_atoms, size=8)):
-            for _ in range(2):  # a miss, then a hit
-                counts = gt.counts_world(World(index, bits))
-                assert counts.tobytes() == _count_kernel(gt.entries, bits).tobytes()
-                assert not counts.flags.writeable
-                with pytest.raises(ValueError):
-                    counts[0] = 0
-
-    def test_a_hit_does_not_count_again(self):
-        model = normalize_distinct(parse_mln(FRIENDS_SMOKERS_MLN))
-        index = index_for(model, 3)
-        gt = GroundingTable(model.formulas(), index)
-        with mock.patch.object(model_module, "_count_kernel", wraps=_count_kernel) as kernel:
-            first = gt.counts_world(World(index, 12345))
-            second = gt.counts_world(World(index, 12345))
-        assert kernel.call_count == 1
-        assert second is first
-
-    def test_memo_is_bounded_and_keeps_the_recent_worlds(self):
-        model = model_from("type p = 3\npredicate S(p)\npredicate R(p,p)\n1 R(x,y) => S(x)")
-        index = index_for(model, 3)
-        gt = GroundingTable(model.formulas(), index)
-        limit = model_module.WORLD_COUNTS_MEMO
-        assert 1 << index.n_atoms > limit + 40
-        with mock.patch.object(model_module, "_count_kernel", wraps=_count_kernel) as kernel:
-            for bits in range(1, limit + 40):
-                gt.counts_world(World(index, bits))
-                gt.counts_world(World(index, 0))  # world 0 stays the most recently used
-        assert kernel.call_count == limit + 40  # every world counted once
-        assert len(gt._world_counts) == limit
-        assert 0 in gt._world_counts and limit + 39 in gt._world_counts
-        assert 1 not in gt._world_counts
+    """A grounding table counts a single world over its own index and layout."""
 
     def test_the_same_bits_over_another_index_give_other_counts(self):
         model = normalize_distinct(parse_mln(FRIENDS_SMOKERS_MLN))
@@ -297,7 +259,7 @@ class TestWorldCountsMemo:
         weights = [0.5, -0.25, 1.0, 0.75, -1.5][: len(model.clauses)]
         model = model.with_weights(weights)
         seen = []
-        for index in (small, large, small, large):  # each index's memo is filled, then hit
+        for index in (small, large, small, large):  # each index twice
             world = World(index, bits)
             gt = _table(model.formulas(), index)
             counts = gt.counts_world(world)
@@ -1116,10 +1078,9 @@ class TestPairSetupMemo:
 class TestPairLogWeights:
     @pytest.mark.parametrize(("name", "n"), SPAN_CASES)
     def test_key_lookup_matches_plain_log_weights_on_both_sides_of_the_span(self, name, n):
-        # A block as long as the count-key span looks log weights up by key;
-        # one shorter decodes its pair keys. Both give one value per pair,
-        # and gathered to the worlds they equal the plain kernel's log
-        # weights, bit for bit.
+        # Blocks as long as the count-key span and blocks shorter than it
+        # both decode their pair keys: one value per pair, and gathered to
+        # the worlds they equal the plain kernel's log weights, bit for bit.
         rng = np.random.default_rng(5)
         model = span_case_model(name, rng)
         model = model.with_weights(rng.uniform(-1.5, 1.5, len(model.clauses)))
@@ -1128,9 +1089,9 @@ class TestPairLogWeights:
         span = math.prod(e.total + 1 for e in gt.entries)
         above = 1 << (span - 1).bit_length()
         expected = plain_log_weights(model, index)
-        for keyed, chunk in ((True, above), (False, above >> 1)):
+        for within, chunk in ((True, above), (False, above >> 1)):
             with mock.patch.object(model_module, "DEFAULT_CHUNK", chunk):
-                assert (model_module._count_keys(gt.entries)[0] <= chunk) is keyed
+                assert (model_module._count_keys(gt.entries)[0] <= chunk) is within
                 stream = gt.pair_log_weights(model.weights())
                 blocks = list(stream.blocks)
             assert len(blocks) == max(1, (1 << index.n_atoms) // chunk)
