@@ -1022,6 +1022,36 @@ class TestTargetEvaluation:
         with pytest.raises(ValueError):
             rows[0, 0] = 0
 
+    def test_target_rows_are_the_single_world_counts_in_order(self):
+        # Repeats and order are kept, and the same bits over another index
+        # are another set with its own rows.
+        model = smokers_model()
+        bits = (260, 3, 99, 3)
+        for n in (3, 4):
+            _, index, _ = smokers_data(model, n=n)
+            table = model_module._table(model.formulas(), index)
+            rows = learning._target_counts(model.formulas(), index, bits)
+            expected = [table.counts_world(World(index, b)).tolist() for b in bits]
+            assert rows.tolist() == expected
+        small = learning._target_counts(model.formulas(), smokers_data(model, n=3)[1], bits)
+        large = learning._target_counts(model.formulas(), smokers_data(model, n=4)[1], bits)
+        assert small.tolist() != large.tolist()
+
+    def test_the_kept_target_sets_are_bounded(self):
+        model = smokers_model()
+        _, index, _ = smokers_data(model)
+        learning._target_counts.cache_clear()
+        limit = learning._target_counts.cache_info().maxsize
+        sets = [[World(index, b), World(index, b + 1)] for b in range(limit + 4)]
+        for worlds in sets:
+            target_log_likelihoods(model, worlds)
+        info = learning._target_counts.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (limit, limit + 4, 0)
+        target_log_likelihoods(model, sets[-1])  # the most recent set is kept
+        assert learning._target_counts.cache_info().hits == 1
+        target_log_likelihoods(model, sets[0])  # the oldest was dropped
+        assert learning._target_counts.cache_info().misses == limit + 5
+
 
 class TestMarginalObjective:
     def test_matches_marginal_vector(self):

@@ -252,6 +252,25 @@ class TestLogWeight:
 class TestWorldCountsMemo:
     """A grounding table counts a single world over its own index and layout."""
 
+    def test_counts_world_is_the_kernel_counted_afresh(self):
+        # No per-world state: every call runs the kernel and returns its own
+        # array, so changing one result leaves the next call's untouched.
+        model = normalize_distinct(parse_mln(FRIENDS_SMOKERS_MLN))
+        index = index_for(model, 3)
+        gt = GroundingTable(model.formulas(), index)
+        rng = np.random.default_rng(5)
+        bits = [int(b) for b in rng.integers(0, 1 << index.n_atoms, size=8)]
+        with mock.patch.object(model_module, "_count_kernel", wraps=_count_kernel) as kernel:
+            for b in bits:
+                first = gt.counts_world(World(index, b))
+                expected = first.tobytes()
+                first[:] = -1
+                second = gt.counts_world(World(index, b))
+                assert second is not first
+                assert second.tobytes() == expected == _count_kernel(gt.entries, b).tobytes()
+        assert kernel.call_count == 2 * len(bits)
+        assert set(vars(gt)) == {"index", "entries", "_pair_setups"}
+
     def test_the_same_bits_over_another_index_give_other_counts(self):
         model = normalize_distinct(parse_mln(FRIENDS_SMOKERS_MLN))
         small, large = index_for(model, 2), index_for(model, 3)
